@@ -9,13 +9,12 @@ honest interleavings, which is what the tests check.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import ValidationError
-from .stepmodule import (Grid, Morphism, StepModule, compose, factor_morphism,
-                         restrict_extend, union_grids)
+from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, anchor_map,
+                         compose, factor_morphism, restrict_extend, union_grids)
 
 # restrict_extend is re-exported from here because refinement and
 # discretization conceptually belong to the calculus layer.
@@ -25,15 +24,8 @@ __all__ = [
     "SmoothResult", "DiscretizationPair", "restrict_morphism",
     "shift_morphism", "modules_match", "morphisms_match", "compose_matched",
     "lattice_grid", "discretize", "restriction_pair", "mono_epi_report",
+    "anchored_morphism",
 ]
-
-
-def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _add(coords, eps):
-    return tuple(c + eps for c in coords)
 
 
 def refine(v, grid):
@@ -54,36 +46,48 @@ def shift(v, eps):
     so the extension satisfies shift(v, eps)(s) = v(s + eps).
 
     eps may be negative (translation is a group action); the metric layer only
-    ever asks for eps >= 0.
+    ever asks for eps >= 0.  V[0] is v itself.
     """
-    return StepModule(v.field, v.grid.translate(-_q(eps)), v.dims, v.steps)
+    eps = _frac(eps)
+    if not eps:
+        return v
+    return StepModule._trusted(v.field, v.grid.translate(-eps), v.dims, v.steps)
+
+
+def anchored_morphism(x, y, eps, grid, comp):
+    """The morphism restrict_extend(x, grid) -> restrict_extend(shift(y, eps),
+    grid) whose component at q is comp(q, a, b), where a is the anchor of q in
+    x's grid and b the anchor of q + eps in y's grid.  The component is the
+    zero block where a or b is None, or where comp returns None."""
+    eps = _frac(eps)
+    source = restrict_extend(x, grid)
+    target = restrict_extend(shift(y, eps), grid)
+    ends = y.grid.anchors_on(grid, eps)
+    comps = {}
+    for q, a in x.grid.anchors_on(grid).items():
+        b = ends[q]
+        m = None if a is None or b is None else comp(q, a, b)
+        if m is None:
+            m = x.field.zeros(target.dims[q], source.dims[q])
+        comps[q] = _freeze(m)
+    return Morphism._trusted(source, target, comps)
 
 
 def eta_on(v, eps, grid):
     """The shift morphism eta_eps: V -> V[eps] restricted-extended to the
     given grid: the component at q is the internal structure map of v from
     the anchor of q to the anchor of q + eps."""
-    eps = _q(eps)
+    eps = _frac(eps)
     if eps < 0:
         raise ValidationError("eta needs eps >= 0")
-    source = restrict_extend(v, grid)
-    target = restrict_extend(shift(v, eps), grid)
-    comps = {}
-    for q in grid.points():
-        c = grid.coords(q)
-        a = v.grid.anchor(c)
-        b = v.grid.anchor(_add(c, eps))
-        if a is None:
-            comps[q] = v.field.zeros(target.dims[q], 0)
-        else:
-            comps[q] = v.path_map(a, b)
-    return Morphism(source, target, comps)
+    memo = {}
+    return anchored_morphism(v, v, eps, grid, lambda q, a, b: anchor_map(v, a, b, memo))
 
 
 def eta(v, eps):
     """eta_eps: V -> V[eps] on the common refinement of the two grids.
     eta(v, 0) is the identity."""
-    eps = _q(eps)
+    eps = _frac(eps)
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
     return eta_on(v, eps, grid)
 
@@ -91,21 +95,12 @@ def eta(v, eps):
 def restrict_morphism(m, grid):
     """Restriction-extension of a morphism: components are sampled at
     anchors, endpoints are the restricted-extended modules."""
-    source = restrict_extend(m.source, grid)
-    target = restrict_extend(m.target, grid)
-    comps = {}
-    for q in grid.points():
-        a = m.grid.anchor(grid.coords(q))
-        if a is None:
-            comps[q] = m.field.zeros(0, 0)
-        else:
-            comps[q] = m.comps[a]
-    return Morphism(source, target, comps)
+    return anchored_morphism(m.source, m.target, 0, grid, lambda q, a, b: m.comps[a])
 
 
 def shift_morphism(m, eps):
     """m[eps]: the same components between the shifted endpoints."""
-    return Morphism(shift(m.source, eps), shift(m.target, eps), m.comps)
+    return Morphism._trusted(shift(m.source, eps), shift(m.target, eps), m.comps)
 
 
 def modules_match(a, b):
@@ -157,7 +152,7 @@ class SmoothResult:
 
 
 def smooth(v, eps):
-    eps = _q(eps)
+    eps = _frac(eps)
     if eps < 0:
         raise ValidationError("smooth needs eps >= 0")
     m = eta(v, eps)
@@ -165,30 +160,21 @@ def smooth(v, eps):
     s = fac.image
     g = fac.image_inclusion  # S -> V[eps] as extensions
     big = s.grid
-    # f: V -> S[eps] on the refinement v.grid u (S.grid - eps)
-    f_grid = union_grids(v.grid, big.translate(-eps))
-    source = restrict_extend(v, f_grid)
-    target = restrict_extend(shift(s, eps), f_grid)
-    comps = {}
-    for qi in f_grid.points():
-        q = f_grid.coords(qi)
-        av = v.grid.anchor(q)
-        tg = big.anchor(_add(q, eps))
-        if tg is None or target.dims[qi] == 0:
-            comps[qi] = v.field.zeros(target.dims[qi], source.dims[qi])
-            continue
-        if av is None:
-            comps[qi] = v.field.zeros(target.dims[qi], 0)
-            continue
-        # ambient anchor of S's value at tg, the image of the step from tg
-        amb = v.grid.anchor(_add(big.coords(tg), eps))
-        basis = fac.image_inclusion.comps[tg]
-        vec = v.path_map(av, amb)
-        x = v.field.solve(basis, vec)
+    # ambient anchor of S's value at each index tg, the image of the step from tg
+    ambient = v.grid.anchors_on(big, eps)
+    memo = {}
+
+    def comp(q, av, tg):
+        if s.dims[tg] == 0:
+            return None
+        vec = anchor_map(v, av, ambient[tg], memo)
+        x = v.field.solve(fac.image_inclusion.comps[tg], vec)
         if x is None:
             raise ValidationError("smoothing component left the image subspace")
-        comps[qi] = x
-    f = Morphism(source, target, comps)
+        return x
+
+    # f: V -> S[eps] on the refinement v.grid u (S.grid - eps)
+    f = anchored_morphism(v, s, eps, union_grids(v.grid, big.translate(-eps)), comp)
     return SmoothResult(s, f, g, eps)
 
 
@@ -313,19 +299,14 @@ def diagonal(pm):
 def persistent_rank(v, eps):
     """sup over s of rank(V_s -> V_{s+eps}); attained at anchors of the
     refinement grid u (grid - eps), so the supremum is a finite max."""
-    eps = _q(eps)
+    eps = _frac(eps)
     if eps < 0:
         raise ValidationError("persistent_rank needs eps >= 0")
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
-    best = 0
-    for q in grid.points():
-        c = grid.coords(q)
-        a = v.grid.anchor(c)
-        if a is None:
-            continue
-        b = v.grid.anchor(_add(c, eps))
-        best = max(best, v.field.rank(v.path_map(a, b)))
-    return best
+    ends = v.grid.anchors_on(grid, eps)
+    memo = {}
+    return max((v.field.rank(anchor_map(v, a, ends[q], memo))
+                for q, a in v.grid.anchors_on(grid).items() if a is not None), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +316,12 @@ def persistent_rank(v, eps):
 def lattice_grid(eps, lo_corner, hi_corner):
     """The grid eps*Z^n clipped to the smallest lattice box containing
     [lo_corner, hi_corner]."""
-    eps = _q(eps)
+    eps = _frac(eps)
     if eps <= 0:
         raise ValidationError("lattice spacing must be positive")
     axes = []
     for lo, hi in zip(lo_corner, hi_corner):
-        lo, hi = _q(lo), _q(hi)
+        lo, hi = _frac(lo), _frac(hi)
         start = eps * (lo / eps).__floor__()
         stop = eps * -((-hi / eps).__floor__())
         count = int((stop - start) / eps) + 1
@@ -364,47 +345,24 @@ class DiscretizationPair:
 def restriction_pair(v, q_grid, eps):
     """The interleaving pair between v and its restriction-extension to
     q_grid, valid whenever q_grid is eps-dense over v's grid hull."""
-    eps = _q(eps)
-    F = v.field
+    eps = _frac(eps)
     vq = restrict_extend(v, q_grid)
-    # f: V -> V_Q[eps]
-    f_grid = union_grids(v.grid, q_grid.translate(-eps))
-    f_source = restrict_extend(v, f_grid)
-    f_target = restrict_extend(shift(vq, eps), f_grid)
-    f_comps = {}
-    for qi in f_grid.points():
-        c = f_grid.coords(qi)
-        av = v.grid.anchor(c)
-        aq = q_grid.anchor(_add(c, eps))
-        if av is None:
-            f_comps[qi] = F.zeros(f_target.dims[qi], 0)
-            continue
-        if aq is None:
-            f_comps[qi] = F.zeros(0, f_source.dims[qi])
-            continue
-        tv = v.grid.anchor(q_grid.coords(aq))
+    on_v = v.grid.anchors_on(q_grid)  # anchor in v's grid of each q_grid index
+    memo = {}
+
+    def f_comp(qi, av, aq):
+        tv = on_v[aq]
         if tv is None or any(x > y for x, y in zip(av, tv)):
             raise ValidationError("q_grid is not eps-dense over the module; no density morphism")
-        f_comps[qi] = v.path_map(av, tv)
-    f = Morphism(f_source, f_target, f_comps)
-    # g: V_Q -> V[eps]
-    g_grid = union_grids(q_grid, v.grid.translate(-eps))
-    g_source = restrict_extend(vq, g_grid)
-    g_target = restrict_extend(shift(v, eps), g_grid)
-    g_comps = {}
-    for qi in g_grid.points():
-        c = g_grid.coords(qi)
-        aq = q_grid.anchor(c)
-        bv = v.grid.anchor(_add(c, eps))
-        if aq is None:
-            g_comps[qi] = F.zeros(g_target.dims[qi], 0)
-            continue
-        sv = v.grid.anchor(q_grid.coords(aq))
-        if sv is None:
-            g_comps[qi] = F.zeros(g_target.dims[qi], 0)
-            continue
-        g_comps[qi] = v.path_map(sv, bv)
-    g = Morphism(g_source, g_target, g_comps)
+        return anchor_map(v, av, tv, memo)
+
+    def g_comp(qi, aq, bv):
+        sv = on_v[aq]
+        return None if sv is None else anchor_map(v, sv, bv, memo)
+
+    # f: V -> V_Q[eps] and g: V_Q -> V[eps]
+    f = anchored_morphism(v, vq, eps, union_grids(v.grid, q_grid.translate(-eps)), f_comp)
+    g = anchored_morphism(vq, v, eps, union_grids(q_grid, v.grid.translate(-eps)), g_comp)
     return DiscretizationPair(vq, f, g, eps, q_grid)
 
 

@@ -20,8 +20,7 @@ from .serialize import (FORMAT, dumps, fr_from_str, fr_to_str, load_any,
                         read_json, write_json)
 from .stepmodule import Grid, direct_sum, validate, validate_morphism
 
-DEFAULTS = {"field_p": 2, "seed": 0, "budget": metric.DEFAULT_BUDGET,
-            "threads": 1, "out": None}
+DEFAULTS = {"field_p": 2, "seed": 0, "budget": metric.DEFAULT_BUDGET, "out": None}
 
 
 def _cfg(ns, key):
@@ -183,7 +182,7 @@ def cmd_iso(ns):
 
 def cmd_interleave(ns):
     w = metric.decide(_load_module(ns.a), _load_module(ns.b), ns.epsilon,
-                      budget=_cfg(ns, "budget"), threads=_cfg(ns, "threads"))
+                      budget=_cfg(ns, "budget"))
     if w is None:
         print(f"no {ns.epsilon}-interleaving exists", file=sys.stderr)
         _emit({"format": FORMAT, "kind": "interleave-result",
@@ -198,8 +197,7 @@ def cmd_interleave(ns):
 
 def cmd_distance(ns):
     b = metric.distance_bracket(_load_module(ns.a), _load_module(ns.b),
-                                budget=_cfg(ns, "budget"),
-                                threads=_cfg(ns, "threads"))
+                                budget=_cfg(ns, "budget"))
     _emit(serialize.bracket_to_json(b))
     return 0
 
@@ -351,7 +349,7 @@ def _add_common(p):
     p.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                    help="search budget; exceeding it exits 3, never a silent 'no'")
     p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="worker threads for candidate scans")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", default=argparse.SUPPRESS,
                    help="directory for emitted artifact files")
 

@@ -20,15 +20,12 @@ from .calculus import (compose_matched, eta, eta_on, modules_match,
                        restrict_extend, restrict_morphism, shift,
                        shift_morphism)
 from .errors import BudgetExceeded, ValidationError
-from .stepmodule import (Morphism, hom_basis, union_grids, validate_morphism)
+from .stepmodule import (Morphism, _frac, anchor_map, hom_basis, union_grids,
+                         validate_morphism)
 
 INF = float("inf")  # comparison sentinel only; never enters any arithmetic
 
 DEFAULT_BUDGET = 1 << 16
-
-
-def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ def verify(v, w, eps, f, g):
     Returns an Interleaving whose verified flag is the outcome; violations
     name the first failing constraint of each kind.
     """
-    eps = _q(eps)
+    eps = _frac(eps)
     if eps < 0:
         raise ValidationError("interleaving eps must be >= 0")
     out = []
@@ -92,17 +89,17 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, threads=1):
     """A verified eps-interleaving of (v, w), or None when none exists at this
     exact eps (certified by exhausting the coefficient space of the smaller
     Hom space).  Raises BudgetExceeded when the enumeration would be larger
-    than budget."""
-    eps = _q(eps)
+    than budget.  threads is accepted for compatibility and has no effect:
+    candidates are tried one at a time, stopping at the first verified hit."""
+    eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")
     if rank_obstruction_at(v, w, eps) is not None:
         return None  # a rank inequality proves impossibility outright
-    found = _decide_directed(v, w, eps, budget, threads)
-    return found
+    return _decide_directed(v, w, eps, budget)
 
 
-def _decide_directed(v, w, eps, budget, threads, swapped=False):
+def _decide_directed(v, w, eps, budget, swapped=False):
     F = v.field
     f_grid = union_grids(v.grid, w.grid.translate(-eps))
     fv = restrict_extend(v, f_grid)
@@ -113,7 +110,7 @@ def _decide_directed(v, w, eps, budget, threads, swapped=False):
     gv = restrict_extend(shift(v, eps), g_grid)
     basis_g = hom_basis(gw, gv)
     if len(basis_g) < len(basis_f) and not swapped:
-        flipped = _decide_directed(w, v, eps, budget, threads, swapped=True)
+        flipped = _decide_directed(w, v, eps, budget, swapped=True)
         if flipped is None:
             return None
         return Interleaving(eps, flipped.g, flipped.f, flipped.verified, flipped.violations)
@@ -153,7 +150,10 @@ def _decide_directed(v, w, eps, budget, threads, swapped=False):
         sol = F.solve(system, rhs)
         return None if sol is None else (c, sol[:, 0])
 
-    for hit in _scan(product(range(F.p), repeat=hf), attempt, threads):
+    for cand in product(range(F.p), repeat=hf):
+        hit = attempt(cand)
+        if hit is None:
+            continue
         c, d = hit
         f = _linear_combination(basis_f, c, fv, fw)
         g = _linear_combination(basis_g, d, gw, gv)
@@ -161,38 +161,6 @@ def _decide_directed(v, w, eps, budget, threads, swapped=False):
         if result.verified:
             return result
     return None
-
-
-def _scan(candidates, attempt, threads, chunk=256):
-    """Yield successful attempts in candidate order; chunks are evaluated in a
-    thread pool when threads > 1 but consumed in order, so the first yielded
-    hit is independent of the thread count."""
-    if threads is None or threads <= 1:
-        for cand in candidates:
-            hit = attempt(cand)
-            if hit is not None:
-                yield hit
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    def eval_chunk(block):
-        return [attempt(cand) for cand in block]
-
-    def blocks():
-        block = []
-        for cand in candidates:
-            block.append(cand)
-            if len(block) == chunk:
-                yield block
-                block = []
-        if block:
-            yield block
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for results in pool.map(eval_chunk, blocks()):
-            for hit in results:
-                if hit is not None:
-                    yield hit
 
 
 def _linear_combination(basis, coeffs, source, target):
@@ -222,11 +190,10 @@ def _one_sided_rank_violation(v, w, eps):
     F = v.field
     grid = union_grids(v.grid, v.grid.translate(-2 * eps), w.grid.translate(-eps))
     pts = grid.points()
-    coords = {g: grid.coords(g) for g in pts}
-    av = {g: v.grid.anchor(coords[g]) for g in pts}
-    av2 = {g: v.grid.anchor(tuple(c + 2 * eps for c in coords[g])) for g in pts}
-    aw1 = {g: w.grid.anchor(tuple(c + eps for c in coords[g])) for g in pts}
-    rank_v, rank_w = {}, {}
+    av = v.grid.anchors_on(grid)
+    av2 = v.grid.anchors_on(grid, 2 * eps)
+    aw1 = w.grid.anchors_on(grid, eps)
+    rank_v, rank_w, memo_v, memo_w = {}, {}, {}, {}
     for s in pts:
         if av[s] is None:
             continue
@@ -235,24 +202,24 @@ def _one_sided_rank_violation(v, w, eps):
                 continue
             key = (av[s], av2[t])
             if key not in rank_v:
-                rank_v[key] = F.rank(v.path_map(*key))
+                rank_v[key] = F.rank(anchor_map(v, *key, memo_v))
             rv = rank_v[key]
             if rv == 0:
                 continue
             if aw1[s] is None:
-                return (coords[s], coords[t])
+                return (grid.coords(s), grid.coords(t))
             wkey = (aw1[s], aw1[t])
             if wkey not in rank_w:
-                rank_w[wkey] = w.field.rank(w.path_map(*wkey))
+                rank_w[wkey] = w.field.rank(anchor_map(w, *wkey, memo_w))
             if rv > rank_w[wkey]:
-                return (coords[s], coords[t])
+                return (grid.coords(s), grid.coords(t))
     return None
 
 
 def rank_obstruction_at(v, w, eps):
     """A human-readable witness that no eps-interleaving can exist, from the
     functorial rank inequalities; None when no inequality is violated."""
-    eps = _q(eps)
+    eps = _frac(eps)
     hit = _one_sided_rank_violation(v, w, eps)
     if hit is not None:
         return f"rank(V_(s -> t+2e)) > rank(W_(s+e -> t+e)) at s={hit[0]}, t={hit[1]}, e={eps}"
@@ -310,7 +277,7 @@ def distance_bracket(v, w, budget=DEFAULT_BUDGET, threads=1):
     """Monotone search over the candidate set: upper is the smallest candidate
     where decide succeeds, lower combines the rank bound with the largest
     certified-none candidate.  Budget failures widen the bracket and clear the
-    exact flag instead of guessing."""
+    exact flag instead of guessing.  threads has no effect, as in decide."""
     if _eventual_dim(v) != _eventual_dim(w):
         return DistanceBracket(INF, INF, None, True,
                                {"reason": "eventual dimensions differ",
@@ -322,7 +289,7 @@ def distance_bracket(v, w, budget=DEFAULT_BUDGET, threads=1):
     def dec(i):
         if i not in results:
             try:
-                results[i] = decide(v, w, cands[i], budget=budget, threads=threads)
+                results[i] = decide(v, w, cands[i], budget=budget)
             except BudgetExceeded:
                 results[i] = "budget"
         return results[i]

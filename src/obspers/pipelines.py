@@ -15,11 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import PrimeField
-from .stepmodule import StepModule
-
-
-def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .stepmodule import StepModule, _frac
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ def validate_metric_space(m):
 
 def metric_space(points, distances):
     m = FiniteMetricSpace(tuple(points),
-                          tuple(tuple(_q(x) for x in row) for row in distances))
+                          tuple(tuple(_frac(x) for x in row) for row in distances))
     bad = validate_metric_space(m)
     if bad:
         raise ValidationError("; ".join(bad))
@@ -176,7 +172,7 @@ def sublevel_bifiltration(k, values):
     missing = [v for v in k.vertices if v not in values]
     if missing:
         raise ValidationError(f"vertices without values: {missing}")
-    vals = {v: tuple(_q(x) for x in values[v]) for v in k.vertices}
+    vals = {v: tuple(_frac(x) for x in values[v]) for v in k.vertices}
     arities = {len(v) for v in vals.values()}
     if len(arities) != 1:
         raise ValidationError("vertex values must share one arity")
@@ -196,7 +192,7 @@ def degree_rips(m, radii, degrees, max_dim=2):
     with r."""
     if not radii or not degrees:
         raise ValidationError("radii and degrees must be nonempty")
-    radii = sorted({_q(r) for r in radii})
+    radii = sorted({_frac(r) for r in radii})
     degrees = sorted({int(k) for k in degrees})
     n = m.n
     deg = {(i, r): sum(1 for j in range(n) if j != i and m.d(i, j) <= r)
@@ -351,13 +347,12 @@ def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
     """Homology modules of two sublevel filtrations whose vertex values differ
     by at most eta in sup norm, with the explicit inclusion-induced
     eta-interleaving between them (returned as a verified Interleaving)."""
-    from .calculus import restrict_extend, shift, union_grids
+    from .calculus import anchored_morphism, union_grids
     from .metric import verify
-    from .stepmodule import Morphism
-    eta = _q(eta)
+    eta = _frac(eta)
     bf = sublevel_bifiltration(cx, f_values)
     bg = sublevel_bifiltration(cx, g_values)
-    gap = max(abs(_q(f_values[v][i]) - _q(g_values[v][i]))
+    gap = max(abs(_frac(f_values[v][i]) - _frac(g_values[v][i]))
               for v in cx.vertices for i in range(bf.n_axes))
     if gap > eta:
         raise ValidationError(f"vertex values differ by {gap} > eta = {eta}")
@@ -365,29 +360,22 @@ def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
     hom_g = _GradeHomology(bg, k, p)
     vmod = homology_module(bf, k, grid, p)
     wmod = homology_module(bg, k, grid, p)
-    F = vmod.field
 
     def induced(src_hom, src_mod, dst_hom, dst_mod):
-        m_grid = union_grids(src_mod.grid, dst_mod.grid.translate(-eta))
-        source = restrict_extend(src_mod, m_grid)
-        target = restrict_extend(shift(dst_mod, eta), m_grid)
-        comps = {}
-        for g in m_grid.points():
-            c = m_grid.coords(g)
-            a_src = src_mod.grid.anchor(c)
-            a_dst = dst_mod.grid.anchor(tuple(x + eta for x in c))
-            if a_src is None or a_dst is None or source.dims[g] == 0:
-                comps[g] = F.zeros(target.dims[g], source.dims[g])
-                continue
+        def comp(q, a_src, a_dst):
+            if src_mod.dims[a_src] == 0:
+                return None
             rep, _ = src_hom.at(src_mod.grid.coords(a_src))
-            comp = dst_hom.express(dst_mod.grid.coords(a_dst), rep)
-            if comp is None:
+            out = dst_hom.express(dst_mod.grid.coords(a_dst), rep)
+            if out is None:
                 raise ValidationError(
                     "perturbed cycle not representable at the anchored grade; "
                     "the grid must resolve eta (eta-spaced ticks), otherwise "
                     "anchoring rounds the eta-shift away")
-            comps[g] = comp
-        return Morphism(source, target, comps)
+            return out
+
+        m_grid = union_grids(src_mod.grid, dst_mod.grid.translate(-eta))
+        return anchored_morphism(src_mod, dst_mod, eta, m_grid, comp)
 
     fmor = induced(hom_f, vmod, hom_g, wmod)
     gmor = induced(hom_g, wmod, hom_f, vmod)

@@ -12,19 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import (compose_matched, discretize, eta, eta_on,
-                       restrict_extend, restrict_morphism, shift,
-                       shift_morphism, union_grids)
+from .calculus import (anchored_morphism, compose_matched, discretize, eta,
+                       eta_on, restrict_extend, restrict_morphism, shift,
+                       union_grids)
 from .decompose import DEFAULT_BUDGET, decompose, split_once
 from .errors import BudgetExceeded, ValidationError
 from .metric import INF, distance_bracket, rank_lower_bound, verify
 from .library import constant_module, single_cell_module
-from .stepmodule import (Morphism, StepModule, direct_sum, identity_morphism,
-                         validate)
-
-
-def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .stepmodule import (Morphism, StepModule, _frac, anchor_map, direct_sum,
+                         identity_morphism, validate)
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,7 @@ class TrivialityReport:
 
 def strictly_trivial(v, sigma):
     """strict iff every component of eta(v, sigma) is the zero matrix."""
-    sigma = _q(sigma)
+    sigma = _frac(sigma)
     m = eta(v, sigma)
     for g in m.grid.points():
         if m.comps[g].size and np.any(m.comps[g]):
@@ -69,8 +65,8 @@ def shift_factor_morphism(l, r, beta):
     """Factor the beta-shift structure morphism of a grid module through its
     r-shifted restriction (r at most the minimum grid gap, beta at least the
     maximum), via anchor-to-anchor path maps."""
-    r = _q(r)
-    beta = _q(beta)
+    r = _frac(r)
+    beta = _frac(beta)
     gaps = _grid_gaps(l.grid)
     if not gaps:
         raise ValidationError("shift factorization needs at least two grid points per axis")
@@ -80,18 +76,9 @@ def shift_factor_morphism(l, r, beta):
     if beta < max(gaps):
         raise ValidationError(f"need beta >= maximum grid gap {max(gaps)}, got {beta}")
     q_grid = l.grid
-    source = restrict_extend(shift(l, r), q_grid)
-    target = restrict_extend(shift(l, beta), q_grid)
-    comps = {}
-    for g in q_grid.points():
-        c = q_grid.coords(g)
-        a = l.grid.anchor(tuple(x + r for x in c))
-        b = l.grid.anchor(tuple(x + beta for x in c))
-        if a is None or b is None:
-            comps[g] = l.field.zeros(target.dims[g], source.dims[g])
-        else:
-            comps[g] = l.path_map(a, b)
-    m = Morphism(source, target, comps)
+    memo = {}
+    m = anchored_morphism(shift(l, r), l, beta, q_grid,
+                          lambda q, a, b: anchor_map(l, a, b, memo))
     first = restrict_morphism(eta(l, r), q_grid)
     composed = compose_matched(m, first)
     direct = eta_on(l, beta, q_grid)
@@ -104,7 +91,7 @@ def shift_factor_morphism(l, r, beta):
 def tau_indecomposable(w, tau, seed=0, budget=DEFAULT_BUDGET):
     """True when at most one indecomposable summand of w fails strict
     triviality at tau; returns the offending summands alongside."""
-    tau = _q(tau)
+    tau = _frac(tau)
     dec = decompose(w, seed=seed, budget=budget)
     offenders = [s for s in dec.summands if not strictly_trivial(s, tau).strict]
     return len(offenders) <= 1, offenders
@@ -169,34 +156,32 @@ def _sample_cell_summand(v, rng, eps):
     w = direct_sum(v, t)
     F = v.field
     e0 = eps / 4
+    memo = {}
+    # v's summand comes first in w, so v's eta_e0 is the top-left block
     f_grid = union_grids(v.grid, w.grid.translate(-e0))
-    f_source = restrict_extend(v, f_grid)
-    f_target = restrict_extend(shift(w, e0), f_grid)
-    f_comps = {}
-    for g in f_grid.points():
-        c = f_grid.coords(g)
-        av = v.grid.anchor(c)
-        av2 = v.grid.anchor(tuple(x + e0 for x in c))
-        at2 = t.grid.anchor(tuple(x + e0 for x in c))
-        dv = 0 if av is None else v.dims[av]
-        block = F.zeros(f_target.dims[g], dv)
-        if av is not None and av2 is not None:
-            block[: v.dims[av2], :] = v.path_map(av, av2)
-        f_comps[g] = block
-    f = Morphism(f_source, f_target, f_comps)
+    v_ends = v.grid.anchors_on(f_grid, e0)
+
+    def f_comp(q, av, aw):
+        av2 = v_ends[q]
+        if av2 is None:
+            return None
+        block = F.zeros(w.dims[aw], v.dims[av])
+        block[: v.dims[av2], :] = anchor_map(v, av, av2, memo)
+        return block
+
+    f = anchored_morphism(v, w, e0, f_grid, f_comp)
     g_grid = union_grids(w.grid, v.grid.translate(-e0))
-    g_source = restrict_extend(w, g_grid)
-    g_target = restrict_extend(shift(v, e0), g_grid)
-    g_comps = {}
-    for g in g_grid.points():
-        c = g_grid.coords(g)
-        av = v.grid.anchor(c)
-        av2 = v.grid.anchor(tuple(x + e0 for x in c))
-        block = F.zeros(g_target.dims[g], g_source.dims[g])
-        if av is not None and av2 is not None:
-            block[:, : v.dims[av]] = v.path_map(av, av2)
-        g_comps[g] = block
-    gm = Morphism(g_source, g_target, g_comps)
+    v_starts = v.grid.anchors_on(g_grid)
+
+    def g_comp(q, aw, av2):
+        av = v_starts[q]
+        if av is None:
+            return None
+        block = F.zeros(v.dims[av2], w.dims[aw])
+        block[:, : v.dims[av]] = anchor_map(v, av, av2, memo)
+        return block
+
+    gm = anchored_morphism(w, v, e0, g_grid, g_comp)
     wit = verify(v, w, e0, f, gm)
     return w, wit, "added a strictly (eps/2)-trivial cell summand"
 

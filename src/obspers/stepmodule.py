@@ -10,9 +10,25 @@ unit steps, well defined whenever the commutativity invariant holds.
 
 No floating point appears anywhere: coordinates are Fractions, matrix entries
 are residues mod p.
+
+Integer index layer.  Rationals live only at the boundary: grid coordinates
+are compared once per axis, and everything after that works on integer index
+tuples.  Grid.anchors_on(target, delta) anchors a whole target grid (moved by
++delta) at the cost of one bisect per target axis coordinate, instead of one
+per point and axis, and maps each target index to its anchor index tuple (None
+below the grid).  restrict_extend then reads every step of the result off the
+anchors of its two ends, which differ on at most the step's axis: equal
+anchors give a shared identity, adjacent anchors reuse the stored unit step as
+is, and only longer moves multiply a path map.  Internal results whose
+matrices are already reduced, int64 and read-only are built with the private
+StepModule._trusted / Morphism._trusted, which skip the reduction and copy of
+the public constructors; arrays are therefore shared between modules and must
+never be written to.  The public constructors keep validating, reducing and
+copying their input.
 """
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -82,6 +98,29 @@ class Grid:
             idx.append(i)
         return tuple(idx)
 
+    def anchor_indices(self, grid, delta=0):
+        """Per axis of grid, the anchor index on this grid's axis of every
+        coordinate + delta (None below the minimum): one bisect per axis
+        coordinate of grid, on integers scaled by the axis pair's common
+        denominator, so the comparisons stay exact."""
+        d = _frac(delta)
+        out = []
+        for mine, theirs in zip(self.axes, grid.axes):
+            scale = math.lcm(d.denominator, *(c.denominator for c in mine),
+                             *(c.denominator for c in theirs))
+            keys = [c.numerator * (scale // c.denominator) for c in mine]
+            shift = d.numerator * (scale // d.denominator)
+            found = (bisect.bisect_right(keys, c.numerator * (scale // c.denominator) + shift) - 1
+                     for c in theirs)
+            out.append(tuple(i if i >= 0 else None for i in found))
+        return tuple(out)
+
+    def anchors_on(self, grid, delta=0):
+        """{index of grid: anchor in this grid of its point + delta}, with None
+        for points below this grid; agrees with anchor() pointwise."""
+        return {q: None if None in a else a
+                for q, a in zip(grid.points(), product(*self.anchor_indices(grid, delta)))}
+
     def translate(self, delta):
         """Grid moved by +delta on every axis."""
         d = _frac(delta)
@@ -112,6 +151,14 @@ def _freeze(arr):
     return arr
 
 
+def _shared(blocks, n, make):
+    """blocks[n], made read-only by make(n) on first use."""
+    m = blocks.get(n)
+    if m is None:
+        m = blocks[n] = _freeze(make(n))
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class StepModule:
     """Grid data for a persistence module, plus its implied extension.
@@ -137,6 +184,16 @@ class StepModule:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "steps", steps)
 
+    @classmethod
+    def _trusted(cls, field, grid, dims, steps):
+        """Internal constructor for data already keyed by index tuples, with
+        every matrix reduced mod p, int64, two dimensional and read-only;
+        skips the reduction and copy of __post_init__."""
+        v = object.__new__(cls)
+        for name, value in (("field", field), ("grid", grid), ("dims", dims), ("steps", steps)):
+            object.__setattr__(v, name, value)
+        return v
+
     def dim(self, idx):
         return self.dims[tuple(idx)]
 
@@ -153,7 +210,8 @@ class StepModule:
         return (self.field == other.field and self.grid == other.grid
                 and self.dims == other.dims
                 and self.steps.keys() == other.steps.keys()
-                and all(np.array_equal(self.steps[k], other.steps[k]) for k in self.steps))
+                and all(m is other.steps[k] or np.array_equal(m, other.steps[k])
+                        for k, m in self.steps.items()))
 
     def path_map(self, a, b):
         """The composite structure map from grid index a to grid index b >= a,
@@ -240,31 +298,63 @@ def evaluate(v, s):
     return v.evaluate(s)
 
 
+def anchor_map(v, a, b, memo):
+    """v's structure map from grid index a to b >= a, read-only: a shared
+    identity when a == b, the stored unit step when b is a's successor, and a
+    path map otherwise.  memo holds the maps already built in this call."""
+    key = (a, b)
+    m = memo.get(key)
+    if m is None:
+        moved = [k for k, (x, y) in enumerate(zip(a, b)) if x != y]
+        if not moved:
+            m = _freeze(v.field.identity(v.dims[a]))
+        elif len(moved) == 1 and b[moved[0]] == a[moved[0]] + 1:
+            m = v.steps[(a, moved[0])]
+        else:
+            m = _freeze(v.path_map(a, b))
+        memo[key] = m
+    return m
+
+
 def restrict_extend(v, grid):
     """The module's extension sampled on an arbitrary finite grid.
 
     The result's value at a grid point q is the extension's value at q (the
     anchor value, or 0 below the original grid); its steps are path maps of v
     between anchors.  Idempotent, and the identity when grid refines v.grid.
+    The anchors of a step's two ends differ only on the step's axis, by a
+    move read off that axis alone: a move of 0 gives a shared identity, a
+    move of 1 reuses v's unit step, and only longer moves multiply.
     """
-    dims = {}
-    anchors = {}
-    for q in grid.points():
-        a = v.grid.anchor(grid.coords(q))
-        anchors[q] = a
-        dims[q] = 0 if a is None else v.dims[a]
+    F = v.field
+    per_axis = v.grid.anchor_indices(grid)
+    anchors = {q: None if None in a else a
+               for q, a in zip(grid.points(), product(*per_axis))}
+    dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
+    moves = [[None if x is None else y - x for x, y in zip(axis, axis[1:])]
+             for axis in per_axis]
+    zeros, identities = {}, {}  # read-only blocks shared by the whole result
+
+    def zero_column(n):
+        return F.zeros(n, 0)
+
     steps = {}
-    for q in grid.points():
-        for axis in range(grid.n_axes):
-            q2 = grid.successor(q, axis)
-            if q2 is None:
+    for q, a in anchors.items():
+        for axis, move in enumerate(moves):
+            i = q[axis]
+            if i == len(move):
                 continue
-            a, b = anchors[q], anchors[q2]
+            q2 = q[:axis] + (i + 1,) + q[axis + 1:]
             if a is None:
-                steps[(q, axis)] = v.field.zeros(dims[q2], 0)
+                m = _shared(zeros, dims[q2], zero_column)
+            elif move[i] == 0:
+                m = _shared(identities, dims[q], F.identity)
+            elif move[i] == 1:
+                m = v.steps[(a, axis)]
             else:
-                steps[(q, axis)] = v.path_map(a, b)
-    return StepModule(v.field, grid, dims, steps)
+                m = _freeze(v.path_map(a, anchors[q2]))
+            steps[(q, axis)] = m
+    return StepModule._trusted(F, grid, dims, steps)
 
 
 def direct_sum(a, b):
@@ -282,8 +372,8 @@ def direct_sum(a, b):
         block = a.field.zeros(ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1])
         block[:ma.shape[0], :ma.shape[1]] = ma
         block[ma.shape[0]:, ma.shape[1]:] = mb
-        steps[(g, axis)] = block
-    return StepModule(a.field, grid, dims, steps)
+        steps[(g, axis)] = _freeze(block)
+    return StepModule._trusted(a.field, grid, dims, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +398,16 @@ class Morphism:
             comps[tuple(g)] = _freeze(a)
         object.__setattr__(self, "comps", comps)
 
+    @classmethod
+    def _trusted(cls, source, target, comps):
+        """Internal constructor for endpoints on one grid and components keyed
+        by index tuples, each reduced mod p, int64 and read-only; skips the
+        grid check, reduction and copy of __post_init__."""
+        m = object.__new__(cls)
+        for name, value in (("source", source), ("target", target), ("comps", comps)):
+            object.__setattr__(m, name, value)
+        return m
+
     @property
     def grid(self):
         return self.source.grid
@@ -324,7 +424,8 @@ class Morphism:
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.comps.keys() == other.comps.keys()
-                and all(np.array_equal(self.comps[k], other.comps[k]) for k in self.comps))
+                and all(m is other.comps[k] or np.array_equal(m, other.comps[k])
+                        for k, m in self.comps.items()))
 
 
 def validate_morphism(m):

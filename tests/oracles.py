@@ -1,10 +1,12 @@
 """Independent oracles used by the test suite.
 
-Everything in this file is deliberately written against plain Python lists and
-ints (no numpy, no imports from the package under test) so that agreement
-between the library and these oracles is meaningful.  The implementations are
-brute force: exhaustive enumeration and textbook elimination, feasible only at
-the tiny sizes the tests use.
+Everything in this file except the last section is deliberately written
+against plain Python lists and ints (no numpy, no imports from the package
+under test) so that agreement between the library and these oracles is
+meaningful.  The implementations are brute force: exhaustive enumeration and
+textbook elimination, feasible only at the tiny sizes the tests use.  The last
+section keeps the earlier point-by-point restriction of the package itself as
+the reference for its per-axis replacement.
 """
 
 from fractions import Fraction
@@ -247,3 +249,47 @@ def oracle_tail_sums(eps_list):
     for k in range(len(eps_list) + 1):
         out.append(sum(eps_list[k:], Fraction(0)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Point-by-point restriction: the package's earlier restrict_extend and eta_on,
+# one Grid.anchor per point and one path map per step or component, built
+# through the public, validating constructors.  The per-axis anchoring with
+# reused steps must reproduce them exactly.
+# ---------------------------------------------------------------------------
+
+def oracle_restrict_extend(v, grid):
+    from obspers.stepmodule import StepModule
+
+    anchors = {q: v.grid.anchor(grid.coords(q)) for q in grid.points()}
+    dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
+    steps = {}
+    for q in grid.points():
+        for axis in range(grid.n_axes):
+            q2 = grid.successor(q, axis)
+            if q2 is None:
+                continue
+            a, b = anchors[q], anchors[q2]
+            if a is None:
+                steps[(q, axis)] = v.field.zeros(dims[q2], 0)
+            else:
+                steps[(q, axis)] = v.path_map(a, b)
+    return StepModule(v.field, grid, dims, steps)
+
+
+def oracle_eta_on(v, eps, grid):
+    from obspers.stepmodule import Morphism, StepModule
+
+    shifted = StepModule(v.field, v.grid.translate(-eps), v.dims, v.steps)
+    source = oracle_restrict_extend(v, grid)
+    target = oracle_restrict_extend(shifted, grid)
+    comps = {}
+    for q in grid.points():
+        c = grid.coords(q)
+        a = v.grid.anchor(c)
+        b = v.grid.anchor(tuple(x + eps for x in c))
+        if a is None:
+            comps[q] = v.field.zeros(target.dims[q], 0)
+        else:
+            comps[q] = v.path_map(a, b)
+    return Morphism(source, target, comps)
