@@ -2,7 +2,7 @@
 
 from .errors import BudgetExceeded, ValidationError
 from .fields import PrimeField
-from .stepmodule import (Grid, Morphism, StepModule, direct_sum, evaluate,
+from .stepmodule import (Grid, Morphism, StepModule, direct_sum,
                          restrict_extend, union_grids, validate,
                          validate_morphism, zero_module)
 from .calculus import (discretize, eta, lattice_grid, persistent_rank, shift,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded", "ValidationError", "PrimeField",
-    "Grid", "Morphism", "StepModule", "direct_sum", "evaluate",
+    "Grid", "Morphism", "StepModule", "direct_sum",
     "restrict_extend", "union_grids", "validate", "validate_morphism",
     "zero_module",
     "discretize", "eta", "lattice_grid", "persistent_rank", "shift", "smooth",

@@ -94,7 +94,10 @@ def eta(v, eps):
 
 def restrict_morphism(m, grid):
     """Restriction-extension of a morphism: components are sampled at
-    anchors, endpoints are the restricted-extended modules."""
+    anchors, endpoints are the restricted-extended modules.  m itself when
+    grid is m's grid, which by idempotence is the same data."""
+    if grid == m.grid:
+        return m
     return anchored_morphism(m.source, m.target, 0, grid, lambda q, a, b: m.comps[a])
 
 

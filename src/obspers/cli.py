@@ -18,9 +18,10 @@ from .errors import BudgetExceeded, ValidationError
 from .limits import CauchyChain, cauchy_limit
 from .serialize import (FORMAT, dumps, fr_from_str, fr_to_str, load_any,
                         read_json, write_json)
-from .stepmodule import Grid, direct_sum, validate, validate_morphism
+from .stepmodule import (DEFAULT_BUDGET, Grid, direct_sum, validate,
+                         validate_morphism)
 
-DEFAULTS = {"field_p": 2, "seed": 0, "budget": metric.DEFAULT_BUDGET, "out": None}
+DEFAULTS = {"field_p": 2, "seed": 0, "budget": DEFAULT_BUDGET, "out": None}
 
 
 def _cfg(ns, key):
@@ -61,7 +62,7 @@ def _frac_arg(s):
 
 
 def _frac_list(s):
-    return [Fraction(part) for part in s.split(",") if part]
+    return [_frac_arg(part) for part in s.split(",") if part]
 
 
 def _int_list(s):
@@ -348,8 +349,6 @@ def _add_common(p):
                    help="RNG seed for randomized searches")
     p.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                    help="search budget; exceeding it exits 3, never a silent 'no'")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", default=argparse.SUPPRESS,
                    help="directory for emitted artifact files")
 

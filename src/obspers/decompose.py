@@ -8,28 +8,27 @@ absence.  All randomized steps take an explicit seed and default to 0.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import islice
 
 import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
-from .errors import BudgetExceeded
-from .stepmodule import (Morphism, StepModule, compose, factor_morphism,
+from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _combination_at,
+                         coefficient_vectors, compose, factor_morphism,
                          flatten_morphism, hom_basis, identity_morphism,
-                         union_grids, unflatten_morphism, validate_morphism)
-
-DEFAULT_BUDGET = 1 << 16
+                         linear_combination, union_grids)
 
 
 @dataclass(frozen=True)
 class EndoAlgebra:
     """End(V) with a basis and exact structure constants:
-    basis[i] o basis[j] = sum_k table[i, j, k] basis[k]."""
+    basis[i] o basis[j] = sum_k table[i, j, k] basis[k]; stack holds the
+    flattened basis elements as columns."""
 
     module: StepModule
     basis: list
     table: np.ndarray
+    stack: np.ndarray
 
     @property
     def dim(self):
@@ -41,7 +40,8 @@ def endo_algebra(v):
     d = len(basis)
     F = v.field
     if d == 0:
-        return EndoAlgebra(v, [], np.zeros((0, 0, 0), dtype=np.int64))
+        return EndoAlgebra(v, [], np.zeros((0, 0, 0), dtype=np.int64),
+                           np.zeros((0, 0), dtype=np.int64))
     mat = np.stack([flatten_morphism(b) for b in basis], axis=1)
     prods = []
     for bi in basis:
@@ -52,19 +52,7 @@ def endo_algebra(v):
     if coeffs is None:
         raise RuntimeError("endomorphism composition left the basis span")
     table = coeffs.T.reshape(d, d, d)
-    return EndoAlgebra(v, basis, table)
-
-
-def _combine(basis, coeffs, v):
-    F = v.field
-    comps = {}
-    for g in v.grid.points():
-        acc = F.zeros(v.dims[g], v.dims[g])
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = F.matadd(acc, F.matscale(int(c), b.comps[g]))
-        comps[g] = acc
-    return Morphism(v, v, comps)
+    return EndoAlgebra(v, basis, table, mat)
 
 
 def _pointwise_power(f, n):
@@ -112,13 +100,6 @@ def _split_from_endo(v, f):
                  Morphism(v, kernel, proj_a), Morphism(v, image, proj_b))
 
 
-def _identity_coeffs(v, algebra):
-    F = v.field
-    mat = np.stack([flatten_morphism(b) for b in algebra.basis], axis=1)
-    x = F.solve(mat, flatten_morphism(identity_morphism(v)))
-    return x[:, 0]
-
-
 def split_once(v, seed=0, budget=DEFAULT_BUDGET):
     """One splitting V = a + b with witnesses, or None when V is certified
     indecomposable (no nontrivial idempotent exists in End(V), checked by
@@ -138,29 +119,17 @@ def split_once(v, seed=0, budget=DEFAULT_BUDGET):
     rng = np.random.default_rng(seed)
     for _ in range(8 + 4 * d):
         coeffs = rng.integers(0, F.p, size=d)
-        f = _combine(algebra.basis, coeffs, v)
+        f = linear_combination(algebra.basis, coeffs, v, v)
         s = _split_from_endo(v, f)
         if s is not None:
             return s
     # exhaustive idempotent search: the certificate of indecomposability
-    if F.p ** d > budget:
-        raise BudgetExceeded(
-            f"End dimension {d} over F_{F.p} exceeds the idempotent search budget {budget}")
-    id_c = _identity_coeffs(v, algebra)
-    table = algebra.table
-    chunk = []
-    for cand in product(range(F.p), repeat=d):
-        chunk.append(cand)
-        if len(chunk) < 4096:
-            continue
-        e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), table, id_c, F.p)
+    cands = coefficient_vectors(F.p, d, budget, "End(V)")
+    id_c = F.solve(algebra.stack, flatten_morphism(identity_morphism(v)))[:, 0]
+    while chunk := list(islice(cands, 4096)):
+        e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), algebra.table, id_c, F.p)
         if e is not None:
-            return _split_from_endo(v, _combine(algebra.basis, e, v))
-        chunk = []
-    if chunk:
-        e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), table, id_c, F.p)
-        if e is not None:
-            return _split_from_endo(v, _combine(algebra.basis, e, v))
+            return _split_from_endo(v, linear_combination(algebra.basis, e, v, v))
     return None
 
 
@@ -216,15 +185,13 @@ def decompose(v, seed=0, budget=DEFAULT_BUDGET):
 
 
 def _invertible_pointwise(v, w, basis, coeffs):
+    """The combination of basis with coeffs when it is invertible at every
+    point, else None; points are visited smallest dimension first, so that a
+    singular candidate is rejected before the large components are built."""
     F = v.field
     comps = {}
     for g in sorted(v.grid.points(), key=lambda g: v.dims[g]):
-        if v.dims[g] != w.dims[g]:
-            return None
-        acc = F.zeros(w.dims[g], v.dims[g])
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = F.matadd(acc, F.matscale(int(c), b.comps[g]))
+        acc = _combination_at(basis, coeffs, g, (w.dims[g], v.dims[g]), F.p)
         if not F.is_invertible(acc):
             return None
         comps[g] = acc
@@ -245,10 +212,9 @@ def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
         return False, None
     if rv.total_dim == 0 or rv == rw:
         return True, identity_morphism(rv)
-    gaps = sorted({b - a for axis in u.axes for a, b in zip(axis, axis[1:])})
-    for eps in gaps[:1]:
-        if persistent_rank(rv, eps) != persistent_rank(rw, eps):
-            return False, None
+    gaps = [b - a for axis in u.axes for a, b in zip(axis, axis[1:])]
+    if gaps and persistent_rank(rv, min(gaps)) != persistent_rank(rw, min(gaps)):
+        return False, None
     basis = hom_basis(rv, rw)
     h = len(basis)
     if h == 0:
@@ -260,10 +226,7 @@ def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
         m = _invertible_pointwise(rv, rw, basis, coeffs)
         if m is not None:
             return True, m
-    if F.p ** h > budget:
-        raise BudgetExceeded(
-            f"Hom dimension {h} over F_{F.p} exceeds the isomorphism search budget {budget}")
-    for cand in product(range(F.p), repeat=h):
+    for cand in coefficient_vectors(F.p, h, budget, "Hom(V, W)"):
         if not any(cand):
             continue
         m = _invertible_pointwise(rv, rw, basis, cand)

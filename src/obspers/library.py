@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import PrimeField
-from .stepmodule import Grid, StepModule, direct_sum
+from .stepmodule import Grid, StepModule, _frac, direct_sum
 
 
 def _module_from_dims(F, grid, dims, mats):
@@ -43,8 +43,8 @@ def constant_module(F, grid):
 def box_interval(F, grid, lo, hi=None):
     """Dimension 1 on the grid points of the box [lo, hi] (hi None means
     unbounded above), identity steps inside, zero elsewhere."""
-    lo = tuple(Fraction(x) for x in lo)
-    hi = None if hi is None else tuple(Fraction(x) for x in hi)
+    lo = tuple(_frac(x) for x in lo)
+    hi = None if hi is None else tuple(_frac(x) for x in hi)
 
     def inside(g):
         c = grid.coords(g)
@@ -67,8 +67,8 @@ def box_interval(F, grid, lo, hi=None):
 def single_cell_module(F, corner, width, n_axes):
     """Dimension 1 exactly on [corner, corner + width); strictly trivial at
     every sigma >= width."""
-    corner = tuple(Fraction(x) for x in corner)
-    width = Fraction(width)
+    corner = tuple(_frac(x) for x in corner)
+    width = _frac(width)
     axes = tuple((corner[i], corner[i] + width) for i in range(n_axes))
     grid = Grid(axes)
     dims = {g: 1 if all(i == 0 for i in g) else 0 for g in grid.points()}
@@ -161,8 +161,8 @@ def indecomposable_library(p=2):
 # ---------------------------------------------------------------------------
 
 def random_grid(rng, n_axes=2, lo=0, hi=4, min_points=2, max_points=4, denom=4):
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    lo = _frac(lo)
+    hi = _frac(hi)
     axes = []
     span = (hi - lo) * denom
     for _ in range(n_axes):

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from .calculus import (compose_matched, lattice_grid, restrict_extend,
                        shift_morphism, smooth)
-from .decompose import DEFAULT_BUDGET, iso_test
+from .decompose import iso_test
 from .errors import BudgetExceeded, ValidationError
 from .metric import Interleaving, verify
-from .stepmodule import identity_morphism
+from .stepmodule import DEFAULT_BUDGET, _frac, identity_morphism
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _family_box(family):
 def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
     """Smooth each member at delta, restrict to the delta-lattice over the
     common bounding box padded by delta, and partition by exact isomorphism."""
-    delta = Fraction(delta)
+    delta = _frac(delta)
     if delta <= 0:
         raise ValidationError("probe needs delta > 0")
     if not family:
@@ -226,6 +226,6 @@ def uniform_bounds_report(family, eps_list):
     box = None if lo is None else (tuple(lo), tuple(hi))
     ranks = {}
     for eps in eps_list:
-        eps = Fraction(eps)
+        eps = _frac(eps)
         ranks[eps] = max((persistent_rank(v, eps) for v in family), default=0)
     return UniformBoundsReport(box, ranks)

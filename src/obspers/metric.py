@@ -10,22 +10,21 @@ All epsilons are rational.  Infinite distance (detectable from the eventual
 dimensions) is reported with an infinity marker used only for comparisons.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .calculus import (compose_matched, eta, eta_on, modules_match,
-                       restrict_extend, restrict_morphism, shift,
-                       shift_morphism)
+from .calculus import (compose_matched, eta_on, modules_match,
+                       morphisms_match, restrict_extend, restrict_morphism,
+                       shift, shift_morphism)
 from .errors import BudgetExceeded, ValidationError
-from .stepmodule import (Morphism, _frac, anchor_map, hom_basis, union_grids,
-                         validate_morphism)
+from .stepmodule import (DEFAULT_BUDGET, Morphism, _frac, anchor_map,
+                         coefficient_vectors, flatten_morphism, hom_basis,
+                         linear_combination, union_grids, validate_morphism)
 
 INF = float("inf")  # comparison sentinel only; never enters any arithmetic
-
-DEFAULT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,117 +61,82 @@ def verify(v, w, eps, f, g):
         for viol in validate_morphism(m):
             out.append(f"{name}: {viol}")
     if not out:
-        t1 = compose_matched(shift_morphism(g, eps), f)
-        if not _matches_eta(t1, v, 2 * eps):
-            out.append("triangle g[eps] o f != eta_2eps on V")
-        t2 = compose_matched(shift_morphism(f, eps), g)
-        if not _matches_eta(t2, w, 2 * eps):
-            out.append("triangle f[eps] o g != eta_2eps on W")
+        for first, second, x, name in ((f, g, v, "g[eps] o f != eta_2eps on V"),
+                                       (g, f, w, "f[eps] o g != eta_2eps on W")):
+            t = compose_matched(shift_morphism(second, eps), first)
+            u = union_grids(t.grid, x.grid, x.grid.translate(-2 * eps))
+            if not morphisms_match(t, eta_on(x, 2 * eps, u)):
+                out.append(f"triangle {name}")
     return Interleaving(eps, f, g, not out, tuple(out))
 
 
-def _matches_eta(m, v, two_eps):
-    u = union_grids(m.grid, v.grid, v.grid.translate(-two_eps))
-    r = restrict_morphism(m, u)
-    e = eta_on(v, two_eps, u)
-    if r.source != e.source or r.target != e.target:
-        return False
-    return all(np.array_equal(r.comps[g], e.comps[g]) for g in u.points())
+# One direction x -> y[eps] of an interleaving: its Hom space between the
+# restrictions of x and y[eps] to grid, with a basis.
+_Side = namedtuple("_Side", "module grid source target basis")
 
 
-def _flatten_comps(comps, points):
-    parts = [comps[g].reshape(-1) for g in points]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+def _side(x, y, eps):
+    grid = union_grids(x.grid, y.grid.translate(-eps))
+    source = restrict_extend(x, grid)
+    target = restrict_extend(shift(y, eps), grid)
+    return _Side(x, grid, source, target, hom_basis(source, target))
 
 
-def decide(v, w, eps, budget=DEFAULT_BUDGET, threads=1):
+def _triangle(first, second, eps):
+    """The triangle second[eps] o first = eta_2eps on first.module, in
+    coordinates on the common grid: tensor[i, j] flattens second_j[eps] o
+    first_i over the two bases, and rhs flattens eta_2eps."""
+    F = first.module.field
+    u = union_grids(first.grid, second.grid.translate(-eps))
+    pts = u.points()
+    rx = [restrict_morphism(b, u) for b in first.basis]
+    ry = [restrict_morphism(shift_morphism(b, eps), u) for b in second.basis]
+    rhs = flatten_morphism(eta_on(first.module, 2 * eps, u))
+    tensor = np.zeros((len(rx), len(ry), rhs.size), dtype=np.int64)
+    for i, a in enumerate(rx):
+        for j, b in enumerate(ry):
+            tensor[i, j] = flatten_morphism(Morphism._trusted(
+                a.source, b.target, {g: F.matmul(b.comps[g], a.comps[g]) for g in pts}))
+    return tensor, rhs
+
+
+def decide(v, w, eps, budget=DEFAULT_BUDGET):
     """A verified eps-interleaving of (v, w), or None when none exists at this
-    exact eps (certified by exhausting the coefficient space of the smaller
-    Hom space).  Raises BudgetExceeded when the enumeration would be larger
-    than budget.  threads is accepted for compatibility and has no effect:
-    candidates are tried one at a time, stopping at the first verified hit."""
+    exact eps.  Both Hom spaces are computed once; the coefficient space of
+    the smaller one (f's on ties) is enumerated, and for each candidate the
+    triangle identities, which are linear in the other morphism, are solved
+    exactly.  Certified absence therefore means the enumeration completed;
+    BudgetExceeded is raised when it would be larger than budget."""
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")
     if rank_obstruction_at(v, w, eps) is not None:
         return None  # a rank inequality proves impossibility outright
-    return _decide_directed(v, w, eps, budget)
-
-
-def _decide_directed(v, w, eps, budget, swapped=False):
+    f_side, g_side = _side(v, w, eps), _side(w, v, eps)
+    flip = len(g_side.basis) < len(f_side.basis)
+    enum, other = (g_side, f_side) if flip else (f_side, g_side)
     F = v.field
-    f_grid = union_grids(v.grid, w.grid.translate(-eps))
-    fv = restrict_extend(v, f_grid)
-    fw = restrict_extend(shift(w, eps), f_grid)
-    basis_f = hom_basis(fv, fw)
-    g_grid = union_grids(w.grid, v.grid.translate(-eps))
-    gw = restrict_extend(w, g_grid)
-    gv = restrict_extend(shift(v, eps), g_grid)
-    basis_g = hom_basis(gw, gv)
-    if len(basis_g) < len(basis_f) and not swapped:
-        flipped = _decide_directed(w, v, eps, budget, swapped=True)
-        if flipped is None:
-            return None
-        return Interleaving(eps, flipped.g, flipped.f, flipped.verified, flipped.violations)
-    hf, hg = len(basis_f), len(basis_g)
-    if F.p ** hf > budget:
-        raise BudgetExceeded(
-            f"f-side Hom dimension {hf} over F_{F.p} exceeds the decide budget {budget}")
-    # triangle 1 lives on u1: composites g[eps] o f versus eta_2eps on V
-    u1 = union_grids(f_grid, g_grid.translate(-eps))
-    pts1 = u1.points()
-    rf = [restrict_morphism(b, u1) for b in basis_f]
-    rg1 = [restrict_morphism(shift_morphism(b, eps), u1) for b in basis_g]
-    b1 = _flatten_comps(eta_on(v, 2 * eps, u1).comps, pts1)
-    p_tensor = np.zeros((hf, hg, b1.size), dtype=np.int64)
-    for i, fi in enumerate(rf):
-        for j, gj in enumerate(rg1):
-            comps = {g: F.matmul(gj.comps[g], fi.comps[g]) for g in pts1}
-            p_tensor[i, j] = _flatten_comps(comps, pts1)
-    # triangle 2 lives on u2: composites f[eps] o g versus eta_2eps on W
-    u2 = union_grids(g_grid, f_grid.translate(-eps))
-    pts2 = u2.points()
-    rg = [restrict_morphism(b, u2) for b in basis_g]
-    rf2 = [restrict_morphism(shift_morphism(b, eps), u2) for b in basis_f]
-    b2 = _flatten_comps(eta_on(w, 2 * eps, u2).comps, pts2)
-    q_tensor = np.zeros((hf, hg, b2.size), dtype=np.int64)
-    for i, fi in enumerate(rf2):
-        for j, gj in enumerate(rg):
-            comps = {g: F.matmul(fi.comps[g], gj.comps[g]) for g in pts2}
-            q_tensor[i, j] = _flatten_comps(comps, pts2)
-    rhs = np.concatenate([b1, b2]).reshape(-1, 1)
-
-    def attempt(cand):
+    cands = coefficient_vectors(F.p, len(enum.basis), budget,
+                                "Hom(W, V[eps])" if flip else "Hom(V, W[eps])")
+    # the triangle on enum's module first, then the one on other's
+    t1, rhs1 = _triangle(enum, other, eps)
+    t2, rhs2 = _triangle(other, enum, eps)
+    t2 = t2.transpose(1, 0, 2)
+    rhs = np.concatenate([rhs1, rhs2]).reshape(-1, 1)
+    for cand in cands:
         c = np.array(cand, dtype=np.int64)
-        m1 = np.tensordot(c, p_tensor, axes=(0, 0)) % F.p  # (hg, L1)
-        m2 = np.tensordot(c, q_tensor, axes=(0, 0)) % F.p
-        system = np.concatenate([m1, m2], axis=1).T  # rows equations, cols hg
-        sol = F.solve(system, rhs)
-        return None if sol is None else (c, sol[:, 0])
-
-    for cand in product(range(F.p), repeat=hf):
-        hit = attempt(cand)
-        if hit is None:
+        m1 = np.tensordot(c, t1, axes=(0, 0)) % F.p  # (len(other.basis), equations)
+        m2 = np.tensordot(c, t2, axes=(0, 0)) % F.p
+        sol = F.solve(np.concatenate([m1, m2], axis=1).T, rhs)
+        if sol is None:
             continue
-        c, d = hit
-        f = _linear_combination(basis_f, c, fv, fw)
-        g = _linear_combination(basis_g, d, gw, gv)
+        pair = (linear_combination(enum.basis, c, enum.source, enum.target),
+                linear_combination(other.basis, sol[:, 0], other.source, other.target))
+        f, g = pair[::-1] if flip else pair
         result = verify(v, w, eps, f, g)
         if result.verified:
             return result
     return None
-
-
-def _linear_combination(basis, coeffs, source, target):
-    F = source.field
-    comps = {}
-    for g in source.grid.points():
-        acc = F.zeros(target.dims[g], source.dims[g])
-        for c, b in zip(coeffs, basis):
-            if int(c):
-                acc = F.matadd(acc, F.matscale(int(c), b.comps[g]))
-        comps[g] = acc
-    return Morphism(source, target, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +237,11 @@ class DistanceBracket:
     certificates: dict = field(default_factory=dict)
 
 
-def distance_bracket(v, w, budget=DEFAULT_BUDGET, threads=1):
+def distance_bracket(v, w, budget=DEFAULT_BUDGET):
     """Monotone search over the candidate set: upper is the smallest candidate
     where decide succeeds, lower combines the rank bound with the largest
     certified-none candidate.  Budget failures widen the bracket and clear the
-    exact flag instead of guessing.  threads has no effect, as in decide."""
+    exact flag instead of guessing."""
     if _eventual_dim(v) != _eventual_dim(w):
         return DistanceBracket(INF, INF, None, True,
                                {"reason": "eventual dimensions differ",

@@ -13,14 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 from .calculus import (anchored_morphism, compose_matched, discretize, eta,
-                       eta_on, restrict_extend, restrict_morphism, shift,
-                       union_grids)
-from .decompose import DEFAULT_BUDGET, decompose, split_once
+                       eta_on, morphisms_match, restrict_extend,
+                       restrict_morphism, shift, union_grids)
+from .decompose import decompose, split_once
 from .errors import BudgetExceeded, ValidationError
 from .metric import INF, distance_bracket, rank_lower_bound, verify
 from .library import constant_module, single_cell_module
-from .stepmodule import (Morphism, StepModule, _frac, anchor_map, direct_sum,
-                         identity_morphism, validate)
+from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _frac,
+                         anchor_map, direct_sum, identity_morphism, validate)
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,7 @@ def shift_factor_morphism(l, r, beta):
     m = anchored_morphism(shift(l, r), l, beta, q_grid,
                           lambda q, a, b: anchor_map(l, a, b, memo))
     first = restrict_morphism(eta(l, r), q_grid)
-    composed = compose_matched(m, first)
-    direct = eta_on(l, beta, q_grid)
-    ok = (composed.source == direct.source and composed.target == direct.target
-          and all(np.array_equal(composed.comps[g], direct.comps[g])
-                  for g in q_grid.points()))
+    ok = morphisms_match(compose_matched(m, first), eta_on(l, beta, q_grid))
     return ShiftFactorResult(m, first, ok)
 
 
@@ -198,7 +194,7 @@ def _sample_shift(v, rng, eps):
     return w, wit, "shifted by eps/4"
 
 
-def _sample_step_twist(v, rng, eps, budget):
+def _sample_step_twist(v, rng, eps):
     """Rank-one correction to one step, commutation repaired by absorbing the
     correction as a basis change at the step's target vertex."""
     cands = [(g, ax) for (g, ax), m in v.steps.items() if min(m.shape) > 0]
@@ -244,6 +240,13 @@ def _sample_far_summand(v, rng, eps):
     return direct_sum(v, c), None, "added a constant summand"
 
 
+# (name, sampler): each sampler takes (v, rng, eps) and returns (w, verified
+# witness or None, description), or (None, None, reason) when it cannot apply.
+_SAMPLERS = (("identity", _sample_identity), ("refine", _sample_refine),
+            ("cell-summand", _sample_cell_summand), ("shift", _sample_shift),
+            ("step-twist", _sample_step_twist), ("far-summand", _sample_far_summand))
+
+
 def perturbation_experiment(v, trials=20, seed=0, c=6, budget=DEFAULT_BUDGET):
     """Sample perturbations of a certified-indecomposable module on a regular
     grid, keep those with a verified interleaving witness strictly inside the
@@ -254,30 +257,11 @@ def perturbation_experiment(v, trials=20, seed=0, c=6, budget=DEFAULT_BUDGET):
     if split_once(v, seed=seed, budget=budget) is not None:
         raise ValidationError("perturbation experiment needs an indecomposable module")
     rng = np.random.default_rng(seed)
-    samplers = [_sample_identity, _sample_refine, _sample_cell_summand,
-                _sample_shift, None, None]
     entries = []
     accepted = passes = 0
     for t in range(trials):
-        pick = int(rng.integers(0, len(samplers)))
-        if samplers[pick] is _sample_identity:
-            name = "identity"
-        elif samplers[pick] is _sample_refine:
-            name = "refine"
-        elif samplers[pick] is _sample_cell_summand:
-            name = "cell-summand"
-        elif samplers[pick] is _sample_shift:
-            name = "shift"
-        elif pick == 4:
-            name = "step-twist"
-        else:
-            name = "far-summand"
-        if samplers[pick] is not None:
-            w, wit, how = samplers[pick](v, rng, eps)
-        elif name == "step-twist":
-            w, wit, how = _sample_step_twist(v, rng, eps, budget)
-        else:
-            w, wit, how = _sample_far_summand(v, rng, eps)
+        name, sampler = _SAMPLERS[int(rng.integers(0, len(_SAMPLERS)))]
+        w, wit, how = sampler(v, rng, eps)
         if w is None:
             entries.append(Trial(t, name, False, how))
             continue

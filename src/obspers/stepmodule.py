@@ -35,7 +35,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BudgetExceeded, ValidationError
 from .fields import PrimeField
 
 
@@ -294,10 +294,6 @@ def validate(v):
     return out
 
 
-def evaluate(v, s):
-    return v.evaluate(s)
-
-
 def anchor_map(v, a, b, memo):
     """v's structure map from grid index a to b >= a, read-only: a shared
     identity when a == b, the stored unit step when b is a's successor, and a
@@ -507,6 +503,40 @@ def unflatten_morphism(v, w, vec):
         comps[g] = np.array(vec[pos:pos + r * c], dtype=np.int64).reshape(r, c)
         pos += r * c
     return Morphism(v, w, comps)
+
+
+def _combination_at(basis, coeffs, g, shape, p):
+    """The component at g of sum_i coeffs[i] * basis[i], a fresh array of the
+    given shape."""
+    acc = np.zeros(shape, dtype=np.int64)
+    for c, b in zip(coeffs, basis):
+        if c:
+            acc += int(c) * b.comps[g]
+    return acc % p
+
+
+def linear_combination(basis, coeffs, source, target):
+    """sum_i coeffs[i] * basis[i] as a morphism source -> target; the basis
+    elements are morphisms between the same two modules."""
+    p = source.field.p
+    return Morphism._trusted(source, target, {
+        g: _freeze(_combination_at(basis, coeffs, g, (target.dims[g], source.dims[g]), p))
+        for g in source.grid.points()})
+
+
+# Largest number of candidates an exhaustive Hom-space search may try.
+DEFAULT_BUDGET = 1 << 16
+
+
+def coefficient_vectors(p, h, budget, what):
+    """Every coefficient vector in F_p^h, as tuples in lexicographic order.
+    Raises BudgetExceeded before yielding anything when p**h > budget, so an
+    exhausted budget never reads as a search that found nothing; what names
+    the searched space in the message."""
+    if p ** h > budget:
+        raise BudgetExceeded(f"{what} has dimension {h} over F_{p}: "
+                             f"{p ** h} candidates exceed the search budget {budget}")
+    return product(range(p), repeat=h)
 
 
 def hom_basis(v, w):

@@ -1,6 +1,7 @@
 """Endomorphism algebras, idempotent splitting and Krull-Schmidt recovery."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from obspers import library
 from obspers.decompose import (decompose, endo_algebra, iso_test, split_once)
 from obspers.errors import BudgetExceeded
 from obspers.fields import PrimeField
-from obspers.stepmodule import (Grid, compose, direct_sum, identity_morphism,
-                                restrict_extend, validate, zero_module)
+from obspers.stepmodule import (Grid, coefficient_vectors, compose, direct_sum,
+                                identity_morphism, restrict_extend, validate,
+                                zero_module)
 
 from conftest import to_plain
 from oracles import oracle_hom_count
@@ -132,3 +134,23 @@ def test_iso_sum_commutes(rng):
     b, _ = library.random_library_sum(2, rng, 1)
     ok, w = iso_test(direct_sum(a, b), direct_sum(b, a))
     assert ok and w is not None
+
+
+def test_iso_budget_raises_instead_of_answering_no():
+    # same dims and the same persistent rank at the grid gap, so only the
+    # exhaustive search over Hom(V, W) can answer
+    grid = Grid(((0, 1, 2),))
+    v = direct_sum(library.box_interval(F2, grid, (0,), (1,)),
+                   library.box_interval(F2, grid, (1,), (2,)))
+    w = direct_sum(library.box_interval(F2, grid, (0,), (2,)),
+                   library.box_interval(F2, grid, (1,), (1,)))
+    assert iso_test(v, w) == (False, None)
+    with pytest.raises(BudgetExceeded):
+        iso_test(v, w, budget=1)
+
+
+def test_coefficient_vectors_lexicographic_within_budget():
+    assert list(coefficient_vectors(3, 2, 9, "Hom")) == list(product(range(3), repeat=2))
+    assert list(coefficient_vectors(2, 0, 1, "Hom")) == [()]
+    with pytest.raises(BudgetExceeded):
+        coefficient_vectors(3, 2, 8, "Hom")

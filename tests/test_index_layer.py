@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from obspers import library, metric, stability
+from obspers import library, limits, metric, stability
 from obspers.calculus import (discretize, eta, eta_on, lattice_grid,
                               persistent_rank, restrict_morphism,
                               restriction_pair, shift, smooth)
@@ -184,6 +184,13 @@ ENTRY_POINTS = {
     "sublevel vertex values": lambda x: sublevel_bifiltration(
         TRIANGLE, {0: (x, 0), 1: (1, 0), 2: (0, 1)}),
     "vertex_perturbation_pair eta": _perturbation_pair,
+    "precompact_probe delta": lambda x: limits.precompact_probe([V], x),
+    "uniform_bounds_report eps": lambda x: limits.uniform_bounds_report([V], [x]),
+    "box_interval lo": lambda x: library.box_interval(PrimeField(2), V.grid, (x, 0)),
+    "box_interval hi": lambda x: library.box_interval(PrimeField(2), V.grid, (0, 0), (x, 2)),
+    "single_cell_module corner": lambda x: library.single_cell_module(PrimeField(2), (x, 0), 1, 2),
+    "single_cell_module width": lambda x: library.single_cell_module(PrimeField(2), (0, 0), x, 2),
+    "random_grid hi": lambda x: library.random_grid(np.random.default_rng(0), hi=x),
 }
 
 

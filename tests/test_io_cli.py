@@ -242,6 +242,17 @@ def test_cli_budget_exit_3(tmp_path):
     assert code == 3 and "budget" in err
 
 
+def test_cli_bad_rational_is_a_usage_error(tmp_path):
+    mpath = tmp_path / "m.json"
+    serialize.write_json(mpath, serialize.metric_to_json(metric_space([0, 1], [[0, 1], [1, 0]])))
+    for argv in (["degree-rips", "--radii", "1/0", "--degrees", "0", mpath],
+                 ["degree-rips", "--radii", "1,x", "--degrees", "0", mpath],
+                 ["interleave", "--epsilon", "1/0", mpath, mpath]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
+
 def test_cli_distance(tmp_path):
     rng = np.random.default_rng(4)
     v = library.random_module(F2, rng)

@@ -110,17 +110,6 @@ def test_decide_budget_raises():
         decide(v, v, 1, budget=1)
 
 
-def test_decide_threads_agree():
-    v, w = offset_cells(Fraction(1, 2))
-    for eps in (Fraction(1, 4), Fraction(1, 2)):
-        a = decide(v, w, eps, threads=1)
-        b = decide(v, w, eps, threads=3)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert all(np.array_equal(a.f.comps[g], b.f.comps[g])
-                       for g in a.f.comps)
-
-
 # -- rank lower bound --------------------------------------------------------------
 
 def test_rank_lower_bound_self_zero():

@@ -10,7 +10,7 @@ from obspers import library
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.stepmodule import (Grid, Morphism, StepModule, compose,
-                                direct_sum, evaluate, factor_morphism,
+                                direct_sum, factor_morphism,
                                 hom_basis, identity_morphism,
                                 restrict_extend, union_grids, validate,
                                 validate_morphism, zero_module,
@@ -85,10 +85,10 @@ def test_validate_shape_mismatch():
 def test_evaluate_below_on_and_inside():
     grid = Grid(((0, 1), (0, 1)))
     v = library.constant_module(F2, grid)
-    assert evaluate(v, (-1, 0)) == (0, None)
-    assert evaluate(v, (1, 0)) == (1, (1, 0))
+    assert v.evaluate((-1, 0)) == (0, None)
+    assert v.evaluate((1, 0)) == (1, (1, 0))
     # strictly inside the cell [(0,0), (1,1)) anchors back to (0,0)
-    assert evaluate(v, (Fraction(1, 2), Fraction(3, 4))) == (1, (0, 0))
+    assert v.evaluate((Fraction(1, 2), Fraction(3, 4))) == (1, (0, 0))
 
 
 @given(st.integers(0, 3), st.integers(0, 3),
@@ -99,7 +99,7 @@ def test_evaluate_constant_on_cells(i, j, dx, dy):
     v = library.box_interval(F2, grid, (1, 1), (2, 2))
     s = (Fraction(i) + dx, Fraction(j) + dy)
     a = grid.anchor(s)
-    d, idx = evaluate(v, s)
+    d, idx = v.evaluate(s)
     assert idx == a and d == v.dims[a]
 
 
