@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, anchor_map,
-                         compose, factor_morphism, restrict_extend, union_grids)
+                         compose, factor_morphism, matrices_equal, restrict_extend,
+                         union_grids)
 
 # restrict_extend is re-exported from here because refinement and
 # discretization conceptually belong to the calculus layer.
@@ -124,7 +125,7 @@ def morphisms_match(m1, m2):
     r2 = restrict_morphism(m2, u)
     if r1.source != r2.source or r1.target != r2.target:
         return False
-    return all(np.array_equal(r1.comps[g], r2.comps[g]) for g in u.points())
+    return matrices_equal(r1.comps, r2.comps, u.points())
 
 
 def compose_matched(m2, m1):

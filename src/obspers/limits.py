@@ -13,7 +13,7 @@ from .calculus import (compose_matched, lattice_grid, restrict_extend,
                        shift_morphism, smooth)
 from .decompose import iso_test
 from .errors import BudgetExceeded, ValidationError
-from .metric import Interleaving, verify
+from .metric import verify
 from .stepmodule import DEFAULT_BUDGET, _frac, identity_morphism
 
 

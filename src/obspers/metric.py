@@ -13,12 +13,12 @@ dimensions) is reported with an infinity marker used only for comparisons.
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from .calculus import (compose_matched, eta_on, modules_match,
-                       morphisms_match, restrict_extend, restrict_morphism,
-                       shift, shift_morphism)
+                       morphisms_match, restrict_extend, shift, shift_morphism)
 from .errors import BudgetExceeded, ValidationError
 from .stepmodule import (DEFAULT_BUDGET, Morphism, _frac, anchor_map,
                          coefficient_vectors, flatten_morphism, hom_basis,
@@ -82,21 +82,37 @@ def _side(x, y, eps):
     return _Side(x, grid, source, target, hom_basis(source, target))
 
 
-def _triangle(first, second, eps):
+def _stack(side):
+    """{grid point g: the basis components at g as one (h, r, c) array}."""
+    h = len(side.basis)
+    return {g: np.array([b.comps[g] for b in side.basis], dtype=np.int64).reshape(
+                h, side.target.dims[g], side.source.dims[g])
+            for g in side.grid.points()}
+
+
+def _triangle(first, second, eps, first_stack, second_stack):
     """The triangle second[eps] o first = eta_2eps on first.module, in
-    coordinates on the common grid: tensor[i, j] flattens second_j[eps] o
-    first_i over the two bases, and rhs flattens eta_2eps."""
-    F = first.module.field
+    coordinates on the common grid u: tensor[i, j] flattens second_j[eps] o
+    first_i over the two bases, and rhs flattens eta_2eps.  The component at
+    a point of u is the product of the stacked components at its anchors in
+    the two sides' grids (none below either grid: the block is then empty),
+    so it is computed once per distinct anchor pair for all basis pairs."""
     u = union_grids(first.grid, second.grid.translate(-eps))
-    pts = u.points()
-    rx = [restrict_morphism(b, u) for b in first.basis]
-    ry = [restrict_morphism(shift_morphism(b, eps), u) for b in second.basis]
     rhs = flatten_morphism(eta_on(first.module, 2 * eps, u))
-    tensor = np.zeros((len(rx), len(ry), rhs.size), dtype=np.int64)
-    for i, a in enumerate(rx):
-        for j, b in enumerate(ry):
-            tensor[i, j] = flatten_morphism(Morphism._trusted(
-                a.source, b.target, {g: F.matmul(b.comps[g], a.comps[g]) for g in pts}))
+    h1, h2, p = len(first.basis), len(second.basis), first.module.field.p
+    tensor = np.zeros((h1, h2, rhs.size), dtype=np.int64)
+    ends = second.grid.anchors_on(u, eps)
+    blocks, pos = {}, 0
+    for q, a in first.grid.anchors_on(u).items():
+        b = ends[q]
+        if a is None or b is None:
+            continue
+        block = blocks.get((a, b))
+        if block is None:
+            prod = second_stack[b][None] @ first_stack[a][:, None]  # (h1, h2, r, c)
+            block = blocks[(a, b)] = prod.reshape(h1, h2, prod.shape[2] * prod.shape[3]) % p
+        tensor[:, :, pos:pos + block.shape[2]] = block
+        pos += block.shape[2]
     return tensor, rhs
 
 
@@ -106,7 +122,19 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET):
     the smaller one (f's on ties) is enumerated, and for each candidate the
     triangle identities, which are linear in the other morphism, are solved
     exactly.  Certified absence therefore means the enumeration completed;
-    BudgetExceeded is raised when it would be larger than budget."""
+    BudgetExceeded is raised when it would be larger than budget, before any
+    triangle is built, so an exhausted budget costs only the two Hom bases.
+
+    The triangles give, for the enumerated coefficients c (length h) and the
+    other side's x (length k), one equation per row e:
+    sum_ij c_i T[e, i, j] x_j = rhs_e.  The rows [T[e] | rhs_e] of the stacked
+    system B (equations x (h*k + 1)) are reduced once; a candidate's
+    augmented system [sum_i c_i T[:, i, :] | rhs] is B @ L(c) for a fixed
+    linear map L(c), so its row space is that of R @ L(c), R the nonzero rows
+    of B's reduced form.  F.solve reads only the reduced row echelon form,
+    which is determined by the row space, so solving the at most h*k + 1 rows
+    of R @ L(c) gives the same particular solution, and None exactly when the
+    full system has none."""
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")
@@ -118,16 +146,19 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET):
     F = v.field
     cands = coefficient_vectors(F.p, len(enum.basis), budget,
                                 "Hom(W, V[eps])" if flip else "Hom(V, W[eps])")
+    stacks = _stack(enum), _stack(other)
     # the triangle on enum's module first, then the one on other's
-    t1, rhs1 = _triangle(enum, other, eps)
-    t2, rhs2 = _triangle(other, enum, eps)
-    t2 = t2.transpose(1, 0, 2)
-    rhs = np.concatenate([rhs1, rhs2]).reshape(-1, 1)
+    t1, rhs1 = _triangle(enum, other, eps, *stacks)
+    t2, rhs2 = _triangle(other, enum, eps, *stacks[::-1])
+    h, k = len(enum.basis), len(other.basis)
+    t = np.concatenate([t1, t2.transpose(1, 0, 2)], axis=2)
+    system = np.concatenate([t.reshape(h * k, t.shape[2]),
+                             np.concatenate([rhs1, rhs2])[None]]).T
+    rref, rank, _ = F.reduce(system)
+    coeffs, rhs = rref[:rank, :-1].reshape(rank, h, k), rref[:rank, -1:]
     for cand in cands:
         c = np.array(cand, dtype=np.int64)
-        m1 = np.tensordot(c, t1, axes=(0, 0)) % F.p  # (len(other.basis), equations)
-        m2 = np.tensordot(c, t2, axes=(0, 0)) % F.p
-        sol = F.solve(np.concatenate([m1, m2], axis=1).T, rhs)
+        sol = F.solve(np.tensordot(c, coeffs, axes=(0, 1)) % F.p, rhs)
         if sol is None:
             continue
         pair = (linear_combination(enum.basis, c, enum.source, enum.target),
@@ -150,7 +181,8 @@ def _eventual_dim(v):
 
 def _one_sided_rank_violation(v, w, eps):
     """First (s, t) with rk V_{s -> t+2eps} > rk W_{s+eps -> t+eps}, scanning
-    cell representatives of the joint refinement, or None."""
+    cell representatives s <= t of the joint refinement in lexicographic
+    order, or None."""
     F = v.field
     grid = union_grids(v.grid, v.grid.translate(-2 * eps), w.grid.translate(-eps))
     pts = grid.points()
@@ -161,9 +193,7 @@ def _one_sided_rank_violation(v, w, eps):
     for s in pts:
         if av[s] is None:
             continue
-        for t in pts:
-            if any(x > y for x, y in zip(s, t)):
-                continue
+        for t in product(*(range(i, n) for i, n in zip(s, grid.shape))):
             key = (av[s], av2[t])
             if key not in rank_v:
                 rank_v[key] = F.rank(anchor_map(v, *key, memo_v))

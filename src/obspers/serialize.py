@@ -13,7 +13,7 @@ import numpy as np
 from .calculus import Grid
 from .errors import ValidationError
 from .fields import PrimeField
-from .metric import INF, DistanceBracket, Interleaving
+from .metric import INF, Interleaving
 from .pipelines import Bifiltration, FiniteMetricSpace, SimplicialComplex
 from .stepmodule import Morphism, StepModule
 

@@ -7,7 +7,7 @@ that each accepted sample has at most one non-trivial indecomposable summand
 at tau = c*mu.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +16,7 @@ from .calculus import (anchored_morphism, compose_matched, discretize, eta,
                        eta_on, morphisms_match, restrict_extend,
                        restrict_morphism, shift, union_grids)
 from .decompose import decompose, split_once
-from .errors import BudgetExceeded, ValidationError
+from .errors import ValidationError
 from .metric import INF, distance_bracket, rank_lower_bound, verify
 from .library import constant_module, single_cell_module
 from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _frac,

@@ -67,6 +67,14 @@ class Grid:
                 raise ValidationError("axis coordinates must be strictly increasing")
         object.__setattr__(self, "axes", axes)
 
+    @classmethod
+    def _trusted(cls, axes):
+        """Internal constructor for a tuple of strictly increasing tuples of
+        Fractions; skips the coercion and checks of __post_init__."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "axes", axes)
+        return grid
+
     @property
     def n_axes(self):
         return len(self.axes)
@@ -124,7 +132,7 @@ class Grid:
     def translate(self, delta):
         """Grid moved by +delta on every axis."""
         d = _frac(delta)
-        return Grid(tuple(tuple(c + d for c in axis) for axis in self.axes))
+        return Grid._trusted(tuple(tuple(c + d for c in axis) for axis in self.axes))
 
     def min_corner(self):
         return tuple(axis[0] for axis in self.axes)
@@ -143,12 +151,23 @@ def union_grids(*grids):
         for g in grids:
             coords.update(g.axes[a])
         axes.append(tuple(sorted(coords)))
-    return Grid(tuple(axes))
+    return Grid._trusted(tuple(axes))
 
 
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
+
+
+def matrices_equal(a, b, keys):
+    """True when a[k] and b[k] are equal matrices for every k in keys, as
+    np.array_equal decides key by key: shapes are compared per key, and the
+    entries of all matrices not shared by a and b in one comparison."""
+    keys = [k for k in keys if a[k] is not b[k]]
+    if any(a[k].shape != b[k].shape for k in keys):
+        return False
+    return not keys or np.array_equal(np.concatenate([a[k].ravel() for k in keys]),
+                                      np.concatenate([b[k].ravel() for k in keys]))
 
 
 def _shared(blocks, n, make):
@@ -208,10 +227,8 @@ class StepModule:
         if not isinstance(other, StepModule):
             return NotImplemented
         return (self.field == other.field and self.grid == other.grid
-                and self.dims == other.dims
-                and self.steps.keys() == other.steps.keys()
-                and all(m is other.steps[k] or np.array_equal(m, other.steps[k])
-                        for k, m in self.steps.items()))
+                and self.dims == other.dims and self.steps.keys() == other.steps.keys()
+                and matrices_equal(self.steps, other.steps, self.steps))
 
     def path_map(self, a, b):
         """The composite structure map from grid index a to grid index b >= a,
@@ -420,8 +437,7 @@ class Morphism:
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.comps.keys() == other.comps.keys()
-                and all(m is other.comps[k] or np.array_equal(m, other.comps[k])
-                        for k, m in self.comps.items()))
+                and matrices_equal(self.comps, other.comps, self.comps))
 
 
 def validate_morphism(m):

@@ -1,12 +1,13 @@
 """Independent oracles used by the test suite.
 
-Everything in this file except the last section is deliberately written
+Everything in this file except the last two sections is deliberately written
 against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-section keeps the earlier point-by-point restriction of the package itself as
-the reference for its per-axis replacement.
+two sections keep earlier code of the package itself as the reference for its
+replacements: the point-by-point restriction, and the per-element decide
+kernel.
 """
 
 from fractions import Fraction
@@ -293,3 +294,105 @@ def oracle_eta_on(v, eps, grid):
         else:
             comps[q] = v.path_map(a, b)
     return Morphism(source, target, comps)
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier decide kernel: one restrict_morphism per basis element
+# and one matmul per grid point per basis pair for the triangle tensors, the
+# all-pairs rank scan, and one solve of the full flattened system per
+# candidate.  The stacked tensors, the comparable-pairs scan and the once
+# reduced system must reproduce them exactly.
+# ---------------------------------------------------------------------------
+
+def oracle_triangle(first, second, eps):
+    import numpy as np
+
+    from obspers.calculus import eta_on, restrict_morphism, shift_morphism
+    from obspers.stepmodule import Morphism, flatten_morphism, union_grids
+
+    F = first.module.field
+    u = union_grids(first.grid, second.grid.translate(-eps))
+    pts = u.points()
+    rx = [restrict_morphism(b, u) for b in first.basis]
+    ry = [restrict_morphism(shift_morphism(b, eps), u) for b in second.basis]
+    rhs = flatten_morphism(eta_on(first.module, 2 * eps, u))
+    tensor = np.zeros((len(rx), len(ry), rhs.size), dtype=np.int64)
+    for i, a in enumerate(rx):
+        for j, b in enumerate(ry):
+            tensor[i, j] = flatten_morphism(Morphism(
+                a.source, b.target, {g: F.matmul(b.comps[g], a.comps[g]) for g in pts}))
+    return tensor, rhs
+
+
+def _oracle_rank_violation(v, w, eps):
+    from obspers.stepmodule import union_grids
+
+    grid = union_grids(v.grid, v.grid.translate(-2 * eps), w.grid.translate(-eps))
+    pts = grid.points()
+    for s in pts:
+        a = v.grid.anchor(grid.coords(s))
+        if a is None:
+            continue
+        for t in pts:
+            if any(x > y for x, y in zip(s, t)):
+                continue
+            rv = v.field.rank(v.path_map(a, v.grid.anchor(
+                tuple(c + 2 * eps for c in grid.coords(t)))))
+            if rv == 0:
+                continue
+            b = w.grid.anchor(tuple(c + eps for c in grid.coords(s)))
+            if b is None:
+                return (grid.coords(s), grid.coords(t))
+            e = w.grid.anchor(tuple(c + eps for c in grid.coords(t)))
+            if rv > w.field.rank(w.path_map(b, e)):
+                return (grid.coords(s), grid.coords(t))
+    return None
+
+
+def oracle_rank_obstruction_at(v, w, eps):
+    hit = _oracle_rank_violation(v, w, eps)
+    if hit is not None:
+        return f"rank(V_(s -> t+2e)) > rank(W_(s+e -> t+e)) at s={hit[0]}, t={hit[1]}, e={eps}"
+    hit = _oracle_rank_violation(w, v, eps)
+    if hit is not None:
+        return f"rank(W_(s -> t+2e)) > rank(V_(s+e -> t+e)) at s={hit[0]}, t={hit[1]}, e={eps}"
+    return None
+
+
+def oracle_decide(v, w, eps, budget):
+    """decide with the oracle tensors and the full system solved for every
+    candidate."""
+    from itertools import product as iproduct
+
+    import numpy as np
+
+    from obspers.errors import BudgetExceeded
+    from obspers.metric import _side, verify
+    from obspers.stepmodule import linear_combination
+
+    if oracle_rank_obstruction_at(v, w, eps) is not None:
+        return None
+    f_side, g_side = _side(v, w, eps), _side(w, v, eps)
+    flip = len(g_side.basis) < len(f_side.basis)
+    enum, other = (g_side, f_side) if flip else (f_side, g_side)
+    F = v.field
+    if F.p ** len(enum.basis) > budget:
+        raise BudgetExceeded("search budget")
+    t1, rhs1 = oracle_triangle(enum, other, eps)
+    t2, rhs2 = oracle_triangle(other, enum, eps)
+    t2 = t2.transpose(1, 0, 2)
+    rhs = np.concatenate([rhs1, rhs2]).reshape(-1, 1)
+    for cand in iproduct(range(F.p), repeat=len(enum.basis)):
+        c = np.array(cand, dtype=np.int64)
+        m1 = np.tensordot(c, t1, axes=(0, 0)) % F.p
+        m2 = np.tensordot(c, t2, axes=(0, 0)) % F.p
+        sol = F.solve(np.concatenate([m1, m2], axis=1).T, rhs)
+        if sol is None:
+            continue
+        pair = (linear_combination(enum.basis, c, enum.source, enum.target),
+                linear_combination(other.basis, sol[:, 0], other.source, other.target))
+        f, g = pair[::-1] if flip else pair
+        result = verify(v, w, eps, f, g)
+        if result.verified:
+            return result
+    return None

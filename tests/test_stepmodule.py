@@ -15,6 +15,7 @@ from obspers.stepmodule import (Grid, Morphism, StepModule, compose,
                                 restrict_extend, union_grids, validate,
                                 validate_morphism, zero_module,
                                 zero_morphism)
+from obspers.calculus import eta, eta_on, morphisms_match, restrict_morphism
 from obspers.decompose import iso_test
 
 from conftest import to_plain
@@ -35,6 +36,8 @@ def test_grid_rejects_bad_axes():
         Grid(((0, 0),))
     with pytest.raises(ValidationError):
         Grid(((1, 0),))
+    with pytest.raises(ValidationError):
+        Grid(((1, Fraction(1, 2)),))
 
 
 @given(st.lists(rationals, min_size=2, max_size=5, unique=True), rationals)
@@ -54,6 +57,76 @@ def test_union_grids_merges_ticks():
     b = Grid(((Fraction(1, 2),), (1, 2)))
     u = union_grids(a, b)
     assert u.axes == ((0, Fraction(1, 2), 1), (0, 1, 2))
+
+
+@given(st.lists(st.lists(rationals, min_size=1, max_size=4, unique=True).map(sorted),
+                min_size=2, max_size=4), rationals)
+def test_translate_and_union_equal_validated_grids(axes, delta):
+    a, b = Grid((axes[0], axes[1])), Grid((axes[-1], axes[-2]))
+    expected = [(a.translate(delta), [[c + delta for c in x] for x in a.axes]),
+                (union_grids(a, b), [sorted(set(x) | set(y)) for x, y in zip(a.axes, b.axes)])]
+    for fast, want in expected:
+        slow = Grid(tuple(map(tuple, want)))
+        assert fast == slow and hash(fast) == hash(slow)
+        assert all(type(c) is Fraction for axis in fast.axes for c in axis)
+
+
+# -- equality ----------------------------------------------------------------
+
+def per_step_equal(a, b):
+    return (a.field == b.field and a.grid == b.grid and a.dims == b.dims
+            and a.steps.keys() == b.steps.keys()
+            and all(np.array_equal(m, b.steps[k]) for k, m in a.steps.items()))
+
+
+def per_component_match(m1, m2):
+    u = union_grids(m1.grid, m2.grid)
+    r1, r2 = restrict_morphism(m1, u), restrict_morphism(m2, u)
+    return (r1.source == r2.source and r1.target == r2.target
+            and all(np.array_equal(r1.comps[g], r2.comps[g]) for g in u.points()))
+
+
+def flipped(mats):
+    """A copy of mats with one entry of its first nonempty matrix changed."""
+    out = {k: m.copy() for k, m in mats.items()}
+    for m in out.values():
+        if m.size:
+            m.flat[0] += 1
+            break
+    return out
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([F2, F3]))
+def test_module_and_morphism_equality_match_per_step_comparison(seed, F):
+    rng = np.random.default_rng(seed)
+    v = library.random_module(F, rng)
+    others = [StepModule(F, v.grid, v.dims, {k: m.copy() for k, m in v.steps.items()}),
+              StepModule(F, v.grid, v.dims, flipped(v.steps)),
+              restrict_extend(v, v.grid), library.random_module(F, rng, grid=v.grid)]
+    for w in others:
+        assert (v == w) == per_step_equal(v, w)
+    e = eta(v, 1)
+    fine = eta_on(v, 1, union_grids(e.grid, e.grid.translate(Fraction(1, 3))))
+    changed = Morphism(e.source, e.target, flipped(e.comps))
+    for m in (fine, changed, e):
+        assert morphisms_match(e, m) == per_component_match(e, m)
+        assert morphisms_match(m, e) == per_component_match(m, e)
+    assert morphisms_match(e, fine)
+    assert morphisms_match(e, changed) == (not any(c.size for c in e.comps.values()))
+
+
+def test_equality_compares_shapes_of_equal_sized_matrices():
+    grid = Grid(((0, 1),))
+    dims = {(0,): 1, (1,): 2}
+    tall = StepModule(F2, grid, dims, {((0,), 0): [[1], [1]]})
+    wide = StepModule(F2, grid, dims, {((0,), 0): [[1, 1]]})
+    assert tall != wide and not per_step_equal(tall, wide)
+    assert tall == StepModule(F2, grid, dims, {((0,), 0): [[1], [1]]})
+    one, two = (StepModule(F2, Grid(((0,),)), {(0,): n}, {}) for n in (1, 2))
+    m_tall = Morphism(one, two, {(0,): [[1], [1]]})
+    m_wide = Morphism(one, two, {(0,): [[1, 1]]})
+    assert m_tall != m_wide
+    assert not morphisms_match(m_tall, m_wide) and not per_component_match(m_tall, m_wide)
 
 
 # -- validate ----------------------------------------------------------------
