@@ -5,6 +5,31 @@ for N the total dimension), falling back to exhaustive enumeration of
 idempotents in End(V) when the algebra is small enough; the exhaustive path is
 the certificate of indecomposability, random search alone never certifies
 absence.  All randomized steps take an explicit seed and default to 0.
+
+Derived endomorphism algebras.  decompose solves the naturality system once,
+for End(V).  A piece a split off a module m, with inclusion i: a -> m and
+projection q: m -> a (q o i = id_a), gets its End from End(m), one batched
+product q_g S_g i_g per grid point g, S_g the basis components at g:
+
+- b -> q o b o i maps End(m) onto End(a).  It is linear, and every phi in
+  End(a) is the image of the endomorphism i o phi o q of m, because
+  q o (i o phi o q) o i = phi.  So the q o b_j o i span End(a) for any basis
+  b_j of End(m).
+- They are reduced to the very basis hom_basis(a, a) returns.  That basis
+  holds, for each free column c of the reduced naturality system, the kernel
+  vector with a 1 at c and 0 at the other free columns; its other nonzero
+  entries lie at pivot columns before c, so its last nonzero entry is at c.
+  A nonzero kernel vector is the combination of these with its own entries
+  at the free columns as coefficients, so its last nonzero entry is the
+  largest free column where it is nonzero: the free columns are exactly the
+  last-nonzero positions of the kernel.  Row-reducing the flattened spanning
+  vectors with the columns reversed puts the pivots at these positions and
+  leaves each row 1 at its own pivot and 0 at the others, which is that
+  kernel vector.  Reversing the columns and the rows back gives hom_basis's
+  basis, element by element and in its order.
+
+The structure table takes one batched product of the stacked basis with
+itself per grid point, and only the exhaustive idempotent search needs it.
 """
 
 from dataclasses import dataclass
@@ -14,9 +39,9 @@ import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
 from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _combination_at,
-                         coefficient_vectors, compose, factor_morphism,
-                         flatten_morphism, hom_basis, identity_morphism,
-                         linear_combination, union_grids)
+                         _freeze, coefficient_vectors, compose, flatten_morphism,
+                         hom_basis, identity_morphism, linear_combination,
+                         union_grids)
 
 
 @dataclass(frozen=True)
@@ -35,30 +60,62 @@ class EndoAlgebra:
         return len(self.basis)
 
 
-def endo_algebra(v):
-    basis = hom_basis(v, v)
-    d = len(basis)
+def _rows(basis):
+    """The flattened basis elements as the rows of one read-only array."""
+    return _freeze(np.array([flatten_morphism(b) for b in basis], dtype=np.int64))
+
+
+def _blocks(v, rows):
+    """{grid point g: the components at g of the endomorphisms of v flattened
+    in rows, as one read-only (d, r, r) array}."""
+    out, pos = {}, 0
+    for g in v.grid.points():
+        r = v.dims[g]
+        out[g] = rows[:, pos:pos + r * r].reshape(len(rows), r, r)
+        pos += r * r
+    return out
+
+
+def _basis(v, rows):
+    """The endomorphisms of v flattened in rows, as Morphisms."""
+    blocks = _blocks(v, rows)
+    return [Morphism._trusted(v, v, {g: b[i] for g, b in blocks.items()})
+            for i in range(len(rows))]
+
+
+def _table(v, rows):
+    """Structure constants of the basis flattened in rows: the products
+    basis[i] o basis[j] for all i, j take one batched product per grid point,
+    and one solve expresses them in the basis."""
     F = v.field
-    if d == 0:
-        return EndoAlgebra(v, [], np.zeros((0, 0, 0), dtype=np.int64),
-                           np.zeros((0, 0), dtype=np.int64))
-    mat = np.stack([flatten_morphism(b) for b in basis], axis=1)
-    prods = []
-    for bi in basis:
-        for bj in basis:
-            prods.append(flatten_morphism(compose(bi, bj)))
-    rhs = np.stack(prods, axis=1)
-    coeffs = F.solve(mat, rhs)
+    d = len(rows)
+    prods = [(b[:, None] @ b[None]).reshape(d * d, b.shape[1] ** 2) % F.p
+             for b in _blocks(v, rows).values()]
+    coeffs = F.solve(rows.T, np.concatenate(prods, axis=1).T)
     if coeffs is None:
         raise RuntimeError("endomorphism composition left the basis span")
-    table = coeffs.T.reshape(d, d, d)
-    return EndoAlgebra(v, basis, table, mat)
+    return coeffs.T.reshape(d, d, d)
 
 
-def _pointwise_power(f, n):
-    F = f.field
-    comps = {g: F.matpow(f.comps[g], n) for g in f.grid.points()}
-    return Morphism(f.source, f.target, comps)
+def endo_algebra(v):
+    basis = hom_basis(v, v)
+    if not basis:
+        return EndoAlgebra(v, [], np.zeros((0, 0, 0), dtype=np.int64),
+                           np.zeros((0, 0), dtype=np.int64))
+    rows = _rows(basis)
+    return EndoAlgebra(v, basis, _table(v, rows), rows.T)
+
+
+def _derived_rows(a, m, rows, inc, proj):
+    """hom_basis(a, a), flattened as rows, for a summand a of m with
+    inclusion inc: a -> m and projection proj: m -> a, from the basis of
+    End(m) flattened in rows (the module docstring has the argument)."""
+    F = a.field
+    d = len(rows)
+    span = [((proj.comps[g] @ b) % F.p @ inc.comps[g]).reshape(d, a.dims[g] ** 2) % F.p
+            for g, b in _blocks(m, rows).items()]
+    rref, rank, _ = F.reduce(np.concatenate(span, axis=1)[:, ::-1])
+    return _freeze(np.ascontiguousarray(rref[:rank][::-1, ::-1]))
 
 
 @dataclass(frozen=True)
@@ -75,29 +132,44 @@ class Split:
     proj_b: Morphism
 
 
-def _split_from_endo(v, f):
-    """Fitting split along the stabilized endomorphism f^N, if nontrivial."""
+def _piece(v, basis, proj):
+    """The submodule of v spanned by basis[g] at each point g, where proj[g]
+    holds the coordinates in basis[g]: each step is proj[h] @ step @ basis[g],
+    h the step's end."""
     F = v.field
-    n = v.total_dim
-    fn = _pointwise_power(f, max(n, 1))
-    fac = factor_morphism(fn)
-    ka = fac.kernel.total_dim
+    steps = {}
+    for g in v.grid.points():
+        for axis in range(v.grid.n_axes):
+            h = v.grid.successor(g, axis)
+            if h is not None:
+                steps[(g, axis)] = _freeze(F.matmul(proj[h], F.matmul(v.steps[(g, axis)],
+                                                                      basis[g])))
+    return StepModule._trusted(F, v.grid, {g: b.shape[1] for g, b in basis.items()}, steps)
+
+
+def _split_from_endo(v, f):
+    """Fitting split along the stabilized endomorphism f^N, if nontrivial:
+    a = ker f^N and b = im f^N, with the bases factor_morphism chooses.  At
+    each point [ker | im] is a basis, and the rows of its inverse are the
+    coordinates in it, which give both projections and the pieces' steps."""
+    F = v.field
+    n = max(v.total_dim, 1)
+    fn = {g: F.matpow(f.comps[g], n) for g in v.grid.points()}
+    kernel = {g: _freeze(F.kernel_basis(c)) for g, c in fn.items()}
+    ka = sum(k.shape[1] for k in kernel.values())
     if ka == 0 or ka == v.total_dim:
         return None
-    kernel, image = fac.kernel, fac.image
-    inc_a, inc_b = fac.kernel_inclusion, fac.image_inclusion
-    proj_a, proj_b = {}, {}
-    for g in v.grid.points():
-        kb = inc_a.comps[g]
-        ib = inc_b.comps[g]
-        full = np.concatenate([kb, ib], axis=1)
-        if full.shape[0] != full.shape[1] or not F.is_invertible(full):
+    image, proj_a, proj_b = {}, {}, {}
+    for g, c in fn.items():
+        image[g] = _freeze(F.column_space_basis(c))
+        inv = F.solve(np.concatenate([kernel[g], image[g]], axis=1), F.identity(v.dims[g]))
+        if inv is None:
             return None  # f^N not yet stabilized into a direct sum; try another f
-        inv = F.inverse(full)
-        proj_a[g] = inv[:kb.shape[1], :]
-        proj_b[g] = inv[kb.shape[1]:, :]
-    return Split(kernel, image, inc_a, inc_b,
-                 Morphism(v, kernel, proj_a), Morphism(v, image, proj_b))
+        k = kernel[g].shape[1]
+        proj_a[g], proj_b[g] = _freeze(inv[:k]), _freeze(inv[k:])
+    a, b = _piece(v, kernel, proj_a), _piece(v, image, proj_b)
+    return Split(a, b, Morphism._trusted(a, v, kernel), Morphism._trusted(b, v, image),
+                 Morphism._trusted(v, a, proj_a), Morphism._trusted(v, b, proj_b))
 
 
 def split_once(v, seed=0, budget=DEFAULT_BUDGET):
@@ -106,30 +178,36 @@ def split_once(v, seed=0, budget=DEFAULT_BUDGET):
     exhaustive enumeration when random Fitting finds nothing)."""
     if v.total_dim == 0:
         raise ValueError("split_once needs a nonzero module")
+    return _split(v, _rows(hom_basis(v, v)), seed, budget)
+
+
+def _split(v, rows, seed, budget):
+    """split_once for a nonzero v whose End basis is flattened in rows."""
     F = v.field
-    algebra = endo_algebra(v)
-    d = algebra.dim
+    d = len(rows)
     if d == 1:
         return None  # End = F_p, local
+    basis = _basis(v, rows)
     # deterministic pass over the basis, then seeded random combinations
-    for b in algebra.basis:
+    for b in basis:
         s = _split_from_endo(v, b)
         if s is not None:
             return s
     rng = np.random.default_rng(seed)
     for _ in range(8 + 4 * d):
         coeffs = rng.integers(0, F.p, size=d)
-        f = linear_combination(algebra.basis, coeffs, v, v)
+        f = linear_combination(basis, coeffs, v, v)
         s = _split_from_endo(v, f)
         if s is not None:
             return s
     # exhaustive idempotent search: the certificate of indecomposability
     cands = coefficient_vectors(F.p, d, budget, "End(V)")
-    id_c = F.solve(algebra.stack, flatten_morphism(identity_morphism(v)))[:, 0]
+    table = _table(v, rows)
+    id_c = F.solve(rows.T, flatten_morphism(identity_morphism(v)))[:, 0]
     while chunk := list(islice(cands, 4096)):
-        e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), algebra.table, id_c, F.p)
+        e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), table, id_c, F.p)
         if e is not None:
-            return _split_from_endo(v, linear_combination(algebra.basis, e, v, v))
+            return _split_from_endo(v, linear_combination(basis, e, v, v))
     return None
 
 
@@ -159,24 +237,27 @@ class Decomposition:
 
 
 def decompose(v, seed=0, budget=DEFAULT_BUDGET):
+    """Indecomposable summands of v with witnesses, largest first.  The
+    naturality system is solved once, for End(v); each split piece derives
+    its End from the End of the module it was split from."""
     if v.total_dim == 0:
         return Decomposition(v, [], [], [])
-    work = [(v, identity_morphism(v), identity_morphism(v))]
+    ident = identity_morphism(v)
+    work = [(v, ident, ident, _rows(hom_basis(v, v)))]
     summands, incs, projs = [], [], []
     counter = 0
     while work:
-        m, inc, proj = work.pop()
-        if m.total_dim == 0:
-            continue
-        s = split_once(m, seed=seed + counter, budget=budget)
+        m, inc, proj, rows = work.pop()
+        s = _split(m, rows, seed + counter, budget)
         counter += 1
         if s is None:
             summands.append(m)
             incs.append(inc)
             projs.append(proj)
             continue
-        work.append((s.a, compose(inc, s.inc_a), compose(s.proj_a, proj)))
-        work.append((s.b, compose(inc, s.inc_b), compose(s.proj_b, proj)))
+        for part, i, q in ((s.a, s.inc_a, s.proj_a), (s.b, s.inc_b, s.proj_b)):
+            work.append((part, compose(inc, i), compose(q, proj),
+                         _derived_rows(part, m, rows, i, q)))
     order = sorted(range(len(summands)), key=lambda i: (-summands[i].total_dim, i))
     return Decomposition(v,
                          [summands[i] for i in order],

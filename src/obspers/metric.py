@@ -21,7 +21,7 @@ from .calculus import (compose_matched, eta_on, modules_match,
                        morphisms_match, restrict_extend, shift, shift_morphism)
 from .errors import BudgetExceeded, ValidationError
 from .stepmodule import (DEFAULT_BUDGET, Morphism, _frac, anchor_map,
-                         coefficient_vectors, flatten_morphism, hom_basis,
+                         coefficient_vectors, hom_basis,
                          linear_combination, union_grids, validate_morphism)
 
 INF = float("inf")  # comparison sentinel only; never enters any arithmetic
@@ -96,9 +96,16 @@ def _triangle(first, second, eps, first_stack, second_stack):
     first_i over the two bases, and rhs flattens eta_2eps.  The component at
     a point of u is the product of the stacked components at its anchors in
     the two sides' grids (none below either grid: the block is then empty),
-    so it is computed once per distinct anchor pair for all basis pairs."""
+    so it is computed once per distinct anchor pair for all basis pairs.
+    eta_2eps at q is the structure map of first.module between the anchors
+    of q and q + 2eps, read off without building eta_2eps's endpoints (below
+    either anchor its block is empty too)."""
     u = union_grids(first.grid, second.grid.translate(-eps))
-    rhs = flatten_morphism(eta_on(first.module, 2 * eps, u))
+    x, memo = first.module, {}
+    tops = x.grid.anchors_on(u, 2 * eps)
+    rhs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        anchor_map(x, a, tops[q], memo).reshape(-1)
+        for q, a in x.grid.anchors_on(u).items() if a is not None and tops[q] is not None])
     h1, h2, p = len(first.basis), len(second.basis), first.module.field.p
     tensor = np.zeros((h1, h2, rhs.size), dtype=np.int64)
     ends = second.grid.anchors_on(u, eps)

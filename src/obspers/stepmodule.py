@@ -334,11 +334,14 @@ def restrict_extend(v, grid):
 
     The result's value at a grid point q is the extension's value at q (the
     anchor value, or 0 below the original grid); its steps are path maps of v
-    between anchors.  Idempotent, and the identity when grid refines v.grid.
+    between anchors.  Idempotent, and the identity when grid refines v.grid;
+    v itself when grid is v.grid, which is the same data.
     The anchors of a step's two ends differ only on the step's axis, by a
     move read off that axis alone: a move of 0 gives a shared identity, a
     move of 1 reuses v's unit step, and only longer moves multiply.
     """
+    if grid == v.grid:
+        return v
     F = v.field
     per_axis = v.grid.anchor_indices(grid)
     anchors = {q: None if None in a else a

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from obspers import library
 from obspers.fields import PrimeField
-from obspers.stepmodule import Grid
+from obspers.stepmodule import Grid, StepModule
 
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
@@ -52,6 +52,26 @@ def tiny_decide_corpus(p=2):
         library.constant_module(F, Grid(((0, 2), (0, 2)))),
     ]
     return mods
+
+
+def assert_same_morphism(fast, slow):
+    """Equal endpoints and equal components, shape and entries, at every point."""
+    assert fast.source == slow.source and fast.target == slow.target
+    assert fast.comps.keys() == slow.comps.keys()
+    for g, m in slow.comps.items():
+        assert fast.comps[g].shape == m.shape and np.array_equal(fast.comps[g], m), g
+
+
+def doubled_m_lambda(p, lam):
+    """library.m_lambda(p, lam) with every space doubled and the lam leg
+    entering along the Jordan block [[lam, 1], [0, lam]] instead of lam: an
+    indecomposable whose End is 2-dimensional (the identity and a nilpotent),
+    so only the exhaustive idempotent search can certify it."""
+    m = library.m_lambda(p, lam)
+    eye = np.eye(2, dtype=np.int64)
+    steps = {key: np.kron(step, eye) for key, step in m.steps.items()}
+    steps[((3, 0), 1)] = np.concatenate([eye, np.array([[lam, 1], [0, lam]])])
+    return StepModule(m.field, m.grid, {g: 2 * d for g, d in m.dims.items()}, steps)
 
 
 def enumerate_interleavings(v, w, eps):

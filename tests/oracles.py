@@ -5,9 +5,9 @@ against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-two sections keep earlier code of the package itself as the reference for its
-replacements: the point-by-point restriction, and the per-element decide
-kernel.
+three sections keep earlier code of the package itself as the reference for
+its replacements: the point-by-point restriction, the per-element decide
+kernel, and the per-piece decomposition.
 """
 
 from fractions import Fraction
@@ -396,3 +396,119 @@ def oracle_decide(v, w, eps, budget):
         if result.verified:
             return result
     return None
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier decomposition: hom_basis solved again on every split
+# piece, the structure table from d^2 compose calls, and the Fitting split
+# read off factor_morphism (kernel, image, cokernel and coimage of f^N).  The
+# derived End bases, the batched table and the kernel-and-image split must
+# reproduce them exactly.
+# ---------------------------------------------------------------------------
+
+def oracle_endo_algebra(v):
+    import numpy as np
+
+    from obspers.decompose import EndoAlgebra
+    from obspers.stepmodule import compose, flatten_morphism, hom_basis
+
+    basis = hom_basis(v, v)
+    d = len(basis)
+    F = v.field
+    if d == 0:
+        return EndoAlgebra(v, [], np.zeros((0, 0, 0), dtype=np.int64),
+                           np.zeros((0, 0), dtype=np.int64))
+    mat = np.stack([flatten_morphism(b) for b in basis], axis=1)
+    prods = [flatten_morphism(compose(bi, bj)) for bi in basis for bj in basis]
+    coeffs = F.solve(mat, np.stack(prods, axis=1))
+    if coeffs is None:
+        raise RuntimeError("endomorphism composition left the basis span")
+    return EndoAlgebra(v, basis, coeffs.T.reshape(d, d, d), mat)
+
+
+def oracle_split_from_endo(v, f):
+    import numpy as np
+
+    from obspers.decompose import Split
+    from obspers.stepmodule import Morphism, factor_morphism
+
+    F = v.field
+    n = max(v.total_dim, 1)
+    fn = Morphism(f.source, f.target, {g: F.matpow(f.comps[g], n) for g in f.grid.points()})
+    fac = factor_morphism(fn)
+    ka = fac.kernel.total_dim
+    if ka == 0 or ka == v.total_dim:
+        return None
+    kernel, image = fac.kernel, fac.image
+    inc_a, inc_b = fac.kernel_inclusion, fac.image_inclusion
+    proj_a, proj_b = {}, {}
+    for g in v.grid.points():
+        kb = inc_a.comps[g]
+        full = np.concatenate([kb, inc_b.comps[g]], axis=1)
+        if full.shape[0] != full.shape[1] or not F.is_invertible(full):
+            return None
+        inv = F.inverse(full)
+        proj_a[g] = inv[:kb.shape[1], :]
+        proj_b[g] = inv[kb.shape[1]:, :]
+    return Split(kernel, image, inc_a, inc_b,
+                 Morphism(v, kernel, proj_a), Morphism(v, image, proj_b))
+
+
+def oracle_split_once(v, seed=0, budget=1 << 16):
+    from itertools import islice
+
+    import numpy as np
+
+    from obspers.decompose import _idempotent_in_chunk
+    from obspers.stepmodule import (coefficient_vectors, flatten_morphism,
+                                    identity_morphism, linear_combination)
+
+    F = v.field
+    algebra = oracle_endo_algebra(v)
+    d = algebra.dim
+    if d == 1:
+        return None
+    for b in algebra.basis:
+        s = oracle_split_from_endo(v, b)
+        if s is not None:
+            return s
+    rng = np.random.default_rng(seed)
+    for _ in range(8 + 4 * d):
+        f = linear_combination(algebra.basis, rng.integers(0, F.p, size=d), v, v)
+        s = oracle_split_from_endo(v, f)
+        if s is not None:
+            return s
+    cands = coefficient_vectors(F.p, d, budget, "End(V)")
+    id_c = F.solve(algebra.stack, flatten_morphism(identity_morphism(v)))[:, 0]
+    while chunk := list(islice(cands, 4096)):
+        e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), algebra.table, id_c, F.p)
+        if e is not None:
+            return oracle_split_from_endo(v, linear_combination(algebra.basis, e, v, v))
+    return None
+
+
+def oracle_decompose(v, seed=0, budget=1 << 16):
+    from obspers.decompose import Decomposition
+    from obspers.stepmodule import compose, identity_morphism
+
+    if v.total_dim == 0:
+        return Decomposition(v, [], [], [])
+    work = [(v, identity_morphism(v), identity_morphism(v))]
+    summands, incs, projs = [], [], []
+    counter = 0
+    while work:
+        m, inc, proj = work.pop()
+        if m.total_dim == 0:
+            continue
+        s = oracle_split_once(m, seed=seed + counter, budget=budget)
+        counter += 1
+        if s is None:
+            summands.append(m)
+            incs.append(inc)
+            projs.append(proj)
+            continue
+        work.append((s.a, compose(inc, s.inc_a), compose(s.proj_a, proj)))
+        work.append((s.b, compose(inc, s.inc_b), compose(s.proj_b, proj)))
+    order = sorted(range(len(summands)), key=lambda i: (-summands[i].total_dim, i))
+    return Decomposition(v, [summands[i] for i in order], [incs[i] for i in order],
+                         [projs[i] for i in order])

@@ -13,6 +13,7 @@ from obspers.metric import (_side, _stack, _triangle, candidate_set, decide,
                             rank_obstruction_at)
 from obspers.stepmodule import Grid
 
+from conftest import assert_same_morphism
 from oracles import oracle_decide, oracle_rank_obstruction_at, oracle_triangle
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
@@ -32,13 +33,6 @@ def pair(seed, p):
     F = PrimeField(p)
     return (library.random_module(F, rng, max_summands=2),
             library.random_module(F, rng, max_summands=2))
-
-
-def assert_same_morphism(fast, slow):
-    assert fast.source == slow.source and fast.target == slow.target
-    assert fast.comps.keys() == slow.comps.keys()
-    for g, m in slow.comps.items():
-        assert fast.comps[g].shape == m.shape and np.array_equal(fast.comps[g], m), g
 
 
 def assert_same_decision(v, w, eps):

@@ -14,7 +14,7 @@ from obspers.stepmodule import (Grid, coefficient_vectors, compose, direct_sum,
                                 identity_morphism, restrict_extend, validate,
                                 zero_module)
 
-from conftest import to_plain
+from conftest import doubled_m_lambda, to_plain
 from oracles import oracle_hom_count
 
 F2 = PrimeField(2)
@@ -147,6 +147,25 @@ def test_iso_budget_raises_instead_of_answering_no():
     assert iso_test(v, w) == (False, None)
     with pytest.raises(BudgetExceeded):
         iso_test(v, w, budget=1)
+
+
+def test_split_once_budget_raises_instead_of_answering_indecomposable():
+    v = doubled_m_lambda(5, 2)
+    assert not validate(v) and endo_algebra(v).dim == 2
+    assert split_once(v) is None  # certified by the exhaustive search
+    with pytest.raises(BudgetExceeded):
+        split_once(v, budget=1)
+
+
+def test_decompose_budget_reaches_derived_summands():
+    # the first split needs no search; the indecomposable summand's End is
+    # derived from End(v + box), not solved, and its search must still raise
+    v = doubled_m_lambda(5, 2)
+    w = direct_sum(v, library.box_interval(F5, v.grid, (0, 0), (1, 1)))
+    assert split_once(w, budget=1) is not None
+    assert len(decompose(w).summands) == 2
+    with pytest.raises(BudgetExceeded):
+        decompose(w, budget=1)
 
 
 def test_coefficient_vectors_lexicographic_within_budget():

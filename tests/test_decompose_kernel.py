@@ -1,0 +1,145 @@
+"""The derived End kernel of decompose: End bases derived from the parent
+piece's, the batched structure table and the kernel-and-image Fitting split,
+against the earlier per-piece code kept in tests/oracles.py, on random
+F_2/F_3/F_5 modules and on twisted box sums like the benchmark's.  The
+piece-by-piece checks come first: a broken split can keep decompose from
+terminating, and with -x they report it before the whole-decomposition
+checks run."""
+
+import functools
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from obspers import library
+from obspers.decompose import (_basis, _derived_rows, _rows, _split,
+                               _split_from_endo, _table, decompose, endo_algebra)
+from obspers.fields import PrimeField
+from obspers.stepmodule import (DEFAULT_BUDGET, direct_sum, hom_basis,
+                                linear_combination, validate, validate_morphism)
+
+from conftest import assert_same_morphism, doubled_m_lambda
+from oracles import (oracle_decompose, oracle_endo_algebra,
+                     oracle_split_from_endo)
+
+seeds = st.integers(min_value=0, max_value=10 ** 6)
+primes = st.sampled_from([2, 3, 5])
+
+
+def random_input(seed, p):
+    rng = np.random.default_rng(seed)
+    return library.random_module(PrimeField(p), rng, max_summands=3)
+
+
+def twisted_boxes(seed, p, n=6, summands=4):
+    """Twisted direct sum of box intervals with sides 2 to 3 on the n x n
+    integer grid, the shape of the benchmark's decompose inputs."""
+    rng = np.random.default_rng(seed)
+    F = PrimeField(p)
+    grid = library.integer_grid(n)
+    parts = []
+    for _ in range(summands):
+        w, h = (int(rng.integers(2, 4)) for _ in range(2))
+        x, y = int(rng.integers(0, n - w + 1)), int(rng.integers(0, n - h + 1))
+        parts.append(library.box_interval(F, grid, (x, y), (x + w - 1, y + h - 1)))
+    return library.twist_module(functools.reduce(direct_sum, parts), rng)
+
+
+def pieces(v, seed=0):
+    """Every module decompose splits or keeps, in its order, with the End
+    basis rows it uses there: solved for v, derived for every split piece."""
+    work = [(v, _rows(hom_basis(v, v)))]
+    counter = 0
+    while work:
+        m, rows = work.pop()
+        yield m, rows
+        s = _split(m, rows, seed + counter, DEFAULT_BUDGET)
+        counter += 1
+        if s is not None:
+            for part, inc, proj in ((s.a, s.inc_a, s.proj_a), (s.b, s.inc_b, s.proj_b)):
+                work.append((part, _derived_rows(part, m, rows, inc, proj)))
+
+
+def assert_same_decomposition(v):
+    fast, slow = decompose(v), oracle_decompose(v)
+    assert fast.summands == slow.summands
+    for a, b in zip(fast.inclusions + fast.projections, slow.inclusions + slow.projections):
+        assert_same_morphism(a, b)
+
+
+def assert_kernel_matches(v):
+    """Derived bases, batched tables and splits at every piece of v."""
+    for m, rows in pieces(v):
+        want = oracle_endo_algebra(m)
+        basis = _basis(m, rows)
+        assert len(basis) == want.dim
+        for got, exp in zip(basis, want.basis):
+            assert_same_morphism(got, exp)
+        table = _table(m, rows)
+        assert table.shape == want.table.shape and np.array_equal(table, want.table)
+        rng = np.random.default_rng(0)
+        combos = [linear_combination(basis, rng.integers(0, m.field.p, size=len(basis)), m, m)
+                  for _ in range(3)]
+        for f in basis + combos:
+            split = _split_from_endo(m, f)
+            assert split == oracle_split_from_endo(m, f)
+            if split is not None:
+                assert_sound(split, m.field.p)
+
+
+def assert_sound(split, p):
+    """Pieces and witnesses valid, with read-only reduced int64 matrices."""
+    for piece in (split.a, split.b):
+        assert validate(piece) == []
+    maps = (split.inc_a, split.inc_b, split.proj_a, split.proj_b)
+    for m in maps:
+        assert validate_morphism(m) == []
+    for mat in [s for piece in (split.a, split.b) for s in piece.steps.values()] + [
+            c for m in maps for c in m.comps.values()]:
+        assert not mat.flags.writeable and mat.dtype == np.int64 and mat.ndim == 2
+        assert mat.size == 0 or (mat.min() >= 0 and mat.max() < p)
+
+
+@settings(max_examples=20)
+@given(seeds, primes)
+def test_derived_bases_tables_and_splits_on_random_modules(seed, p):
+    assert_kernel_matches(random_input(seed, p))
+
+
+@settings(max_examples=10)
+@given(seeds, st.sampled_from([2, 3]))
+def test_derived_bases_tables_and_splits_on_twisted_boxes(seed, p):
+    assert_kernel_matches(twisted_boxes(seed, p))
+
+
+@settings(max_examples=25)
+@given(seeds, primes)
+def test_decompose_matches_oracle_on_random_modules(seed, p):
+    assert_same_decomposition(random_input(seed, p))
+
+
+@settings(max_examples=15)
+@given(seeds, st.sampled_from([2, 3]))
+def test_decompose_matches_oracle_on_twisted_boxes(seed, p):
+    assert_same_decomposition(twisted_boxes(seed, p))
+
+
+def test_endo_algebra_matches_compose_table():
+    f = library.constant_module(PrimeField(3), library.integer_grid(2))
+    for v in (f, direct_sum(f, f), twisted_boxes(1, 3)):
+        fast, slow = endo_algebra(v), oracle_endo_algebra(v)
+        assert fast.dim == slow.dim
+        for got, exp in zip(fast.basis, slow.basis):
+            assert_same_morphism(got, exp)
+        assert np.array_equal(fast.table, slow.table)
+        assert np.array_equal(fast.stack, slow.stack)
+
+
+def test_exhaustive_search_pieces_match_oracle():
+    # the doubled m_lambda is certified indecomposable only by the exhaustive
+    # search, on a derived End and its batched table
+    for p in (2, 5):
+        v = doubled_m_lambda(p, 1)
+        w = direct_sum(v, library.box_interval(PrimeField(p), v.grid, (1, 1), (2, 3)))
+        assert_same_decomposition(w)
+        assert_kernel_matches(w)

@@ -90,6 +90,13 @@ def test_restrict_extend_on_translated_grids_matches_oracle(seed, p, delta):
         assert_same_module(restrict_extend(v, target), oracle_restrict_extend(v, target))
 
 
+@given(seeds, primes)
+def test_restrict_extend_to_own_grid_is_the_module(seed, p):
+    v = module(seed, p)
+    assert restrict_extend(v, v.grid) is v
+    assert_same_module(v, oracle_restrict_extend(v, v.grid))
+
+
 @given(seeds, primes, target_grids, shifts)
 def test_eta_on_matches_oracle(seed, p, target, eps):
     v = module(seed, p)
