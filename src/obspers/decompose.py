@@ -6,27 +6,15 @@ idempotents in End(V) when the algebra is small enough; the exhaustive path is
 the certificate of indecomposability, random search alone never certifies
 absence.  All randomized steps take an explicit seed and default to 0.
 
-Derived endomorphism algebras.  decompose solves the naturality system once,
-for End(V).  A piece a split off a module m, with inclusion i: a -> m and
+Derived endomorphism algebras.  decompose computes a Hom basis once, for
+End(V).  A piece a split off a module m, with inclusion i: a -> m and
 projection q: m -> a (q o i = id_a), gets its End from End(m), one batched
-product q_g S_g i_g per grid point g, S_g the basis components at g:
-
-- b -> q o b o i maps End(m) onto End(a).  It is linear, and every phi in
-  End(a) is the image of the endomorphism i o phi o q of m, because
-  q o (i o phi o q) o i = phi.  So the q o b_j o i span End(a) for any basis
-  b_j of End(m).
-- They are reduced to the very basis hom_basis(a, a) returns.  That basis
-  holds, for each free column c of the reduced naturality system, the kernel
-  vector with a 1 at c and 0 at the other free columns; its other nonzero
-  entries lie at pivot columns before c, so its last nonzero entry is at c.
-  A nonzero kernel vector is the combination of these with its own entries
-  at the free columns as coefficients, so its last nonzero entry is the
-  largest free column where it is nonzero: the free columns are exactly the
-  last-nonzero positions of the kernel.  Row-reducing the flattened spanning
-  vectors with the columns reversed puts the pivots at these positions and
-  leaves each row 1 at its own pivot and 0 at the others, which is that
-  kernel vector.  Reversing the columns and the rows back gives hom_basis's
-  basis, element by element and in its order.
+product q_g S_g i_g per grid point g, S_g the basis components at g.  The
+map b -> q o b o i sends End(m) onto End(a): it is linear, and every phi in
+End(a) is the image of the endomorphism i o phi o q of m, because
+q o (i o phi o q) o i = phi.  So the q o b_j o i span End(a) for any basis
+b_j of End(m), and stepmodule.canonical_rows turns them into exactly the
+basis hom_basis(a, a) returns (its docstring has the argument).
 
 The structure table takes one batched product of the stacked basis with
 itself per grid point, and only the exhaustive idempotent search needs it.
@@ -38,9 +26,10 @@ from itertools import islice
 import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
-from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _combination_at,
-                         _freeze, coefficient_vectors, compose, flatten_morphism,
-                         hom_basis, identity_morphism, linear_combination,
+from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _blocks,
+                         _combination_at, _freeze, _morphisms, canonical_rows,
+                         coefficient_vectors, compose, flatten_morphism, hom_basis,
+                         hom_rows, identity_morphism, linear_combination,
                          union_grids)
 
 
@@ -60,29 +49,6 @@ class EndoAlgebra:
         return len(self.basis)
 
 
-def _rows(basis):
-    """The flattened basis elements as the rows of one read-only array."""
-    return _freeze(np.array([flatten_morphism(b) for b in basis], dtype=np.int64))
-
-
-def _blocks(v, rows):
-    """{grid point g: the components at g of the endomorphisms of v flattened
-    in rows, as one read-only (d, r, r) array}."""
-    out, pos = {}, 0
-    for g in v.grid.points():
-        r = v.dims[g]
-        out[g] = rows[:, pos:pos + r * r].reshape(len(rows), r, r)
-        pos += r * r
-    return out
-
-
-def _basis(v, rows):
-    """The endomorphisms of v flattened in rows, as Morphisms."""
-    blocks = _blocks(v, rows)
-    return [Morphism._trusted(v, v, {g: b[i] for g, b in blocks.items()})
-            for i in range(len(rows))]
-
-
 def _table(v, rows):
     """Structure constants of the basis flattened in rows: the products
     basis[i] o basis[j] for all i, j take one batched product per grid point,
@@ -90,7 +56,7 @@ def _table(v, rows):
     F = v.field
     d = len(rows)
     prods = [(b[:, None] @ b[None]).reshape(d * d, b.shape[1] ** 2) % F.p
-             for b in _blocks(v, rows).values()]
+             for b in _blocks(v, v, rows).values()]
     coeffs = F.solve(rows.T, np.concatenate(prods, axis=1).T)
     if coeffs is None:
         raise RuntimeError("endomorphism composition left the basis span")
@@ -98,12 +64,11 @@ def _table(v, rows):
 
 
 def endo_algebra(v):
-    basis = hom_basis(v, v)
-    if not basis:
+    rows = hom_rows(v, v)
+    if not len(rows):
         return EndoAlgebra(v, [], np.zeros((0, 0, 0), dtype=np.int64),
                            np.zeros((0, 0), dtype=np.int64))
-    rows = _rows(basis)
-    return EndoAlgebra(v, basis, _table(v, rows), rows.T)
+    return EndoAlgebra(v, _morphisms(v, v, rows), _table(v, rows), rows.T)
 
 
 def _derived_rows(a, m, rows, inc, proj):
@@ -113,9 +78,8 @@ def _derived_rows(a, m, rows, inc, proj):
     F = a.field
     d = len(rows)
     span = [((proj.comps[g] @ b) % F.p @ inc.comps[g]).reshape(d, a.dims[g] ** 2) % F.p
-            for g, b in _blocks(m, rows).items()]
-    rref, rank, _ = F.reduce(np.concatenate(span, axis=1)[:, ::-1])
-    return _freeze(np.ascontiguousarray(rref[:rank][::-1, ::-1]))
+            for g, b in _blocks(m, m, rows).items()]
+    return canonical_rows(F, np.concatenate(span, axis=1))
 
 
 @dataclass(frozen=True)
@@ -178,7 +142,7 @@ def split_once(v, seed=0, budget=DEFAULT_BUDGET):
     exhaustive enumeration when random Fitting finds nothing)."""
     if v.total_dim == 0:
         raise ValueError("split_once needs a nonzero module")
-    return _split(v, _rows(hom_basis(v, v)), seed, budget)
+    return _split(v, hom_rows(v, v), seed, budget)
 
 
 def _split(v, rows, seed, budget):
@@ -187,7 +151,7 @@ def _split(v, rows, seed, budget):
     d = len(rows)
     if d == 1:
         return None  # End = F_p, local
-    basis = _basis(v, rows)
+    basis = _morphisms(v, v, rows)
     # deterministic pass over the basis, then seeded random combinations
     for b in basis:
         s = _split_from_endo(v, b)
@@ -237,13 +201,13 @@ class Decomposition:
 
 
 def decompose(v, seed=0, budget=DEFAULT_BUDGET):
-    """Indecomposable summands of v with witnesses, largest first.  The
-    naturality system is solved once, for End(v); each split piece derives
-    its End from the End of the module it was split from."""
+    """Indecomposable summands of v with witnesses, largest first.  A Hom
+    basis is computed once, for End(v); each split piece derives its End
+    from the End of the module it was split from."""
     if v.total_dim == 0:
         return Decomposition(v, [], [], [])
     ident = identity_morphism(v)
-    work = [(v, ident, ident, _rows(hom_basis(v, v)))]
+    work = [(v, ident, ident, hom_rows(v, v))]
     summands, incs, projs = [], [], []
     counter = 0
     while work:

@@ -13,7 +13,9 @@ dimensions) is reported with an infinity marker used only for comparisons.
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from itertools import product
+from numbers import Rational
 
 import numpy as np
 
@@ -24,7 +26,31 @@ from .stepmodule import (DEFAULT_BUDGET, Morphism, _frac, anchor_map,
                          coefficient_vectors, hom_basis,
                          linear_combination, union_grids, validate_morphism)
 
-INF = float("inf")  # comparison sentinel only; never enters any arithmetic
+
+@total_ordering
+class _Infinity:
+    """The infinite distance: above every rational and equal only to itself.
+    It is only ever compared, never computed with, and serializes as "inf"."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "INF"
+
+    def __reduce__(self):
+        return "INF"  # copies and pickles are the one instance
+
+    def __hash__(self):
+        return hash("inf")
+
+    def __eq__(self, other):
+        return other is self
+
+    def __lt__(self, other):
+        return False if isinstance(other, (Rational, _Infinity)) else NotImplemented
+
+
+INF = _Infinity()
 
 
 @dataclass(frozen=True)

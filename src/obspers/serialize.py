@@ -21,7 +21,7 @@ FORMAT = "obspers/1"
 
 
 def fr_to_str(q):
-    if q == INF:
+    if q is INF:
         return "inf"
     return str(Fraction(q))
 
@@ -152,7 +152,7 @@ def bracket_to_json(b):
         "upper": fr_to_str(b.upper),
         "exact": b.exact,
         "witness": None if b.witness is None else interleaving_to_json(b.witness),
-        "certificates": {k: (fr_to_str(v) if isinstance(v, (Fraction, float)) else v)
+        "certificates": {k: fr_to_str(v) if v is INF or isinstance(v, Fraction) else v
                          for k, v in b.certificates.items()
                          if v is not None},
     }

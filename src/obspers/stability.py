@@ -17,7 +17,7 @@ from .calculus import (anchored_morphism, compose_matched, discretize, eta,
                        restrict_morphism, shift, union_grids)
 from .decompose import decompose, split_once
 from .errors import ValidationError
-from .metric import INF, distance_bracket, rank_lower_bound, verify
+from .metric import distance_bracket, rank_lower_bound, verify
 from .library import constant_module, single_cell_module
 from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _frac,
                          anchor_map, direct_sum, identity_morphism, validate)
@@ -270,7 +270,7 @@ def perturbation_experiment(v, trials=20, seed=0, c=6, budget=DEFAULT_BUDGET):
         else:
             # no constructed witness: fall back on the bracket
             lb = rank_lower_bound(v, w)
-            if lb is not INF and lb < mu:
+            if lb < mu:
                 br = distance_bracket(v, w, budget=budget)
                 upper_ok = br.witness is not None and br.upper < mu
             else:

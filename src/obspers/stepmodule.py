@@ -25,13 +25,24 @@ StepModule._trusted / Morphism._trusted, which skip the reduction and copy of
 the public constructors; arrays are therefore shared between modules and must
 never be written to.  The public constructors keep validating, reducing and
 copying their input.
+
+Hom through generators.  hom_basis never solves the dense naturality system,
+whose sum over points of dim v_g * dim w_g unknowns made it the largest cost
+of every decomposition, isomorphism and interleaving search.  A natural map
+v -> w is fixed by where it sends generators of v, and on a finite grid v_g
+is spanned by the generators moved up to g, so the unknowns are the images
+of the generators in w at their grades and the constraints say that every
+relation among generators moved to g maps to 0 in w_g (hom_rows has the
+details and the argument).  canonical_rows then gives the solutions exactly
+the form the dense system's kernel basis had, whatever generators were
+picked.
 """
 
 import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -514,16 +525,6 @@ def flatten_morphism(m):
     return np.concatenate(parts)
 
 
-def unflatten_morphism(v, w, vec):
-    comps = {}
-    pos = 0
-    for g in v.grid.points():
-        r, c = w.dims[g], v.dims[g]
-        comps[g] = np.array(vec[pos:pos + r * c], dtype=np.int64).reshape(r, c)
-        pos += r * c
-    return Morphism(v, w, comps)
-
-
 def _combination_at(basis, coeffs, g, shape, p):
     """The component at g of sum_i coeffs[i] * basis[i], a fresh array of the
     given shape."""
@@ -558,12 +559,86 @@ def coefficient_vectors(p, h, budget, what):
     return product(range(p), repeat=h)
 
 
-def hom_basis(v, w):
-    """A basis of Hom(v, w) as a list of Morphisms.
+def canonical_rows(F, span):
+    """The canonical basis of the row space of span: the rows reduced with
+    the columns reversed, then both reversed back.  It depends only on the
+    space spanned, never on the spanning set, and it is the basis hom_basis
+    returns when span's rows are morphisms flattened by flatten_morphism.
 
-    Both modules must live on the same grid (refine first).  The basis spans
-    the exact solution space of all naturality equations; it always contains
-    the identity in its span when w = v.
+    The canonical basis of a subspace of F_p^N is the kernel basis that
+    elimination reads off any linear system whose solutions are the
+    subspace: for each free column c of the reduced system, the solution
+    with a 1 at c and 0 at the other free columns (F.kernel_basis).  Its
+    other nonzero entries lie at pivot columns before c, so its last nonzero
+    entry is at c.  A nonzero solution is the combination of these with its
+    own entries at the free columns as coefficients, so its last nonzero
+    entry is the largest free column where it is nonzero: the free columns
+    are exactly the last-nonzero positions of the subspace, which the
+    subspace alone fixes.  Reducing any spanning set with the columns
+    reversed puts the pivots at these positions and leaves each row 1 at
+    its own pivot and 0 at the others, which is that solution.  Reversing
+    the columns and the rows back gives the basis element by element, in
+    order of its free columns.
+    """
+    rref, rank, _ = F.reduce(span[:, ::-1])
+    return _freeze(np.ascontiguousarray(rref[:rank][::-1, ::-1]))
+
+
+def _blocks(v, w, rows):
+    """{grid point g: the components at g of the morphisms v -> w flattened
+    in rows, as one (d, w_g, v_g) array of views into rows}."""
+    out, pos = {}, 0
+    for g in v.grid.points():
+        r, c = w.dims[g], v.dims[g]
+        out[g] = rows[:, pos:pos + r * c].reshape(len(rows), r, c)
+        pos += r * c
+    return out
+
+
+def _morphisms(v, w, rows):
+    """The morphisms v -> w flattened in rows, which must be read-only."""
+    blocks = _blocks(v, w, rows)
+    return [Morphism._trusted(v, w, {g: b[i] for g, b in blocks.items()})
+            for i in range(len(rows))]
+
+
+def hom_rows(v, w):
+    """hom_basis(v, w) in coordinates: one read-only row per basis element,
+    its components flattened as flatten_morphism does.
+
+    Generators.  Points are visited in lexicographic order, so the
+    predecessors g - e_a of a point g come before it.  Each point keeps a
+    basis of v_g made of generators moved up to g.  At g, each generator
+    kept at a predecessor is moved in from the first predecessor that keeps
+    it, by that predecessor's unit step, as one product per predecessor;
+    these are the columns of T_in.  One reduction of [T_in | I] gives three
+    things: the pivots in the identity block are g's new generators, which
+    complete the image of the incoming steps to v_g; the part over T_in
+    gives ker T_in; and, as the pivot columns of T_in and the new generators
+    are the basis g keeps, the part over I is its inverse S_g.
+
+    Unknowns.  A morphism phi is fixed by phi(x) in w at the grade of each
+    generator x: sum over generators of dim w(grade) unknowns.  They are
+    moved along w exactly as the generators are moved along v, so the
+    images Phi_in of the incoming generators are linear in the unknowns.
+    At every g, also where v_g = 0, ker T_in must map to 0 under Phi_in: one
+    block of dim w_g rows per kernel vector.  As each point keeps only a
+    basis, kernel vectors appear only where a step into g is not injective
+    or the images of two steps meet.
+
+    Exactness.  On a finite grid every element of v_g is a combination of
+    generators moved to g, so the generators g keeps are a basis of v_g and
+    phi_g = Phi_g S_g is the only candidate, Phi_g the images of the kept
+    generators.  Conversely, let the unknowns meet every constraint.  A
+    generator moved to g that g does not keep equals there a combination of
+    the kept ones, and the constraint at g sends its image to the same
+    combination of theirs; so phi_g sends every generator moved to g to its
+    image.  Along a step g -> h, v's step sends each generator kept at g to
+    that generator moved to h, which phi_h sends to its image at h: w's
+    step applied to its image at g, as w commutes.  The kept generators span
+    v_g, so phi_h o v's step = w's step o phi_g, and phi is natural.  The
+    solutions are turned into components, phi_g = Phi_g S_g at every g in
+    one batched product each, and put in canonical form by canonical_rows.
     """
     if v.grid != w.grid:
         raise ValidationError("hom_basis needs a common grid; refine first")
@@ -571,38 +646,98 @@ def hom_basis(v, w):
         raise ValidationError("field mismatch")
     F = v.field
     pts = v.grid.points()
-    offsets = {}
-    total = 0
+    width = sum(v.dims[g] * w.dims[g] for g in pts)
+    start, size = [], []  # per generator: its first unknown and dim w(grade)
+    eyes, eqs, n_unknowns = {}, [], 0
+    # per point: the generators kept, their coordinates T_g in v_g, the
+    # images of their unknowns in w_g (one column per unknown) and S_g
+    at = {}
+
+    def unknowns(ids):
+        return [c for i in ids for c in range(start[i], start[i] + size[i])]
+
+    def columns(ids, keep):
+        """Positions of the unknowns of ids[k], k in keep, among those of ids."""
+        ends = list(accumulate((size[i] for i in ids), initial=0))
+        return [c for k in keep for c in range(ends[k], ends[k + 1])]
+
+    nothing = ([], None, None, None)
     for g in pts:
-        offsets[g] = total
-        total += w.dims[g] * v.dims[g]
-    if total == 0:
-        return []
-    rows = []
-    for g in pts:
-        for axis in range(v.grid.n_axes):
-            h = v.grid.successor(g, axis)
-            if h is None:
+        dv, dw = v.dims[g], w.dims[g]
+        ids, ts, ps = [], [], []
+        for a in range(len(g)):
+            if g[a] == 0:
                 continue
-            A = v.steps[(g, axis)]
-            B = w.steps[(g, axis)]
-            n_eq = w.dims[h] * v.dims[g]
-            if n_eq == 0:
-                continue
-            block = F.zeros(n_eq, total)
-            # row-major vec: vec(X_h A) = (I kron A^T) vec(X_h)
-            kh = np.kron(F.identity(w.dims[h]), A.T)
-            block[:, offsets[h]:offsets[h] + w.dims[h] * v.dims[h]] = kh
-            kg = np.kron(B, F.identity(v.dims[g]))
-            block[:, offsets[g]:offsets[g] + w.dims[g] * v.dims[g]] = \
-                (block[:, offsets[g]:offsets[g] + w.dims[g] * v.dims[g]] - kg) % F.p
-            rows.append(block)
-    if rows:
-        system = np.concatenate(rows, axis=0) % F.p
-    else:
-        system = F.zeros(0, total)
-    basis = F.kernel_basis(system)
-    return [unflatten_morphism(v, w, basis[:, j]) for j in range(basis.shape[1])]
+            q = g[:a] + (g[a] - 1,) + g[a + 1:]
+            q_ids, q_t, q_p, _ = at[q]
+            if ids and q_ids:
+                seen = set(ids)
+                take = [k for k, i in enumerate(q_ids) if i not in seen]
+                if len(take) < len(q_ids):
+                    q_t, q_p = q_t[:, take], q_p[:, columns(q_ids, take)]
+                    q_ids = [q_ids[k] for k in take]
+            if q_ids:
+                ids += q_ids
+                ts.append(F.matmul(v.steps[(q, a)], q_t))
+                ps.append(F.matmul(w.steps[(q, a)], q_p))
+        if not ids and not dv:
+            at[g] = nothing
+            continue
+        n_in = len(ids)
+        eye = _shared(eyes, dv, F.identity)
+        t_in = np.concatenate(ts, axis=1) if ts else F.zeros(dv, 0)
+        if ids:
+            rref, _, pivots = F.reduce(np.concatenate([t_in, eye], axis=1))
+        else:
+            rref, pivots = eye, list(range(dv))
+        kept = pivots[:sum(c < n_in for c in pivots)]
+        new = [c - n_in for c in pivots[len(kept):]]
+        free = [k for k in range(n_in) if k not in kept]
+        p_in = np.concatenate(ps, axis=1) if ps else F.zeros(dw, 0)
+        if free and p_in.size:
+            ker = F.zeros(n_in, len(free))
+            ker[free, range(len(free))] = 1
+            ker[kept] = -rref[:len(kept), free] % F.p
+            seg = np.repeat(np.arange(n_in), [size[i] for i in ids])
+            block = ker.T[:, seg][:, None, :] * p_in[None]
+            eqs.append((unknowns(ids), block.reshape(-1, p_in.shape[1]) % F.p))
+        for _ in new:
+            start.append(n_unknowns)
+            size.append(dw)
+            n_unknowns += dw
+        at[g] = ([ids[k] for k in kept] + list(range(len(size) - len(new), len(size))),
+                 np.concatenate([t_in[:, kept], eye[:, new]], axis=1),
+                 np.concatenate([p_in[:, columns(ids, kept)]]
+                                + [_shared(eyes, dw, F.identity)] * len(new), axis=1),
+                 rref[:, n_in:])
+    system, pos = F.zeros(sum(len(rows) for _, rows in eqs), n_unknowns), 0
+    for cols, rows in eqs:
+        system[pos:pos + len(rows), cols] = rows
+        pos += len(rows)
+    sol = F.kernel_basis(system)
+    h = sol.shape[1]
+    if h == 0:
+        return _freeze(F.zeros(0, width))
+    comps = []
+    for g, (ids, _, p_g, s_g) in at.items():
+        if not ids:
+            comps.append(F.zeros(h, v.dims[g] * w.dims[g]))
+            continue
+        seg = np.repeat(np.arange(len(ids)), [size[i] for i in ids])
+        part = (p_g[None] * sol[unknowns(ids)].T[:, None, :]) @ s_g[seg]
+        comps.append(part.reshape(h, -1) % F.p)
+    return canonical_rows(F, np.concatenate(comps, axis=1))
+
+
+def hom_basis(v, w):
+    """A basis of Hom(v, w) as a list of Morphisms, in canonical form (see
+    canonical_rows), computed from generators of v (see hom_rows).
+
+    Both modules must live on the same grid (refine first).  The basis spans
+    the exact solution space of all naturality equations; it always contains
+    the identity in its span when w = v.
+    """
+    return _morphisms(v, w, hom_rows(v, w))
 
 
 # ---------------------------------------------------------------------------

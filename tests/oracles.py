@@ -1,13 +1,13 @@
 """Independent oracles used by the test suite.
 
-Everything in this file except the last two sections is deliberately written
+Everything in this file except the last four sections is deliberately written
 against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-three sections keep earlier code of the package itself as the reference for
+four sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element decide
-kernel, and the per-piece decomposition.
+kernel, the dense Hom solver and the per-piece decomposition.
 """
 
 from fractions import Fraction
@@ -116,13 +116,11 @@ def _succ(idx, axis, shape):
     return idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
 
 
-def _matmul(a, b, p):
-    if not a or not b:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return [[0] * cols for _ in range(rows)]
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)] for i in range(n)]
+def _matmul(a, b, p, cols):
+    """a @ b mod p with cols columns: lists lose the column count of an empty
+    b, so it is passed in."""
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) % p for j in range(cols)]
+            for i in range(len(a))]
 
 
 def oracle_hom_count(mod_v, mod_w):
@@ -149,8 +147,8 @@ def oracle_hom_count(mod_v, mod_w):
                 h = _succ(g, axis, shape)
                 if h is None:
                     continue
-                lhs = _matmul(comps[h], mod_v["steps"][(g, axis)], p)
-                rhs = _matmul(mod_w["steps"][(g, axis)], comps[g], p)
+                lhs = _matmul(comps[h], mod_v["steps"][(g, axis)], p, mod_v["dims"][g])
+                rhs = _matmul(mod_w["steps"][(g, axis)], comps[g], p, mod_v["dims"][g])
                 if lhs != rhs:
                     ok = False
                     break
@@ -399,6 +397,56 @@ def oracle_decide(v, w, eps, budget):
 
 
 # ---------------------------------------------------------------------------
+# The package's earlier Hom solver: the dense naturality system, with
+# sum_g dim v_g * dim w_g unknowns and two Kronecker blocks per grid edge,
+# solved by kernel_basis.  hom_basis, computed from generators, must return
+# its basis element by element.
+# ---------------------------------------------------------------------------
+
+def oracle_hom_basis(v, w):
+    import numpy as np
+
+    from obspers.stepmodule import Morphism
+
+    F = v.field
+    pts = v.grid.points()
+    offsets, total = {}, 0
+    for g in pts:
+        offsets[g] = total
+        total += w.dims[g] * v.dims[g]
+    if total == 0:
+        return []
+    rows = []
+    for g in pts:
+        for axis in range(v.grid.n_axes):
+            h = v.grid.successor(g, axis)
+            if h is None:
+                continue
+            A, B = v.steps[(g, axis)], w.steps[(g, axis)]
+            n_eq = w.dims[h] * v.dims[g]
+            if n_eq == 0:
+                continue
+            block = F.zeros(n_eq, total)
+            # row-major vec: vec(X_h A) = (I kron A^T) vec(X_h)
+            block[:, offsets[h]:offsets[h] + w.dims[h] * v.dims[h]] = \
+                np.kron(F.identity(w.dims[h]), A.T)
+            at_g = slice(offsets[g], offsets[g] + w.dims[g] * v.dims[g])
+            block[:, at_g] = (block[:, at_g] - np.kron(B, F.identity(v.dims[g]))) % F.p
+            rows.append(block)
+    system = np.concatenate(rows, axis=0) % F.p if rows else F.zeros(0, total)
+    basis = F.kernel_basis(system)
+    out = []
+    for j in range(basis.shape[1]):
+        comps, pos = {}, 0
+        for g in pts:
+            r, c = w.dims[g], v.dims[g]
+            comps[g] = basis[pos:pos + r * c, j].reshape(r, c)
+            pos += r * c
+        out.append(Morphism(v, w, comps))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The package's earlier decomposition: hom_basis solved again on every split
 # piece, the structure table from d^2 compose calls, and the Fitting split
 # read off factor_morphism (kernel, image, cokernel and coimage of f^N).  The
@@ -410,9 +458,9 @@ def oracle_endo_algebra(v):
     import numpy as np
 
     from obspers.decompose import EndoAlgebra
-    from obspers.stepmodule import compose, flatten_morphism, hom_basis
+    from obspers.stepmodule import compose, flatten_morphism
 
-    basis = hom_basis(v, v)
+    basis = oracle_hom_basis(v, v)
     d = len(basis)
     F = v.field
     if d == 0:

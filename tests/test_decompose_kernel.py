@@ -12,10 +12,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from obspers import library
-from obspers.decompose import (_basis, _derived_rows, _rows, _split,
-                               _split_from_endo, _table, decompose, endo_algebra)
+from obspers.decompose import (_derived_rows, _split, _split_from_endo, _table,
+                               decompose, endo_algebra)
 from obspers.fields import PrimeField
-from obspers.stepmodule import (DEFAULT_BUDGET, direct_sum, hom_basis,
+from obspers.stepmodule import (DEFAULT_BUDGET, _morphisms, direct_sum, hom_rows,
                                 linear_combination, validate, validate_morphism)
 
 from conftest import assert_same_morphism, doubled_m_lambda
@@ -48,7 +48,7 @@ def twisted_boxes(seed, p, n=6, summands=4):
 def pieces(v, seed=0):
     """Every module decompose splits or keeps, in its order, with the End
     basis rows it uses there: solved for v, derived for every split piece."""
-    work = [(v, _rows(hom_basis(v, v)))]
+    work = [(v, hom_rows(v, v))]
     counter = 0
     while work:
         m, rows = work.pop()
@@ -71,7 +71,7 @@ def assert_kernel_matches(v):
     """Derived bases, batched tables and splits at every piece of v."""
     for m, rows in pieces(v):
         want = oracle_endo_algebra(m)
-        basis = _basis(m, rows)
+        basis = _morphisms(m, m, rows)
         assert len(basis) == want.dim
         for got, exp in zip(basis, want.basis):
             assert_same_morphism(got, exp)

@@ -1,11 +1,15 @@
-"""Source hygiene: every name a module of the package imports is used there."""
+"""Source hygiene: every name a module of the package imports is used there,
+no float enters the source, and every function the benchmark's tracer wraps
+still exists where the tracer looks for it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import obspers
 
 SRC = Path(obspers.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def unused_imports(path):
@@ -30,3 +34,40 @@ def test_no_unused_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for hit in unused_imports(path)]
     assert found == []
+
+
+def float_uses(path):
+    """The name float and every float or complex literal in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "float")
+            or (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))]
+
+
+def test_no_float_in_the_source():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in float_uses(path)]
+    assert found == []
+
+
+def traced_functions():
+    """TRACED from the tracer's source, read as a literal, never imported."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED list in the tracer")
+
+
+def test_every_traced_function_exists():
+    # the tracer looks each attribute up in vars(owner) and fails on a
+    # missing name, so a moved or deleted function would break a traced run
+    missing = []
+    for _, _, owner, attr in traced_functions():
+        module, _, cls = owner.partition(":")
+        obj = importlib.import_module(module)
+        if cls:
+            obj = getattr(obj, cls)
+        if attr not in vars(obj):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []

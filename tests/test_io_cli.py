@@ -105,8 +105,23 @@ def test_fraction_markers():
     assert serialize.fr_to_str(Fraction(3, 4)) == "3/4"
     assert serialize.fr_to_str(Fraction(2)) == "2"
     assert serialize.fr_from_str("3/4") == Fraction(3, 4)
-    assert serialize.fr_from_str("inf") == INF
+    assert serialize.fr_from_str("inf") is INF
     assert serialize.fr_to_str(INF) == "inf"
+
+
+def test_inf_is_an_ordered_singleton():
+    import copy
+    import pickle
+
+    q = Fraction(10 ** 9, 7)
+    assert not isinstance(INF, float)
+    assert q < INF and INF > q and q <= INF and INF >= q and 0 < INF
+    assert not (INF < q or q > INF or INF <= q or q >= INF or INF < INF)
+    assert INF <= INF and INF >= INF and INF == INF and INF != q and q != INF
+    assert max(Fraction(1), INF, q) is INF and sorted([INF, q]) == [q, INF]
+    assert {INF: 1}[copy.deepcopy(INF)] == 1 and pickle.loads(pickle.dumps(INF)) is INF
+    with pytest.raises(TypeError):
+        INF < "1"
 
 
 def test_bad_documents_rejected(tmp_path):
