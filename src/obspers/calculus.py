@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, anchor_map,
-                         compose, factor_morphism, matrices_equal, restrict_extend,
-                         union_grids)
+                         compose, ensure_valid, factor_morphism, matrices_equal,
+                         restrict_extend, same_axes, union_grids)
 
 # restrict_extend is re-exported from here because refinement and
 # discretization conceptually belong to the calculus layer.
@@ -36,6 +36,7 @@ def refine(v, grid):
     identically to v at every rational point, and steps inside old cells are
     identities.
     """
+    same_axes(v.grid, grid)
     for a in range(v.grid.n_axes):
         if not set(v.grid.axes[a]) <= set(grid.axes[a]):
             raise ValidationError(f"axis {a}: grid does not refine the module's grid")
@@ -156,13 +157,13 @@ class SmoothResult:
 
 
 def smooth(v, eps):
+    """The eps-smoothing S = im(eta_eps) of v with its interleaving witnesses
+    (SmoothResult).  v must pass validate: eta is natural only on a
+    commuting module, so anything else raises ValidationError."""
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("smooth needs eps >= 0")
-    m = eta(v, eps)
-    fac = factor_morphism(m)
-    s = fac.image
-    g = fac.image_inclusion  # S -> V[eps] as extensions
+    s, g = factor_morphism(eta(ensure_valid(v), eps))  # g: S -> V[eps] as extensions
     big = s.grid
     # ambient anchor of S's value at each index tg, the image of the step from tg
     ambient = v.grid.anchors_on(big, eps)
@@ -172,7 +173,7 @@ def smooth(v, eps):
         if s.dims[tg] == 0:
             return None
         vec = anchor_map(v, av, ambient[tg], memo)
-        x = v.field.solve(fac.image_inclusion.comps[tg], vec)
+        x = v.field.solve(g.comps[tg], vec)
         if x is None:
             raise ValidationError("smoothing component left the image subspace")
         return x

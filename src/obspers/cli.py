@@ -17,8 +17,8 @@ from .decompose import decompose as run_decompose, iso_test
 from .errors import BudgetExceeded, ValidationError
 from .limits import CauchyChain, cauchy_limit
 from .serialize import (FORMAT, dumps, fr_from_str, fr_to_str, load_any,
-                        read_json, write_json)
-from .stepmodule import (DEFAULT_BUDGET, Grid, direct_sum, validate,
+                        write_json)
+from .stepmodule import (DEFAULT_BUDGET, Grid, direct_sum, ensure_valid,
                          validate_morphism)
 
 DEFAULTS = {"field_p": 2, "seed": 0, "budget": DEFAULT_BUDGET, "out": None}
@@ -37,7 +37,7 @@ def _load_module(path):
     kind, value = load_any(path)
     if kind != "module":
         raise ValidationError(f"{path}: expected a module, found {kind}")
-    return value
+    return ensure_valid(value)
 
 
 def _out_dir(ns):
@@ -76,9 +76,7 @@ def _int_list(s):
 def cmd_validate(ns):
     kind, value = load_any(ns.file)
     if kind == "module":
-        violations = validate(value)
-        if violations:
-            raise ValidationError("; ".join(violations))
+        ensure_valid(value)
     elif kind == "morphism":
         violations = validate_morphism(value)
         if violations:
@@ -204,9 +202,9 @@ def cmd_distance(ns):
 
 
 def cmd_limit(ns):
-    doc = read_json(ns.chain)
-    if doc.get("kind") != "chain":
-        raise ValidationError(f"{ns.chain}: expected a chain manifest")
+    kind, doc = load_any(ns.chain)
+    if kind != "chain":
+        raise ValidationError(f"{ns.chain}: expected a chain manifest, found {kind}")
     base = os.path.dirname(os.path.abspath(ns.chain))
     terms = tuple(_load_module(os.path.join(base, p)) for p in doc["terms"])
     links = []

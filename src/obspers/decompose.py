@@ -27,10 +27,10 @@ import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
 from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _blocks,
-                         _combination_at, _freeze, _morphisms, canonical_rows,
-                         coefficient_vectors, compose, flatten_morphism, hom_basis,
-                         hom_rows, identity_morphism, linear_combination,
-                         union_grids)
+                         _combination_at, _freeze, _morphisms, _submodule,
+                         canonical_rows, coefficient_vectors, compose,
+                         flatten_morphism, hom_basis, hom_rows, identity_morphism,
+                         linear_combination, union_grids)
 
 
 @dataclass(frozen=True)
@@ -96,26 +96,12 @@ class Split:
     proj_b: Morphism
 
 
-def _piece(v, basis, proj):
-    """The submodule of v spanned by basis[g] at each point g, where proj[g]
-    holds the coordinates in basis[g]: each step is proj[h] @ step @ basis[g],
-    h the step's end."""
-    F = v.field
-    steps = {}
-    for g in v.grid.points():
-        for axis in range(v.grid.n_axes):
-            h = v.grid.successor(g, axis)
-            if h is not None:
-                steps[(g, axis)] = _freeze(F.matmul(proj[h], F.matmul(v.steps[(g, axis)],
-                                                                      basis[g])))
-    return StepModule._trusted(F, v.grid, {g: b.shape[1] for g, b in basis.items()}, steps)
-
-
 def _split_from_endo(v, f):
     """Fitting split along the stabilized endomorphism f^N, if nontrivial:
-    a = ker f^N and b = im f^N, with the bases factor_morphism chooses.  At
-    each point [ker | im] is a basis, and the rows of its inverse are the
-    coordinates in it, which give both projections and the pieces' steps."""
+    a = ker f^N and b = im f^N, with the kernel basis elimination reads off
+    and the pivot columns of f^N.  At each point [ker | im] is a basis, and
+    the rows of its inverse are the coordinates in it, which give both
+    projections and the pieces' steps (stepmodule._submodule)."""
     F = v.field
     n = max(v.total_dim, 1)
     fn = {g: F.matpow(f.comps[g], n) for g in v.grid.points()}
@@ -131,7 +117,7 @@ def _split_from_endo(v, f):
             return None  # f^N not yet stabilized into a direct sum; try another f
         k = kernel[g].shape[1]
         proj_a[g], proj_b[g] = _freeze(inv[:k]), _freeze(inv[k:])
-    a, b = _piece(v, kernel, proj_a), _piece(v, image, proj_b)
+    a, b = _submodule(v, kernel, proj_a), _submodule(v, image, proj_b)
     return Split(a, b, Morphism._trusted(a, v, kernel), Morphism._trusted(b, v, image),
                  Morphism._trusted(v, a, proj_a), Morphism._trusted(v, b, proj_b))
 

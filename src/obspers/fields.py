@@ -160,16 +160,6 @@ class PrimeField:
         _, _, pivots = self.reduce(m)
         return m[:, pivots].copy()
 
-    def extend_to_basis(self, s, n):
-        """Columns from the identity completing the columns of s (assumed
-        independent, living in F_p^n) to a basis of F_p^n."""
-        if s.shape[1] == 0:
-            return self.identity(n)
-        combined = np.concatenate([s, self.identity(n)], axis=1)
-        _, _, pivots = self.reduce(combined)
-        extra = [c - s.shape[1] for c in pivots if c >= s.shape[1]]
-        return self.identity(n)[:, extra]
-
     def is_invertible(self, m):
         return m.shape[0] == m.shape[1] and self.rank(m) == m.shape[0]
 

@@ -89,13 +89,17 @@ def module_from_json(doc):
     steps = {}
     for entry in doc["steps"]:
         g = tuple(int(i) for i in entry["at"])
+        axis = int(entry["axis"])
         mat = np.array(entry["matrix"], dtype=np.int64)
-        succ = grid.successor(g, int(entry["axis"]))
+        if not 0 <= axis < grid.n_axes:
+            raise ValidationError(f"step at {g} names axis {axis} of a "
+                                  f"{grid.n_axes}-axis grid")
+        succ = grid.successor(g, axis)
         if succ is None:
-            raise ValidationError(f"step at {g} axis {entry['axis']} leaves the grid")
+            raise ValidationError(f"step at {g} axis {axis} leaves the grid")
         if mat.size == 0:
             mat = mat.reshape(dims.get(succ, 0), dims.get(g, 0))
-        steps[(g, int(entry["axis"]))] = mat
+        steps[(g, axis)] = mat
     return StepModule(F, grid, dims, steps)
 
 
@@ -231,22 +235,39 @@ def chain_manifest_to_json(term_paths, link_paths):
     }
 
 
+def chain_from_json(doc):
+    """A chain manifest: the document itself, once its terms and links are
+    checked to be lists of relative paths."""
+    _expect_kind(doc, "chain")
+    for key in ("terms", "links"):
+        if not isinstance(doc[key], list) or not all(isinstance(p, str) for p in doc[key]):
+            raise ValidationError(f"chain {key} must be a list of paths")
+    return doc
+
+
+_DECODERS = {
+    "module": module_from_json,
+    "morphism": morphism_from_json,
+    "interleaving": interleaving_from_json,
+    "complex": complex_from_json,
+    "metric-space": metric_from_json,
+    "bifiltration": bifiltration_from_json,
+    "chain": chain_from_json,
+}
+
+
 def load_any(path):
-    """Load a document by its kind tag; returns (kind, value)."""
+    """Load a document by its kind tag; returns (kind, value).  A document
+    that does not decode raises ValidationError naming the path."""
     doc = read_json(path)
     kind = doc.get("kind")
-    if kind == "module":
-        return kind, module_from_json(doc)
-    if kind == "morphism":
-        return kind, morphism_from_json(doc)
-    if kind == "interleaving":
-        return kind, interleaving_from_json(doc)
-    if kind == "complex":
-        return kind, complex_from_json(doc)
-    if kind == "metric-space":
-        return kind, metric_from_json(doc)
-    if kind == "bifiltration":
-        return kind, bifiltration_from_json(doc)
-    if kind == "chain":
-        return kind, doc
-    raise ValidationError(f"{path}: unknown kind {kind!r}")
+    decode = _DECODERS.get(kind) if isinstance(kind, str) else None
+    if decode is None:
+        raise ValidationError(f"{path}: unknown kind {kind!r}")
+    try:
+        return kind, decode(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed {kind} document "
+                              f"({type(exc).__name__}: {exc})") from exc

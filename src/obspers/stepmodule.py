@@ -40,7 +40,7 @@ picked.
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -122,6 +122,7 @@ class Grid:
         coordinate + delta (None below the minimum): one bisect per axis
         coordinate of grid, on integers scaled by the axis pair's common
         denominator, so the comparisons stay exact."""
+        same_axes(self, grid)
         d = _frac(delta)
         out = []
         for mine, theirs in zip(self.axes, grid.axes):
@@ -152,12 +153,16 @@ class Grid:
         return tuple(axis[-1] for axis in self.axes)
 
 
-def union_grids(*grids):
-    n = grids[0].n_axes
-    if any(g.n_axes != n for g in grids):
+def same_axes(*grids):
+    """Raise ValidationError unless the grids have one number of axes."""
+    if len({g.n_axes for g in grids}) > 1:
         raise ValidationError("grids have different numbers of axes")
+
+
+def union_grids(*grids):
+    same_axes(*grids)
     axes = []
-    for a in range(n):
+    for a in range(grids[0].n_axes):
         coords = set()
         for g in grids:
             coords.update(g.axes[a])
@@ -320,6 +325,15 @@ def validate(v):
                     out.append(f"square at {g} axes ({i},{j}) does not commute")
                     return out
     return out
+
+
+def ensure_valid(v):
+    """v itself when validate finds nothing, else ValidationError naming
+    every violation found."""
+    violations = validate(v)
+    if violations:
+        raise ValidationError("; ".join(violations))
+    return v
 
 
 def anchor_map(v, a, b, memo):
@@ -499,21 +513,6 @@ def compose(m2, m1):
 def add_morphisms(m1, m2):
     comps = {g: m1.field.matadd(m1.comps[g], m2.comps[g]) for g in m1.grid.points()}
     return Morphism(m1.source, m1.target, comps)
-
-
-def scale_morphism(c, m):
-    comps = {g: m.field.matscale(c, m.comps[g]) for g in m.grid.points()}
-    return Morphism(m.source, m.target, comps)
-
-
-def is_isomorphism(m):
-    return (not validate_morphism(m)) and all(
-        m.field.is_invertible(m.comps[g]) for g in m.grid.points())
-
-
-def invert_morphism(m):
-    comps = {g: m.field.inverse(m.comps[g]) for g in m.grid.points()}
-    return Morphism(m.target, m.source, comps)
 
 
 def flatten_morphism(m):
@@ -741,79 +740,46 @@ def hom_basis(v, w):
 
 
 # ---------------------------------------------------------------------------
-# Kernel / image / cokernel of a morphism
+# Submodules and the image of a morphism
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
-    """Pointwise kernel, image and cokernel of a morphism, with the canonical
-    maps: kernel_inclusion into the source, image_inclusion into the target,
-    coimage_projection from the source onto the image, cokernel_projection
-    from the target."""
-
-    kernel: StepModule
-    image: StepModule
-    cokernel: StepModule
-    kernel_inclusion: Morphism
-    image_inclusion: Morphism
-    coimage_projection: Morphism
-    cokernel_projection: Morphism
+def _submodule(v, basis, coords):
+    """The submodule of v spanned by the columns of basis[g] at each point g,
+    where coords[g] takes a vector of that span to its coordinates in
+    basis[g]: each step is coords[h] @ step @ basis[g], h the step's end.
+    The caller guarantees that v's steps keep the spans."""
+    F = v.field
+    steps = {}
+    for g in v.grid.points():
+        for axis in range(v.grid.n_axes):
+            h = v.grid.successor(g, axis)
+            if h is not None:
+                steps[(g, axis)] = _freeze(F.matmul(coords[h], F.matmul(v.steps[(g, axis)],
+                                                                        basis[g])))
+    return StepModule._trusted(F, v.grid, {g: b.shape[1] for g, b in basis.items()}, steps)
 
 
 def factor_morphism(m):
-    """Factor a valid morphism through its pointwise kernel, image and
-    cokernel, with induced steps on each piece.
+    """The pointwise image of a morphism m: v -> w, as (image, inclusion).
 
-    dim(kernel) + dim(image) = dim(source) at every point, and all three
-    pieces pass validate.
+    The image at g is spanned by the pivot columns basis_g of m_g, which are
+    the inclusion's component there.  One reduction of [basis_g | I] per
+    point gives both halves of what the steps need: its first rank rows,
+    past basis_g, take a vector of the span to its coordinates in basis_g,
+    and its other rows vanish exactly on the span.  A step of w that carries
+    the span at g outside the span at its end means m is not natural, and
+    raises ValidationError.
     """
     F = m.field
-    v, w = m.source, m.target
-    pts = m.grid.points()
-    kbasis, ibasis, qbasis = {}, {}, {}
-    for g in pts:
-        c = m.comps[g]
-        kbasis[g] = F.kernel_basis(c)
-        ibasis[g] = F.column_space_basis(c)
-        qbasis[g] = F.extend_to_basis(ibasis[g], w.dims[g])
-
-    def induced(bases, ambient_steps, g, axis, h):
-        """Express ambient_steps[(g, axis)] @ basis(g) in the basis at h."""
-        target = F.matmul(ambient_steps[(g, axis)], bases[g])
-        x = F.solve(bases[h], target)
-        if x is None:
+    w = m.target
+    basis, coords, outside = {}, {}, {}
+    for g in m.grid.points():
+        b = basis[g] = _freeze(F.column_space_basis(m.comps[g]))
+        r = b.shape[1]
+        rref, _, _ = F.reduce(np.concatenate([b, F.identity(w.dims[g])], axis=1))
+        coords[g], outside[g] = rref[:r, r:], rref[r:, r:]
+    for (g, axis), step in w.steps.items():
+        if F.matmul(outside[w.grid.successor(g, axis)], F.matmul(step, basis[g])).any():
             raise ValidationError("induced step left the subspace; morphism invalid")
-        return x
-
-    ksteps, isteps, csteps = {}, {}, {}
-    for g in pts:
-        for axis in range(m.grid.n_axes):
-            h = m.grid.successor(g, axis)
-            if h is None:
-                continue
-            ksteps[(g, axis)] = induced(kbasis, v.steps, g, axis, h)
-            isteps[(g, axis)] = induced(ibasis, w.steps, g, axis, h)
-            # cokernel: push the quotient basis forward, then reduce mod image
-            full = np.concatenate([ibasis[h], qbasis[h]], axis=1)
-            x = F.solve(full, F.matmul(w.steps[(g, axis)], qbasis[g]))
-            if x is None:
-                raise ValidationError("cokernel step unsolvable; morphism invalid")
-            csteps[(g, axis)] = x[ibasis[h].shape[1]:, :]
-    kernel = StepModule(F, m.grid, {g: kbasis[g].shape[1] for g in pts}, ksteps)
-    image = StepModule(F, m.grid, {g: ibasis[g].shape[1] for g in pts}, isteps)
-    cokernel = StepModule(F, m.grid, {g: qbasis[g].shape[1] for g in pts}, csteps)
-    kernel_inclusion = Morphism(kernel, v, {g: kbasis[g] for g in pts})
-    image_inclusion = Morphism(image, w, {g: ibasis[g] for g in pts})
-    coim = {}
-    for g in pts:
-        x = F.solve(ibasis[g], m.comps[g])
-        coim[g] = x if x is not None else F.zeros(ibasis[g].shape[1], v.dims[g])
-    coimage_projection = Morphism(v, image, coim)
-    cproj = {}
-    for g in pts:
-        full = np.concatenate([ibasis[g], qbasis[g]], axis=1)
-        x = F.solve(full, F.identity(w.dims[g]))
-        cproj[g] = x[ibasis[g].shape[1]:, :]
-    cokernel_projection = Morphism(w, cokernel, cproj)
-    return Factorization(kernel, image, cokernel, kernel_inclusion,
-                         image_inclusion, coimage_projection, cokernel_projection)
+    image = _submodule(w, basis, coords)
+    return image, Morphism._trusted(image, w, basis)

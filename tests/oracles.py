@@ -7,7 +7,8 @@ meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
 four sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element decide
-kernel, the dense Hom solver and the per-piece decomposition.
+kernel, the dense Hom solver, and the full factorization with the per-piece
+decomposition.
 """
 
 from fractions import Fraction
@@ -447,12 +448,83 @@ def oracle_hom_basis(v, w):
 
 
 # ---------------------------------------------------------------------------
-# The package's earlier decomposition: hom_basis solved again on every split
-# piece, the structure table from d^2 compose calls, and the Fitting split
-# read off factor_morphism (kernel, image, cokernel and coimage of f^N).  The
-# derived End bases, the batched table and the kernel-and-image split must
-# reproduce them exactly.
+# The package's earlier factorization and decomposition.  factor_morphism
+# built the kernel, image and cokernel of a morphism with the canonical maps,
+# one solve per step and per piece; the package now builds only the image,
+# which must equal this one element by element.  The earlier decomposition
+# solved hom_basis again on every split piece, took the structure table from
+# d^2 compose calls, and read the Fitting split off that factorization of
+# f^N.  The derived End bases, the batched table and the kernel-and-image
+# split must reproduce them exactly.
 # ---------------------------------------------------------------------------
+
+def oracle_factor_morphism(m):
+    """Pointwise kernel, image and cokernel of a valid morphism, with
+    kernel_inclusion into the source, image_inclusion into the target,
+    coimage_projection from the source onto the image and
+    cokernel_projection from the target, all through the validating
+    constructors."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from obspers.errors import ValidationError
+    from obspers.stepmodule import Morphism, StepModule
+
+    F = m.field
+    v, w = m.source, m.target
+    pts = m.grid.points()
+
+    def complement(s, n):
+        """Identity columns completing the independent columns of s to a
+        basis of F_p^n."""
+        if s.shape[1] == 0:
+            return F.identity(n)
+        _, _, pivots = F.reduce(np.concatenate([s, F.identity(n)], axis=1))
+        return F.identity(n)[:, [c - s.shape[1] for c in pivots if c >= s.shape[1]]]
+
+    kbasis, ibasis, qbasis = {}, {}, {}
+    for g in pts:
+        c = m.comps[g]
+        kbasis[g] = F.kernel_basis(c)
+        ibasis[g] = F.column_space_basis(c)
+        qbasis[g] = complement(ibasis[g], w.dims[g])
+
+    def induced(bases, ambient_steps, g, axis, h):
+        x = F.solve(bases[h], F.matmul(ambient_steps[(g, axis)], bases[g]))
+        if x is None:
+            raise ValidationError("induced step left the subspace; morphism invalid")
+        return x
+
+    ksteps, isteps, csteps = {}, {}, {}
+    for g in pts:
+        for axis in range(m.grid.n_axes):
+            h = m.grid.successor(g, axis)
+            if h is None:
+                continue
+            ksteps[(g, axis)] = induced(kbasis, v.steps, g, axis, h)
+            isteps[(g, axis)] = induced(ibasis, w.steps, g, axis, h)
+            full = np.concatenate([ibasis[h], qbasis[h]], axis=1)
+            x = F.solve(full, F.matmul(w.steps[(g, axis)], qbasis[g]))
+            if x is None:
+                raise ValidationError("cokernel step unsolvable; morphism invalid")
+            csteps[(g, axis)] = x[ibasis[h].shape[1]:, :]
+    kernel = StepModule(F, m.grid, {g: kbasis[g].shape[1] for g in pts}, ksteps)
+    image = StepModule(F, m.grid, {g: ibasis[g].shape[1] for g in pts}, isteps)
+    cokernel = StepModule(F, m.grid, {g: qbasis[g].shape[1] for g in pts}, csteps)
+    coim, cproj = {}, {}
+    for g in pts:
+        x = F.solve(ibasis[g], m.comps[g])
+        coim[g] = x if x is not None else F.zeros(ibasis[g].shape[1], v.dims[g])
+        full = np.concatenate([ibasis[g], qbasis[g]], axis=1)
+        cproj[g] = F.solve(full, F.identity(w.dims[g]))[ibasis[g].shape[1]:, :]
+    return SimpleNamespace(
+        kernel=kernel, image=image, cokernel=cokernel,
+        kernel_inclusion=Morphism(kernel, v, kbasis),
+        image_inclusion=Morphism(image, w, ibasis),
+        coimage_projection=Morphism(v, image, coim),
+        cokernel_projection=Morphism(w, cokernel, cproj))
+
 
 def oracle_endo_algebra(v):
     import numpy as np
@@ -478,12 +550,12 @@ def oracle_split_from_endo(v, f):
     import numpy as np
 
     from obspers.decompose import Split
-    from obspers.stepmodule import Morphism, factor_morphism
+    from obspers.stepmodule import Morphism
 
     F = v.field
     n = max(v.total_dim, 1)
     fn = Morphism(f.source, f.target, {g: F.matpow(f.comps[g], n) for g in f.grid.points()})
-    fac = factor_morphism(fn)
+    fac = oracle_factor_morphism(fn)
     ka = fac.kernel.total_dim
     if ka == 0 or ka == v.total_dim:
         return None

@@ -14,7 +14,8 @@ from obspers.calculus import (diagonal, discretize, eta, image_pairs,
 from obspers.decompose import iso_test
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
-from obspers.stepmodule import Grid, restrict_extend, validate, validate_morphism
+from obspers.stepmodule import (Grid, StepModule, restrict_extend, validate,
+                                validate_morphism)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -145,6 +146,16 @@ def test_smooth_witness_verifies(rng):
         res = smooth(v, Fraction(1, 2))
         w = metric.verify(v, res.module, res.eps, res.f, res.g)
         assert w.verified, w.violations
+
+
+def test_smooth_rejects_a_non_commuting_module():
+    grid = Grid(((0, 1), (0, 1)))
+    steps = dict(library.constant_module(F2, grid).steps)
+    steps[((0, 0), 1)] = F2.matrix([[0]])  # breaks the square at (0, 0)
+    bad = StepModule(F2, grid, {g: 1 for g in grid.points()}, steps)
+    for eps in (0, Fraction(1, 2), 1, 2):
+        with pytest.raises(ValidationError, match="square"):
+            smooth(bad, eps)
 
 
 # -- discretization ------------------------------------------------------------

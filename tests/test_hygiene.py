@@ -1,15 +1,18 @@
 """Source hygiene: every name a module of the package imports is used there,
-no float enters the source, and every function the benchmark's tracer wraps
+every function and class the package defines is named somewhere else, no
+float enters the source, and every function the benchmark's tracer wraps
 still exists where the tracer looks for it."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import obspers
 
 SRC = Path(obspers.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def unused_imports(path):
@@ -34,6 +37,30 @@ def test_no_unused_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for hit in unused_imports(path)]
     assert found == []
+
+
+def definitions(path):
+    """(name, first line, last line) of every top-level function and class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.name, node.lineno, node.end_lineno) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_every_definition_is_named_elsewhere():
+    # a function or class that nothing names (not the package, the tests,
+    # the scripts or the benchmark) is dead code
+    sources = {path: path.read_text().splitlines()
+               for folder in (SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench")
+               for path in sorted(folder.rglob("*.py"))}
+    unnamed = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, first, last in definitions(path):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) for other, lines in sources.items()
+                       for i, line in enumerate(lines, 1)
+                       if not (other == path and first <= i <= last)):
+                unnamed.append(f"{path.name}:{first}: {name}")
+    assert unnamed == []
 
 
 def float_uses(path):

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from obspers import library, limits, metric, stability
 from obspers.calculus import (discretize, eta, eta_on, lattice_grid,
-                              persistent_rank, restrict_morphism,
+                              persistent_rank, refine, restrict_morphism,
                               restriction_pair, shift, smooth)
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
@@ -108,6 +108,20 @@ def test_eta_on_own_refinement_matches_oracle(seed, p, eps):
     v = module(seed, p)
     grid = union_grids(v.grid, v.grid.translate(-eps))
     assert_same_morphism(eta_on(v, eps, grid), oracle_eta_on(v, eps, grid))
+
+
+def test_grids_with_different_axis_counts_are_rejected():
+    v = library.m_lambda(5, 1)
+    line = Grid(((0, 1, 2),))
+    cube = Grid(((0, 1), (0, 1), (0, 1)))
+    for other in (line, cube):
+        for call in (lambda: v.grid.anchors_on(other),
+                     lambda: restrict_extend(v, other),
+                     lambda: restriction_pair(v, other, 1),
+                     lambda: eta_on(v, 1, other),
+                     lambda: refine(v, other)):
+            with pytest.raises(ValidationError, match="different numbers of axes"):
+                call()
 
 
 def test_refining_restriction_reuses_unit_steps():

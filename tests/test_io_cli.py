@@ -130,9 +130,10 @@ def test_bad_documents_rejected(tmp_path):
     with pytest.raises(ValidationError):
         serialize.read_json(p)
     q = tmp_path / "y.json"
-    q.write_text(json.dumps({"format": serialize.FORMAT, "kind": "mystery"}))
-    with pytest.raises(ValidationError):
-        serialize.load_any(q)
+    for kind in ("mystery", ["module"]):
+        q.write_text(json.dumps({"format": serialize.FORMAT, "kind": kind}))
+        with pytest.raises(ValidationError, match="unknown kind"):
+            serialize.load_any(q)
     v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
     doc = serialize.module_to_json(v)
     doc["steps"].append({"at": [1, 1], "axis": 0, "matrix": [[1]]})
@@ -188,6 +189,50 @@ def test_cli_validate_invalid_complex(tmp_path):
     p.write_text(serialize.dumps(doc))
     code, _, err = run_cli(["validate", p])
     assert code == 1 and "duplicate" in err
+
+
+def test_cli_rejects_a_non_commuting_module_everywhere(tmp_path):
+    grid = Grid(((0, 1), (0, 1)))
+    broken = serialize.module_to_json(library.constant_module(F2, grid))
+    broken["steps"][0]["matrix"] = [[0]]
+    bad = tmp_path / "bad.json"
+    serialize.write_json(bad, broken)
+    good = write_module(tmp_path / "good.json", library.constant_module(F2, grid))
+    for argv in (["rank", "--epsilon", "1", bad], ["decompose", bad],
+                 ["distance", bad, good], ["distance", good, bad]):
+        code, out, err = run_cli(argv + ["--out", tmp_path / "out"])
+        assert code == 1, argv
+        assert out == "" and "square" in err, argv
+
+
+def malformed_module_docs():
+    """(name, document) for module documents that do not decode."""
+    base = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1), (0, 1)))))
+    no_field = dict(base)
+    del no_field["field"]
+    bad_axis = json.loads(json.dumps(base))
+    bad_axis["steps"][0]["axis"] = 5
+    bad_prime = dict(base, field={"p": 4})
+    return [("no-field", no_field), ("axis-5", bad_axis), ("p-4", bad_prime)]
+
+
+@pytest.mark.parametrize("name,doc", malformed_module_docs())
+def test_malformed_module_documents_exit_1(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize.dumps(doc))
+    with pytest.raises(ValidationError, match=name):
+        serialize.load_any(path)
+    for argv in (["validate", path], ["rank", "--epsilon", "1", path]):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == "" and err.startswith("error:"), (argv, err)
+
+
+def test_malformed_chain_manifest_exits_1(tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize.dumps({"format": serialize.FORMAT, "kind": "chain",
+                                      "terms": ["t0.json"]}))
+    code, out, err = run_cli(["limit", chain, "--out", tmp_path / "lim"])
+    assert code == 1 and out == "" and err.startswith("error:") and "chain.json" in err
 
 
 def test_cli_missing_file(tmp_path):

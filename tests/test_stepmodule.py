@@ -1,4 +1,4 @@
-"""Grids, step modules, morphisms, Hom spaces and factorizations."""
+"""Grids, step modules, morphisms, Hom spaces and images of morphisms."""
 
 from fractions import Fraction
 
@@ -12,14 +12,14 @@ from obspers.fields import PrimeField
 from obspers.stepmodule import (Grid, Morphism, StepModule, compose,
                                 direct_sum, factor_morphism,
                                 hom_basis, identity_morphism,
-                                restrict_extend, union_grids, validate,
-                                validate_morphism, zero_module,
-                                zero_morphism)
+                                linear_combination, restrict_extend,
+                                union_grids, validate, validate_morphism,
+                                zero_module, zero_morphism)
 from obspers.calculus import eta, eta_on, morphisms_match, restrict_morphism
 from obspers.decompose import iso_test
 
-from conftest import to_plain
-from oracles import oracle_hom_count
+from conftest import assert_same_morphism, to_plain
+from oracles import oracle_factor_morphism, oracle_hom_count
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -133,7 +133,7 @@ def test_equality_compares_shapes_of_equal_sized_matrices():
 
 def test_validate_constant_module_ok():
     v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
-    validate(v)
+    assert validate(v) == []
 
 
 def test_validate_names_broken_square():
@@ -190,7 +190,7 @@ def test_sum_of_constants_has_dim_two():
     f = library.constant_module(F2, Grid(((0, 1), (0, 1))))
     s = direct_sum(f, f)
     assert all(d == 2 for d in s.dims.values())
-    validate(s)
+    assert validate(s) == []
 
 
 # -- hom spaces --------------------------------------------------------------
@@ -247,43 +247,55 @@ def test_validate_morphism_catches_non_naturality():
     assert violations and "naturality" in violations[0]
 
 
-# -- factorization -----------------------------------------------------------
+# -- image of a morphism ----------------------------------------------------
+
+def assert_image_matches_oracle(m):
+    """factor_morphism(m) is the oracle's image and image inclusion, element
+    by element, and the image's dims are the pointwise ranks of m."""
+    image, inclusion = factor_morphism(m)
+    slow = oracle_factor_morphism(m)
+    assert image == slow.image
+    assert_same_morphism(inclusion, slow.image_inclusion)
+    assert validate(image) == [] and validate_morphism(inclusion) == []
+    for g in m.grid.points():
+        assert image.dims[g] == m.field.rank(m.comps[g])
+
 
 def test_factor_identity_and_zero():
     v = library.m_lambda(5, 2)
-    fac = factor_morphism(identity_morphism(v))
-    assert fac.kernel.total_dim == 0
-    assert fac.cokernel.total_dim == 0
-    ok, _ = iso_test(fac.image, v)
-    assert ok
-    facz = factor_morphism(zero_morphism(v, v))
-    assert facz.image.total_dim == 0
-    ok, _ = iso_test(facz.kernel, v)
-    assert ok
-    ok, _ = iso_test(facz.cokernel, v)
-    assert ok
+    image, inclusion = factor_morphism(identity_morphism(v))
+    assert image == v
+    assert inclusion == identity_morphism(v)
+    image, inclusion = factor_morphism(zero_morphism(v, v))
+    assert image.total_dim == 0
+    assert all(c.shape == (v.dims[g], 0) for g, c in inclusion.comps.items())
+    for m in (identity_morphism(v), zero_morphism(v, v)):
+        assert_image_matches_oracle(m)
 
 
 def test_factor_random_rank_exactness(rng):
-    F = PrimeField(3)
-    for _ in range(5):
-        v = library.random_module(F, rng)
-        basis = hom_basis(v, v)
-        coeffs = rng.integers(0, 3, size=len(basis))
-        comps = {g: F.zeros(v.dims[g], v.dims[g]) for g in v.grid.points()}
-        for c, b in zip(coeffs, basis):
-            for g in comps:
-                comps[g] = F.matadd(comps[g], F.matscale(int(c), b.comps[g]))
-        m = Morphism(v, v, comps)
-        validate_morphism(m)
-        fac = factor_morphism(m)
-        for mod in (fac.kernel, fac.image, fac.cokernel):
-            validate(mod)
-        for g in v.grid.points():
-            r = F.rank(m.comps[g])
-            assert fac.image.dims[g] == r
-            assert fac.kernel.dims[g] == v.dims[g] - r
-            assert fac.cokernel.dims[g] == v.dims[g] - r
+    # random endomorphisms and eta maps, against the full factorization
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        for _ in range(4):
+            v = library.random_module(F, rng)
+            basis = hom_basis(v, v)
+            m = linear_combination(basis, rng.integers(0, p, size=len(basis)), v, v)
+            assert validate_morphism(m) == []
+            assert_image_matches_oracle(m)
+            for eps in (Fraction(1, 4), Fraction(1, 2), 1):
+                assert_image_matches_oracle(eta(v, eps))
+
+
+def test_factor_rejects_a_step_leaving_the_image():
+    grid = Grid(((0, 1),))
+    v = library.box_interval(F2, grid, (0,))
+    # not natural: the image at 0 is everything, and v's step carries it to
+    # a nonzero vector outside the image at 1, which is 0
+    bad = Morphism(v, v, {(0,): [[1]], (1,): [[0]]})
+    assert validate_morphism(bad)
+    with pytest.raises(ValidationError, match="left the subspace"):
+        factor_morphism(bad)
 
 
 # -- restrict/extend ---------------------------------------------------------
