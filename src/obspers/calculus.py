@@ -9,6 +9,7 @@ honest interleavings, which is what the tests check.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -73,6 +74,34 @@ def anchored_morphism(x, y, eps, grid, comp):
             m = x.field.zeros(target.dims[q], source.dims[q])
         comps[q] = _freeze(m)
     return Morphism._trusted(source, target, comps)
+
+
+def _triangle_holds(first, second, x, s, total, grid):
+    """True when second[s] o first and eta_total on x, restricted-extended to
+    grid, have equal components, for first's target equal to second[s]'s
+    source on grid and total >= 0.  Builds no module or morphism.
+
+    At a point q of grid the left side is second's component at b, the
+    anchor of q + s, times first's at a, the anchor of q, and the right side
+    is x's structure map from c, the anchor of q, to d, the anchor of
+    q + total.  Anchors are taken axis by axis, so the distinct tuples
+    (a, b, c, d) are the product of the distinct ones per axis, and each is
+    compared once.  Below x's grid (c None) the block has no columns; where
+    a or b is None the left side is zero, so eta must be zero too."""
+    per_axis = zip(first.grid.anchor_indices(grid), second.grid.anchor_indices(grid, s),
+                   x.grid.anchor_indices(grid), x.grid.anchor_indices(grid, total))
+    memo = {}
+    for cell in product(*(set(zip(*axis)) for axis in per_axis)):
+        a, b, c, d = (None if None in t else t for t in zip(*cell))
+        if c is None:
+            continue
+        want = anchor_map(x, c, d, memo)
+        if a is None or b is None:
+            if np.any(want):
+                return False
+        elif not np.array_equal(x.field.matmul(second.comps[b], first.comps[a]), want):
+            return False
+    return True
 
 
 def eta_on(v, eps, grid):

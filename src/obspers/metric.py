@@ -19,8 +19,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .calculus import (compose_matched, eta_on, modules_match,
-                       morphisms_match, restrict_extend, shift, shift_morphism)
+from .calculus import _triangle_holds, modules_match, restrict_extend, shift
 from .errors import BudgetExceeded, ValidationError
 from .stepmodule import (DEFAULT_BUDGET, Morphism, _frac, anchor_map,
                          coefficient_vectors, hom_basis,
@@ -70,6 +69,20 @@ def verify(v, w, eps, f, g):
 
     Returns an Interleaving whose verified flag is the outcome; violations
     name the first failing constraint of each kind.
+
+    The triangles are checked once the four endpoints match and f and g are
+    natural, and without building a composite.  Take g[eps] o f = eta_2eps
+    on V; the other triangle swaps the roles.  The matching endpoints give
+    both sides the same spaces in the same bases at every point q:
+    V(q) -> V(q + 2eps).  Let u be the common refinement of f's grid,
+    g's grid - eps, V's grid and V's grid - 2eps.  At q the left side is g's
+    component at b, the anchor of q + eps, times f's at a, the anchor of q;
+    the right side is V's structure map from c, the anchor of q, to d, the
+    anchor of q + 2eps.  All four anchors are constant on each cell of u, so
+    both sides are, and checking one point per distinct tuple (a, b, c, d)
+    is exact.  Where c is None, V(q) = 0 and the block is empty; where a or
+    b is None the left side is zero, so eta_2eps must be zero there too.
+    calculus._triangle_holds makes that comparison.
     """
     eps = _frac(eps)
     if eps < 0:
@@ -89,9 +102,9 @@ def verify(v, w, eps, f, g):
     if not out:
         for first, second, x, name in ((f, g, v, "g[eps] o f != eta_2eps on V"),
                                        (g, f, w, "f[eps] o g != eta_2eps on W")):
-            t = compose_matched(shift_morphism(second, eps), first)
-            u = union_grids(t.grid, x.grid, x.grid.translate(-2 * eps))
-            if not morphisms_match(t, eta_on(x, 2 * eps, u)):
+            u = union_grids(first.grid, second.grid.translate(-eps),
+                            x.grid, x.grid.translate(-2 * eps))
+            if not _triangle_holds(first, second, x, eps, 2 * eps, u):
                 out.append(f"triangle {name}")
     return Interleaving(eps, f, g, not out, tuple(out))
 

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import (anchored_morphism, compose_matched, discretize, eta,
-                       eta_on, morphisms_match, restrict_extend,
-                       restrict_morphism, shift, union_grids)
+from .calculus import (_triangle_holds, anchored_morphism, discretize, eta,
+                       restrict_extend, restrict_morphism, shift, union_grids)
 from .decompose import decompose, split_once
 from .errors import ValidationError
 from .metric import distance_bracket, rank_lower_bound, verify
@@ -80,7 +79,10 @@ def shift_factor_morphism(l, r, beta):
     m = anchored_morphism(shift(l, r), l, beta, q_grid,
                           lambda q, a, b: anchor_map(l, a, b, memo))
     first = restrict_morphism(eta(l, r), q_grid)
-    ok = morphisms_match(compose_matched(m, first), eta_on(l, beta, q_grid))
+    if first.target != m.source:
+        raise ValidationError("composition endpoints differ as extensions")
+    ok = (first.source == l and m.target == restrict_extend(shift(l, beta), q_grid)
+          and _triangle_holds(first, m, l, 0, beta, q_grid))
     return ShiftFactorResult(m, first, ok)
 
 

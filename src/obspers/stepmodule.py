@@ -304,9 +304,9 @@ def validate(v):
             want = (v.dims[h], v.dims[g])
             if m.shape != want:
                 out.append(f"step at {g} axis {axis} has shape {m.shape}, expected {want}")
-    for key in v.steps:
-        g, axis = key
-        if g not in v.dims or v.grid.successor(g, axis) is None:
+    for g, axis in v.steps:
+        if (g not in v.dims or not 0 <= axis < v.grid.n_axes
+                or v.grid.successor(g, axis) is None):
             out.append(f"step at {g} axis {axis} does not match any grid edge")
     if out:
         return out

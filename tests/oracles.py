@@ -5,10 +5,10 @@ against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-four sections keep earlier code of the package itself as the reference for
+five sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element decide
-kernel, the dense Hom solver, and the full factorization with the per-piece
-decomposition.
+kernel, the dense Hom solver, the full factorization with the per-piece
+decomposition, and the composite-building verify.
 """
 
 from fractions import Fraction
@@ -632,3 +632,50 @@ def oracle_decompose(v, seed=0, budget=1 << 16):
     order = sorted(range(len(summands)), key=lambda i: (-summands[i].total_dim, i))
     return Decomposition(v, [summands[i] for i in order], [incs[i] for i in order],
                          [projs[i] for i in order])
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier verify: each triangle composite built on the common
+# refinement by compose_matched, eta_2eps built on a grid refining it, and
+# the two compared by morphisms_match, which restricts both once more.  The
+# anchored triangle check must give the same verdict and violations.
+# ---------------------------------------------------------------------------
+
+def oracle_verify(v, w, eps, f, g):
+    from obspers.calculus import (compose_matched, eta_on, modules_match,
+                                  morphisms_match, shift, shift_morphism)
+    from obspers.errors import ValidationError
+    from obspers.metric import Interleaving
+    from obspers.stepmodule import _frac, union_grids, validate_morphism
+
+    eps = _frac(eps)
+    if eps < 0:
+        raise ValidationError("interleaving eps must be >= 0")
+    out = []
+    if not modules_match(f.source, v):
+        out.append("f's source is not V")
+    if not modules_match(f.target, shift(w, eps)):
+        out.append("f's target is not W[eps]")
+    if not modules_match(g.source, w):
+        out.append("g's source is not W")
+    if not modules_match(g.target, shift(v, eps)):
+        out.append("g's target is not V[eps]")
+    for name, m in (("f", f), ("g", g)):
+        for viol in validate_morphism(m):
+            out.append(f"{name}: {viol}")
+    if not out:
+        for first, second, x, name in ((f, g, v, "g[eps] o f != eta_2eps on V"),
+                                       (g, f, w, "f[eps] o g != eta_2eps on W")):
+            t = compose_matched(shift_morphism(second, eps), first)
+            u = union_grids(t.grid, x.grid, x.grid.translate(-2 * eps))
+            if not morphisms_match(t, eta_on(x, 2 * eps, u)):
+                out.append(f"triangle {name}")
+    return Interleaving(eps, f, g, not out, tuple(out))
+
+
+def oracle_shift_factor_ok(l, m, first, beta):
+    """The earlier shift_factor_morphism check: the composite m o first built
+    by compose_matched against eta_beta on l's grid."""
+    from obspers.calculus import compose_matched, eta_on, morphisms_match
+
+    return morphisms_match(compose_matched(m, first), eta_on(l, beta, l.grid))

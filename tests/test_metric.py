@@ -13,9 +13,11 @@ from obspers.fields import PrimeField
 from obspers.metric import (INF, candidate_set, decide, distance_bracket,
                             rank_lower_bound, verify)
 from obspers.stepmodule import (Grid, Morphism, identity_morphism,
-                                restrict_extend, zero_module)
+                                restrict_extend, union_grids, zero_module,
+                                zero_morphism)
 
 from conftest import enumerate_interleavings
+from oracles import oracle_verify
 
 F2 = PrimeField(2)
 
@@ -62,6 +64,25 @@ def test_verify_mutation_names_failure():
     assert not w.verified
     assert any("triangle" in viol or "naturality" in viol or "square" in viol
                for viol in w.violations)
+
+
+def test_verify_names_a_triangle_through_a_zero_space():
+    # V a unit cell at 0, W a cell at 1/4 of width 1/4, eps = 1/8: the zero
+    # maps are natural, W(q + eps) = 0 at q = 0 where eta_{1/4} on V is the
+    # identity, and eta_{1/4} on W is zero, so only V's triangle fails
+    eps = Fraction(1, 8)
+    v = library.single_cell_module(F2, (0, 0), 1, 2)
+    w = library.single_cell_module(F2, (Fraction(1, 4),) * 2, Fraction(1, 4), 2)
+
+    def zero(x, y):
+        u = union_grids(x.grid, y.grid.translate(-eps))
+        return zero_morphism(restrict_extend(x, u), restrict_extend(shift(y, eps), u))
+
+    f, g = zero(v, w), zero(w, v)
+    got = verify(v, w, eps, f, g)
+    assert got.violations == ("triangle g[eps] o f != eta_2eps on V",)
+    want = oracle_verify(v, w, eps, f, g)
+    assert (got.verified, got.violations) == (want.verified, want.violations)
 
 
 def test_verify_rejects_negative_eps():

@@ -153,6 +153,17 @@ def test_validate_shape_mismatch():
     assert violations and "shape" in violations[0]
 
 
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_validate_reports_a_step_on_an_axis_the_grid_lacks(axis):
+    # -1 would otherwise read the last axis from the end, and n_axes index
+    # past it
+    v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
+    steps = dict(v.steps)
+    steps[((0, 0), axis)] = [[1]]
+    violations = validate(StepModule(F2, v.grid, v.dims, steps))
+    assert violations == [f"step at (0, 0) axis {axis} does not match any grid edge"]
+
+
 # -- evaluate ----------------------------------------------------------------
 
 def test_evaluate_below_on_and_inside():
