@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import calculus, limits, metric, pipelines, serialize, stability
 from .decompose import decompose as run_decompose, iso_test
@@ -351,7 +352,10 @@ def _add_common(p):
                    help="directory for emitted artifact files")
 
 
+@cache
 def build_parser():
+    """The obspers argument parser, built once per process.  main shares it
+    between calls: parsing reads it and fills a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="obspers",
         description="Exact computations with finite-grid persistence modules")

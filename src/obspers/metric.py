@@ -14,7 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from itertools import product
+from itertools import islice, product
 from numbers import Rational
 
 import numpy as np
@@ -50,6 +50,20 @@ class _Infinity:
 
 
 INF = _Infinity()
+
+# The most matrix entries (candidates x rows x (unknowns + 1)) that decide
+# hands to one F.consistent call.  Larger chunks raise peak memory and test
+# more candidates past the first solvable one.
+_CHUNK_CELLS = 1 << 13
+
+
+def _check_comparable(v, w):
+    """Raise ValidationError unless v and w share their field and their
+    number of axes, which every comparison of the two needs."""
+    if v.field != w.field:
+        raise ValidationError(f"field mismatch: p={v.field.p} vs p={w.field.p}")
+    if v.grid.n_axes != w.grid.n_axes:
+        raise ValidationError(f"axis count mismatch: {v.grid.n_axes} vs {w.grid.n_axes}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,7 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET):
     exactly.  Certified absence therefore means the enumeration completed;
     BudgetExceeded is raised when it would be larger than budget, before any
     triangle is built, so an exhausted budget costs only the two Hom bases.
+    v and w must share their field and their number of axes.
 
     The triangles give, for the enumerated coefficients c (length h) and the
     other side's x (length k), one equation per row e:
@@ -180,7 +195,17 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET):
     of B's reduced form.  F.solve reads only the reduced row echelon form,
     which is determined by the row space, so solving the at most h*k + 1 rows
     of R @ L(c) gives the same particular solution, and None exactly when the
-    full system has none."""
+    full system has none.
+
+    Candidates are read in lexicographic order, in chunks of at most
+    _CHUNK_CELLS matrix entries, and F.consistent tests a whole chunk's
+    systems at once.  The answer is the same as solving every candidate in
+    turn: F.consistent is an exact rank test, so it keeps precisely the
+    candidates for which F.solve would return a solution; those are then
+    taken in the same order and given to the same F.solve on the same
+    matrix, and the first whose pair verifies is returned.  The candidates
+    it drops are those F.solve would reject, which never reach verify."""
+    _check_comparable(v, w)
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")
@@ -202,17 +227,19 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET):
                              np.concatenate([rhs1, rhs2])[None]]).T
     rref, rank, _ = F.reduce(system)
     coeffs, rhs = rref[:rank, :-1].reshape(rank, h, k), rref[:rank, -1:]
-    for cand in cands:
-        c = np.array(cand, dtype=np.int64)
-        sol = F.solve(np.tensordot(c, coeffs, axes=(0, 1)) % F.p, rhs)
-        if sol is None:
-            continue
-        pair = (linear_combination(enum.basis, c, enum.source, enum.target),
-                linear_combination(other.basis, sol[:, 0], other.source, other.target))
-        f, g = pair[::-1] if flip else pair
-        result = verify(v, w, eps, f, g)
-        if result.verified:
-            return result
+    size = max(1, _CHUNK_CELLS // max(1, rank * (k + 1)))
+    while chunk := list(islice(cands, size)):
+        c = np.array(chunk, dtype=np.int64)
+        systems = np.concatenate([np.tensordot(c, coeffs, axes=(1, 1)) % F.p,
+                                  np.broadcast_to(rhs, (len(chunk), rank, 1))], axis=2)
+        for i in np.flatnonzero(F.consistent(systems)):
+            sol = F.solve(systems[i, :, :-1], rhs)
+            pair = (linear_combination(enum.basis, c[i], enum.source, enum.target),
+                    linear_combination(other.basis, sol[:, 0], other.source, other.target))
+            f, g = pair[::-1] if flip else pair
+            result = verify(v, w, eps, f, g)
+            if result.verified:
+                return result
     return None
 
 
@@ -259,6 +286,7 @@ def _one_sided_rank_violation(v, w, eps):
 def rank_obstruction_at(v, w, eps):
     """A human-readable witness that no eps-interleaving can exist, from the
     functorial rank inequalities; None when no inequality is violated."""
+    _check_comparable(v, w)
     eps = _frac(eps)
     hit = _one_sided_rank_violation(v, w, eps)
     if hit is not None:
@@ -291,6 +319,7 @@ def rank_lower_bound(v, w):
     """The largest candidate eps at which a rank inequality is violated (so
     d_I > eps there), 0 when none is, or INF when the eventual dimensions
     differ (no interleaving at any shift)."""
+    _check_comparable(v, w)
     if _eventual_dim(v) != _eventual_dim(w):
         return INF
     for eps in reversed(candidate_set(v, w)):
@@ -318,6 +347,7 @@ def distance_bracket(v, w, budget=DEFAULT_BUDGET):
     where decide succeeds, lower combines the rank bound with the largest
     certified-none candidate.  Budget failures widen the bracket and clear the
     exact flag instead of guessing."""
+    _check_comparable(v, w)
     if _eventual_dim(v) != _eventual_dim(w):
         return DistanceBracket(INF, INF, None, True,
                                {"reason": "eventual dimensions differ",

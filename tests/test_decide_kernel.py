@@ -1,6 +1,8 @@
 """The decide kernel: stacked triangle tensors, the comparable-pairs rank
-scan and the once-reduced system against the earlier per-element code kept in
-tests/oracles.py, at every candidate eps of random F_2/F_3 pairs."""
+scan, the once-reduced system and the chunked candidate test against the
+earlier per-element code kept in tests/oracles.py, at every candidate eps of
+random F_2/F_3 pairs and of the degree-Rips H_0 pairs the compare benchmark
+builds."""
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from obspers import library
 from obspers.errors import BudgetExceeded
 from obspers.fields import PrimeField
-from obspers.metric import (_side, _stack, _triangle, candidate_set, decide,
-                            rank_obstruction_at)
-from obspers.stepmodule import Grid
+from obspers.metric import (_CHUNK_CELLS, _side, _stack, _triangle,
+                            candidate_set, decide, rank_obstruction_at)
+from obspers.pipelines import degree_rips, homology_module, metric_space
+from obspers.stepmodule import Grid, direct_sum
 
 from conftest import assert_same_morphism
 from oracles import oracle_decide, oracle_rank_obstruction_at, oracle_triangle
@@ -35,14 +38,14 @@ def pair(seed, p):
             library.random_module(F, rng, max_summands=2))
 
 
-def assert_same_decision(v, w, eps):
+def assert_same_decision(v, w, eps, budget=BUDGET):
     try:
-        slow = oracle_decide(v, w, eps, BUDGET)
+        slow = oracle_decide(v, w, eps, budget)
     except BudgetExceeded:
         with pytest.raises(BudgetExceeded):
-            decide(v, w, eps, budget=BUDGET)
+            decide(v, w, eps, budget=budget)
         return
-    fast = decide(v, w, eps, budget=BUDGET)
+    fast = decide(v, w, eps, budget=budget)
     assert (fast is None) == (slow is None), eps
     if fast is not None:
         assert fast.verified and fast.eps == slow.eps
@@ -102,3 +105,111 @@ def test_firing_rank_obstruction_matches_oracle():
         hit = rank_obstruction_at(a, b, 0)
         assert hit is not None and hit == oracle_rank_obstruction_at(a, b, 0)
         assert decide(a, b, 0) is None
+
+
+# -- compare-shaped inputs: degree-Rips H_0 of 4-point clouds and their jitters --
+
+RADII, DEGREES = (0, 1, 2, 3), (0, 1, 2)
+RIPS_GRID = Grid((RADII, tuple(-d for d in reversed(DEGREES))))
+RIPS_BUDGET = 1 << 12
+
+# (cloud, jitter): the jitter moves every point by at most 1 along each axis
+CLOUDS = {
+    "past the first chunk": ([(0, 2), (4, 1), (4, 2), (4, 5)],
+                             [(0, 2), (5, 0), (5, 3), (4, 4)]),
+    "rank obstructions": ([(0, 0), (1, 1), (1, 5), (4, 1)],
+                          [(1, 0), (2, 1), (2, 6), (3, 1)]),
+    "h = 11": ([(2, 4), (2, 5), (3, 5), (5, 0)],
+               [(1, 3), (2, 5), (2, 4), (6, 0)]),
+}
+
+
+def rips_h0(points, grid=RIPS_GRID):
+    """H_0 over F_2 of the degree-Rips bifiltration of points in the plane
+    under the Chebyshev distance, as the compare benchmark builds it."""
+    d = [[max(abs(a[0] - b[0]), abs(a[1] - b[1])) for b in points] for a in points]
+    bf = degree_rips(metric_space(list(range(len(points))), d), list(RADII), list(DEGREES))
+    return homology_module(bf, 0, grid, 2)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """Every stack decide hands to PrimeField.consistent: (shape, answer)."""
+    log, consistent = [], PrimeField.consistent
+
+    def recording(self, aug):
+        out = consistent(self, aug)
+        log.append((aug.shape, out))
+        return out
+
+    monkeypatch.setattr(PrimeField, "consistent", recording)
+    return log
+
+
+def assert_chunks_within_cap(chunks):
+    assert chunks
+    for (n, r, cols), _ in chunks:
+        assert n == 1 or n * r * cols <= _CHUNK_CELLS, (n, r, cols)
+
+
+@pytest.mark.parametrize("name", sorted(CLOUDS))
+def test_decide_on_rips_h0_matches_oracle(name, chunks):
+    v, w = (rips_h0(points) for points in CLOUDS[name])
+    for eps in candidate_set(v, w):
+        for a, b in ((v, w), (w, v)):
+            assert_same_decision(a, b, eps, RIPS_BUDGET)
+    assert_chunks_within_cap(chunks)
+    assert any(n > 1 for (n, _, _), _ in chunks)
+
+
+def test_first_solvable_candidate_past_the_first_chunk(chunks):
+    v, w = (rips_h0(points) for points in CLOUDS["past the first chunk"])
+    assert decide(v, w, 0, budget=RIPS_BUDGET).verified
+    assert len(chunks) >= 2 and not chunks[0][1].any() and chunks[-1][1].any()
+    assert_chunks_within_cap(chunks)
+    assert_same_decision(v, w, 0, RIPS_BUDGET)
+
+
+def test_zero_hom_spaces_on_rips_h0(chunks):
+    # at radius 0 no point has a neighbour, so no point has degree >= 1 and
+    # H_0 is 0 on this grid: both Hom spaces are 0 and the one empty candidate
+    # is tested (test_empty_hom_side_matches_oracle covers h = 0 < k)
+    grid = Grid(((0,), (-2, -1)))
+    with pytest.warns(UserWarning, match="truncated"):
+        v, w = (rips_h0(points, grid) for points in CLOUDS["rank obstructions"])
+    assert v.total_dim == w.total_dim == 0
+    for eps in (0, 1):
+        assert [len(_side(v, w, eps).basis), len(_side(w, v, eps).basis)] == [0, 0]
+        assert_same_decision(v, w, eps)
+        assert decide(v, w, eps).verified
+    assert [shape for shape, _ in chunks] == [(1, 0, 1)] * 4
+
+
+def test_zero_hom_spaces_without_interleaving(chunks):
+    # M_1 and M_2 over F_3 share their dimensions and ranks, so no rank
+    # inequality fails, but neither maps to the other: the one empty
+    # candidate leaves eta_0 = id on the right-hand side, and decide says none
+    v, w = library.m_lambda(3, 1), library.m_lambda(3, 2)
+    assert [len(_side(v, w, 0).basis), len(_side(w, v, 0).basis)] == [0, 0]
+    assert rank_obstruction_at(v, w, 0) is None
+    assert decide(v, w, 0) is None
+    assert len(chunks) == 1 and chunks[0][0][:1] == (1,) and not chunks[0][1].any()
+    assert_same_decision(v, w, 0)
+
+
+def test_certified_none_scans_every_candidate(chunks):
+    # sampled degree-Rips H_0 pairs of 4-point clouds never reach this: where
+    # they have no interleaving, a rank inequality already fails.  M_1 + E and
+    # M_2 + E over F_3 share their rank invariant but are not isomorphic
+    # (Krull-Schmidt), so decide must scan all 3^h candidates, in two chunks
+    F3 = PrimeField(3)
+    g = library.integer_grid(4)
+    extra = direct_sum(library.constant_module(F3, g), library.box_interval(F3, g, (1, 1)))
+    v, w = (direct_sum(library.m_lambda(3, lam), extra) for lam in (1, 2))
+    h = min(len(_side(v, w, 0).basis), len(_side(w, v, 0).basis))
+    assert rank_obstruction_at(v, w, 0) is None
+    assert decide(v, w, 0, budget=RIPS_BUDGET) is None
+    assert len(chunks) == 2 and sum(n for (n, _, _), _ in chunks) == 3 ** h
+    assert not any(hits.any() for _, hits in chunks)
+    assert_chunks_within_cap(chunks)
+    assert_same_decision(v, w, 0, RIPS_BUDGET)

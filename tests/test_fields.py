@@ -107,3 +107,54 @@ def test_matrix_reduces_residues():
     F = PrimeField(2)
     assert np.array_equal(F.matrix([[5, -1], [2, 3]]),
                           np.array([[1, 1], [0, 1]]))
+
+
+def assert_consistent_matches_solve(F, aug):
+    got = F.consistent(aug)
+    assert got.shape == (aug.shape[0],) and got.dtype == bool
+    for system, ok in zip(aug, got):
+        m, b = system[:, :-1], system[:, -1:]
+        assert ok == (F.solve(m, b) is not None)
+        assert ok == (oracle_solve(m.tolist(), b[:, 0].tolist(), F.p) is not None)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(0, 4), st.integers(0, 3),
+       st.sampled_from(["random", "solvable", "zero rhs", "zero"]), st.data())
+def test_consistent_matches_solve_and_oracle(p, n, rows, unknowns, kind, data):
+    F = PrimeField(p)
+    size = n * rows * (unknowns + 1)
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    aug = np.array(entries, dtype=np.int64).reshape(n, rows, unknowns + 1)
+    if kind == "solvable":
+        x = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=unknowns,
+                                        max_size=unknowns)), dtype=np.int64)
+        aug[:, :, -1] = aug[:, :, :-1] @ x % p
+    elif kind == "zero rhs":
+        aug[:, :, -1] = 0
+    elif kind == "zero":
+        aug[:] = 0
+    assert_consistent_matches_solve(F, aug)
+    if kind in ("solvable", "zero rhs", "zero"):
+        assert F.consistent(aug).all()
+
+
+def test_consistent_edge_shapes():
+    F = PrimeField(3)
+    no_rows = np.zeros((2, 0, 3), dtype=np.int64)
+    assert F.consistent(no_rows).tolist() == [True, True]
+    no_unknowns = np.array([[[0], [0]], [[0], [2]]], dtype=np.int64)
+    assert F.consistent(no_unknowns).tolist() == [True, False]
+    assert F.consistent(np.zeros((1, 3, 4), dtype=np.int64)).tolist() == [True]
+    assert F.consistent(np.zeros((0, 2, 3), dtype=np.int64)).shape == (0,)
+    # x + y = 1 and x + y = 0 have no common solution; dropping the second does
+    one = np.array([[[1, 1, 1], [1, 1, 0]]], dtype=np.int64)
+    assert F.consistent(one).tolist() == [False]
+    assert F.consistent(one[:, :1]).tolist() == [True]
+    # the pivot rows sit below rows that are zero in their column, in another
+    # order in each system of the stack
+    mixed = np.array([[[0, 0, 1], [0, 2, 1], [1, 0, 2], [1, 2, 0]],
+                      [[1, 0, 2], [0, 0, 0], [0, 2, 1], [1, 2, 0]]], dtype=np.int64)
+    assert_consistent_matches_solve(F, mixed)
+    assert F.consistent(mixed).tolist() == [False, True]
+    with pytest.raises(ValueError):
+        F.consistent(np.zeros((2, 3), dtype=np.int64))

@@ -1,16 +1,22 @@
-"""JSON round trips and the command line interface (in process)."""
+"""JSON round trips and the command line interface (in process; one test
+also runs it in a process of its own)."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obspers
 from obspers import library, serialize
 from obspers.calculus import discretize, shift
-from obspers.cli import main as cli_main
+from obspers.cli import build_parser, main as cli_main
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.metric import INF, distance_bracket, verify
@@ -18,6 +24,7 @@ from obspers.pipelines import degree_rips, metric_space, sublevel_bifiltration
 from obspers.stepmodule import Grid, identity_morphism, validate_morphism
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
@@ -300,6 +307,38 @@ def test_cli_budget_exit_3(tmp_path):
     code, _, err = run_cli(["interleave", "--epsilon", "0", p, p,
                             "--budget", "1"])
     assert code == 3 and "budget" in err
+
+
+def test_cli_comparisons_reject_modules_over_different_fields(tmp_path):
+    g = Grid(((0, 1, 2, 3), (0, 1, 2, 3)))
+    a = write_module(tmp_path / "a.json", library.box_interval(F2, g, (0, 0), (2, 2)))
+    b = write_module(tmp_path / "b.json", library.box_interval(F3, g, (1, 1), (1, 1)))
+    c = write_module(tmp_path / "c.json", library.box_interval(F3, g, (0, 0), (3, 3)))
+    for argv in (["interleave", "--epsilon", "0", a, b],
+                 ["interleave", "--epsilon", "1", a, b],
+                 ["distance", a, c]):
+        code, out, err = run_cli([*argv, "--out", tmp_path / "o"])
+        assert code == 1 and out == "" and "field mismatch" in err, argv
+
+
+def run_cli_process(argv):
+    """Exit code and stdout of the command line in a process of its own."""
+    src = str(Path(obspers.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "obspers.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout
+
+
+def test_cli_parser_is_shared_without_leaking_options(tmp_path):
+    p = write_module(tmp_path / "c.json", library.constant_module(F2, Grid(((0, 1), (0, 1)))))
+    calls = (["interleave", "--epsilon", "0", p, p, "--budget", "1", "--out", tmp_path / "o"],
+             ["interleave", "--epsilon", "0", p, p, "--out", tmp_path / "o"])
+    assert build_parser() is build_parser()
+    together = [run_cli(argv)[:2] for argv in calls]
+    assert [code for code, _ in together] == [3, 0]
+    assert together == [run_cli_process(argv) for argv in calls]
 
 
 def test_cli_bad_rational_is_a_usage_error(tmp_path):

@@ -11,7 +11,7 @@ from obspers.decompose import iso_test
 from obspers.errors import BudgetExceeded, ValidationError
 from obspers.fields import PrimeField
 from obspers.metric import (INF, candidate_set, decide, distance_bracket,
-                            rank_lower_bound, verify)
+                            rank_lower_bound, rank_obstruction_at, verify)
 from obspers.stepmodule import (Grid, Morphism, identity_morphism,
                                 restrict_extend, union_grids, zero_module,
                                 zero_morphism)
@@ -203,3 +203,35 @@ def test_candidate_set_contains_zero_and_sorted():
     assert cands[0] == 0
     assert list(cands) == sorted(cands)
     assert Fraction(1, 4) in cands and Fraction(1, 2) in cands
+
+
+# -- modules that cannot be compared -------------------------------------------
+
+F3 = PrimeField(3)
+G4 = Grid(((0, 1, 2, 3), (0, 1, 2, 3)))
+
+
+def mismatched_pairs():
+    """(v, w) over different fields, or with different numbers of axes."""
+    line = Grid(((0, 1, 2, 3),))
+    return [(library.box_interval(F2, G4, (0, 0), (2, 2)),
+             library.box_interval(F3, G4, (1, 1), (1, 1))),
+            (library.box_interval(F2, G4, (0, 0), (2, 2)),
+             library.box_interval(F3, G4, (0, 0), (3, 3))),
+            (library.box_interval(F2, G4, (0, 0), (2, 2)),
+             library.box_interval(F2, line, (0,), (2,)))]
+
+
+@pytest.mark.parametrize("v, w", mismatched_pairs())
+def test_metric_functions_reject_incomparable_modules(v, w):
+    for a, b in ((v, w), (w, v)):
+        for eps in (0, 1, 2):
+            with pytest.raises(ValidationError):
+                decide(a, b, eps)
+            with pytest.raises(ValidationError):
+                rank_obstruction_at(a, b, eps)
+        with pytest.raises(ValidationError):
+            rank_lower_bound(a, b)
+        with pytest.raises(ValidationError):
+            distance_bracket(a, b)
+        assert iso_test(a, b) == (False, None)
