@@ -18,6 +18,25 @@ basis hom_basis(a, a) returns (its docstring has the argument).
 
 The structure table takes one batched product of the stacked basis with
 itself per grid point, and only the exhaustive idempotent search needs it.
+
+Stacked elimination.  The Fitting split and the isomorphism search work on
+the grid points a dimension group at a time: the components at the points
+of dimension d are stacked into one (points, d, d) array, and
+PrimeField.reduce_stack row-reduces the whole stack in one pass.  Both give
+exactly what the per-point code gave (kept in tests/oracles.py):
+- reduce_stack's slices are the reduced row echelon forms of the stacked
+  matrices, which are unique, so ranks, pivot columns and everything read
+  off them are the per-point ones;
+- each group is raised to the same power N = total_dim by squaring, and
+  powers of one matrix commute, so the stack holds the same f^N at every
+  point, and the same kernel basis, pivot columns of f^N and inverse of
+  [ker | im] come out of its two reductions;
+- iso_test draws its random candidates from the same generator, one draw
+  of h coefficients per try, then scans coefficient_vectors in the same
+  lexicographic order.  A chunk's candidates are tested together, and the
+  answer is the first candidate of the first chunk that is invertible at
+  every point, so it is the first candidate the one-by-one scan accepts;
+  its components are listed smallest dimension first, as before.
 """
 
 from dataclasses import dataclass
@@ -26,10 +45,9 @@ from itertools import islice
 import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
-from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _blocks,
-                         _combination_at, _freeze, _morphisms, _submodule,
-                         canonical_rows, coefficient_vectors, compose,
-                         flatten_morphism, hom_basis, hom_rows, identity_morphism,
+from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _blocks, _freeze,
+                         _morphisms, _submodule, canonical_rows, coefficient_vectors,
+                         compose, flatten_morphism, hom_rows, identity_morphism,
                          linear_combination, union_grids)
 
 
@@ -96,27 +114,65 @@ class Split:
     proj_b: Morphism
 
 
+def _by_dim(v):
+    """{d: the points of v with dimension d, in lexicographic order}, in
+    increasing order of d."""
+    groups = {}
+    for g in v.grid.points():
+        groups.setdefault(v.dims[g], []).append(g)
+    return dict(sorted(groups.items()))
+
+
+def _power(a, n, p):
+    """a[i]^n mod p for every matrix of the stack a, n >= 1, by squaring."""
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else result @ a % p
+        n >>= 1
+        if not n:
+            return result
+        a = a @ a % p
+
+
 def _split_from_endo(v, f):
     """Fitting split along the stabilized endomorphism f^N, if nontrivial:
     a = ker f^N and b = im f^N, with the kernel basis elimination reads off
     and the pivot columns of f^N.  At each point [ker | im] is a basis, and
     the rows of its inverse are the coordinates in it, which give both
-    projections and the pieces' steps (stepmodule._submodule)."""
-    F = v.field
+    projections and the pieces' steps (stepmodule._submodule).  The points
+    are taken a dimension group at a time (the module docstring has the
+    argument that this is the per-point split)."""
+    F, p = v.field, v.field.p
     n = max(v.total_dim, 1)
-    fn = {g: F.matpow(f.comps[g], n) for g in v.grid.points()}
-    kernel = {g: _freeze(F.kernel_basis(c)) for g, c in fn.items()}
-    ka = sum(k.shape[1] for k in kernel.values())
+    groups = []
+    for d, pts in _by_dim(v).items():
+        fn = _power(np.stack([f.comps[g] for g in pts]), n, p)
+        rref, ranks, pivots = F.reduce_stack(fn)
+        groups.append((d, pts, fn, rref, ranks, pivots))
+    ka = sum(int((d - ranks).sum()) for d, _, _, _, ranks, _ in groups)
     if ka == 0 or ka == v.total_dim:
         return None
-    image, proj_a, proj_b = {}, {}, {}
-    for g, c in fn.items():
-        image[g] = _freeze(F.column_space_basis(c))
-        inv = F.solve(np.concatenate([kernel[g], image[g]], axis=1), F.identity(v.dims[g]))
-        if inv is None:
+    parts = {}
+    for d, pts, fn, rref, ranks, pivots in groups:
+        # row j of lead is the reduced row whose pivot is column j (0 at the
+        # free columns), so column j of the kernel basis, for a free j, is 1
+        # at j and -lead[pc, j] at each pivot column pc, as F.kernel_basis
+        row_of = np.maximum(np.cumsum(pivots, axis=1) - 1, 0)
+        lead = np.where(pivots[:, :, None],
+                        np.take_along_axis(rref, row_of[:, :, None], axis=1), 0)
+        ker = (np.eye(d, dtype=np.int64) * ~pivots[:, None, :] - lead) % p
+        # [ker | im]: the free columns of ker, then f^N's pivot columns
+        order = np.argsort(pivots, axis=1, kind="stable")[:, None, :]
+        both = np.take_along_axis(np.where(pivots[:, None, :], fn, ker), order, axis=2)
+        eye = np.broadcast_to(np.eye(d, dtype=np.int64), both.shape)
+        red, _, bar = F.reduce_stack(np.concatenate([both, eye], axis=2))
+        if not bar[:, :d].all():
             return None  # f^N not yet stabilized into a direct sum; try another f
-        k = kernel[g].shape[1]
-        proj_a[g], proj_b[g] = _freeze(inv[:k]), _freeze(inv[k:])
+        for g, k, basis, inv in zip(pts, d - ranks, both, red[:, :, d:]):
+            parts[g] = basis[:, :k], basis[:, k:], inv[:k], inv[k:]
+    kernel, image, proj_a, proj_b = ({g: _freeze(parts[g][i]) for g in v.grid.points()}
+                                     for i in range(4))
     a, b = _submodule(v, kernel, proj_a), _submodule(v, image, proj_b)
     return Split(a, b, Morphism._trusted(a, v, kernel), Morphism._trusted(b, v, image),
                  Morphism._trusted(v, a, proj_a), Morphism._trusted(v, b, proj_b))
@@ -215,25 +271,37 @@ def decompose(v, seed=0, budget=DEFAULT_BUDGET):
                          [projs[i] for i in order])
 
 
-def _invertible_pointwise(v, w, basis, coeffs):
-    """The combination of basis with coeffs when it is invertible at every
-    point, else None; points are visited smallest dimension first, so that a
-    singular candidate is rejected before the large components are built."""
-    F = v.field
-    comps = {}
-    for g in sorted(v.grid.points(), key=lambda g: v.dims[g]):
-        acc = _combination_at(basis, coeffs, g, (w.dims[g], v.dims[g]), F.p)
-        if not F.is_invertible(acc):
-            return None
-        comps[g] = acc
-    return Morphism(v, w, comps)
+# The most matrix entries (candidates x entries of one candidate) that
+# iso_test tests in one chunk.
+_CHUNK_CELLS = 1 << 13
+
+
+def _first_invertible(F, groups, cands, size):
+    """The first of the coefficient vectors cands whose combination is
+    invertible at every point, or None, testing chunks of size candidates.
+    groups holds, smallest dimension first, (d, points, stack) with the basis
+    components at the points of dimension d as one (h, points * d * d)
+    array; a group rejects candidates before the larger groups see them."""
+    while chunk := list(islice(cands, size)):
+        alive = np.arange(len(chunk))
+        c = np.array(chunk, dtype=np.int64)
+        for d, _, stack in groups:
+            if d and alive.size:
+                combos = (c[alive] @ stack % F.p).reshape(-1, d, d)
+                _, ranks, _ = F.reduce_stack(combos)
+                alive = alive[(ranks.reshape(len(alive), -1) == d).all(axis=1)]
+        if alive.size:
+            return c[alive[0]]
+    return None
 
 
 def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
     """(True, witness) when an invertible natural transformation v -> w
     exists, else (False, None); absence is certified by exhausting the
     coefficient space of Hom(v, w) (budget errors are raised, never silently
-    reported as non-isomorphism)."""
+    reported as non-isomorphism).  Candidates are tested a chunk at a time
+    (the module docstring has the argument that the witness is the one a
+    candidate-by-candidate scan finds)."""
     if v.field != w.field or v.grid.n_axes != w.grid.n_axes:
         return False, None
     u = union_grids(v.grid, w.grid)
@@ -246,21 +314,25 @@ def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
     gaps = [b - a for axis in u.axes for a, b in zip(axis, axis[1:])]
     if gaps and persistent_rank(rv, min(gaps)) != persistent_rank(rw, min(gaps)):
         return False, None
-    basis = hom_basis(rv, rw)
-    h = len(basis)
+    rows = hom_rows(rv, rw)
+    h = len(rows)
     if h == 0:
         return False, None
     F = v.field
+    blocks = _blocks(rv, rw, rows)
+    groups = [(d, pts, np.stack([blocks[g] for g in pts], axis=1).reshape(h, -1))
+              for d, pts in _by_dim(rv).items()]
+    size = max(1, _CHUNK_CELLS // sum(stack.shape[1] for _, _, stack in groups))
     rng = np.random.default_rng(seed)
-    for _ in range(min(200, F.p ** h)):
-        coeffs = rng.integers(0, F.p, size=h)
-        m = _invertible_pointwise(rv, rw, basis, coeffs)
-        if m is not None:
-            return True, m
-    for cand in coefficient_vectors(F.p, h, budget, "Hom(V, W)"):
-        if not any(cand):
-            continue
-        m = _invertible_pointwise(rv, rw, basis, cand)
-        if m is not None:
-            return True, m
-    return False, None
+    random = (rng.integers(0, F.p, size=h) for _ in range(min(200, F.p ** h)))
+    hit = _first_invertible(F, groups, random, size)
+    if hit is None:
+        # the zero vector is tested too: it is singular wherever rv is nonzero
+        hit = _first_invertible(F, groups, coefficient_vectors(F.p, h, budget, "Hom(V, W)"),
+                                size)
+    if hit is None:
+        return False, None
+    comps = {}
+    for d, pts, stack in groups:
+        comps.update(zip(pts, map(_freeze, (hit @ stack % F.p).reshape(len(pts), d, d))))
+    return True, Morphism._trusted(rv, rw, comps)

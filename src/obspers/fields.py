@@ -72,18 +72,6 @@ class PrimeField:
             return self.zeros(a.shape[0], b.shape[1])
         return np.mod(a @ b, self.p)
 
-    def matpow(self, a, n):
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("matpow needs a square matrix")
-        result = self.identity(a.shape[0])
-        base = a.copy()
-        while n > 0:
-            if n & 1:
-                result = self.matmul(result, base)
-            base = self.matmul(base, base)
-            n >>= 1
-        return result
-
     def matadd(self, a, b):
         return np.mod(a + b, self.p)
 
@@ -119,6 +107,49 @@ class PrimeField:
             pivots.append(c)
             r += 1
         return a, len(pivots), pivots
+
+    def reduce_stack(self, a):
+        """reduce over a stack: a has shape (n, r, c), and the result is
+        (rref, ranks, pivots) with rref of shape (n, r, c), ranks of shape
+        (n,) and pivots an (n, c) boolean mask of the pivot columns.
+
+        One Gauss-Jordan pass runs over the whole stack, a column at a time.
+        In every matrix that has a nonzero entry in the column at or below
+        its current rank row, the first such row is swapped up to the rank
+        row, scaled to a leading 1 and used to clear the column in every
+        other row, as reduce does for one matrix.  The rows from the rank row
+        down are zero in every earlier column (each one either was a pivot
+        column, cleared everywhere else, or had no nonzero entry there), so
+        the clearing only touches this column and the ones after it.  Every
+        slice ends in reduced row echelon form, which is unique, so
+        rref[i], ranks[i] and the columns where pivots[i] holds are exactly
+        what reduce returns for a[i].
+        """
+        a = np.mod(np.array(a, dtype=np.int64), self.p)
+        if a.ndim != 3:
+            raise ValueError(f"need a (n, r, c) stack, got shape {a.shape}")
+        n, r, cols = a.shape
+        inverses = np.array([0] + [self.inv(x) for x in range(1, self.p)], dtype=np.int64)
+        ranks = np.zeros(n, dtype=np.int64)
+        pivots = np.zeros((n, cols), dtype=bool)
+        rows = np.arange(r)
+        for c in range(cols):
+            live = (a[:, :, c] != 0) & (rows >= ranks[:, None])
+            found = live.any(axis=1)
+            if not found.any():
+                continue
+            sel = np.flatnonzero(found)
+            at, first = ranks[sel], live[sel].argmax(axis=1)
+            pivot = a[sel, first, c:]
+            a[sel, first, c:] = a[sel, at, c:]
+            pivot = pivot * inverses[pivot[:, 0]][:, None] % self.p
+            block = a[sel, :, c:]
+            block = (block - block[:, :, :1] * pivot[:, None, :]) % self.p
+            block[np.arange(len(sel)), at] = pivot
+            a[sel, :, c:] = block
+            pivots[sel, c] = True
+            ranks[sel] += 1
+        return a, ranks, pivots
 
     def rank(self, m):
         return self.reduce(m)[1]

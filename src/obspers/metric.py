@@ -176,7 +176,11 @@ def _triangle(first, second, eps, first_stack, second_stack):
     return tensor, rhs
 
 
-def decide(v, w, eps, budget=DEFAULT_BUDGET):
+# decide's default for a rank-obstruction verdict it has not been given.
+_UNKNOWN = object()
+
+
+def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     """A verified eps-interleaving of (v, w), or None when none exists at this
     exact eps.  Both Hom spaces are computed once; the coefficient space of
     the smaller one (f's on ties) is enumerated, and for each candidate the
@@ -204,12 +208,17 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET):
     candidates for which F.solve would return a solution; those are then
     taken in the same order and given to the same F.solve on the same
     matrix, and the first whose pair verifies is returned.  The candidates
-    it drops are those F.solve would reject, which never reach verify."""
+    it drops are those F.solve would reject, which never reach verify.
+
+    _obstruction is private: distance_bracket passes the verdict of
+    rank_obstruction_at(v, w, eps) when its rank scan already has it."""
     _check_comparable(v, w)
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")
-    if rank_obstruction_at(v, w, eps) is not None:
+    if _obstruction is _UNKNOWN:
+        _obstruction = rank_obstruction_at(v, w, eps)
+    if _obstruction is not None:
         return None  # a rank inequality proves impossibility outright
     f_side, g_side = _side(v, w, eps), _side(w, v, eps)
     flip = len(g_side.basis) < len(f_side.basis)
@@ -322,10 +331,20 @@ def rank_lower_bound(v, w):
     _check_comparable(v, w)
     if _eventual_dim(v) != _eventual_dim(w):
         return INF
-    for eps in reversed(candidate_set(v, w)):
-        if rank_obstruction_at(v, w, eps) is not None:
-            return eps
-    return Fraction(0)
+    return _rank_scan(v, w, candidate_set(v, w))[0]
+
+
+def _rank_scan(v, w, cands):
+    """rank_lower_bound's scan of the sorted candidates cands from the top:
+    the bound, and {index: rank_obstruction_at verdict} for every candidate
+    the scan evaluated (the bound alone cannot tell an obstruction at 0
+    from none at all)."""
+    verdicts = {}
+    for i in reversed(range(len(cands))):
+        verdicts[i] = rank_obstruction_at(v, w, cands[i])
+        if verdicts[i] is not None:
+            return cands[i], verdicts
+    return Fraction(0), verdicts
 
 
 @dataclass(frozen=True)
@@ -353,13 +372,14 @@ def distance_bracket(v, w, budget=DEFAULT_BUDGET):
                                {"reason": "eventual dimensions differ",
                                 "rank_lower_bound": INF})
     cands = candidate_set(v, w)
-    rlb = rank_lower_bound(v, w)
+    rlb, verdicts = _rank_scan(v, w, cands)
     results = {}
 
     def dec(i):
         if i not in results:
             try:
-                results[i] = decide(v, w, cands[i], budget=budget)
+                results[i] = decide(v, w, cands[i], budget=budget,
+                                    _obstruction=verdicts.get(i, _UNKNOWN))
             except BudgetExceeded:
                 results[i] = "budget"
         return results[i]

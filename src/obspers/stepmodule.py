@@ -42,6 +42,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product
 
 import numpy as np
@@ -79,12 +80,25 @@ class Grid:
         object.__setattr__(self, "axes", axes)
 
     @classmethod
-    def _trusted(cls, axes):
+    def _trusted(cls, axes, scaled=None):
         """Internal constructor for a tuple of strictly increasing tuples of
-        Fractions; skips the coercion and checks of __post_init__."""
+        Fractions; skips the coercion and checks of __post_init__.  scaled,
+        when given, is the value of _scaled for these axes."""
         grid = object.__new__(cls)
         object.__setattr__(grid, "axes", axes)
+        if scaled is not None:
+            grid.__dict__["_scaled"] = scaled
         return grid
+
+    @cached_property
+    def _scaled(self):
+        """Per axis, (den, keys): den a common denominator of the axis's
+        coordinates and keys the coordinates times den, increasing integers."""
+        out = []
+        for axis in self.axes:
+            den = math.lcm(*(c.denominator for c in axis))
+            out.append((den, tuple(c.numerator * (den // c.denominator) for c in axis)))
+        return tuple(out)
 
     @property
     def n_axes(self):
@@ -120,18 +134,17 @@ class Grid:
     def anchor_indices(self, grid, delta=0):
         """Per axis of grid, the anchor index on this grid's axis of every
         coordinate + delta (None below the minimum): one bisect per axis
-        coordinate of grid, on integers scaled by the axis pair's common
-        denominator, so the comparisons stay exact."""
+        coordinate of grid, on the integer keys of _scaled, so the
+        comparisons stay exact.  A key is at most a rational x exactly when
+        it is at most floor(x); with c = k / den_c and delta = n / d, c + delta
+        on this axis's scale den is x = (k * d + n * den_c) * den / (den_c * d)."""
         same_axes(self, grid)
         d = _frac(delta)
         out = []
-        for mine, theirs in zip(self.axes, grid.axes):
-            scale = math.lcm(d.denominator, *(c.denominator for c in mine),
-                             *(c.denominator for c in theirs))
-            keys = [c.numerator * (scale // c.denominator) for c in mine]
-            shift = d.numerator * (scale // d.denominator)
-            found = (bisect.bisect_right(keys, c.numerator * (scale // c.denominator) + shift) - 1
-                     for c in theirs)
+        for (den, mine), (den_c, theirs) in zip(self._scaled, grid._scaled):
+            shift, below = d.numerator * den_c, den_c * d.denominator
+            found = (bisect.bisect_right(mine, (k * d.denominator + shift) * den // below) - 1
+                     for k in theirs)
             out.append(tuple(i if i >= 0 else None for i in found))
         return tuple(out)
 
@@ -144,7 +157,13 @@ class Grid:
     def translate(self, delta):
         """Grid moved by +delta on every axis."""
         d = _frac(delta)
-        return Grid._trusted(tuple(tuple(c + d for c in axis) for axis in self.axes))
+        scaled = []
+        for den, keys in self._scaled:
+            new = math.lcm(den, d.denominator)
+            up, shift = new // den, d.numerator * (new // d.denominator)
+            scaled.append((new, tuple(k * up + shift for k in keys)))
+        return Grid._trusted(tuple(tuple(c + d for c in axis) for axis in self.axes),
+                             tuple(scaled))
 
     def min_corner(self):
         return tuple(axis[0] for axis in self.axes)
@@ -160,14 +179,22 @@ def same_axes(*grids):
 
 
 def union_grids(*grids):
+    """The grid whose axes are the unions of the grids' axes, merged on the
+    integer keys of _scaled; the coordinates are the grids' own Fractions."""
     same_axes(*grids)
-    axes = []
+    if all(g is grids[0] for g in grids):
+        return grids[0]
+    axes, scaled = [], []
     for a in range(grids[0].n_axes):
-        coords = set()
+        den = math.lcm(*(g._scaled[a][0] for g in grids))
+        merged = {}
         for g in grids:
-            coords.update(g.axes[a])
-        axes.append(tuple(sorted(coords)))
-    return Grid._trusted(tuple(axes))
+            own, keys = g._scaled[a]
+            merged.update(zip((k * (den // own) for k in keys), g.axes[a]))
+        keys = sorted(merged)
+        axes.append(tuple(merged[k] for k in keys))
+        scaled.append((den, tuple(keys)))
+    return Grid._trusted(tuple(axes), tuple(scaled))
 
 
 def _freeze(arr):
@@ -494,25 +521,34 @@ def validate_morphism(m):
 
 
 def identity_morphism(v):
-    return Morphism(v, v, {g: v.field.identity(v.dims[g]) for g in v.grid.points()})
+    eyes = {}
+    return Morphism._trusted(v, v, {g: _shared(eyes, v.dims[g], v.field.identity)
+                                    for g in v.grid.points()})
 
 
 def zero_morphism(v, w):
-    return Morphism(v, w, {g: v.field.zeros(w.dims[g], v.dims[g]) for g in v.grid.points()})
+    zeros = {}
+    comps = {g: _shared(zeros, (w.dims[g], v.dims[g]), lambda shape: np.zeros(shape, np.int64))
+             for g in v.grid.points()}
+    if v.grid != w.grid:
+        raise ValidationError("morphism endpoints must share a grid")
+    return Morphism._trusted(v, w, comps)
 
 
 def compose(m2, m1):
     """m2 after m1; the grids must agree and m1's target data must equal m2's
     source data exactly."""
-    if m1.target != m2.source:
+    if m1.target is not m2.source and m1.target != m2.source:
         raise ValidationError("composition endpoints do not match")
-    comps = {g: m1.field.matmul(m2.comps[g], m1.comps[g]) for g in m1.grid.points()}
-    return Morphism(m1.source, m2.target, comps)
+    p = m1.field.p
+    return Morphism._trusted(m1.source, m2.target, {
+        g: _freeze(m2.comps[g] @ m1.comps[g] % p) for g in m1.grid.points()})
 
 
 def add_morphisms(m1, m2):
-    comps = {g: m1.field.matadd(m1.comps[g], m2.comps[g]) for g in m1.grid.points()}
-    return Morphism(m1.source, m1.target, comps)
+    p = m1.field.p
+    return Morphism._trusted(m1.source, m1.target, {
+        g: _freeze((m1.comps[g] + m2.comps[g]) % p) for g in m1.grid.points()})
 
 
 def flatten_morphism(m):
@@ -748,15 +784,15 @@ def _submodule(v, basis, coords):
     where coords[g] takes a vector of that span to its coordinates in
     basis[g]: each step is coords[h] @ step @ basis[g], h the step's end.
     The caller guarantees that v's steps keep the spans."""
-    F = v.field
+    p = v.field.p
     steps = {}
     for g in v.grid.points():
         for axis in range(v.grid.n_axes):
             h = v.grid.successor(g, axis)
             if h is not None:
-                steps[(g, axis)] = _freeze(F.matmul(coords[h], F.matmul(v.steps[(g, axis)],
-                                                                        basis[g])))
-    return StepModule._trusted(F, v.grid, {g: b.shape[1] for g, b in basis.items()}, steps)
+                steps[(g, axis)] = _freeze(coords[h] @ (v.steps[(g, axis)] @ basis[g] % p) % p)
+    return StepModule._trusted(v.field, v.grid, {g: b.shape[1] for g, b in basis.items()},
+                               steps)
 
 
 def factor_morphism(m):

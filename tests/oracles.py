@@ -5,10 +5,11 @@ against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-five sections keep earlier code of the package itself as the reference for
+six sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element decide
 kernel, the dense Hom solver, the full factorization with the per-piece
-decomposition, and the composite-building verify.
+decomposition, the composite-building verify, and the point-by-point Fitting
+split and isomorphism search.
 """
 
 from fractions import Fraction
@@ -554,7 +555,8 @@ def oracle_split_from_endo(v, f):
 
     F = v.field
     n = max(v.total_dim, 1)
-    fn = Morphism(f.source, f.target, {g: F.matpow(f.comps[g], n) for g in f.grid.points()})
+    fn = Morphism(f.source, f.target, {g: oracle_matpow(F, f.comps[g], n)
+                                       for g in f.grid.points()})
     fac = oracle_factor_morphism(fn)
     ka = fac.kernel.total_dim
     if ka == 0 or ka == v.total_dim:
@@ -679,3 +681,105 @@ def oracle_shift_factor_ok(l, m, first, beta):
     from obspers.calculus import compose_matched, eta_on, morphisms_match
 
     return morphisms_match(compose_matched(m, first), eta_on(l, beta, l.grid))
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier point-by-point Fitting split and isomorphism search:
+# f^N by square-and-multiply and three eliminations at each grid point, and
+# iso_test's candidates tried one at a time, each point in turn from the
+# smallest dimension up.  The batched split and the chunked scan must return
+# the same split and the same witness.
+# ---------------------------------------------------------------------------
+
+def oracle_matpow(F, a, n):
+    result = F.identity(a.shape[0])
+    base = a.copy()
+    while n > 0:
+        if n & 1:
+            result = F.matmul(result, base)
+        base = F.matmul(base, base)
+        n >>= 1
+    return result
+
+
+def oracle_split_pointwise(v, f):
+    import numpy as np
+
+    from obspers.decompose import Split
+    from obspers.stepmodule import Morphism, _freeze, _submodule
+
+    F = v.field
+    n = max(v.total_dim, 1)
+    fn = {g: oracle_matpow(F, f.comps[g], n) for g in v.grid.points()}
+    kernel = {g: _freeze(F.kernel_basis(c)) for g, c in fn.items()}
+    ka = sum(k.shape[1] for k in kernel.values())
+    if ka == 0 or ka == v.total_dim:
+        return None
+    image, proj_a, proj_b = {}, {}, {}
+    for g, c in fn.items():
+        image[g] = _freeze(F.column_space_basis(c))
+        inv = F.solve(np.concatenate([kernel[g], image[g]], axis=1), F.identity(v.dims[g]))
+        if inv is None:
+            return None
+        k = kernel[g].shape[1]
+        proj_a[g], proj_b[g] = _freeze(inv[:k]), _freeze(inv[k:])
+    a, b = _submodule(v, kernel, proj_a), _submodule(v, image, proj_b)
+    return Split(a, b, Morphism._trusted(a, v, kernel), Morphism._trusted(b, v, image),
+                 Morphism._trusted(v, a, proj_a), Morphism._trusted(v, b, proj_b))
+
+
+def oracle_invertible_pointwise(v, w, basis, coeffs):
+    import numpy as np
+
+    from obspers.stepmodule import Morphism
+
+    F = v.field
+    comps = {}
+    for g in sorted(v.grid.points(), key=lambda g: v.dims[g]):
+        acc = np.zeros((w.dims[g], v.dims[g]), dtype=np.int64)
+        for c, b in zip(coeffs, basis):
+            if c:
+                acc += int(c) * b.comps[g]
+        acc %= F.p
+        if not F.is_invertible(acc):
+            return None
+        comps[g] = acc
+    return Morphism(v, w, comps)
+
+
+def oracle_iso_test(v, w, seed=0, budget=1 << 16):
+    import numpy as np
+
+    from obspers.calculus import persistent_rank, restrict_extend
+    from obspers.stepmodule import (coefficient_vectors, hom_basis, identity_morphism,
+                                    union_grids)
+
+    if v.field != w.field or v.grid.n_axes != w.grid.n_axes:
+        return False, None
+    u = union_grids(v.grid, w.grid)
+    rv = restrict_extend(v, u)
+    rw = restrict_extend(w, u)
+    if any(rv.dims[g] != rw.dims[g] for g in u.points()):
+        return False, None
+    if rv.total_dim == 0 or rv == rw:
+        return True, identity_morphism(rv)
+    gaps = [b - a for axis in u.axes for a, b in zip(axis, axis[1:])]
+    if gaps and persistent_rank(rv, min(gaps)) != persistent_rank(rw, min(gaps)):
+        return False, None
+    basis = hom_basis(rv, rw)
+    h = len(basis)
+    if h == 0:
+        return False, None
+    F = v.field
+    rng = np.random.default_rng(seed)
+    for _ in range(min(200, F.p ** h)):
+        m = oracle_invertible_pointwise(rv, rw, basis, rng.integers(0, F.p, size=h))
+        if m is not None:
+            return True, m
+    for cand in coefficient_vectors(F.p, h, budget, "Hom(V, W)"):
+        if not any(cand):
+            continue
+        m = oracle_invertible_pointwise(rv, rw, basis, cand)
+        if m is not None:
+            return True, m
+    return False, None

@@ -1,27 +1,32 @@
 """The derived End kernel of decompose: End bases derived from the parent
-piece's, the batched structure table and the kernel-and-image Fitting split,
-against the earlier per-piece code kept in tests/oracles.py, on random
+piece's, the batched structure table, the kernel-and-image Fitting split taken
+a dimension group at a time, and iso_test's chunked candidate scan, against
+the earlier per-piece and per-point code kept in tests/oracles.py, on random
 F_2/F_3/F_5 modules and on twisted box sums like the benchmark's.  The
 piece-by-piece checks come first: a broken split can keep decompose from
 terminating, and with -x they report it before the whole-decomposition
 checks run."""
 
 import functools
+import importlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from obspers import library
 from obspers.decompose import (_derived_rows, _split, _split_from_endo, _table,
-                               decompose, endo_algebra)
+                               decompose, endo_algebra, iso_test)
+from obspers.errors import BudgetExceeded
 from obspers.fields import PrimeField
-from obspers.stepmodule import (DEFAULT_BUDGET, _morphisms, direct_sum, hom_rows,
-                                linear_combination, validate, validate_morphism)
+from obspers.stepmodule import (DEFAULT_BUDGET, Grid, _morphisms, direct_sum, hom_basis,
+                                hom_rows, linear_combination, validate, validate_morphism)
 
 from conftest import assert_same_morphism, doubled_m_lambda
-from oracles import (oracle_decompose, oracle_endo_algebra,
-                     oracle_split_from_endo)
+from oracles import (oracle_decompose, oracle_endo_algebra, oracle_invertible_pointwise,
+                     oracle_iso_test, oracle_split_from_endo, oracle_split_pointwise)
 
+DECOMPOSE = importlib.import_module("obspers.decompose")
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 primes = st.sampled_from([2, 3, 5])
 
@@ -83,8 +88,19 @@ def assert_kernel_matches(v):
         for f in basis + combos:
             split = _split_from_endo(m, f)
             assert split == oracle_split_from_endo(m, f)
+            assert_same_split(split, oracle_split_pointwise(m, f))
             if split is not None:
                 assert_sound(split, m.field.p)
+
+
+def assert_same_split(fast, slow):
+    """Equal splits, with every dict in the same key order."""
+    assert fast == slow
+    if fast is not None:
+        for piece in ("a", "b"):
+            assert list(getattr(fast, piece).dims) == list(getattr(slow, piece).dims)
+        for name in ("inc_a", "inc_b", "proj_a", "proj_b"):
+            assert list(getattr(fast, name).comps) == list(getattr(slow, name).comps)
 
 
 def assert_sound(split, p):
@@ -143,3 +159,85 @@ def test_exhaustive_search_pieces_match_oracle():
         w = direct_sum(v, library.box_interval(PrimeField(p), v.grid, (1, 1), (2, 3)))
         assert_same_decomposition(w)
         assert_kernel_matches(w)
+
+
+@settings(max_examples=10)
+@given(seeds, st.sampled_from([2, 3]))
+def test_batched_split_matches_pointwise_split_with_zero_spaces(seed, p):
+    # boxes of side 2 to 3 on the 6 x 6 grid leave points of dimension 0,
+    # a group of their own
+    v = twisted_boxes(seed, p)
+    assert 0 in v.dims.values()
+    basis = _morphisms(v, v, hom_rows(v, v))
+    rng = np.random.default_rng(seed)
+    combos = [linear_combination(basis, rng.integers(0, p, size=len(basis)), v, v)
+              for _ in range(4)]
+    found = 0
+    for f in basis + combos:
+        split = _split_from_endo(v, f)
+        assert_same_split(split, oracle_split_pointwise(v, f))
+        found += split is not None
+    assert found
+
+
+def assert_same_iso(v, w, seed=0, budget=DEFAULT_BUDGET):
+    fast, slow = iso_test(v, w, seed, budget), oracle_iso_test(v, w, seed, budget)
+    assert fast[0] == slow[0] and (fast[1] is None) == (slow[1] is None)
+    if slow[1] is not None:
+        assert_same_morphism(fast[1], slow[1])
+        assert list(fast[1].comps) == list(slow[1].comps)
+    return fast
+
+
+@settings(max_examples=20)
+@given(seeds, primes, st.integers(0, 3))
+def test_iso_test_matches_oracle_on_twists(seed, p, iso_seed):
+    v = random_input(seed, p)
+    w = library.twist_module(v, np.random.default_rng(seed + 1))
+    assert assert_same_iso(v, w, iso_seed)[0]
+
+
+@settings(max_examples=20)
+@given(seeds, primes)
+def test_iso_test_matches_oracle_on_random_pairs(seed, p):
+    assert_same_iso(random_input(seed, p), random_input(seed + 1, p))
+
+
+@settings(max_examples=5)
+@given(seeds, st.sampled_from([2, 3]))
+def test_iso_test_matches_oracle_on_twisted_boxes(seed, p):
+    v = twisted_boxes(seed, p)
+    assert assert_same_iso(v, library.twist_module(v, np.random.default_rng(seed)))[0]
+
+
+def test_iso_witness_found_only_by_the_lexicographic_scan(monkeypatch):
+    # End of [0, 2] + [1, 2] over F_2 has dimension 3 and 2 of its 8
+    # elements are invertible; at seed 3 none of the 8 random tries is one.
+    # A candidate has 9 entries, so 18 cells make chunks of 2 candidates.
+    monkeypatch.setattr(DECOMPOSE, "_CHUNK_CELLS", 18)
+    F2 = PrimeField(2)
+    grid = Grid(((0, 1, 2),))
+    v = direct_sum(library.box_interval(F2, grid, (0,), (2,)),
+                   library.box_interval(F2, grid, (1,), (2,)))
+    w = library.twist_module(v, np.random.default_rng(0))
+    basis = hom_basis(v, w)
+    rng = np.random.default_rng(3)
+    assert all(oracle_invertible_pointwise(v, w, basis, rng.integers(0, 2, size=3)) is None
+               for _ in range(8))
+    assert assert_same_iso(v, w, seed=3)[0]
+    with pytest.raises(BudgetExceeded):
+        iso_test(v, w, seed=3, budget=7)
+
+
+def test_iso_test_certified_non_isomorphism_matches_oracle(monkeypatch):
+    # same dims and persistent rank at the grid gap: only the full scan of
+    # the 4 elements of Hom(V, W) answers, here in chunks of 2 (a candidate
+    # has 6 entries)
+    monkeypatch.setattr(DECOMPOSE, "_CHUNK_CELLS", 12)
+    F2 = PrimeField(2)
+    grid = Grid(((0, 1, 2),))
+    v = direct_sum(library.box_interval(F2, grid, (0,), (1,)),
+                   library.box_interval(F2, grid, (1,), (2,)))
+    w = direct_sum(library.box_interval(F2, grid, (0,), (2,)),
+                   library.box_interval(F2, grid, (1,), (1,)))
+    assert assert_same_iso(v, w) == (False, None)

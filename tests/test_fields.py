@@ -158,3 +158,44 @@ def test_consistent_edge_shapes():
     assert F.consistent(mixed).tolist() == [False, True]
     with pytest.raises(ValueError):
         F.consistent(np.zeros((2, 3), dtype=np.int64))
+
+
+def assert_reduce_stack_slices(F, a):
+    rref, ranks, pivots = F.reduce_stack(a)
+    n, _, c = a.shape
+    assert rref.shape == a.shape and ranks.shape == (n,) and pivots.shape == (n, c)
+    assert pivots.dtype == bool
+    for m, got, rank, mask in zip(a, rref, ranks, pivots):
+        want, want_rank, want_pivots = F.reduce(m)
+        assert np.array_equal(got, want) and rank == want_rank
+        assert np.flatnonzero(mask).tolist() == want_pivots
+        assert (got.tolist(), rank) == oracle_rref((m % F.p).tolist(), F.p)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 5),
+       st.sampled_from(["random", "sparse", "low rank"]), st.data())
+def test_reduce_stack_matches_reduce_and_oracle(p, n, rows, cols, kind, data):
+    F = PrimeField(p)
+    size = n * rows * cols
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    a = np.array(entries, dtype=np.int64).reshape(n, rows, cols)
+    if kind == "sparse":
+        a[a != 1] = 0
+    elif kind == "low rank":
+        a = a[:, :, :1] @ a[:, :1, :] % p if rows * cols else a
+    assert_reduce_stack_slices(F, a)
+
+
+def test_reduce_stack_edge_shapes():
+    F = PrimeField(3)
+    for shape in ((0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (1, 1, 1)):
+        assert_reduce_stack_slices(F, np.zeros(shape, dtype=np.int64))
+    # pivots found in other rows and columns in each matrix of the stack,
+    # entries given out of range
+    a = np.array([[[0, 0, 2], [0, 1, 1], [2, 0, 0]],
+                  [[1, 2, 0], [2, 1, 0], [0, 0, 0]],
+                  [[0, 0, 0], [0, 0, 0], [0, 5, -1]]], dtype=np.int64)
+    assert_reduce_stack_slices(F, a)
+    assert F.reduce_stack(a)[1].tolist() == [3, 1, 1]
+    with pytest.raises(ValueError):
+        F.reduce_stack(np.zeros((2, 3), dtype=np.int64))

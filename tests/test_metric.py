@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from obspers import library
+from obspers import library, metric
 from obspers.calculus import discretize, shift
 from obspers.decompose import iso_test
 from obspers.errors import BudgetExceeded, ValidationError
@@ -235,3 +235,38 @@ def test_metric_functions_reject_incomparable_modules(v, w):
         with pytest.raises(ValidationError):
             distance_bracket(a, b)
         assert iso_test(a, b) == (False, None)
+
+
+# -- the bracket's rank scan ---------------------------------------------------
+
+def counted_bracket(monkeypatch, v, w, reuse):
+    """distance_bracket(v, w) and the shifts at which it evaluated a rank
+    obstruction; without reuse its decide calls scan for themselves."""
+    shifts, scan, check = [], metric._rank_scan, metric.rank_obstruction_at
+
+    def counted(a, b, eps):
+        shifts.append(eps)
+        return check(a, b, eps)
+
+    with monkeypatch.context() as m:
+        m.setattr(metric, "rank_obstruction_at", counted)
+        if not reuse:
+            m.setattr(metric, "_rank_scan", lambda a, b, cands: (scan(a, b, cands)[0], {}))
+        return metric.distance_bracket(v, w, budget=1 << 10), shifts
+
+
+@pytest.mark.parametrize("seed", [83, 101, 0, 1, 2, 3])
+def test_distance_bracket_scans_each_shift_once(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    v = library.random_module(F2, rng, hi=2, max_summands=2)
+    w = library.random_module(F2, rng, grid=v.grid, max_summands=2)
+    fast, shifts = counted_bracket(monkeypatch, v, w, reuse=True)
+    slow, repeated = counted_bracket(monkeypatch, v, w, reuse=False)
+    assert fast == slow
+    assert len(set(shifts)) == len(shifts) and set(shifts) == set(repeated)
+    if seed == 101:
+        # rank_lower_bound reads 0, yet the scan found an obstruction at 0:
+        # the bracket must not decide 0 again, nor take the 0 as "none"
+        assert metric.rank_lower_bound(v, w) == 0
+        assert rank_obstruction_at(v, w, 0) is not None
+        assert shifts.count(Fraction(0)) == 1 and len(repeated) > len(shifts)

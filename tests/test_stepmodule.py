@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from obspers import library
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
-from obspers.stepmodule import (Grid, Morphism, StepModule, compose,
+from obspers.stepmodule import (Grid, Morphism, StepModule, add_morphisms, compose,
                                 direct_sum, factor_morphism,
                                 hom_basis, identity_morphism,
                                 linear_combination, restrict_extend,
@@ -69,6 +69,31 @@ def test_translate_and_union_equal_validated_grids(axes, delta):
         slow = Grid(tuple(map(tuple, want)))
         assert fast == slow and hash(fast) == hash(slow)
         assert all(type(c) is Fraction for axis in fast.axes for c in axis)
+
+
+@given(st.lists(st.lists(rationals, min_size=1, max_size=4, unique=True).map(sorted),
+                min_size=4, max_size=4), rationals, rationals)
+def test_integer_keys_of_translated_and_merged_grids(axes, d1, d2):
+    a, b = Grid((axes[0], axes[1])), Grid((axes[2], axes[3]))
+    grids = [a, b, a.translate(d1), union_grids(a, b.translate(d1)),
+             union_grids(a.translate(d2), b, a)]
+    for g in grids:
+        assert len(g._scaled) == g.n_axes
+        for (den, keys), axis in zip(g._scaled, g.axes):
+            assert keys == tuple(c * den for c in axis)
+    for mine in grids:
+        for theirs in grids:
+            want = tuple(tuple(max((i for i, c in enumerate(m) if c <= t + d2), default=None)
+                               for t in th) for m, th in zip(mine.axes, theirs.axes))
+            assert mine.anchor_indices(theirs, d2) == want
+
+
+def test_union_of_one_grid_is_that_grid():
+    a = Grid(((0, 1), (0, Fraction(1, 3))))
+    assert union_grids(a) is a and union_grids(a, a, a) is a
+    twin = Grid(((0, 1), (0, Fraction(1, 3))))
+    u = union_grids(a, twin)
+    assert u == a and u is not a
 
 
 # -- equality ----------------------------------------------------------------
@@ -245,6 +270,44 @@ def test_compose_and_identity():
     assert np.array_equal(compose(i, i).comps[(0, 0)], i.comps[(0, 0)])
     z = zero_morphism(v, v)
     assert not np.any(compose(i, z).comps[(1, 1)])
+
+
+def assert_exact(m, p):
+    """Components at every point, read-only, int64 and reduced mod p."""
+    assert m.comps.keys() == set(m.grid.points())
+    for c in m.comps.values():
+        assert not c.flags.writeable and c.dtype == np.int64
+        assert c.size == 0 or (c.min() >= 0 and c.max() < p)
+
+
+def test_morphism_builders_match_the_validating_constructor():
+    rng = np.random.default_rng(5)
+    v = library.random_module(F3, rng, max_summands=3)
+    w = library.twist_module(v, rng)
+    f = linear_combination(hom_basis(v, w), rng.integers(0, 3, size=len(hom_basis(v, w))), v, w)
+    g = linear_combination(hom_basis(w, v), rng.integers(0, 3, size=len(hom_basis(w, v))), w, v)
+    points = v.grid.points()
+    expected = [
+        (compose(g, f), Morphism(v, v, {q: g.comps[q] @ f.comps[q] for q in points})),
+        (add_morphisms(f, f), Morphism(v, w, {q: 2 * f.comps[q] for q in points})),
+        (identity_morphism(v), Morphism(v, v, {q: np.eye(v.dims[q]) for q in points})),
+        (zero_morphism(v, w), Morphism(v, w, {q: np.zeros((w.dims[q], v.dims[q]))
+                                              for q in points})),
+        # endpoints that are equal but different objects compose too
+        (compose(f, identity_morphism(StepModule(v.field, v.grid, v.dims, v.steps))), f)]
+    for built, want in expected:
+        assert_same_morphism(built, want)
+        assert_exact(built, 3)
+
+
+def test_morphism_builders_keep_their_endpoint_errors():
+    v = library.constant_module(F3, Grid(((0, 1), (0, 1))))
+    u = library.constant_module(F3, Grid(((0, 2), (0, 1))))
+    w = direct_sum(v, v)
+    with pytest.raises(ValidationError, match="composition endpoints do not match"):
+        compose(identity_morphism(v), zero_morphism(v, w))
+    with pytest.raises(ValidationError, match="morphism endpoints must share a grid"):
+        zero_morphism(v, u)
 
 
 def test_validate_morphism_catches_non_naturality():
