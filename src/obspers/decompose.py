@@ -45,7 +45,7 @@ from itertools import islice
 import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
-from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _blocks, _freeze,
+from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, StepModule, _blocks, _freeze,
                          _morphisms, _submodule, canonical_rows, coefficient_vectors,
                          compose, flatten_morphism, hom_rows, identity_morphism,
                          linear_combination, union_grids)
@@ -193,17 +193,14 @@ def _split(v, rows, seed, budget):
     d = len(rows)
     if d == 1:
         return None  # End = F_p, local
-    basis = _morphisms(v, v, rows)
     # deterministic pass over the basis, then seeded random combinations
-    for b in basis:
+    for b in _morphisms(v, v, rows):
         s = _split_from_endo(v, b)
         if s is not None:
             return s
     rng = np.random.default_rng(seed)
     for _ in range(8 + 4 * d):
-        coeffs = rng.integers(0, F.p, size=d)
-        f = linear_combination(basis, coeffs, v, v)
-        s = _split_from_endo(v, f)
+        s = _split_from_endo(v, linear_combination(v, v, rows, rng.integers(0, F.p, size=d)))
         if s is not None:
             return s
     # exhaustive idempotent search: the certificate of indecomposability
@@ -213,7 +210,7 @@ def _split(v, rows, seed, budget):
     while chunk := list(islice(cands, 4096)):
         e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), table, id_c, F.p)
         if e is not None:
-            return _split_from_endo(v, linear_combination(basis, e, v, v))
+            return _split_from_endo(v, linear_combination(v, v, rows, e))
     return None
 
 
@@ -269,11 +266,6 @@ def decompose(v, seed=0, budget=DEFAULT_BUDGET):
                          [summands[i] for i in order],
                          [incs[i] for i in order],
                          [projs[i] for i in order])
-
-
-# The most matrix entries (candidates x entries of one candidate) that
-# iso_test tests in one chunk.
-_CHUNK_CELLS = 1 << 13
 
 
 def _first_invertible(F, groups, cands, size):

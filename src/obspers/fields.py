@@ -186,43 +186,6 @@ class PrimeField:
             x[pc] = rref[i, cols:]
         return x
 
-    def consistent(self, aug):
-        """Which systems of a stack of augmented matrices have a solution.
-
-        aug has shape (n, r, k + 1): n systems of r equations in k unknowns,
-        each with its right-hand side in the last column.  Returns a boolean
-        (n,) array, True where the system is consistent.
-
-        One elimination runs over the whole stack, a column at a time and
-        without row swaps: in each system the first unused row with a nonzero
-        entry in the column becomes that column's pivot row and is marked
-        used, and the column is cleared in the other unused rows.  A row is
-        marked used only while it is nonzero in its pivot column and zero in
-        every earlier pivot column, so the used rows are independent; after
-        the last unknown column the unused rows are zero left of the bar.
-        The system is therefore consistent exactly when every unused row has
-        a zero right-hand side, the rank test F.solve makes.
-        """
-        a = np.mod(np.array(aug, dtype=np.int64), self.p)
-        if a.ndim != 3 or a.shape[2] == 0:
-            raise ValueError(f"need a (n, r, k + 1) stack, got shape {a.shape}")
-        n, r, cols = a.shape
-        inverses = np.array([0] + [self.inv(x) for x in range(1, self.p)], dtype=np.int64)
-        stack = np.arange(n)
-        used = np.zeros((n, r), dtype=bool)
-        for c in range(cols - 1):
-            live = (a[:, :, c] != 0) & ~used
-            if not live.any():
-                continue
-            piv = live.argmax(axis=1)
-            found = live[stack, piv]
-            used[stack[found], piv[found]] = True
-            row = a[stack, piv]
-            row = row * inverses[row[:, c]][:, None] % self.p
-            factors = np.where(used, 0, a[:, :, c])
-            a = (a - factors[:, :, None] * row[:, None, :]) % self.p
-        return ~((a[:, :, -1] != 0) & ~used).any(axis=1)
-
     def column_space_basis(self, m):
         """The pivot columns of m, a basis of its column space."""
         _, _, pivots = self.reduce(m)

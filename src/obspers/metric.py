@@ -21,9 +21,9 @@ import numpy as np
 
 from .calculus import _triangle_holds, modules_match, restrict_extend, shift
 from .errors import BudgetExceeded, ValidationError
-from .stepmodule import (DEFAULT_BUDGET, Morphism, _frac, anchor_map,
-                         coefficient_vectors, hom_basis,
-                         linear_combination, union_grids, validate_morphism)
+from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac, anchor_map,
+                         coefficient_vectors, hom_rows, linear_combination, union_grids,
+                         validate_morphism)
 
 
 @total_ordering
@@ -50,12 +50,6 @@ class _Infinity:
 
 
 INF = _Infinity()
-
-# The most matrix entries (candidates x rows x (unknowns + 1)) that decide
-# hands to one F.consistent call.  Larger chunks raise peak memory and test
-# more candidates past the first solvable one.
-_CHUNK_CELLS = 1 << 13
-
 
 def _check_comparable(v, w):
     """Raise ValidationError unless v and w share their field and their
@@ -124,32 +118,25 @@ def verify(v, w, eps, f, g):
 
 
 # One direction x -> y[eps] of an interleaving: its Hom space between the
-# restrictions of x and y[eps] to grid, with a basis.
-_Side = namedtuple("_Side", "module grid source target basis")
+# restrictions of x and y[eps] to grid, with a basis flattened in rows.
+_Side = namedtuple("_Side", "module grid source target rows")
 
 
 def _side(x, y, eps):
     grid = union_grids(x.grid, y.grid.translate(-eps))
     source = restrict_extend(x, grid)
     target = restrict_extend(shift(y, eps), grid)
-    return _Side(x, grid, source, target, hom_basis(source, target))
+    return _Side(x, grid, source, target, hom_rows(source, target))
 
 
-def _stack(side):
-    """{grid point g: the basis components at g as one (h, r, c) array}."""
-    h = len(side.basis)
-    return {g: np.array([b.comps[g] for b in side.basis], dtype=np.int64).reshape(
-                h, side.target.dims[g], side.source.dims[g])
-            for g in side.grid.points()}
-
-
-def _triangle(first, second, eps, first_stack, second_stack):
+def _triangle(first, second, eps):
     """The triangle second[eps] o first = eta_2eps on first.module, in
     coordinates on the common grid u: tensor[i, j] flattens second_j[eps] o
     first_i over the two bases, and rhs flattens eta_2eps.  The component at
-    a point of u is the product of the stacked components at its anchors in
+    a point of u is the product of the basis components at its anchors in
     the two sides' grids (none below either grid: the block is then empty),
-    so it is computed once per distinct anchor pair for all basis pairs.
+    each stacked as one (h, r, c) view of the side's rows, so it is computed
+    once per distinct anchor pair for all basis pairs.
     eta_2eps at q is the structure map of first.module between the anchors
     of q and q + 2eps, read off without building eta_2eps's endpoints (below
     either anchor its block is empty too)."""
@@ -159,7 +146,9 @@ def _triangle(first, second, eps, first_stack, second_stack):
     rhs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         anchor_map(x, a, tops[q], memo).reshape(-1)
         for q, a in x.grid.anchors_on(u).items() if a is not None and tops[q] is not None])
-    h1, h2, p = len(first.basis), len(second.basis), first.module.field.p
+    h1, h2, p = len(first.rows), len(second.rows), first.module.field.p
+    first_stack = _blocks(first.source, first.target, first.rows)
+    second_stack = _blocks(second.source, second.target, second.rows)
     tensor = np.zeros((h1, h2, rhs.size), dtype=np.int64)
     ends = second.grid.anchors_on(u, eps)
     blocks, pos = {}, 0
@@ -202,13 +191,15 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     full system has none.
 
     Candidates are read in lexicographic order, in chunks of at most
-    _CHUNK_CELLS matrix entries, and F.consistent tests a whole chunk's
-    systems at once.  The answer is the same as solving every candidate in
-    turn: F.consistent is an exact rank test, so it keeps precisely the
-    candidates for which F.solve would return a solution; those are then
-    taken in the same order and given to the same F.solve on the same
-    matrix, and the first whose pair verifies is returned.  The candidates
-    it drops are those F.solve would reject, which never reach verify.
+    _CHUNK_CELLS matrix entries, and F.reduce_stack reduces a whole chunk's
+    augmented systems at once.  The answer is the same as solving every
+    candidate in turn: a system is consistent exactly when its reduced row
+    echelon form, which is unique, has no pivot in the augmented column, the
+    test F.solve makes on the same form.  So the candidates kept are
+    precisely those for which F.solve returns a solution; they are taken in
+    the same order and given to the same F.solve on the same matrix, and the
+    first whose pair verifies is returned.  The candidates dropped are those
+    F.solve would reject, which never reach verify.
 
     _obstruction is private: distance_bracket passes the verdict of
     rank_obstruction_at(v, w, eps) when its rank scan already has it."""
@@ -221,16 +212,15 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     if _obstruction is not None:
         return None  # a rank inequality proves impossibility outright
     f_side, g_side = _side(v, w, eps), _side(w, v, eps)
-    flip = len(g_side.basis) < len(f_side.basis)
+    flip = len(g_side.rows) < len(f_side.rows)
     enum, other = (g_side, f_side) if flip else (f_side, g_side)
     F = v.field
-    cands = coefficient_vectors(F.p, len(enum.basis), budget,
+    h, k = len(enum.rows), len(other.rows)
+    cands = coefficient_vectors(F.p, h, budget,
                                 "Hom(W, V[eps])" if flip else "Hom(V, W[eps])")
-    stacks = _stack(enum), _stack(other)
     # the triangle on enum's module first, then the one on other's
-    t1, rhs1 = _triangle(enum, other, eps, *stacks)
-    t2, rhs2 = _triangle(other, enum, eps, *stacks[::-1])
-    h, k = len(enum.basis), len(other.basis)
+    t1, rhs1 = _triangle(enum, other, eps)
+    t2, rhs2 = _triangle(other, enum, eps)
     t = np.concatenate([t1, t2.transpose(1, 0, 2)], axis=2)
     system = np.concatenate([t.reshape(h * k, t.shape[2]),
                              np.concatenate([rhs1, rhs2])[None]]).T
@@ -241,10 +231,10 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
         c = np.array(chunk, dtype=np.int64)
         systems = np.concatenate([np.tensordot(c, coeffs, axes=(1, 1)) % F.p,
                                   np.broadcast_to(rhs, (len(chunk), rank, 1))], axis=2)
-        for i in np.flatnonzero(F.consistent(systems)):
+        for i in np.flatnonzero(~F.reduce_stack(systems)[2][:, -1]):
             sol = F.solve(systems[i, :, :-1], rhs)
-            pair = (linear_combination(enum.basis, c[i], enum.source, enum.target),
-                    linear_combination(other.basis, sol[:, 0], other.source, other.target))
+            pair = (linear_combination(enum.source, enum.target, enum.rows, c[i]),
+                    linear_combination(other.source, other.target, other.rows, sol[:, 0]))
             f, g = pair[::-1] if flip else pair
             result = verify(v, w, eps, f, g)
             if result.verified:

@@ -8,8 +8,6 @@ values produce byte-identical files.
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .calculus import Grid
 from .errors import ValidationError
 from .fields import PrimeField
@@ -90,16 +88,12 @@ def module_from_json(doc):
     for entry in doc["steps"]:
         g = tuple(int(i) for i in entry["at"])
         axis = int(entry["axis"])
-        mat = np.array(entry["matrix"], dtype=np.int64)
         if not 0 <= axis < grid.n_axes:
             raise ValidationError(f"step at {g} names axis {axis} of a "
                                   f"{grid.n_axes}-axis grid")
-        succ = grid.successor(g, axis)
-        if succ is None:
+        if grid.successor(g, axis) is None:
             raise ValidationError(f"step at {g} axis {axis} leaves the grid")
-        if mat.size == 0:
-            mat = mat.reshape(dims.get(succ, 0), dims.get(g, 0))
-        steps[(g, axis)] = mat
+        steps[(g, axis)] = entry["matrix"]
     return StepModule(F, grid, dims, steps)
 
 
@@ -117,13 +111,7 @@ def morphism_from_json(doc):
     _expect_kind(doc, "morphism")
     source = module_from_json(doc["source"])
     target = module_from_json(doc["target"])
-    comps = {}
-    for k, rows in doc["comps"].items():
-        g = _point_from_key(k)
-        mat = np.array(rows, dtype=np.int64)
-        if mat.size == 0:
-            mat = mat.reshape(target.dims.get(g, 0), source.dims.get(g, 0))
-        comps[g] = mat
+    comps = {_point_from_key(k): rows for k, rows in doc["comps"].items()}
     return Morphism(source, target, comps)
 
 

@@ -202,6 +202,20 @@ def _freeze(arr):
     return arr
 
 
+def _matrix(m, p, shape, what):
+    """m as a residue matrix for a map of the given shape: an empty m takes
+    that shape, and an m with three or more axes, or an empty m where the
+    shape has entries, is a ValidationError naming what."""
+    a = np.mod(np.array(m, dtype=np.int64), p)
+    if a.ndim > 2:
+        raise ValidationError(f"{what} has shape {a.shape}, not a matrix")
+    if a.size == 0:
+        if shape[0] * shape[1]:
+            raise ValidationError(f"{what} is empty, expected shape {shape}")
+        a = np.zeros(shape, dtype=np.int64)
+    return a
+
+
 def matrices_equal(a, b, keys):
     """True when a[k] and b[k] are equal matrices for every k in keys, as
     np.array_equal decides key by key: shapes are compared per key, and the
@@ -239,10 +253,11 @@ class StepModule:
         dims = {tuple(k): int(v) for k, v in self.dims.items()}
         steps = {}
         for (g, axis), m in self.steps.items():
-            a = np.mod(np.array(m, dtype=np.int64), self.field.p)
-            if a.ndim != 2:
-                a = a.reshape(a.shape[0] if a.size else 0, -1)
-            steps[(tuple(g), int(axis))] = _freeze(a)
+            g, axis = tuple(g), int(axis)
+            succ = g[:axis] + (g[axis] + 1,) + g[axis + 1:] if 0 <= axis < len(g) else None
+            a = _matrix(m, self.field.p, (dims.get(succ, 0), dims.get(g, 0)),
+                        f"step at {g} axis {axis}")
+            steps[(g, axis)] = _freeze(a if a.ndim == 2 else a.reshape(-1, 1))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "steps", steps)
 
@@ -462,8 +477,9 @@ class Morphism:
             raise ValidationError("morphism endpoints must share a grid")
         comps = {}
         for g, m in self.comps.items():
-            a = np.mod(np.array(m, dtype=np.int64), self.source.field.p)
-            comps[tuple(g)] = _freeze(a)
+            g = tuple(g)
+            comps[g] = _freeze(_matrix(m, self.source.field.p, (
+                self.target.dims.get(g, 0), self.source.dims.get(g, 0)), f"component at {g}"))
         object.__setattr__(self, "comps", comps)
 
     @classmethod
@@ -546,6 +562,10 @@ def compose(m2, m1):
 
 
 def add_morphisms(m1, m2):
+    """m1 + m2; both must have the same source and the same target data."""
+    for a, b in ((m1.source, m2.source), (m1.target, m2.target)):
+        if a is not b and a != b:
+            raise ValidationError("sum endpoints do not match")
     p = m1.field.p
     return Morphism._trusted(m1.source, m1.target, {
         g: _freeze((m1.comps[g] + m2.comps[g]) % p) for g in m1.grid.points()})
@@ -560,27 +580,13 @@ def flatten_morphism(m):
     return np.concatenate(parts)
 
 
-def _combination_at(basis, coeffs, g, shape, p):
-    """The component at g of sum_i coeffs[i] * basis[i], a fresh array of the
-    given shape."""
-    acc = np.zeros(shape, dtype=np.int64)
-    for c, b in zip(coeffs, basis):
-        if c:
-            acc += int(c) * b.comps[g]
-    return acc % p
-
-
-def linear_combination(basis, coeffs, source, target):
-    """sum_i coeffs[i] * basis[i] as a morphism source -> target; the basis
-    elements are morphisms between the same two modules."""
-    p = source.field.p
-    return Morphism._trusted(source, target, {
-        g: _freeze(_combination_at(basis, coeffs, g, (target.dims[g], source.dims[g]), p))
-        for g in source.grid.points()})
-
-
 # Largest number of candidates an exhaustive Hom-space search may try.
 DEFAULT_BUDGET = 1 << 16
+
+# The most matrix entries that a Hom-space search tests in one batch (decide's
+# candidate systems, iso_test's candidate combinations).  Larger chunks raise
+# peak memory and test more candidates past the first hit.
+_CHUNK_CELLS = 1 << 13
 
 
 def coefficient_vectors(p, h, budget, what):
@@ -635,6 +641,13 @@ def _morphisms(v, w, rows):
     blocks = _blocks(v, w, rows)
     return [Morphism._trusted(v, w, {g: b[i] for g, b in blocks.items()})
             for i in range(len(rows))]
+
+
+def linear_combination(v, w, rows, coeffs):
+    """sum_i coeffs[i] * basis[i] as a morphism v -> w, for the basis of
+    Hom(v, w) flattened in rows (hom_rows)."""
+    row = _freeze(np.asarray(coeffs, dtype=np.int64) @ rows % v.field.p)
+    return _morphisms(v, w, row[None])[0]
 
 
 def hom_rows(v, w):

@@ -1,13 +1,13 @@
 """Independent oracles used by the test suite.
 
-Everything in this file except the last four sections is deliberately written
+Everything in this file except the last seven sections is deliberately written
 against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-six sections keep earlier code of the package itself as the reference for
-its replacements: the point-by-point restriction, the per-element decide
-kernel, the dense Hom solver, the full factorization with the per-piece
+seven sections keep earlier code of the package itself as the reference for
+its replacements: the point-by-point restriction, the per-element linear
+combination, the per-element decide kernel, the dense Hom solver, the full factorization with the per-piece
 decomposition, the composite-building verify, and the point-by-point Fitting
 split and isomorphism search.
 """
@@ -297,6 +297,27 @@ def oracle_eta_on(v, eps, grid):
 
 
 # ---------------------------------------------------------------------------
+# The package's earlier linear_combination: a sum over a list of basis
+# Morphisms, one grid point at a time.  The combination of hom_rows
+# coordinates, one product for all points, must give the same morphism.
+# ---------------------------------------------------------------------------
+
+def oracle_linear_combination(basis, coeffs, source, target):
+    import numpy as np
+
+    from obspers.stepmodule import Morphism
+
+    comps = {}
+    for g in source.grid.points():
+        acc = np.zeros((target.dims[g], source.dims[g]), dtype=np.int64)
+        for c, b in zip(coeffs, basis):
+            if c:
+                acc += int(c) * b.comps[g]
+        comps[g] = acc % source.field.p
+    return Morphism(source, target, comps)
+
+
+# ---------------------------------------------------------------------------
 # The package's earlier decide kernel: one restrict_morphism per basis element
 # and one matmul per grid point per basis pair for the triangle tensors, the
 # all-pairs rank scan, and one solve of the full flattened system per
@@ -308,13 +329,14 @@ def oracle_triangle(first, second, eps):
     import numpy as np
 
     from obspers.calculus import eta_on, restrict_morphism, shift_morphism
-    from obspers.stepmodule import Morphism, flatten_morphism, union_grids
+    from obspers.stepmodule import Morphism, flatten_morphism, hom_basis, union_grids
 
     F = first.module.field
     u = union_grids(first.grid, second.grid.translate(-eps))
     pts = u.points()
-    rx = [restrict_morphism(b, u) for b in first.basis]
-    ry = [restrict_morphism(shift_morphism(b, eps), u) for b in second.basis]
+    rx = [restrict_morphism(b, u) for b in hom_basis(first.source, first.target)]
+    ry = [restrict_morphism(shift_morphism(b, eps), u)
+          for b in hom_basis(second.source, second.target)]
     rhs = flatten_morphism(eta_on(first.module, 2 * eps, u))
     tensor = np.zeros((len(rx), len(ry), rhs.size), dtype=np.int64)
     for i, a in enumerate(rx):
@@ -368,29 +390,31 @@ def oracle_decide(v, w, eps, budget):
 
     from obspers.errors import BudgetExceeded
     from obspers.metric import _side, verify
-    from obspers.stepmodule import linear_combination
+    from obspers.stepmodule import hom_basis
 
     if oracle_rank_obstruction_at(v, w, eps) is not None:
         return None
     f_side, g_side = _side(v, w, eps), _side(w, v, eps)
-    flip = len(g_side.basis) < len(f_side.basis)
+    flip = len(g_side.rows) < len(f_side.rows)
     enum, other = (g_side, f_side) if flip else (f_side, g_side)
     F = v.field
-    if F.p ** len(enum.basis) > budget:
+    if F.p ** len(enum.rows) > budget:
         raise BudgetExceeded("search budget")
+    enum_basis = hom_basis(enum.source, enum.target)
+    other_basis = hom_basis(other.source, other.target)
     t1, rhs1 = oracle_triangle(enum, other, eps)
     t2, rhs2 = oracle_triangle(other, enum, eps)
     t2 = t2.transpose(1, 0, 2)
     rhs = np.concatenate([rhs1, rhs2]).reshape(-1, 1)
-    for cand in iproduct(range(F.p), repeat=len(enum.basis)):
+    for cand in iproduct(range(F.p), repeat=len(enum_basis)):
         c = np.array(cand, dtype=np.int64)
         m1 = np.tensordot(c, t1, axes=(0, 0)) % F.p
         m2 = np.tensordot(c, t2, axes=(0, 0)) % F.p
         sol = F.solve(np.concatenate([m1, m2], axis=1).T, rhs)
         if sol is None:
             continue
-        pair = (linear_combination(enum.basis, c, enum.source, enum.target),
-                linear_combination(other.basis, sol[:, 0], other.source, other.target))
+        pair = (oracle_linear_combination(enum_basis, c, enum.source, enum.target),
+                oracle_linear_combination(other_basis, sol[:, 0], other.source, other.target))
         f, g = pair[::-1] if flip else pair
         result = verify(v, w, eps, f, g)
         if result.verified:
@@ -582,8 +606,7 @@ def oracle_split_once(v, seed=0, budget=1 << 16):
     import numpy as np
 
     from obspers.decompose import _idempotent_in_chunk
-    from obspers.stepmodule import (coefficient_vectors, flatten_morphism,
-                                    identity_morphism, linear_combination)
+    from obspers.stepmodule import coefficient_vectors, flatten_morphism, identity_morphism
 
     F = v.field
     algebra = oracle_endo_algebra(v)
@@ -596,7 +619,7 @@ def oracle_split_once(v, seed=0, budget=1 << 16):
             return s
     rng = np.random.default_rng(seed)
     for _ in range(8 + 4 * d):
-        f = linear_combination(algebra.basis, rng.integers(0, F.p, size=d), v, v)
+        f = oracle_linear_combination(algebra.basis, rng.integers(0, F.p, size=d), v, v)
         s = oracle_split_from_endo(v, f)
         if s is not None:
             return s
@@ -605,7 +628,7 @@ def oracle_split_once(v, seed=0, budget=1 << 16):
     while chunk := list(islice(cands, 4096)):
         e = _idempotent_in_chunk(np.array(chunk, dtype=np.int64), algebra.table, id_c, F.p)
         if e is not None:
-            return oracle_split_from_endo(v, linear_combination(algebra.basis, e, v, v))
+            return oracle_split_from_endo(v, oracle_linear_combination(algebra.basis, e, v, v))
     return None
 
 

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from obspers import library
 from obspers.errors import BudgetExceeded
 from obspers.fields import PrimeField
-from obspers.metric import (_CHUNK_CELLS, _side, _stack, _triangle,
-                            candidate_set, decide, rank_obstruction_at)
+from obspers.metric import _side, _triangle, candidate_set, decide, rank_obstruction_at
 from obspers.pipelines import degree_rips, homology_module, metric_space
-from obspers.stepmodule import Grid, direct_sum
+from obspers.stepmodule import _CHUNK_CELLS, Grid, direct_sum
 
 from conftest import assert_same_morphism
 from oracles import oracle_decide, oracle_rank_obstruction_at, oracle_triangle
@@ -55,10 +54,8 @@ def assert_same_decision(v, w, eps, budget=BUDGET):
 
 def assert_same_tensors(v, w, eps):
     sides = _side(v, w, eps), _side(w, v, eps)
-    stacks = _stack(sides[0]), _stack(sides[1])
     for first, second in ((0, 1), (1, 0)):
-        tensor, rhs = _triangle(sides[first], sides[second], eps,
-                                stacks[first], stacks[second])
+        tensor, rhs = _triangle(sides[first], sides[second], eps)
         want_tensor, want_rhs = oracle_triangle(sides[first], sides[second], eps)
         assert tensor.shape == want_tensor.shape and np.array_equal(tensor, want_tensor), eps
         assert np.array_equal(rhs, want_rhs), eps
@@ -91,7 +88,7 @@ def test_decide_witnesses_match_full_system_solve(seed, p):
 
 
 def test_empty_hom_side_matches_oracle():
-    assert [len(_side(LOW, HIGH, 1).basis), len(_side(HIGH, LOW, 1).basis)] == [1, 0]
+    assert [len(_side(LOW, HIGH, 1).rows), len(_side(HIGH, LOW, 1).rows)] == [1, 0]
     assert rank_obstruction_at(LOW, HIGH, 1) is None
     for eps in candidate_set(LOW, HIGH):
         assert_same_tensors(LOW, HIGH, eps)
@@ -134,15 +131,17 @@ def rips_h0(points, grid=RIPS_GRID):
 
 @pytest.fixture
 def chunks(monkeypatch):
-    """Every stack decide hands to PrimeField.consistent: (shape, answer)."""
-    log, consistent = [], PrimeField.consistent
+    """Every stack of augmented systems decide hands to
+    PrimeField.reduce_stack: (shape, which systems are consistent, that is
+    have no pivot in the augmented column)."""
+    log, reduce_stack = [], PrimeField.reduce_stack
 
     def recording(self, aug):
-        out = consistent(self, aug)
-        log.append((aug.shape, out))
+        out = reduce_stack(self, aug)
+        log.append((aug.shape, ~out[2][:, -1]))
         return out
 
-    monkeypatch.setattr(PrimeField, "consistent", recording)
+    monkeypatch.setattr(PrimeField, "reduce_stack", recording)
     return log
 
 
@@ -179,7 +178,7 @@ def test_zero_hom_spaces_on_rips_h0(chunks):
         v, w = (rips_h0(points, grid) for points in CLOUDS["rank obstructions"])
     assert v.total_dim == w.total_dim == 0
     for eps in (0, 1):
-        assert [len(_side(v, w, eps).basis), len(_side(w, v, eps).basis)] == [0, 0]
+        assert [len(_side(v, w, eps).rows), len(_side(w, v, eps).rows)] == [0, 0]
         assert_same_decision(v, w, eps)
         assert decide(v, w, eps).verified
     assert [shape for shape, _ in chunks] == [(1, 0, 1)] * 4
@@ -190,7 +189,7 @@ def test_zero_hom_spaces_without_interleaving(chunks):
     # inequality fails, but neither maps to the other: the one empty
     # candidate leaves eta_0 = id on the right-hand side, and decide says none
     v, w = library.m_lambda(3, 1), library.m_lambda(3, 2)
-    assert [len(_side(v, w, 0).basis), len(_side(w, v, 0).basis)] == [0, 0]
+    assert [len(_side(v, w, 0).rows), len(_side(w, v, 0).rows)] == [0, 0]
     assert rank_obstruction_at(v, w, 0) is None
     assert decide(v, w, 0) is None
     assert len(chunks) == 1 and chunks[0][0][:1] == (1,) and not chunks[0][1].any()
@@ -206,7 +205,7 @@ def test_certified_none_scans_every_candidate(chunks):
     g = library.integer_grid(4)
     extra = direct_sum(library.constant_module(F3, g), library.box_interval(F3, g, (1, 1)))
     v, w = (direct_sum(library.m_lambda(3, lam), extra) for lam in (1, 2))
-    h = min(len(_side(v, w, 0).basis), len(_side(w, v, 0).basis))
+    h = min(len(_side(v, w, 0).rows), len(_side(w, v, 0).rows))
     assert rank_obstruction_at(v, w, 0) is None
     assert decide(v, w, 0, budget=RIPS_BUDGET) is None
     assert len(chunks) == 2 and sum(n for (n, _, _), _ in chunks) == 3 ** h

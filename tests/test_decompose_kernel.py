@@ -83,7 +83,7 @@ def assert_kernel_matches(v):
         table = _table(m, rows)
         assert table.shape == want.table.shape and np.array_equal(table, want.table)
         rng = np.random.default_rng(0)
-        combos = [linear_combination(basis, rng.integers(0, m.field.p, size=len(basis)), m, m)
+        combos = [linear_combination(m, m, rows, rng.integers(0, m.field.p, size=len(rows)))
                   for _ in range(3)]
         for f in basis + combos:
             split = _split_from_endo(m, f)
@@ -168,9 +168,10 @@ def test_batched_split_matches_pointwise_split_with_zero_spaces(seed, p):
     # a group of their own
     v = twisted_boxes(seed, p)
     assert 0 in v.dims.values()
-    basis = _morphisms(v, v, hom_rows(v, v))
+    rows = hom_rows(v, v)
+    basis = _morphisms(v, v, rows)
     rng = np.random.default_rng(seed)
-    combos = [linear_combination(basis, rng.integers(0, p, size=len(basis)), v, v)
+    combos = [linear_combination(v, v, rows, rng.integers(0, p, size=len(rows)))
               for _ in range(4)]
     found = 0
     for f in basis + combos:

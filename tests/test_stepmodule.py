@@ -11,7 +11,7 @@ from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.stepmodule import (Grid, Morphism, StepModule, add_morphisms, compose,
                                 direct_sum, factor_morphism,
-                                hom_basis, identity_morphism,
+                                hom_basis, hom_rows, identity_morphism,
                                 linear_combination, restrict_extend,
                                 union_grids, validate, validate_morphism,
                                 zero_module, zero_morphism)
@@ -19,7 +19,7 @@ from obspers.calculus import eta, eta_on, morphisms_match, restrict_morphism
 from obspers.decompose import iso_test
 
 from conftest import assert_same_morphism, to_plain
-from oracles import oracle_factor_morphism, oracle_hom_count
+from oracles import oracle_factor_morphism, oracle_hom_count, oracle_linear_combination
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -154,6 +154,32 @@ def test_equality_compares_shapes_of_equal_sized_matrices():
     assert not morphisms_match(m_tall, m_wide) and not per_component_match(m_tall, m_wide)
 
 
+def test_constructors_give_empty_input_the_shape_its_dims_fix():
+    grid = Grid(((0, 1),))
+    v = StepModule(F2, grid, {(0,): 0, (1,): 0}, {((0,), 0): []})
+    assert v.steps[((0,), 0)].shape == (0, 0) and validate(v) == []
+    # a step out of a zero space, and one on an axis that does not exist
+    w = StepModule(F2, grid, {(0,): 0, (1,): 2}, {((0,), 0): [], ((1,), 1): []})
+    assert w.steps[((0,), 0)].shape == (2, 0) and w.steps[((1,), 1)].shape == (0, 2)
+    a = library.box_interval(F2, grid, (1,))
+    m = Morphism(a, w, {(0,): [], (1,): [[1], [0]]})
+    assert m.comps[(0,)].shape == (0, 0) and validate_morphism(m) == []
+    assert Morphism(w, a, {(0,): [[]], (1,): [[1, 1]]}).comps[(0,)].shape == (0, 0)
+
+
+def test_constructors_reject_empty_input_for_a_nonzero_map_and_stacks():
+    grid = Grid(((0, 1),))
+    with pytest.raises(ValidationError, match=r"step at \(0,\) axis 0 is empty"):
+        StepModule(F2, grid, {(0,): 1, (1,): 1}, {((0,), 0): []})
+    with pytest.raises(ValidationError, match="not a matrix"):
+        StepModule(F2, grid, {(0,): 2, (1,): 2}, {((0,), 0): np.zeros((2, 1, 2))})
+    v = library.constant_module(F2, grid)
+    with pytest.raises(ValidationError, match=r"component at \(1,\) is empty"):
+        Morphism(v, v, {(0,): [[1]], (1,): []})
+    with pytest.raises(ValidationError, match="not a matrix"):
+        Morphism(v, v, {(0,): [[1]], (1,): [[[1]]]})
+
+
 # -- validate ----------------------------------------------------------------
 
 def test_validate_constant_module_ok():
@@ -284,8 +310,9 @@ def test_morphism_builders_match_the_validating_constructor():
     rng = np.random.default_rng(5)
     v = library.random_module(F3, rng, max_summands=3)
     w = library.twist_module(v, rng)
-    f = linear_combination(hom_basis(v, w), rng.integers(0, 3, size=len(hom_basis(v, w))), v, w)
-    g = linear_combination(hom_basis(w, v), rng.integers(0, 3, size=len(hom_basis(w, v))), w, v)
+    vw, wv = hom_rows(v, w), hom_rows(w, v)
+    f = linear_combination(v, w, vw, rng.integers(0, 3, size=len(vw)))
+    g = linear_combination(w, v, wv, rng.integers(0, 3, size=len(wv)))
     points = v.grid.points()
     expected = [
         (compose(g, f), Morphism(v, v, {q: g.comps[q] @ f.comps[q] for q in points})),
@@ -347,14 +374,44 @@ def test_factor_identity_and_zero():
         assert_image_matches_oracle(m)
 
 
+def test_add_morphisms_rejects_other_endpoints():
+    a, b = (identity_morphism(library.constant_module(F2, library.integer_grid(n)))
+            for n in (2, 3))
+    with pytest.raises(ValidationError, match="sum endpoints do not match"):
+        add_morphisms(a, b)
+    v = library.constant_module(F2, Grid(((0, 1),)))
+    w = library.box_interval(F2, v.grid, (1,))
+    with pytest.raises(ValidationError, match="sum endpoints do not match"):
+        add_morphisms(zero_morphism(v, w), zero_morphism(w, w))
+    with pytest.raises(ValidationError, match="sum endpoints do not match"):
+        add_morphisms(zero_morphism(w, v), zero_morphism(w, w))
+    # equal endpoints that are different objects add
+    same = StepModule(F2, v.grid, v.dims, v.steps)
+    assert_same_morphism(add_morphisms(identity_morphism(v), identity_morphism(same)),
+                         zero_morphism(v, v))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([F2, F3]))
+def test_linear_combination_matches_per_element_sum(seed, F):
+    rng = np.random.default_rng(seed)
+    v = library.random_module(F, rng, max_summands=3)
+    for w in (v, library.twist_module(v, rng), library.random_module(F, rng, grid=v.grid)):
+        rows = hom_rows(v, w)
+        basis = hom_basis(v, w)
+        for coeffs in (rng.integers(0, F.p, size=len(rows)), np.zeros(len(rows), np.int64)):
+            got = linear_combination(v, w, rows, coeffs)
+            assert_same_morphism(got, oracle_linear_combination(basis, coeffs, v, w))
+            assert_exact(got, F.p)
+
+
 def test_factor_random_rank_exactness(rng):
     # random endomorphisms and eta maps, against the full factorization
     for p in (2, 3, 5):
         F = PrimeField(p)
         for _ in range(4):
             v = library.random_module(F, rng)
-            basis = hom_basis(v, v)
-            m = linear_combination(basis, rng.integers(0, p, size=len(basis)), v, v)
+            rows = hom_rows(v, v)
+            m = linear_combination(v, v, rows, rng.integers(0, p, size=len(rows)))
             assert validate_morphism(m) == []
             assert_image_matches_oracle(m)
             for eps in (Fraction(1, 4), Fraction(1, 2), 1):
