@@ -202,18 +202,18 @@ def _freeze(arr):
     return arr
 
 
-def _matrix(m, p, shape, what):
-    """m as a residue matrix for a map of the given shape: an empty m takes
-    that shape, and an m with three or more axes, or an empty m where the
-    shape has entries, is a ValidationError naming what."""
-    a = np.mod(np.array(m, dtype=np.int64), p)
+def _fit(a, shape, what, *args):
+    """The residue array a, which is empty or not two dimensional, as the
+    matrix of a map of the given shape: an empty a takes that shape, and an
+    a with three or more axes, or an empty a where the shape has entries,
+    is a ValidationError naming what.format(*args)."""
     if a.ndim > 2:
-        raise ValidationError(f"{what} has shape {a.shape}, not a matrix")
-    if a.size == 0:
-        if shape[0] * shape[1]:
-            raise ValidationError(f"{what} is empty, expected shape {shape}")
-        a = np.zeros(shape, dtype=np.int64)
-    return a
+        raise ValidationError(f"{what.format(*args)} has shape {a.shape}, not a matrix")
+    if a.size or a.shape == shape:
+        return a
+    if shape[0] * shape[1]:
+        raise ValidationError(f"{what.format(*args)} is empty, expected shape {shape}")
+    return np.zeros(shape, dtype=np.int64)
 
 
 def matrices_equal(a, b, keys):
@@ -254,10 +254,12 @@ class StepModule:
         steps = {}
         for (g, axis), m in self.steps.items():
             g, axis = tuple(g), int(axis)
-            succ = g[:axis] + (g[axis] + 1,) + g[axis + 1:] if 0 <= axis < len(g) else None
-            a = _matrix(m, self.field.p, (dims.get(succ, 0), dims.get(g, 0)),
-                        f"step at {g} axis {axis}")
-            steps[(g, axis)] = _freeze(a if a.ndim == 2 else a.reshape(-1, 1))
+            a = np.mod(np.array(m, dtype=np.int64), self.field.p)
+            if a.ndim != 2 or not a.size:
+                succ = g[:axis] + (g[axis] + 1,) + g[axis + 1:] if 0 <= axis < len(g) else None
+                a = _fit(a, (dims.get(succ, 0), dims.get(g, 0)), "step at {} axis {}", g, axis)
+                a = a if a.ndim == 2 else a.reshape(-1, 1)
+            steps[(g, axis)] = _freeze(a)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "steps", steps)
 
@@ -478,8 +480,11 @@ class Morphism:
         comps = {}
         for g, m in self.comps.items():
             g = tuple(g)
-            comps[g] = _freeze(_matrix(m, self.source.field.p, (
-                self.target.dims.get(g, 0), self.source.dims.get(g, 0)), f"component at {g}"))
+            a = np.mod(np.array(m, dtype=np.int64), self.source.field.p)
+            if a.ndim > 2 or not a.size:
+                a = _fit(a, (self.target.dims.get(g, 0), self.source.dims.get(g, 0)),
+                         "component at {}", g)
+            comps[g] = _freeze(a)
         object.__setattr__(self, "comps", comps)
 
     @classmethod
