@@ -258,14 +258,14 @@ def image_pairs(v):
                         break
     bases = {pq: F.column_space_basis(m) for pq, m in path.items()}
     dims = {pq: b.shape[1] for pq, b in bases.items()}
-    steps = {}
+    steps, edges = {}, v.grid.edges
     for (p, q), b in bases.items():
         for axis in range(v.grid.n_axes):
-            p2 = v.grid.successor(p, axis)
+            p2 = edges.get((p, axis))
             if p2 is not None and all(x <= y for x, y in zip(p2, q)):
                 x = F.solve(bases[(p2, q)], b)
                 steps[((p, q), 0, axis)] = x
-            q2 = v.grid.successor(q, axis)
+            q2 = edges.get((q, axis))
             if q2 is not None:
                 x = F.solve(bases[(p, q2)], F.matmul(v.steps[(q, axis)], b))
                 steps[((p, q), 1, axis)] = x
@@ -275,11 +275,11 @@ def image_pairs(v):
 def _pair_move(grid, pq, kind, axis):
     p, q = pq
     if kind == 0:
-        p2 = grid.successor(p, axis)
+        p2 = grid.edges.get((p, axis))
         if p2 is None or any(x > y for x, y in zip(p2, q)):
             return None
         return (p2, q)
-    q2 = grid.successor(q, axis)
+    q2 = grid.edges.get((q, axis))
     return None if q2 is None else (p, q2)
 
 
@@ -318,15 +318,8 @@ def diagonal(pm):
     this recovers the original module on the nose."""
     grid = pm.grid
     dims = {g: pm.dims[(g, g)] for g in grid.points()}
-    steps = {}
-    for g in grid.points():
-        for axis in range(grid.n_axes):
-            h = grid.successor(g, axis)
-            if h is None:
-                continue
-            up_q = pm.steps[((g, g), 1, axis)]
-            up_p = pm.steps[((g, h), 0, axis)]
-            steps[(g, axis)] = pm.field.matmul(up_p, up_q)
+    steps = {(g, axis): pm.field.matmul(pm.steps[((g, h), 0, axis)], pm.steps[((g, g), 1, axis)])
+             for (g, axis), h in grid.edges.items()}
     return StepModule(pm.field, grid, dims, steps)
 
 

@@ -22,12 +22,11 @@ from .serialize import (FORMAT, dumps, fr_from_str, fr_to_str, load_any,
 from .stepmodule import (DEFAULT_BUDGET, Grid, direct_sum, ensure_valid,
                          validate_morphism)
 
-DEFAULTS = {"field_p": 2, "seed": 0, "budget": DEFAULT_BUDGET, "out": None}
+DEFAULTS = {"seed": 0, "budget": DEFAULT_BUDGET}
 
 
 def _cfg(ns, key):
-    return getattr(ns, key, DEFAULTS[key]) if getattr(ns, key, None) is not None \
-        else DEFAULTS[key]
+    return getattr(ns, key, DEFAULTS[key])
 
 
 def _emit(doc):
@@ -328,8 +327,7 @@ def cmd_homology(ns):
     kind, value = load_any(ns.file)
     if kind != "bifiltration":
         raise ValidationError(f"{ns.file}: expected a bifiltration, found {kind}")
-    p = ns.prime if ns.prime is not None else _cfg(ns, "field_p")
-    v = pipelines.homology_module(value, ns.dim, _grid_from_spec(ns.grid, value), p)
+    v = pipelines.homology_module(value, ns.dim, _grid_from_spec(ns.grid, value), ns.prime)
     doc = serialize.module_to_json(v)
     _emit(doc)
     if getattr(ns, "out", None) is not None:
@@ -342,8 +340,6 @@ def cmd_homology(ns):
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--field-p", type=int, default=argparse.SUPPRESS,
-                   dest="field_p", help="default prime (used when input carries none)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="RNG seed for randomized searches")
     p.add_argument("--budget", type=int, default=argparse.SUPPRESS,
@@ -435,7 +431,7 @@ def build_parser():
 
     p = add("homology", cmd_homology, "homology module of a bifiltration")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", type=int, default=2)
     p.add_argument("--grid", default="auto",
                    help="semicolon-separated axes of comma-separated rationals, or 'auto'")
     p.add_argument("file")

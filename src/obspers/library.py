@@ -18,26 +18,15 @@ from .stepmodule import Grid, StepModule, _frac, direct_sum
 def _module_from_dims(F, grid, dims, mats):
     """Fill in steps: mats maps (g, axis) -> matrix for the nonzero blocks;
     everything else becomes an appropriately shaped zero matrix."""
-    steps = {}
-    for g in grid.points():
-        for axis in range(grid.n_axes):
-            succ = grid.successor(g, axis)
-            if succ is None:
-                continue
-            m = mats.get((g, axis))
-            steps[(g, axis)] = m if m is not None else F.zeros(dims[succ], dims[g])
+    steps = {(g, axis): mats[(g, axis)] if (g, axis) in mats else F.zeros(dims[h], dims[g])
+             for (g, axis), h in grid.edges.items()}
     return StepModule(F, grid, dims, steps)
 
 
 def constant_module(F, grid):
     """Dimension 1 with identity steps at every grid point."""
     dims = {g: 1 for g in grid.points()}
-    mats = {}
-    for g in grid.points():
-        for axis in range(grid.n_axes):
-            if grid.successor(g, axis) is not None:
-                mats[(g, axis)] = F.identity(1)
-    return _module_from_dims(F, grid, dims, mats)
+    return _module_from_dims(F, grid, dims, dict.fromkeys(grid.edges, F.identity(1)))
 
 
 def box_interval(F, grid, lo, hi=None):
@@ -55,12 +44,8 @@ def box_interval(F, grid, lo, hi=None):
         return True
 
     dims = {g: 1 if inside(g) else 0 for g in grid.points()}
-    mats = {}
-    for g in grid.points():
-        for axis in range(grid.n_axes):
-            succ = grid.successor(g, axis)
-            if succ is not None and dims[g] and dims[succ]:
-                mats[(g, axis)] = F.identity(1)
+    mats = {(g, axis): F.identity(1) for (g, axis), h in grid.edges.items()
+            if dims[g] and dims[h]}
     return _module_from_dims(F, grid, dims, mats)
 
 
@@ -186,10 +171,9 @@ def twist_module(v, rng):
     the result is isomorphic to v but no longer block diagonal."""
     F = v.field
     changes = {g: random_invertible(F, rng, v.dims[g]) for g in v.grid.points()}
-    steps = {}
-    for (g, axis), m in v.steps.items():
-        h = v.grid.successor(g, axis)
-        steps[(g, axis)] = F.matmul(changes[h], F.matmul(m, F.inverse(changes[g])))
+    edges = v.grid.edges
+    steps = {(g, axis): F.matmul(changes[edges[(g, axis)]], F.matmul(m, F.inverse(changes[g])))
+             for (g, axis), m in v.steps.items()}
     return StepModule(F, v.grid, dict(v.dims), steps)
 
 

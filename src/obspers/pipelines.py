@@ -329,17 +329,13 @@ def homology_module(b, k, grid, p):
         rep, _ = hom.at(grid.coords(g))
         dims[g] = rep.shape[1]
     steps = {}
-    for g in grid.points():
-        for axis in range(grid.n_axes):
-            h = grid.successor(g, axis)
-            if h is None:
-                continue
-            rep_g, _ = hom.at(grid.coords(g))
-            comp = hom.express(grid.coords(h), rep_g)
-            if comp is None:
-                raise ValidationError(
-                    "induced map solve failed; bifiltration is not monotone")
-            steps[(g, axis)] = comp
+    for (g, axis), h in grid.edges.items():
+        rep_g, _ = hom.at(grid.coords(g))
+        comp = hom.express(grid.coords(h), rep_g)
+        if comp is None:
+            raise ValidationError(
+                "induced map solve failed; bifiltration is not monotone")
+        steps[(g, axis)] = comp
     return StepModule(F, grid, dims, steps)
 
 

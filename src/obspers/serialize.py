@@ -91,7 +91,7 @@ def module_from_json(doc):
         if not 0 <= axis < grid.n_axes:
             raise ValidationError(f"step at {g} names axis {axis} of a "
                                   f"{grid.n_axes}-axis grid")
-        if grid.successor(g, axis) is None:
+        if (g, axis) not in grid.edges:
             raise ValidationError(f"step at {g} axis {axis} leaves the grid")
         steps[(g, axis)] = entry["matrix"]
     return StepModule(F, grid, dims, steps)

@@ -204,7 +204,7 @@ def _sample_step_twist(v, rng, eps):
         return None, None, "no step large enough to twist"
     g, ax = cands[int(rng.integers(0, len(cands)))]
     F = v.field
-    h = v.grid.successor(g, ax)
+    h = v.grid.edges[(g, ax)]
     d = v.dims[h]
     u = np.array([int(rng.integers(0, F.p)) for _ in range(d)], dtype=np.int64)
     if not np.any(u):
@@ -216,23 +216,15 @@ def _sample_step_twist(v, rng, eps):
     inv = F.inverse(change)
     steps = dict(v.steps)
     steps[(g, ax)] = F.matmul(change, steps[(g, ax)])
-    for axis in range(v.grid.n_axes):
-        out = v.grid.successor(h, axis)
-        if out is not None:
-            steps[(h, axis)] = F.matmul(steps[(h, axis)], inv)
-        pred = _predecessor(v.grid, h, axis)
-        if pred is not None and (pred, axis) != (g, ax):
-            steps[(pred, axis)] = F.matmul(change, steps[(pred, axis)])
+    for (q, axis), r in v.grid.edges.items():
+        if q == h:
+            steps[(q, axis)] = F.matmul(steps[(q, axis)], inv)
+        elif r == h and (q, axis) != (g, ax):
+            steps[(q, axis)] = F.matmul(change, steps[(q, axis)])
     w = StepModule(F, v.grid, dict(v.dims), steps)
     if validate(w):
         return None, None, "twist broke commutativity"
     return w, None, "rank-one step twist"
-
-
-def _predecessor(grid, g, axis):
-    if g[axis] == 0:
-        return None
-    return g[:axis] + (g[axis] - 1,) + g[axis + 1:]
 
 
 def _sample_far_summand(v, rng, eps):

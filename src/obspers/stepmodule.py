@@ -42,8 +42,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -115,10 +116,12 @@ class Grid:
     def coords(self, idx):
         return tuple(self.axes[a][i] for a, i in enumerate(idx))
 
-    def successor(self, idx, axis):
-        if idx[axis] + 1 >= len(self.axes[axis]):
-            return None
-        return idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
+    @property
+    def edges(self):
+        """{(g, axis): successor of g along axis} for every unit step of the
+        grid, points in lexicographic order and axes increasing.  It depends
+        only on the shape, so grids of one shape share one read-only table."""
+        return _edges(self.shape)
 
     def anchor(self, s):
         """Index of sup{p in grid : p <= s}, or None when some axis of s lies
@@ -172,6 +175,16 @@ class Grid:
         return tuple(axis[-1] for axis in self.axes)
 
 
+@cache
+def _edges(shape):
+    out = {}
+    for g in product(*map(range, shape)):
+        for axis, n in enumerate(shape):
+            if g[axis] + 1 < n:
+                out[(g, axis)] = g[:axis] + (g[axis] + 1,) + g[axis + 1:]
+    return MappingProxyType(out)
+
+
 def same_axes(*grids):
     """Raise ValidationError unless the grids have one number of axes."""
     if len({g.n_axes for g in grids}) > 1:
@@ -202,18 +215,28 @@ def _freeze(arr):
     return arr
 
 
+# The zero block of each shape without entries, shared by every module and
+# morphism built through the public constructors.
+_ZERO_BLOCKS = {}
+
+
 def _fit(a, shape, what, *args):
     """The residue array a, which is empty or not two dimensional, as the
-    matrix of a map of the given shape: an empty a takes that shape, and an
-    a with three or more axes, or an empty a where the shape has entries,
-    is a ValidationError naming what.format(*args)."""
+    matrix of a map of the given shape: an empty a is the one shared
+    read-only zero block of that shape, and a nonempty a with fewer than two
+    axes is read in that shape.  An a with three or more axes, an empty a
+    where the shape has entries, and any other size is a ValidationError
+    naming what.format(*args)."""
     if a.ndim > 2:
         raise ValidationError(f"{what.format(*args)} has shape {a.shape}, not a matrix")
-    if a.size or a.shape == shape:
-        return a
-    if shape[0] * shape[1]:
-        raise ValidationError(f"{what.format(*args)} is empty, expected shape {shape}")
-    return np.zeros(shape, dtype=np.int64)
+    if not a.size:
+        if shape[0] * shape[1]:
+            raise ValidationError(f"{what.format(*args)} is empty, expected shape {shape}")
+        return _shared(_ZERO_BLOCKS, shape, lambda s: np.zeros(s, np.int64))
+    if a.size != shape[0] * shape[1]:
+        raise ValidationError(f"{what.format(*args)} has {a.size} entries, "
+                              f"expected shape {shape}")
+    return a.reshape(shape)
 
 
 def matrices_equal(a, b, keys):
@@ -251,14 +274,13 @@ class StepModule:
 
     def __post_init__(self):
         dims = {tuple(k): int(v) for k, v in self.dims.items()}
-        steps = {}
+        steps, edges = {}, self.grid.edges
         for (g, axis), m in self.steps.items():
             g, axis = tuple(g), int(axis)
             a = np.mod(np.array(m, dtype=np.int64), self.field.p)
             if a.ndim != 2 or not a.size:
-                succ = g[:axis] + (g[axis] + 1,) + g[axis + 1:] if 0 <= axis < len(g) else None
-                a = _fit(a, (dims.get(succ, 0), dims.get(g, 0)), "step at {} axis {}", g, axis)
-                a = a if a.ndim == 2 else a.reshape(-1, 1)
+                a = _fit(a, (dims.get(edges.get((g, axis)), 0), dims.get(g, 0)),
+                         "step at {} axis {}", g, axis)
             steps[(g, axis)] = _freeze(a)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "steps", steps)
@@ -298,11 +320,11 @@ class StepModule:
         if any(x > y for x, y in zip(a, b)):
             raise ValidationError(f"no path from {a} to {b}")
         m = self.field.identity(self.dims[a])
-        cur = a
+        cur, edges = a, self.grid.edges
         for axis in range(self.grid.n_axes):
             while cur[axis] < b[axis]:
                 m = self.field.matmul(self.steps[(cur, axis)], m)
-                cur = cur[:axis] + (cur[axis] + 1,) + cur[axis + 1:]
+                cur = edges[(cur, axis)]
         return m
 
     def evaluate(self, s):
@@ -336,38 +358,33 @@ def validate(v):
         if v.dims[g] < 0:
             out.append(f"negative dimension at {g}")
             return out
-    for g in pts:
-        for axis in range(v.grid.n_axes):
-            h = v.grid.successor(g, axis)
-            if h is None:
-                continue
-            if (g, axis) not in v.steps:
-                out.append(f"missing step at {g} axis {axis}")
-                continue
-            m = v.steps[(g, axis)]
-            want = (v.dims[h], v.dims[g])
-            if m.shape != want:
-                out.append(f"step at {g} axis {axis} has shape {m.shape}, expected {want}")
-    for g, axis in v.steps:
-        if (g not in v.dims or not 0 <= axis < v.grid.n_axes
-                or v.grid.successor(g, axis) is None):
-            out.append(f"step at {g} axis {axis} does not match any grid edge")
+    if len(v.dims) > len(pts):
+        on_grid = set(pts)
+        out += [f"dimension at {g} is not at a grid point" for g in v.dims if g not in on_grid]
+    edges = v.grid.edges
+    for (g, axis), h in edges.items():
+        if (g, axis) not in v.steps:
+            out.append(f"missing step at {g} axis {axis}")
+            continue
+        m = v.steps[(g, axis)]
+        want = (v.dims[h], v.dims[g])
+        if m.shape != want:
+            out.append(f"step at {g} axis {axis} has shape {m.shape}, expected {want}")
+    out += [f"step at {g} axis {axis} does not match any grid edge"
+            for g, axis in v.steps if (g, axis) not in edges]
     if out:
         return out
-    for g in pts:
-        for i in range(v.grid.n_axes):
-            gi = v.grid.successor(g, i)
-            if gi is None:
+    p = v.field.p
+    for (g, i), gi in edges.items():
+        for j in range(i + 1, v.grid.n_axes):
+            gj = edges.get((g, j))
+            if gj is None:
                 continue
-            for j in range(i + 1, v.grid.n_axes):
-                gj = v.grid.successor(g, j)
-                if gj is None:
-                    continue
-                via_i = v.field.matmul(v.steps[(gi, j)], v.steps[(g, i)])
-                via_j = v.field.matmul(v.steps[(gj, i)], v.steps[(g, j)])
-                if not np.array_equal(via_i, via_j):
-                    out.append(f"square at {g} axes ({i},{j}) does not commute")
-                    return out
+            via_i = v.steps[(gi, j)] @ v.steps[(g, i)] % p
+            via_j = v.steps[(gj, i)] @ v.steps[(g, j)] % p
+            if not np.array_equal(via_i, via_j):
+                out.append(f"square at {g} axes ({i},{j}) does not commute")
+                return out
     return out
 
 
@@ -424,21 +441,17 @@ def restrict_extend(v, grid):
         return F.zeros(n, 0)
 
     steps = {}
-    for q, a in anchors.items():
-        for axis, move in enumerate(moves):
-            i = q[axis]
-            if i == len(move):
-                continue
-            q2 = q[:axis] + (i + 1,) + q[axis + 1:]
-            if a is None:
-                m = _shared(zeros, dims[q2], zero_column)
-            elif move[i] == 0:
-                m = _shared(identities, dims[q], F.identity)
-            elif move[i] == 1:
-                m = v.steps[(a, axis)]
-            else:
-                m = _freeze(v.path_map(a, anchors[q2]))
-            steps[(q, axis)] = m
+    for (q, axis), q2 in grid.edges.items():
+        a, move = anchors[q], moves[axis][q[axis]]
+        if a is None:
+            m = _shared(zeros, dims[q2], zero_column)
+        elif move == 0:
+            m = _shared(identities, dims[q], F.identity)
+        elif move == 1:
+            m = v.steps[(a, axis)]
+        else:
+            m = _freeze(v.path_map(a, anchors[q2]))
+        steps[(q, axis)] = m
     return StepModule._trusted(F, grid, dims, steps)
 
 
@@ -481,7 +494,7 @@ class Morphism:
         for g, m in self.comps.items():
             g = tuple(g)
             a = np.mod(np.array(m, dtype=np.int64), self.source.field.p)
-            if a.ndim > 2 or not a.size:
+            if a.ndim != 2 or not a.size:
                 a = _fit(a, (self.target.dims.get(g, 0), self.source.dims.get(g, 0)),
                          "component at {}", g)
             comps[g] = _freeze(a)
@@ -528,16 +541,13 @@ def validate_morphism(m):
             out.append(f"component at {g} has shape {m.comps[g].shape}, expected {want}")
     if out:
         return out
-    for g in m.grid.points():
-        for axis in range(m.grid.n_axes):
-            h = m.grid.successor(g, axis)
-            if h is None:
-                continue
-            lhs = m.field.matmul(m.comps[h], m.source.steps[(g, axis)])
-            rhs = m.field.matmul(m.target.steps[(g, axis)], m.comps[g])
-            if not np.array_equal(lhs, rhs):
-                out.append(f"naturality fails at {g} axis {axis}")
-                return out
+    p = m.field.p
+    for (g, axis), h in m.grid.edges.items():
+        lhs = m.comps[h] @ m.source.steps[(g, axis)] % p
+        rhs = m.target.steps[(g, axis)] @ m.comps[g] % p
+        if not np.array_equal(lhs, rhs):
+            out.append(f"naturality fails at {g} axis {axis}")
+            return out
     return out
 
 
@@ -803,12 +813,8 @@ def _submodule(v, basis, coords):
     basis[g]: each step is coords[h] @ step @ basis[g], h the step's end.
     The caller guarantees that v's steps keep the spans."""
     p = v.field.p
-    steps = {}
-    for g in v.grid.points():
-        for axis in range(v.grid.n_axes):
-            h = v.grid.successor(g, axis)
-            if h is not None:
-                steps[(g, axis)] = _freeze(coords[h] @ (v.steps[(g, axis)] @ basis[g] % p) % p)
+    steps = {(g, axis): _freeze(coords[h] @ (v.steps[(g, axis)] @ basis[g] % p) % p)
+             for (g, axis), h in v.grid.edges.items()}
     return StepModule._trusted(v.field, v.grid, {g: b.shape[1] for g, b in basis.items()},
                                steps)
 
@@ -832,8 +838,8 @@ def factor_morphism(m):
         r = b.shape[1]
         rref, _, _ = F.reduce(np.concatenate([b, F.identity(w.dims[g])], axis=1))
         coords[g], outside[g] = rref[:r, r:], rref[r:, r:]
-    for (g, axis), step in w.steps.items():
-        if F.matmul(outside[w.grid.successor(g, axis)], F.matmul(step, basis[g])).any():
+    for (g, axis), h in w.grid.edges.items():
+        if F.matmul(outside[h], F.matmul(w.steps[(g, axis)], basis[g])).any():
             raise ValidationError("induced step left the subspace; morphism invalid")
     image = _submodule(w, basis, coords)
     return image, Morphism._trusted(image, w, basis)

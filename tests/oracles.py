@@ -118,6 +118,13 @@ def _succ(idx, axis, shape):
     return idx[:axis] + (idx[axis] + 1,) + idx[axis + 1:]
 
 
+def oracle_edges(shape):
+    """[((g, axis), successor)] for every unit step of a grid of this shape,
+    points in lexicographic order and axes increasing."""
+    return [((g, a), _succ(g, a, shape)) for g in _points(shape) for a in range(len(shape))
+            if _succ(g, a, shape) is not None]
+
+
 def _matmul(a, b, p, cols):
     """a @ b mod p with cols columns: lists lose the column count of an empty
     b, so it is passed in."""
@@ -267,7 +274,7 @@ def oracle_restrict_extend(v, grid):
     steps = {}
     for q in grid.points():
         for axis in range(grid.n_axes):
-            q2 = grid.successor(q, axis)
+            q2 = _succ(q, axis, grid.shape)
             if q2 is None:
                 continue
             a, b = anchors[q], anchors[q2]
@@ -445,7 +452,7 @@ def oracle_hom_basis(v, w):
     rows = []
     for g in pts:
         for axis in range(v.grid.n_axes):
-            h = v.grid.successor(g, axis)
+            h = _succ(g, axis, v.grid.shape)
             if h is None:
                 continue
             A, B = v.steps[(g, axis)], w.steps[(g, axis)]
@@ -524,7 +531,7 @@ def oracle_factor_morphism(m):
     ksteps, isteps, csteps = {}, {}, {}
     for g in pts:
         for axis in range(m.grid.n_axes):
-            h = m.grid.successor(g, axis)
+            h = _succ(g, axis, m.grid.shape)
             if h is None:
                 continue
             ksteps[(g, axis)] = induced(kbasis, v.steps, g, axis, h)

@@ -411,6 +411,9 @@ def test_cli_sublevel_homology_grid_flags(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["grid"] == [["0", "1/2", "1"], ["0", "1/2", "1"]]
+    assert doc["field"] == {"p": 2}  # --prime defaults to 2
+    with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
+        cli_main(["homology", "--dim", "0", "--field-p", "3", str(bpath)])
 
     code, out, _ = run_cli(["homology", "--dim", "1", "--grid", "1,2;1,2",
                             "--prime", "3", bpath])

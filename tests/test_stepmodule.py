@@ -19,7 +19,8 @@ from obspers.calculus import eta, eta_on, morphisms_match, restrict_morphism
 from obspers.decompose import iso_test
 
 from conftest import assert_same_morphism, to_plain
-from oracles import oracle_factor_morphism, oracle_hom_count, oracle_linear_combination
+from oracles import (oracle_edges, oracle_factor_morphism, oracle_hom_count,
+                     oracle_linear_combination)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -94,6 +95,23 @@ def test_union_of_one_grid_is_that_grid():
     twin = Grid(((0, 1), (0, Fraction(1, 3))))
     u = union_grids(a, twin)
     assert u == a and u is not a
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_edges_match_a_point_by_point_walk(shape):
+    # single-coordinate axes have no steps; the order is points in
+    # lexicographic order, then axes increasing
+    grid = Grid(tuple(tuple(range(n)) for n in shape))
+    assert list(grid.edges.items()) == oracle_edges(tuple(shape))
+
+
+def test_grids_of_one_shape_share_one_read_only_table():
+    a = Grid(((0, 1), (0, 1, 2)))
+    b = Grid(((Fraction(1, 2), 3), (5, 6, 7)))
+    assert a.edges is b.edges and a.edges is a.translate(1).edges
+    assert a.edges[((0, 2), 0)] == (1, 2) and ((0, 2), 1) not in a.edges
+    with pytest.raises(TypeError):
+        a.edges[((0, 0), 0)] = (9, 9)
 
 
 # -- equality ----------------------------------------------------------------
@@ -180,6 +198,31 @@ def test_constructors_reject_empty_input_for_a_nonzero_map_and_stacks():
         Morphism(v, v, {(0,): [[1]], (1,): [[[1]]]})
 
 
+def test_constructors_read_one_dimensional_input_in_the_shape_its_dims_fix():
+    grid = Grid(((0, 1),))
+    # the row [1, 1] is the only map from a plane to a line
+    v = StepModule(F2, grid, {(0,): 2, (1,): 1}, {((0,), 0): [1, 1]})
+    assert v.steps[((0,), 0)].tolist() == [[1, 1]] and validate(v) == []
+    w = StepModule(F2, grid, {(0,): 1, (1,): 2}, {((0,), 0): [1, 0]})
+    assert w.steps[((0,), 0)].tolist() == [[1], [0]] and validate(w) == []
+    one, two = (StepModule(F2, Grid(((0,),)), {(0,): n}, {}) for n in (1, 2))
+    assert Morphism(one, two, {(0,): [1, 1]}).comps[(0,)].tolist() == [[1], [1]]
+    assert Morphism(two, one, {(0,): [0, 1]}).comps[(0,)].tolist() == [[0, 1]]
+    with pytest.raises(ValidationError, match=r"step at \(0,\) axis 0 has 3 entries"):
+        StepModule(F2, grid, {(0,): 2, (1,): 1}, {((0,), 0): [1, 1, 1]})
+    with pytest.raises(ValidationError, match=r"component at \(0,\) has 1 entries"):
+        Morphism(two, one, {(0,): 1})
+
+
+def test_empty_steps_of_one_shape_are_one_shared_block():
+    grid = Grid(((0, 1, 2),))
+    v = StepModule(F2, grid, {g: 0 for g in grid.points()}, {((0,), 0): [], ((1,), 0): [[]]})
+    w = StepModule(F3, grid, {(0,): 0, (1,): 0, (2,): 0}, {((0,), 0): np.zeros((0, 0))})
+    block = v.steps[((0,), 0)]
+    assert block is v.steps[((1,), 0)] and block is w.steps[((0,), 0)]
+    assert block.shape == (0, 0) and not block.flags.writeable
+
+
 # -- validate ----------------------------------------------------------------
 
 def test_validate_constant_module_ok():
@@ -213,6 +256,24 @@ def test_validate_reports_a_step_on_an_axis_the_grid_lacks(axis):
     steps[((0, 0), axis)] = [[1]]
     violations = validate(StepModule(F2, v.grid, v.dims, steps))
     assert violations == [f"step at (0, 0) axis {axis} does not match any grid edge"]
+
+
+def test_validate_reports_a_dimension_off_the_grid():
+    grid = Grid(((0, 1),))
+    v = StepModule(F2, grid, {(0,): 1, (1,): 1, (7,): 3}, {((0,), 0): [[1]]})
+    assert v.total_dim == 5
+    assert validate(v) == ["dimension at (7,) is not at a grid point"]
+
+
+def test_validate_reports_a_step_below_the_grid():
+    # (-1, 0) + e_0 is the grid point (0, 0), but (-1, 0) is no grid point
+    v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
+    dims, steps = dict(v.dims), dict(v.steps)
+    dims[(-1, 0)] = 1
+    steps[((-1, 0), 0)] = [[1]]
+    assert validate(StepModule(F2, v.grid, dims, steps)) == [
+        "dimension at (-1, 0) is not at a grid point",
+        "step at (-1, 0) axis 0 does not match any grid edge"]
 
 
 # -- evaluate ----------------------------------------------------------------

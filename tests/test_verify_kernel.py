@@ -72,7 +72,7 @@ def natural_corruptions(m, rng, count):
         into = [m.source.steps[(q[:k] + (q[k] - 1,) + q[k + 1:], k)]
                 for k in range(grid.n_axes) if q[k]]
         out = [m.target.steps[(q, k)] for k in range(grid.n_axes)
-               if grid.successor(q, k) is not None]
+               if q[k] + 1 < grid.shape[k]]
         rows, cols = m.comps[q].shape
         places += [(q, i, j) for i in range(rows) if not any(s[:, i].any() for s in out)
                    for j in range(cols) if not any(s[j].any() for s in into)]
