@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, anchor_map,
+from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _padded, _width, anchor_map,
                          compose, ensure_valid, factor_morphism, matrices_equal,
                          restrict_extend, same_axes, union_grids)
 
@@ -325,15 +325,22 @@ def diagonal(pm):
 
 def persistent_rank(v, eps):
     """sup over s of rank(V_s -> V_{s+eps}); attained at anchors of the
-    refinement grid u (grid - eps), so the supremum is a finite max."""
+    refinement grid u (grid - eps), so the supremum is a finite max.  The
+    distinct maps are zero-padded to one stack, which leaves their ranks as
+    they are, and ranked by one reduce_stack."""
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("persistent_rank needs eps >= 0")
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
     ends = v.grid.anchors_on(grid, eps)
     memo = {}
-    return max((v.field.rank(anchor_map(v, a, ends[q], memo))
-                for q, a in v.grid.anchors_on(grid).items() if a is not None), default=0)
+    for q, a in v.grid.anchors_on(grid).items():
+        if a is not None:
+            anchor_map(v, a, ends[q], memo)
+    if not memo:
+        return 0
+    d = _width(v)
+    return int(v.field.reduce_stack(_padded(list(memo.values()), d, d))[1].max())
 
 
 # ---------------------------------------------------------------------------

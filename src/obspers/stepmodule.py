@@ -36,6 +36,21 @@ relation among generators moved to g maps to 0 in w_g (hom_rows has the
 details and the argument).  canonical_rows then gives the solutions exactly
 the form the dense system's kernel basis had, whatever generators were
 picked.
+
+Padded stacks.  Every per-edge and per-point product is one batched numpy
+product over a padded stack.  StepModule._stack holds the unit steps
+zero-padded to (D, D), D the module's largest dimension, stacked in
+grid.edges order; Morphism._stack holds the components padded to
+(D_target, D_source), stacked in grid.points() order; _edge_ends gives, per
+edge, the point numbers of its two ends, to index a morphism's stack.
+Padding is exact: the top-left block of a product of padded matrices is the
+product of the blocks, and every other entry stays zero, so a batched product
+of stacks is the stack of the per-point products, and the results of compose,
+add_morphisms and _submodule are views into one read-only product that
+becomes the new object's own stack.  Both stacks are cached on first use,
+which is sound only because modules and morphisms never change: their arrays
+are read-only, and every caller that edits a steps or comps dict copies it
+into a new object first.
 """
 
 import bisect
@@ -43,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from types import MappingProxyType
 
 import numpy as np
@@ -185,6 +200,16 @@ def _edges(shape):
     return MappingProxyType(out)
 
 
+@cache
+def _edge_ends(shape):
+    """Per edge of _edges(shape), in its order, the point numbers (positions in
+    lexicographic order) of its start and of its end: two read-only arrays."""
+    number = {g: i for i, g in enumerate(product(*map(range, shape)))}
+    edges = _edges(shape)
+    return (_freeze(np.array([number[g] for g, _ in edges], dtype=np.intp)),
+            _freeze(np.array([number[h] for h in edges.values()], dtype=np.intp)))
+
+
 def same_axes(*grids):
     """Raise ValidationError unless the grids have one number of axes."""
     if len({g.n_axes for g in grids}) > 1:
@@ -250,6 +275,19 @@ def matrices_equal(a, b, keys):
                                       np.concatenate([b[k].ravel() for k in keys]))
 
 
+def _width(v):
+    """The largest dimension of v, the size its padded stacks have."""
+    return max(v.dims.values(), default=0)
+
+
+def _padded(mats, rows, cols):
+    """The matrices mats zero-padded to (rows, cols) and stacked, read-only."""
+    out = np.zeros((len(mats), rows, cols), dtype=np.int64)
+    for block, m in zip(out, mats):
+        block[:m.shape[0], :m.shape[1]] = m
+    return _freeze(out)
+
+
 def _shared(blocks, n, make):
     """blocks[n], made read-only by make(n) on first use."""
     m = blocks.get(n)
@@ -294,6 +332,24 @@ class StepModule:
         for name, value in (("field", field), ("grid", grid), ("dims", dims), ("steps", steps)):
             object.__setattr__(v, name, value)
         return v
+
+    @classmethod
+    def _from_stack(cls, field, grid, dims, stack):
+        """Internal constructor for dims keyed by the grid points in order and
+        a read-only (E, D, D) stack of steps padded as _stack pads them; the
+        steps are views into stack, which becomes the module's _stack."""
+        v = cls._trusted(field, grid, dims, {
+            (g, axis): stack[i, :dims[h], :dims[g]]
+            for i, ((g, axis), h) in enumerate(grid.edges.items())})
+        v.__dict__["_stack"] = stack
+        return v
+
+    @cached_property
+    def _stack(self):
+        """The unit steps zero-padded to (D, D), D the largest dimension,
+        stacked in grid.edges order: one read-only (E, D, D) array."""
+        d = _width(self)
+        return _padded([self.steps[key] for key in self.grid.edges], d, d)
 
     def dim(self, idx):
         return self.dims[tuple(idx)]
@@ -510,6 +566,25 @@ class Morphism:
             object.__setattr__(m, name, value)
         return m
 
+    @classmethod
+    def _from_stack(cls, source, target, stack):
+        """Internal constructor for a read-only (P, D_target, D_source) stack of
+        components padded as _stack pads them; the components are views into
+        stack, which becomes the morphism's _stack."""
+        s, t = source.dims, target.dims
+        m = cls._trusted(source, target, {g: stack[i, :t[g], :s[g]]
+                                          for i, g in enumerate(source.grid.points())})
+        m.__dict__["_stack"] = stack
+        return m
+
+    @cached_property
+    def _stack(self):
+        """The components zero-padded to (D_target, D_source), the largest
+        dimensions of the endpoints, stacked in grid.points() order: one
+        read-only (P, D_target, D_source) array."""
+        return _padded([self.comps[g] for g in self.grid.points()],
+                       _width(self.target), _width(self.source))
+
     @property
     def grid(self):
         return self.source.grid
@@ -530,24 +605,30 @@ class Morphism:
 
 
 def validate_morphism(m):
-    """Shape and naturality check; returns a list of violations."""
+    """Shape and naturality check; returns a list of violations.  Naturality
+    is one batched test over the padded stacks, comps[h] o step = step o
+    comps[g] on every edge g -> h, naming the first failing edge in
+    grid.edges order."""
     out = []
-    for g in m.grid.points():
+    pts = m.grid.points()
+    for g in pts:
         if g not in m.comps:
             out.append(f"missing component at {g}")
             return out
         want = (m.target.dims[g], m.source.dims[g])
         if m.comps[g].shape != want:
             out.append(f"component at {g} has shape {m.comps[g].shape}, expected {want}")
+    if len(m.comps) > len(pts):
+        on_grid = set(pts)
+        out += [f"component at {g} is not at a grid point" for g in m.comps if g not in on_grid]
     if out:
         return out
-    p = m.field.p
-    for (g, axis), h in m.grid.edges.items():
-        lhs = m.comps[h] @ m.source.steps[(g, axis)] % p
-        rhs = m.target.steps[(g, axis)] @ m.comps[g] % p
-        if not np.array_equal(lhs, rhs):
-            out.append(f"naturality fails at {g} axis {axis}")
-            return out
+    src, dst = _edge_ends(m.grid.shape)
+    c = m._stack
+    bad = ((c[dst] @ m.source._stack - m.target._stack @ c[src]) % m.field.p).any(axis=(1, 2))
+    if bad.any():
+        g, axis = next(islice(m.grid.edges, int(bad.argmax()), None))
+        out.append(f"naturality fails at {g} axis {axis}")
     return out
 
 
@@ -571,9 +652,8 @@ def compose(m2, m1):
     source data exactly."""
     if m1.target is not m2.source and m1.target != m2.source:
         raise ValidationError("composition endpoints do not match")
-    p = m1.field.p
-    return Morphism._trusted(m1.source, m2.target, {
-        g: _freeze(m2.comps[g] @ m1.comps[g] % p) for g in m1.grid.points()})
+    return Morphism._from_stack(m1.source, m2.target,
+                                _freeze(m2._stack @ m1._stack % m1.field.p))
 
 
 def add_morphisms(m1, m2):
@@ -581,9 +661,8 @@ def add_morphisms(m1, m2):
     for a, b in ((m1.source, m2.source), (m1.target, m2.target)):
         if a is not b and a != b:
             raise ValidationError("sum endpoints do not match")
-    p = m1.field.p
-    return Morphism._trusted(m1.source, m1.target, {
-        g: _freeze((m1.comps[g] + m2.comps[g]) % p) for g in m1.grid.points()})
+    return Morphism._from_stack(m1.source, m1.target,
+                                _freeze((m1._stack + m2._stack) % m1.field.p))
 
 
 def flatten_morphism(m):
@@ -701,7 +780,9 @@ def hom_rows(v, w):
     step applied to its image at g, as w commutes.  The kept generators span
     v_g, so phi_h o v's step = w's step o phi_g, and phi is natural.  The
     solutions are turned into components, phi_g = Phi_g S_g at every g in
-    one batched product each, and put in canonical form by canonical_rows.
+    batched products over slices of the solutions (at most _CHUNK_CELLS
+    entries of Phi_g's factors at a time), and put in canonical form by
+    canonical_rows.
     """
     if v.grid != w.grid:
         raise ValidationError("hom_basis needs a common grid; refine first")
@@ -787,7 +868,13 @@ def hom_rows(v, w):
             comps.append(F.zeros(h, v.dims[g] * w.dims[g]))
             continue
         seg = np.repeat(np.arange(len(ids)), [size[i] for i in ids])
-        part = (p_g[None] * sol[unknowns(ids)].T[:, None, :]) @ s_g[seg]
+        x, s = sol[unknowns(ids)].T, s_g[seg]
+        # slices of the solutions whose (slice, dim w_g, unknowns) product
+        # has at most _CHUNK_CELLS entries (or one solution, where one alone
+        # has more), to bound the memory it takes
+        step = max(1, _CHUNK_CELLS // max(p_g.size, 1))
+        part = np.concatenate([(p_g[None] * x[i:i + step, None, :]) @ s
+                               for i in range(0, h, step)])
         comps.append(part.reshape(h, -1) % F.p)
     return canonical_rows(F, np.concatenate(comps, axis=1))
 
@@ -807,16 +894,18 @@ def hom_basis(v, w):
 # Submodules and the image of a morphism
 # ---------------------------------------------------------------------------
 
-def _submodule(v, basis, coords):
-    """The submodule of v spanned by the columns of basis[g] at each point g,
-    where coords[g] takes a vector of that span to its coordinates in
-    basis[g]: each step is coords[h] @ step @ basis[g], h the step's end.
-    The caller guarantees that v's steps keep the spans."""
+def _submodule(v, dims, basis, coords):
+    """The submodule of v with dimension dims[g] at each grid point g, spanned
+    there by the columns of basis[g], where coords[g] takes a vector of that
+    span to its coordinates in basis[g].  basis and coords are stacks in
+    grid.points() order, padded to (D_v, D) and (D, D_v), D the largest of
+    dims; each step is coords[h] @ step @ basis[g], h the step's end, all in
+    one batched product.  The caller guarantees that v's steps keep the
+    spans."""
+    src, dst = _edge_ends(v.grid.shape)
     p = v.field.p
-    steps = {(g, axis): _freeze(coords[h] @ (v.steps[(g, axis)] @ basis[g] % p) % p)
-             for (g, axis), h in v.grid.edges.items()}
-    return StepModule._trusted(v.field, v.grid, {g: b.shape[1] for g, b in basis.items()},
-                               steps)
+    return StepModule._from_stack(v.field, v.grid, dims,
+                                  _freeze(coords[dst] @ (v._stack @ basis[src] % p) % p))
 
 
 def factor_morphism(m):
@@ -832,14 +921,20 @@ def factor_morphism(m):
     """
     F = m.field
     w = m.target
-    basis, coords, outside = {}, {}, {}
-    for g in m.grid.points():
-        b = basis[g] = _freeze(F.column_space_basis(m.comps[g]))
+    pts = m.grid.points()
+    basis, coords, outside = [], [], []
+    for g in pts:
+        b = F.column_space_basis(m.comps[g])
         r = b.shape[1]
         rref, _, _ = F.reduce(np.concatenate([b, F.identity(w.dims[g])], axis=1))
-        coords[g], outside[g] = rref[:r, r:], rref[r:, r:]
-    for (g, axis), h in w.grid.edges.items():
-        if F.matmul(outside[h], F.matmul(w.steps[(g, axis)], basis[g])).any():
-            raise ValidationError("induced step left the subspace; morphism invalid")
-    image = _submodule(w, basis, coords)
-    return image, Morphism._trusted(image, w, basis)
+        basis.append(b)
+        coords.append(rref[:r, r:])
+        outside.append(rref[r:, r:])
+    dims = {g: b.shape[1] for g, b in zip(pts, basis)}
+    dw, d = _width(w), max(dims.values())
+    basis, coords = _padded(basis, dw, d), _padded(coords, d, dw)
+    src, dst = _edge_ends(m.grid.shape)
+    if (_padded(outside, dw, dw)[dst] @ (w._stack @ basis[src] % F.p) % F.p).any():
+        raise ValidationError("induced step left the subspace; morphism invalid")
+    image = _submodule(w, dims, basis, coords)
+    return image, Morphism._from_stack(image, w, basis)

@@ -5,11 +5,12 @@ against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-seven sections keep earlier code of the package itself as the reference for
+eight sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element linear
 combination, the per-element decide kernel, the dense Hom solver, the full factorization with the per-piece
-decomposition, the composite-building verify, and the point-by-point Fitting
-split and isomorphism search.
+decomposition, the composite-building verify, the point-by-point Fitting
+split and isomorphism search, and the per-edge and per-point naturality
+check, composition, sum, submodule and persistent rank.
 """
 
 from fractions import Fraction
@@ -562,7 +563,7 @@ def oracle_endo_algebra(v):
     import numpy as np
 
     from obspers.decompose import EndoAlgebra
-    from obspers.stepmodule import compose, flatten_morphism
+    from obspers.stepmodule import flatten_morphism
 
     basis = oracle_hom_basis(v, v)
     d = len(basis)
@@ -571,7 +572,7 @@ def oracle_endo_algebra(v):
         return EndoAlgebra(v, [], np.zeros((0, 0, 0), dtype=np.int64),
                            np.zeros((0, 0), dtype=np.int64))
     mat = np.stack([flatten_morphism(b) for b in basis], axis=1)
-    prods = [flatten_morphism(compose(bi, bj)) for bi in basis for bj in basis]
+    prods = [flatten_morphism(oracle_compose(bi, bj)) for bi in basis for bj in basis]
     coeffs = F.solve(mat, np.stack(prods, axis=1))
     if coeffs is None:
         raise RuntimeError("endomorphism composition left the basis span")
@@ -641,7 +642,7 @@ def oracle_split_once(v, seed=0, budget=1 << 16):
 
 def oracle_decompose(v, seed=0, budget=1 << 16):
     from obspers.decompose import Decomposition
-    from obspers.stepmodule import compose, identity_morphism
+    from obspers.stepmodule import identity_morphism
 
     if v.total_dim == 0:
         return Decomposition(v, [], [], [])
@@ -659,8 +660,8 @@ def oracle_decompose(v, seed=0, budget=1 << 16):
             incs.append(inc)
             projs.append(proj)
             continue
-        work.append((s.a, compose(inc, s.inc_a), compose(s.proj_a, proj)))
-        work.append((s.b, compose(inc, s.inc_b), compose(s.proj_b, proj)))
+        work.append((s.a, oracle_compose(inc, s.inc_a), oracle_compose(s.proj_a, proj)))
+        work.append((s.b, oracle_compose(inc, s.inc_b), oracle_compose(s.proj_b, proj)))
     order = sorted(range(len(summands)), key=lambda i: (-summands[i].total_dim, i))
     return Decomposition(v, [summands[i] for i in order], [incs[i] for i in order],
                          [projs[i] for i in order])
@@ -668,17 +669,32 @@ def oracle_decompose(v, seed=0, budget=1 << 16):
 
 # ---------------------------------------------------------------------------
 # The package's earlier verify: each triangle composite built on the common
-# refinement by compose_matched, eta_2eps built on a grid refining it, and
-# the two compared by morphisms_match, which restricts both once more.  The
-# anchored triangle check must give the same verdict and violations.
+# refinement as compose_matched builds it, eta_2eps built on a grid refining
+# it, and the two compared by morphisms_match, which restricts both once
+# more.  The anchored triangle check must give the same verdict and
+# violations.
 # ---------------------------------------------------------------------------
 
+def oracle_compose_matched(m2, m1):
+    """calculus.compose_matched with the per-point oracle_compose: both
+    morphisms restricted to the common refinement, then composed."""
+    from obspers.calculus import restrict_morphism
+    from obspers.errors import ValidationError
+    from obspers.stepmodule import union_grids
+
+    u = union_grids(m1.grid, m2.grid)
+    r1, r2 = restrict_morphism(m1, u), restrict_morphism(m2, u)
+    if r1.target != r2.source:
+        raise ValidationError("composition endpoints differ as extensions")
+    return oracle_compose(r2, r1)
+
+
 def oracle_verify(v, w, eps, f, g):
-    from obspers.calculus import (compose_matched, eta_on, modules_match,
-                                  morphisms_match, shift, shift_morphism)
+    from obspers.calculus import (eta_on, modules_match, morphisms_match, shift,
+                                  shift_morphism)
     from obspers.errors import ValidationError
     from obspers.metric import Interleaving
-    from obspers.stepmodule import _frac, union_grids, validate_morphism
+    from obspers.stepmodule import _frac, union_grids
 
     eps = _frac(eps)
     if eps < 0:
@@ -693,12 +709,12 @@ def oracle_verify(v, w, eps, f, g):
     if not modules_match(g.target, shift(v, eps)):
         out.append("g's target is not V[eps]")
     for name, m in (("f", f), ("g", g)):
-        for viol in validate_morphism(m):
+        for viol in oracle_validate_morphism(m):
             out.append(f"{name}: {viol}")
     if not out:
         for first, second, x, name in ((f, g, v, "g[eps] o f != eta_2eps on V"),
                                        (g, f, w, "f[eps] o g != eta_2eps on W")):
-            t = compose_matched(shift_morphism(second, eps), first)
+            t = oracle_compose_matched(shift_morphism(second, eps), first)
             u = union_grids(t.grid, x.grid, x.grid.translate(-2 * eps))
             if not morphisms_match(t, eta_on(x, 2 * eps, u)):
                 out.append(f"triangle {name}")
@@ -708,9 +724,9 @@ def oracle_verify(v, w, eps, f, g):
 def oracle_shift_factor_ok(l, m, first, beta):
     """The earlier shift_factor_morphism check: the composite m o first built
     by compose_matched against eta_beta on l's grid."""
-    from obspers.calculus import compose_matched, eta_on, morphisms_match
+    from obspers.calculus import eta_on, morphisms_match
 
-    return morphisms_match(compose_matched(m, first), eta_on(l, beta, l.grid))
+    return morphisms_match(oracle_compose_matched(m, first), eta_on(l, beta, l.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +752,7 @@ def oracle_split_pointwise(v, f):
     import numpy as np
 
     from obspers.decompose import Split
-    from obspers.stepmodule import Morphism, _freeze, _submodule
+    from obspers.stepmodule import Morphism, _freeze
 
     F = v.field
     n = max(v.total_dim, 1)
@@ -753,7 +769,7 @@ def oracle_split_pointwise(v, f):
             return None
         k = kernel[g].shape[1]
         proj_a[g], proj_b[g] = _freeze(inv[:k]), _freeze(inv[k:])
-    a, b = _submodule(v, kernel, proj_a), _submodule(v, image, proj_b)
+    a, b = oracle_submodule(v, kernel, proj_a), oracle_submodule(v, image, proj_b)
     return Split(a, b, Morphism._trusted(a, v, kernel), Morphism._trusted(b, v, image),
                  Morphism._trusted(v, a, proj_a), Morphism._trusted(v, b, proj_b))
 
@@ -780,7 +796,7 @@ def oracle_invertible_pointwise(v, w, basis, coeffs):
 def oracle_iso_test(v, w, seed=0, budget=1 << 16):
     import numpy as np
 
-    from obspers.calculus import persistent_rank, restrict_extend
+    from obspers.calculus import restrict_extend
     from obspers.stepmodule import (coefficient_vectors, hom_basis, identity_morphism,
                                     union_grids)
 
@@ -794,7 +810,7 @@ def oracle_iso_test(v, w, seed=0, budget=1 << 16):
     if rv.total_dim == 0 or rv == rw:
         return True, identity_morphism(rv)
     gaps = [b - a for axis in u.axes for a, b in zip(axis, axis[1:])]
-    if gaps and persistent_rank(rv, min(gaps)) != persistent_rank(rw, min(gaps)):
+    if gaps and oracle_persistent_rank(rv, min(gaps)) != oracle_persistent_rank(rw, min(gaps)):
         return False, None
     basis = hom_basis(rv, rw)
     h = len(basis)
@@ -813,3 +829,83 @@ def oracle_iso_test(v, w, seed=0, budget=1 << 16):
         if m is not None:
             return True, m
     return False, None
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier per-edge and per-point kernels: the naturality check,
+# composition, sum and submodule steps one grid edge or one grid point at a
+# time, and the persistent rank one F.rank per point of the refined grid.
+# They walk their own edges and points (oracle_edges, _points) and never read
+# a padded stack; the batched kernels must return exactly what they return.
+# ---------------------------------------------------------------------------
+
+def oracle_validate_morphism(m):
+    """Missing components, wrong shapes and components off the grid, then
+    the first edge in lexicographic order where naturality fails."""
+    import numpy as np
+
+    pts = _points(m.grid.shape)
+    out = []
+    for g in pts:
+        if g not in m.comps:
+            return [f"missing component at {g}"]
+        want = (m.target.dims[g], m.source.dims[g])
+        if m.comps[g].shape != want:
+            out.append(f"component at {g} has shape {m.comps[g].shape}, expected {want}")
+    out += [f"component at {g} is not at a grid point" for g in m.comps if g not in pts]
+    if out:
+        return out
+    p = m.field.p
+    for (g, axis), h in oracle_edges(m.grid.shape):
+        lhs = m.comps[h] @ m.source.steps[(g, axis)] % p
+        rhs = m.target.steps[(g, axis)] @ m.comps[g] % p
+        if not np.array_equal(lhs, rhs):
+            return [f"naturality fails at {g} axis {axis}"]
+    return []
+
+
+def oracle_compose(m2, m1):
+    """m2 after m1, one product per grid point."""
+    from obspers.errors import ValidationError
+    from obspers.stepmodule import Morphism
+
+    if m1.target != m2.source:
+        raise ValidationError("composition endpoints do not match")
+    p = m1.field.p
+    return Morphism._trusted(m1.source, m2.target, {
+        g: m2.comps[g] @ m1.comps[g] % p for g in _points(m1.grid.shape)})
+
+
+def oracle_add_morphisms(m1, m2):
+    """m1 + m2, one sum per grid point."""
+    from obspers.stepmodule import Morphism
+
+    p = m1.field.p
+    return Morphism._trusted(m1.source, m1.target, {
+        g: (m1.comps[g] + m2.comps[g]) % p for g in _points(m1.grid.shape)})
+
+
+def oracle_submodule(v, basis, coords):
+    """The submodule of v spanned by the columns of basis[g] at each point,
+    coords[h] @ step @ basis[g] on each edge g -> h; basis and coords are
+    dicts of unpadded matrices."""
+    from obspers.stepmodule import StepModule
+
+    p = v.field.p
+    steps = {(g, axis): coords[h] @ (v.steps[(g, axis)] @ basis[g] % p) % p
+             for (g, axis), h in oracle_edges(v.grid.shape)}
+    return StepModule._trusted(v.field, v.grid, {g: basis[g].shape[1]
+                                                 for g in _points(v.grid.shape)}, steps)
+
+
+def oracle_persistent_rank(v, eps):
+    """The largest rank of an anchored structure map over the points of the
+    refined grid, one F.rank per point."""
+    from obspers.stepmodule import _frac, anchor_map, union_grids
+
+    eps = _frac(eps)
+    grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
+    ends = v.grid.anchors_on(grid, eps)
+    memo = {}
+    return max((v.field.rank(anchor_map(v, a, ends[q], memo))
+                for q, a in v.grid.anchors_on(grid).items() if a is not None), default=0)

@@ -265,6 +265,12 @@ def test_validate_reports_a_dimension_off_the_grid():
     assert validate(v) == ["dimension at (7,) is not at a grid point"]
 
 
+def test_validate_morphism_reports_a_component_off_the_grid():
+    v = library.constant_module(F2, Grid(((0, 1),)))
+    m = Morphism(v, v, {(0,): [[1]], (1,): [[1]], (7,): [[1, 1], [0, 1]]})
+    assert validate_morphism(m) == ["component at (7,) is not at a grid point"]
+
+
 def test_validate_reports_a_step_below_the_grid():
     # (-1, 0) + e_0 is the grid point (0, 0), but (-1, 0) is no grid point
     v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
