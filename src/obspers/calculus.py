@@ -14,8 +14,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _padded, _width, anchor_map,
-                         compose, ensure_valid, factor_morphism, matrices_equal,
+from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _padded, _width,
+                         anchor_map, compose, ensure_valid, factor_morphism, matrices_equal,
                          restrict_extend, same_axes, union_grids)
 
 # restrict_extend is re-exported from here because refinement and

@@ -46,9 +46,9 @@ import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
 from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, StepModule, _blocks, _freeze,
-                         _morphisms, _submodule, _width, canonical_rows, coefficient_vectors,
-                         compose, flatten_morphism, hom_rows, identity_morphism,
-                         linear_combination, union_grids)
+                         _morphisms, _padded, _submodule, _width, canonical_rows,
+                         coefficient_vectors, compose, flatten_morphism, hom_rows,
+                         identity_morphism, linear_combination, union_grids)
 
 
 @dataclass(frozen=True)
@@ -135,18 +135,6 @@ def _power(a, n, p):
         a = a @ a % p
 
 
-def _take(a, start, count, axis, width):
-    """For every matrix a[i] of a stack, the count[i] rows (axis 1) or
-    columns (axis 2) from start[i] on, moved to the front and zero-padded to
-    width."""
-    pos = np.arange(width)
-    keep = pos < count[:, None]
-    at = np.where(keep, start[:, None] + pos, 0)
-    if axis == 1:
-        return np.take_along_axis(a, at[:, :, None], axis=1) * keep[:, :, None]
-    return np.take_along_axis(a, at[:, None, :], axis=2) * keep[:, None, :]
-
-
 def _split_from_endo(v, f):
     """Fitting split along the stabilized endomorphism f^N, if nontrivial:
     a = ker f^N and b = im f^N, with the kernel basis elimination reads off
@@ -154,29 +142,20 @@ def _split_from_endo(v, f):
     the rows of its inverse are the coordinates in it, which give both
     projections and the pieces' steps (stepmodule._submodule).  The points
     are taken a dimension group at a time (the module docstring has the
-    argument that this is the per-point split), and the four witnesses are
-    written straight into padded stacks (see stepmodule, Padded stacks)."""
+    argument that this is the per-point split), and the four witnesses
+    are padded into stacks (see stepmodule, Padded stacks)."""
     F, p = v.field, v.field.p
     n = max(v.total_dim, 1)
-    number = {g: i for i, g in enumerate(v.grid.points())}
     groups = []
     for d, pts in _by_dim(v).items():
         fn = _power(np.stack([f.comps[g] for g in pts]), n, p)
         rref, ranks, pivots = F.reduce_stack(fn)
-        groups.append((d, [number[g] for g in pts], fn, rref, ranks, pivots))
+        groups.append((d, pts, fn, rref, ranks, pivots))
     ka = sum(int((d - ranks).sum()) for d, _, _, _, ranks, _ in groups)
     if ka == 0 or ka == v.total_dim:
         return None
-    dims = np.array([v.dims[g] for g in number], dtype=np.int64)
-    k = np.zeros_like(dims)  # dim ker f^N at each point
-    for d, idx, _, _, ranks, _ in groups:
-        k[idx] = d - ranks
-    P, dv, da, db = len(k), _width(v), int(k.max()), int((dims - k).max())
-    kernel, image = np.zeros((P, dv, da), np.int64), np.zeros((P, dv, db), np.int64)
-    proj_a, proj_b = np.zeros((P, da, dv), np.int64), np.zeros((P, db, dv), np.int64)
-    for d, idx, fn, rref, ranks, pivots in groups:
-        if not d:
-            continue
+    parts = {}
+    for d, pts, fn, rref, ranks, pivots in groups:
         # row j of lead is the reduced row whose pivot is column j (0 at the
         # free columns), so column j of the kernel basis, for a free j, is 1
         # at j and -lead[pc, j] at each pivot column pc, as F.kernel_basis
@@ -191,13 +170,15 @@ def _split_from_endo(v, f):
         red, _, bar = F.reduce_stack(np.concatenate([both, eye], axis=2))
         if not bar[:, :d].all():
             return None  # f^N not yet stabilized into a direct sum; try another f
-        inv, kd, zero = red[:, :, d:], d - ranks, np.zeros_like(ranks)
-        kernel[idx, :d] = _take(both, zero, kd, 2, da)
-        image[idx, :d] = _take(both, kd, ranks, 2, db)
-        proj_a[idx, :, :d] = _take(inv, zero, kd, 1, da)
-        proj_b[idx, :, :d] = _take(inv, kd, ranks, 1, db)
-    kernel, image, proj_a, proj_b = map(_freeze, (kernel, image, proj_a, proj_b))
-    dims_a, dims_b = dict(zip(number, k.tolist())), dict(zip(number, (dims - k).tolist()))
+        for g, k, basis, inv in zip(pts, d - ranks, both, red[:, :, d:]):
+            parts[g] = basis[:, :k], basis[:, k:], inv[:k], inv[k:]
+    pts = v.grid.points()
+    kernel, image, proj_a, proj_b = ([parts[g][i] for g in pts] for i in range(4))
+    dims_a = {g: m.shape[1] for g, m in zip(pts, kernel)}
+    dims_b = {g: m.shape[1] for g, m in zip(pts, image)}
+    dv, da, db = _width(v), max(dims_a.values()), max(dims_b.values())
+    kernel, image = _padded(kernel, dv, da), _padded(image, dv, db)
+    proj_a, proj_b = _padded(proj_a, da, dv), _padded(proj_b, db, dv)
     a, b = _submodule(v, dims_a, kernel, proj_a), _submodule(v, dims_b, image, proj_b)
     return Split(a, b, Morphism._from_stack(a, v, kernel), Morphism._from_stack(b, v, image),
                  Morphism._from_stack(v, a, proj_a), Morphism._from_stack(v, b, proj_b))
