@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
+import obspers.stepmodule as stepmodule
 from obspers import library
 from obspers.calculus import persistent_rank
 from obspers.fields import PrimeField
@@ -17,8 +18,6 @@ from obspers.stepmodule import (Grid, Morphism, _submodule, add_morphisms, compo
 
 from oracles import (oracle_add_morphisms, oracle_compose, oracle_persistent_rank,
                      oracle_submodule, oracle_validate_morphism)
-
-import obspers.stepmodule as stepmodule
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 primes = st.sampled_from([2, 3])
