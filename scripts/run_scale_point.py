@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Scale point for decompose: degree-Rips H0 of a random point cloud.
 
-Builds degree-Rips H0 over F_2 of N distinct seeded integer points in
-[0, 9]^2 (Chebyshev distance, radii 0-9, degrees 0-9), decomposes it, and
-checks every witness: each inclusion and projection is natural, each
+Builds degree-Rips H0 over F_2 of N distinct integer points in [0, 9]^2
+drawn with seed 0 (Chebyshev distance, radii 0-9, degrees 0-9), decomposes
+it, and checks every witness: each inclusion and projection is natural, each
 proj o inc is the identity of its summand, and the inc o proj sum to the
 identity of the module.  Prints one JSON line: the seconds decompose took,
 the tracemalloc peak of a second, traced decompose, the module's total and
@@ -29,13 +29,14 @@ from obspers.stepmodule import (Grid, add_morphisms, compose, identity_morphism,
 SIDE = 9
 RADII = list(range(10))
 DEGREES = list(range(10))
+SEED = 0
 
 
-def cloud(n, seed):
-    """n distinct integer points in [0, SIDE]^2, sorted."""
+def cloud(n):
+    """n distinct integer points in [0, SIDE]^2, drawn with SEED, sorted."""
     if n > (SIDE + 1) ** 2:
         raise SystemExit(f"at most {(SIDE + 1) ** 2} distinct points fit")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     pts = set()
     while len(pts) < n:
         pts.add((int(rng.integers(0, SIDE + 1)), int(rng.integers(0, SIDE + 1))))
@@ -67,9 +68,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--points", type=int, default=40)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    points = cloud(args.points, args.seed)
+    points = cloud(args.points)
     v = h0_module(points)
     t0 = time.perf_counter()
     dec = decompose(v)
@@ -82,7 +82,7 @@ def main():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     failures = witness_failures(v, dec)
-    print(json.dumps({"points": args.points, "seed": args.seed,
+    print(json.dumps({"points": args.points,
                       "decompose_s": round(seconds, 3),
                       "tracemalloc_peak_mb": round(peak / 2 ** 20, 1),
                       "total_dim": v.total_dim, "max_dim": max(v.dims.values()),

@@ -50,7 +50,9 @@ add_morphisms and _submodule are views into one read-only product that
 becomes the new object's own stack.  Both stacks are cached on first use,
 which is sound only because modules and morphisms never change: their arrays
 are read-only, and every caller that edits a steps or comps dict copies it
-into a new object first.
+into a new object first.  Padding would also hide a block smaller than its
+point's dimensions, which a per-point product rejects, so building a stack
+raises ValidationError on any block of the wrong shape.
 """
 
 import bisect
@@ -280,6 +282,14 @@ def _width(v):
     return max(v.dims.values(), default=0)
 
 
+def _exact(m, want, what, *args):
+    """The matrix m when its shape is want, else a ValidationError naming
+    what.format(*args), worded as validate words it."""
+    if m.shape != want:
+        raise ValidationError(f"{what.format(*args)} has shape {m.shape}, expected {want}")
+    return m
+
+
 def _padded(mats, rows, cols):
     """The matrices mats zero-padded to (rows, cols) and stacked, read-only."""
     out = np.zeros((len(mats), rows, cols), dtype=np.int64)
@@ -347,9 +357,12 @@ class StepModule:
     @cached_property
     def _stack(self):
         """The unit steps zero-padded to (D, D), D the largest dimension,
-        stacked in grid.edges order: one read-only (E, D, D) array."""
-        d = _width(self)
-        return _padded([self.steps[key] for key in self.grid.edges], d, d)
+        stacked in grid.edges order: one read-only (E, D, D) array.  A step
+        of the wrong shape is a ValidationError, as padding would hide it."""
+        d, dims = _width(self), self.dims
+        return _padded([_exact(self.steps[(g, axis)], (dims[h], dims[g]),
+                               "step at {} axis {}", g, axis)
+                        for (g, axis), h in self.grid.edges.items()], d, d)
 
     def dim(self, idx):
         return self.dims[tuple(idx)]
@@ -581,8 +594,11 @@ class Morphism:
     def _stack(self):
         """The components zero-padded to (D_target, D_source), the largest
         dimensions of the endpoints, stacked in grid.points() order: one
-        read-only (P, D_target, D_source) array."""
-        return _padded([self.comps[g] for g in self.grid.points()],
+        read-only (P, D_target, D_source) array.  A component of the wrong
+        shape is a ValidationError, as padding would hide it."""
+        s, t = self.source.dims, self.target.dims
+        return _padded([_exact(self.comps[g], (t[g], s[g]), "component at {}", g)
+                        for g in self.grid.points()],
                        _width(self.target), _width(self.source))
 
     @property
@@ -608,7 +624,8 @@ def validate_morphism(m):
     """Shape and naturality check; returns a list of violations.  Naturality
     is one batched test over the padded stacks, comps[h] o step = step o
     comps[g] on every edge g -> h, naming the first failing edge in
-    grid.edges order."""
+    grid.edges order.  An endpoint step of the wrong shape raises
+    ValidationError."""
     out = []
     pts = m.grid.points()
     for g in pts:

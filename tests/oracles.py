@@ -848,7 +848,8 @@ def oracle_validate_morphism(m):
     out = []
     for g in pts:
         if g not in m.comps:
-            return [f"missing component at {g}"]
+            out.append(f"missing component at {g}")
+            return out
         want = (m.target.dims[g], m.source.dims[g])
         if m.comps[g].shape != want:
             out.append(f"component at {g} has shape {m.comps[g].shape}, expected {want}")

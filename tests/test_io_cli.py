@@ -21,7 +21,7 @@ from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.metric import INF, distance_bracket, verify
 from obspers.pipelines import degree_rips, metric_space, sublevel_bifiltration
-from obspers.stepmodule import Grid, identity_morphism, validate_morphism
+from obspers.stepmodule import Grid, direct_sum, identity_morphism, validate_morphism
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -166,6 +166,19 @@ def test_cli_validate_module(tmp_path):
     code, out, err = run_cli(["validate", bad])
     assert code == 1
     assert "square" in err
+
+
+def test_cli_validate_morphism_with_an_undersized_source_step(tmp_path):
+    # a 1x1 step where the edge's dimensions are 2 -> 2: zero padding must
+    # not pass it as [[1, 0], [0, 0]]
+    v = direct_sum(*(library.constant_module(F2, Grid(((0, 1),))),) * 2)
+    doc = serialize.morphism_to_json(identity_morphism(v))
+    doc["source"]["steps"][0]["matrix"] = [[1]]
+    path = tmp_path / "bad.json"
+    serialize.write_json(path, doc)
+    code, out, err = run_cli(["validate", path])
+    assert (code, out) == (1, "")
+    assert err == "error: step at (0,) axis 0 has shape (1, 1), expected (2, 2)\n"
 
 
 def test_cli_validate_interleaving_rechecks(tmp_path):

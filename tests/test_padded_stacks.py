@@ -7,14 +7,17 @@ zero; and the cached stacks against freshly padded ones."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import obspers.stepmodule as stepmodule
 from obspers import library
 from obspers.calculus import persistent_rank
+from obspers.errors import ValidationError
 from obspers.fields import PrimeField
-from obspers.stepmodule import (Grid, Morphism, _submodule, add_morphisms, compose,
-                                hom_basis, hom_rows, linear_combination, validate_morphism)
+from obspers.stepmodule import (Grid, Morphism, StepModule, _submodule, add_morphisms, compose,
+                                hom_basis, hom_rows, identity_morphism, linear_combination,
+                                validate_morphism)
 
 from oracles import (oracle_add_morphisms, oracle_compose, oracle_persistent_rank,
                      oracle_submodule, oracle_validate_morphism)
@@ -113,10 +116,35 @@ def test_shape_and_key_violations_match_the_oracle(seed, p):
     wrong[g] = np.zeros((v.dims[g] + 1, v.dims[g]), dtype=np.int64)
     del missing[g]
     off[(7,) * v.grid.n_axes] = [[1]]
-    for comps in (wrong, missing, off):
+    cases = [wrong, missing, off]
+    if g != pts[-1]:
+        # a wrong shape before a missing point: both are reported
+        both = dict(wrong)
+        del both[pts[-1]]
+        cases.append(both)
+    for comps in cases:
         m = Morphism._trusted(v, v, {k: np.asarray(c) for k, c in comps.items()})
         assert validate_morphism(m) == oracle_validate_morphism(m)
         assert validate_morphism(m)
+
+
+def test_blocks_of_the_wrong_shape_are_not_padded():
+    # an undersized step or component raises where a per-point product
+    # would, instead of passing as its zero-padded extension
+    F = PrimeField(2)
+    one = library.constant_module(F, Grid(((0, 1),)))
+    v = stepmodule.direct_sum(one, one)
+    small_step = StepModule(F, v.grid, v.dims, {((0,), 0): [[1]]})
+    with pytest.raises(ValidationError, match=r"step at \(0,\) axis 0 has shape \(1, 1\)"):
+        validate_morphism(Morphism(small_step, v, identity_morphism(v).comps))
+    small_comp = Morphism(v, v, {(0,): [[1]], (1,): np.eye(2, dtype=np.int64)})
+    assert validate_morphism(small_comp) == [
+        "component at (0,) has shape (1, 1), expected (2, 2)"]
+    for build in (lambda: compose(small_comp, identity_morphism(v)),
+                  lambda: compose(identity_morphism(v), small_comp),
+                  lambda: add_morphisms(small_comp, identity_morphism(v))):
+        with pytest.raises(ValidationError, match=r"component at \(0,\) has shape \(1, 1\)"):
+            build()
 
 
 @given(seeds, primes)
