@@ -47,12 +47,18 @@ Padding is exact: the top-left block of a product of padded matrices is the
 product of the blocks, and every other entry stays zero, so a batched product
 of stacks is the stack of the per-point products, and the results of compose,
 add_morphisms and _submodule are views into one read-only product that
-becomes the new object's own stack.  Both stacks are cached on first use,
-which is sound only because modules and morphisms never change: their arrays
-are read-only, and every caller that edits a steps or comps dict copies it
-into a new object first.  Padding would also hide a block smaller than its
-point's dimensions, which a per-point product rejects, so building a stack
-raises ValidationError on any block of the wrong shape.
+becomes the new object's own stack.  The same argument lets a product take
+its points (or edges) by size class and multiply only the top-left c x c
+corners of each class's blocks, c the power of two at or above the widest
+block there and at least _MIN_CLASS: the corner holds the whole block, and
+the rest of the result stays zero.  So a module with one wide point and many
+narrow ones pays the wide width only at the wide point; modules at most
+_MIN_CLASS wide take one class, one product.  Both stacks are cached on first
+use, which is sound only because modules and morphisms never change: their
+arrays are read-only, and every caller that edits a steps or comps dict
+copies it into a new object first.  Padding would also hide a block smaller
+than its point's dimensions, which a per-point product rejects, so building
+a stack raises ValidationError on any block of the wrong shape.
 """
 
 import bisect
@@ -290,6 +296,53 @@ def _exact(m, want, what, *args):
     return m
 
 
+# The narrowest size class of the padded products.  A batched product of
+# blocks this small costs about as much as the numpy calls that one more class
+# takes, so every narrower block shares it.
+_MIN_CLASS = 8
+
+
+def _class(d):
+    """The size class of a block at most d wide: the power of two at or above
+    d, and at least _MIN_CLASS."""
+    return max(_MIN_CLASS, 1 << (d - 1).bit_length())
+
+
+def _groups(width, modules, dims=None, ends=None):
+    """The positions of a batched product over the blocks of modules (and of
+    dims, a dimension per point in grid.points() order), width the widest
+    of them, grouped by size class: one (c, index) pair per class c present,
+    narrowest first, the index a slice over every position when all share
+    one class.  A point's class is that of its widest block; with ends, the
+    (start, end) point numbers of each edge, the positions are edges, and an
+    edge's class is that of its wider end."""
+    if width <= _MIN_CLASS:
+        return [(_MIN_CLASS, slice(None))]
+    classes = np.maximum.reduce([v._classes for v in modules])
+    if dims is not None:
+        classes = np.maximum(classes, [_class(d) for d in dims])
+    if ends is not None:
+        classes = np.maximum(classes[ends[0]], classes[ends[1]])
+    bits = int(np.bitwise_or.reduce(classes))
+    if not bits & (bits - 1):
+        return [(bits, slice(None))]
+    return [(1 << k, np.flatnonzero(classes == 1 << k))
+            for k in range(bits.bit_length()) if bits >> k & 1]
+
+
+def _edge_products(left, v, right, dims):
+    """left[h] @ step @ right[g] mod p for every step g -> h of v, as one
+    read-only stack in grid.edges order: one batched product per size class
+    of the edges, of v's blocks and of dims (per point, the other size of
+    left's and right's blocks)."""
+    ends = src, dst = _edge_ends(v.grid.shape)
+    steps, p = v._stack, v.field.p
+    out = np.zeros((len(src), left.shape[1], right.shape[2]), dtype=np.int64)
+    for c, i in _groups(max(steps.shape[1], left.shape[1]), [v], dims, ends):
+        out[i, :c, :c] = left[dst[i], :c, :c] @ (steps[i, :c, :c] @ right[src[i], :c, :c] % p) % p
+    return _freeze(out)
+
+
 def _padded(mats, rows, cols):
     """The matrices mats zero-padded to (rows, cols) and stacked, read-only."""
     out = np.zeros((len(mats), rows, cols), dtype=np.int64)
@@ -363,6 +416,11 @@ class StepModule:
         return _padded([_exact(self.steps[(g, axis)], (dims[h], dims[g]),
                                "step at {} axis {}", g, axis)
                         for (g, axis), h in self.grid.edges.items()], d, d)
+
+    @cached_property
+    def _classes(self):
+        """The size class of each point's dimension, in grid.points() order."""
+        return np.array([_class(self.dims[g]) for g in self.grid.points()])
 
     def dim(self, idx):
         return self.dims[tuple(idx)]
@@ -622,9 +680,9 @@ class Morphism:
 
 def validate_morphism(m):
     """Shape and naturality check; returns a list of violations.  Naturality
-    is one batched test over the padded stacks, comps[h] o step = step o
-    comps[g] on every edge g -> h, naming the first failing edge in
-    grid.edges order.  An endpoint step of the wrong shape raises
+    is one batched test per size class over the padded stacks, comps[h] o
+    step = step o comps[g] on every edge g -> h, naming the first failing
+    edge in grid.edges order.  An endpoint step of the wrong shape raises
     ValidationError."""
     out = []
     pts = m.grid.points()
@@ -640,9 +698,12 @@ def validate_morphism(m):
         out += [f"component at {g} is not at a grid point" for g in m.comps if g not in on_grid]
     if out:
         return out
-    src, dst = _edge_ends(m.grid.shape)
-    c = m._stack
-    bad = ((c[dst] @ m.source._stack - m.target._stack @ c[src]) % m.field.p).any(axis=(1, 2))
+    ends = src, dst = _edge_ends(m.grid.shape)
+    c, sv, sw, p = m._stack, m.source._stack, m.target._stack, m.field.p
+    bad = np.zeros(len(src), dtype=bool)
+    for k, i in _groups(max(c.shape[1:]), [m.source, m.target], ends=ends):
+        a, b = c[dst[i], :k, :k] @ sv[i, :k, :k], sw[i, :k, :k] @ c[src[i], :k, :k]
+        bad[i] = ((a - b) % p).any(axis=(1, 2))
     if bad.any():
         g, axis = next(islice(m.grid.edges, int(bad.argmax()), None))
         out.append(f"naturality fails at {g} axis {axis}")
@@ -669,8 +730,11 @@ def compose(m2, m1):
     source data exactly."""
     if m1.target is not m2.source and m1.target != m2.source:
         raise ValidationError("composition endpoints do not match")
-    return Morphism._from_stack(m1.source, m2.target,
-                                _freeze(m2._stack @ m1._stack % m1.field.p))
+    a, b = m2._stack, m1._stack
+    out = np.zeros((len(a), a.shape[1], b.shape[2]), dtype=np.int64)
+    for c, i in _groups(max(a.shape[1:] + b.shape[2:]), [m2.target, m1.target, m1.source]):
+        out[i, :c, :c] = a[i, :c, :c] @ b[i, :c, :c] % m1.field.p
+    return Morphism._from_stack(m1.source, m2.target, _freeze(out))
 
 
 def add_morphisms(m1, m2):
@@ -916,13 +980,11 @@ def _submodule(v, dims, basis, coords):
     there by the columns of basis[g], where coords[g] takes a vector of that
     span to its coordinates in basis[g].  basis and coords are stacks in
     grid.points() order, padded to (D_v, D) and (D, D_v), D the largest of
-    dims; each step is coords[h] @ step @ basis[g], h the step's end, all in
-    one batched product.  The caller guarantees that v's steps keep the
-    spans."""
-    src, dst = _edge_ends(v.grid.shape)
-    p = v.field.p
+    dims; each step is coords[h] @ step @ basis[g], h the step's end, in one
+    batched product per size class.  The caller guarantees that v's steps
+    keep the spans."""
     return StepModule._from_stack(v.field, v.grid, dims,
-                                  _freeze(coords[dst] @ (v._stack @ basis[src] % p) % p))
+                                  _edge_products(coords, v, basis, dims.values()))
 
 
 def factor_morphism(m):
@@ -950,8 +1012,7 @@ def factor_morphism(m):
     dims = {g: b.shape[1] for g, b in zip(pts, basis)}
     dw, d = _width(w), max(dims.values())
     basis, coords = _padded(basis, dw, d), _padded(coords, d, dw)
-    src, dst = _edge_ends(m.grid.shape)
-    if (_padded(outside, dw, dw)[dst] @ (w._stack @ basis[src] % F.p) % F.p).any():
+    if _edge_products(_padded(outside, dw, dw), w, basis, dims.values()).any():
         raise ValidationError("induced step left the subspace; morphism invalid")
     image = _submodule(w, dims, basis, coords)
     return image, Morphism._from_stack(image, w, basis)

@@ -2,9 +2,14 @@
 replaced (tests/oracles.py): validate_morphism's violations, compose,
 add_morphisms, _submodule and persistent_rank, on random modules over F_2 and
 F_3 with one to three axes, single-coordinate axes and points of dimension
-zero; and the cached stacks against freshly padded ones."""
+zero; and the cached stacks against freshly padded ones.  The random modules
+are narrow, so the kernels run on them both with the narrowest size class as
+it is (one class) and with it set to 1 (one class per power of two), and once
+more on a module whose dimensions span two size classes."""
 
+import functools
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,15 +20,21 @@ from obspers import library
 from obspers.calculus import persistent_rank
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
-from obspers.stepmodule import (Grid, Morphism, StepModule, _submodule, add_morphisms, compose,
-                                hom_basis, hom_rows, identity_morphism, linear_combination,
-                                validate_morphism)
+from obspers.stepmodule import (Grid, Morphism, StepModule, _groups, _submodule,
+                                add_morphisms, compose, direct_sum, hom_basis, hom_rows,
+                                identity_morphism, linear_combination, validate_morphism)
 
 from oracles import (oracle_add_morphisms, oracle_compose, oracle_persistent_rank,
                      oracle_submodule, oracle_validate_morphism)
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 primes = st.sampled_from([2, 3])
+narrowest = st.sampled_from([1, stepmodule._MIN_CLASS])
+
+
+def classes_from(c):
+    """Run the kernels with c as the narrowest size class."""
+    return patch.object(stepmodule, "_MIN_CLASS", c)
 
 
 def random_grid(rng):
@@ -39,6 +50,16 @@ def modules(seed, p, count):
     grid = random_grid(rng)
     F = PrimeField(p)
     return rng, [library.random_module(F, rng, grid=grid) for _ in range(count)]
+
+
+def skewed_module(rng, p):
+    """A twisted sum on a 3 x 3 grid of dimension 1 at every point and 13 at
+    the middle one, whose blocks fall in two size classes."""
+    F = PrimeField(p)
+    grid = library.integer_grid(3)
+    parts = ([library.box_interval(F, grid, (0, 0), (2, 2))]
+             + [library.box_interval(F, grid, (1, 1), (1, 1))] * 12)
+    return library.twist_module(functools.reduce(direct_sum, parts), rng)
 
 
 def random_morphism(rng, v, w):
@@ -83,9 +104,8 @@ def assert_fresh_stacks(x):
     assert x._stack.shape == want.shape and np.array_equal(x._stack, want)
 
 
-@given(seeds, primes)
-def test_violations_match_the_oracle(seed, p):
-    rng, (v, w) = modules(seed, p, 2)
+def check_violations(rng, v, w):
+    p = v.field.p
     cases = [random_morphism(rng, v, w)]
     m = natural_morphism(rng, v, w)
     if m is not None:
@@ -104,6 +124,13 @@ def test_violations_match_the_oracle(seed, p):
     for m in cases:
         assert validate_morphism(m) == oracle_validate_morphism(m)
         assert_fresh_stacks(m)
+
+
+@given(seeds, primes, narrowest)
+def test_violations_match_the_oracle(seed, p, narrow):
+    rng, (v, w) = modules(seed, p, 2)
+    with classes_from(narrow):
+        check_violations(rng, v, w)
 
 
 @given(seeds, primes)
@@ -147,9 +174,7 @@ def test_blocks_of_the_wrong_shape_are_not_padded():
             build()
 
 
-@given(seeds, primes)
-def test_compose_and_sum_match_the_oracle(seed, p):
-    rng, (u, v, w) = modules(seed, p, 3)
+def check_compose_and_sum(rng, u, v, w):
     f, f2, g = random_morphism(rng, u, v), random_morphism(rng, u, v), random_morphism(rng, v, w)
     for fast, slow in ((compose(g, f), oracle_compose(g, f)),
                        (add_morphisms(f, f2), oracle_add_morphisms(f, f2))):
@@ -159,11 +184,17 @@ def test_compose_and_sum_match_the_oracle(seed, p):
         assert all(not c.flags.writeable for c in fast.comps.values())
 
 
-@given(seeds, primes)
-def test_submodule_matches_the_oracle(seed, p):
-    rng, (v,) = modules(seed, p, 1)
+@given(seeds, primes, narrowest)
+def test_compose_and_sum_match_the_oracle(seed, p, narrow):
+    rng, (u, v, w) = modules(seed, p, 3)
+    with classes_from(narrow):
+        check_compose_and_sum(rng, u, v, w)
+
+
+def check_submodule(rng, v):
+    p = v.field.p
     pts = v.grid.points()
-    dims = {g: int(rng.integers(0, 3)) for g in pts}
+    dims = {g: int(rng.integers(0, v.dims[g] + 2)) for g in pts}
     basis = {g: rng.integers(0, p, size=(v.dims[g], dims[g])) for g in pts}
     coords = {g: rng.integers(0, p, size=(dims[g], v.dims[g])) for g in pts}
     k = max(dims.values())
@@ -174,6 +205,23 @@ def test_submodule_matches_the_oracle(seed, p):
     assert_same_arrays(fast.steps, slow.steps)
     assert_fresh_stacks(fast)
     assert_fresh_stacks(v)
+
+
+@given(seeds, primes, narrowest)
+def test_submodule_matches_the_oracle(seed, p, narrow):
+    rng, (v,) = modules(seed, p, 1)
+    with classes_from(narrow):
+        check_submodule(rng, v)
+
+
+@given(seeds, primes)
+def test_two_size_classes_match_the_oracle(seed, p):
+    rng = np.random.default_rng(seed)
+    u, v, w = (skewed_module(rng, p) for _ in range(3))
+    assert [c for c, _ in _groups(13, [v, w])] == [8, 16]
+    check_violations(rng, v, w)
+    check_compose_and_sum(rng, u, v, w)
+    check_submodule(rng, v)
 
 
 @given(seeds, primes, st.sampled_from([0, Fraction(1, 2), 1, 2]))
