@@ -420,7 +420,7 @@ class StepModule:
     @cached_property
     def _classes(self):
         """The size class of each point's dimension, in grid.points() order."""
-        return np.array([_class(self.dims[g]) for g in self.grid.points()])
+        return _freeze(np.array([_class(self.dims[g]) for g in self.grid.points()]))
 
     def dim(self, idx):
         return self.dims[tuple(idx)]
