@@ -29,6 +29,7 @@ from obspers.stepmodule import (Grid, add_morphisms, compose, identity_morphism,
 SIDE = 9
 RADII = list(range(10))
 DEGREES = list(range(10))
+GRID = Grid((tuple(RADII), tuple(-k for k in reversed(DEGREES))))
 SEED = 0
 
 
@@ -43,11 +44,15 @@ def cloud(n):
     return sorted(pts)
 
 
-def h0_module(points):
+def rips(points, max_dim):
+    """The degree-Rips bifiltration of points up to simplices of max_dim."""
     d = [[max(abs(a[0] - b[0]), abs(a[1] - b[1])) for b in points] for a in points]
-    b = degree_rips(metric_space(list(range(len(points))), d), RADII, DEGREES, max_dim=1)
-    grid = Grid((tuple(RADII), tuple(-k for k in reversed(DEGREES))))
-    return homology_module(b, 0, grid, 2)
+    return degree_rips(metric_space(list(range(len(points))), d), RADII, DEGREES,
+                       max_dim=max_dim)
+
+
+def h0_module(points):
+    return homology_module(rips(points, 1), 0, GRID, 2)
 
 
 def witness_failures(v, dec):

@@ -5,14 +5,84 @@ arithmetic is reduced mod p immediately, so values stay small and every
 operation is exact; p is restricted to small primes, for which intermediate
 dot products fit comfortably in 64 bits.  Zero-row and zero-column matrices
 are legal everywhere (dimension-zero spaces occur constantly in grid modules).
+Entries that are not integers are rejected, never truncated (`residues`).
+
+Every row reduction of one matrix (`reduce`, and through it `rank`, `solve`,
+`kernel_basis`, `column_space_basis`, `is_invertible` and `inverse`) runs
+Gauss-Jordan elimination on Python integers or numpy rows, by size:
+
+- a matrix of at most `_LIST_CELLS` cells, over any p, on rows held as lists
+  of ints with a table of inverses mod p: most calls are on a handful of
+  cells, where a numpy call costs more than the arithmetic;
+- a larger matrix over F_2 on rows packed into one Python int each, bit c
+  holding column c, so that adding a row is one XOR over all its columns;
+- a larger matrix over an odd p by numpy row operations, a column at a time.
+
+The reduced row echelon form of a matrix is unique, so every path returns
+the same (rref, rank, pivots), and no caller can tell which one ran.
+`reduce_stack` reduces a stack of matrices in one numpy pass.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+# reduce takes matrices of at most this many cells on lists of Python ints.
+# Lists beat packed rows over F_2 up to about 16 cells and numpy rows over
+# F_3 up to 256 (dense) to 1024 cells (sparse); over the benchmark's
+# recorded calls the total is flat within 1% from 32 to 128, lowest at 64.
+_LIST_CELLS = 64
+
+
+@functools.cache
+def _inverses(p):
+    """x -> x^-1 mod p as a tuple indexed by x, with 0 at 0."""
+    return (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
+
+
+def _reduce_bits(a):
+    """reduce over F_2 on rows packed into Python ints, bit c holding column
+    c, so that adding one row to another is one XOR; a is a nonempty array
+    of 0s and 1s.
+
+    Each row in turn is cleared of its lowest set bit by the kept row whose
+    lowest bit that is, until it is 0 or its lowest bit is new; then it is
+    kept.  The kept rows are in echelon form, and going down from the last
+    pivot, each has every other pivot bit cleared by rows already reduced.
+    The work follows the set bits, so sparse rows cost little."""
+    rows, cols = a.shape
+    packed = np.packbits(a, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    kept = {}
+    for k in range(0, len(data), width):
+        x = int.from_bytes(data[k:k + width], "little")
+        while x:
+            c = (x & -x).bit_length() - 1
+            if c not in kept:
+                kept[c] = x
+                break
+            x ^= kept[c]
+    pivots = sorted(kept)
+    mask = sum(1 << c for c in pivots)
+    for c in reversed(pivots):
+        x = kept[c]
+        other = (x & mask) ^ (1 << c)
+        while other:
+            low = other & -other
+            x ^= kept[low.bit_length() - 1]
+            other ^= low
+        kept[c] = x
+    out = np.zeros((rows, cols), dtype=np.int64)
+    data = b"".join(kept[c].to_bytes(width, "little") for c in pivots)
+    out[:len(pivots)] = np.unpackbits(np.frombuffer(data, np.uint8).reshape(-1, width),
+                                      axis=1, count=cols, bitorder="little")
+    return out, len(pivots), pivots
 
 
 @dataclass(frozen=True)
@@ -48,14 +118,30 @@ class PrimeField:
 
     # -- matrix constructors ----------------------------------------------
 
+    def residues(self, data):
+        """data as a new int64 array of residues, in data's shape.  A float
+        array is taken only when every entry is an integer, which it then
+        stands for exactly; a fraction, nan or inf, like any dtype that is
+        not numeric, is a ValidationError where a cast would truncate it.
+        The empty list passes, although np.array([]) is float64."""
+        a = np.asarray(data)
+        if a.dtype.kind == "f":
+            with np.errstate(invalid="ignore"):
+                a = np.mod(a, self.p)  # exact in floating point
+            if (a != np.floor(a)).any():
+                raise ValidationError("entries must be integers, found a fraction, nan or inf")
+        elif a.dtype.kind not in "biu":
+            raise ValidationError(f"entries must be integers, not {a.dtype}")
+        return np.mod(a.astype(np.int64, copy=False), self.p)
+
     def matrix(self, rows):
         """Build a residue matrix from nested lists; shape may be r x 0."""
-        a = np.array(rows, dtype=np.int64)
+        a = self.residues(rows)
         if a.ndim == 1:
             a = a.reshape(len(rows), 0) if a.size == 0 else a.reshape(1, -1)
         if a.ndim != 2:
             raise ValueError("matrix data must be two dimensional")
-        return np.mod(a, self.p)
+        return a
 
     def zeros(self, rows, cols):
         return np.zeros((rows, cols), dtype=np.int64)
@@ -83,10 +169,49 @@ class PrimeField:
     def reduce(self, m):
         """Reduced row echelon form.
 
-        Returns (rref, rank, pivot_columns).  Idempotent: reducing the result
-        returns it unchanged.
+        Returns (rref, rank, pivot_columns): rref a new writable int64 array
+        of m's shape, rank an int and pivot_columns a list of ints.
+        Idempotent: reducing the result returns it unchanged.
         """
         a = np.mod(np.array(m, dtype=np.int64), self.p)
+        if not a.size:
+            return a, 0, []
+        if a.size <= _LIST_CELLS:
+            return self._reduce_lists(a)
+        if self.p == 2:
+            return _reduce_bits(a)
+        return self._reduce_columns(a)
+
+    def _reduce_lists(self, a):
+        """reduce on rows held as lists of Python ints; a is a nonempty
+        residue array, overwritten with the result."""
+        p, inverse = self.p, _inverses(self.p)
+        rows = a.tolist()
+        n, pivots = len(rows), []
+        for c in range(len(rows[0])):
+            r = len(pivots)
+            if r == n:
+                break
+            for i in range(r, n):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            pivot = rows[i]
+            if pivot[c] != 1:
+                s = inverse[pivot[c]]
+                pivot = [x * s % p for x in pivot]
+            rows[i] = rows[r]
+            rows = [[(x - f * y) % p for x, y in zip(row, pivot)] if (f := row[c]) else row
+                    for row in rows]
+            rows[r] = pivot
+            pivots.append(c)
+        a[:] = rows
+        return a, len(pivots), pivots
+
+    def _reduce_columns(self, a):
+        """reduce by numpy row operations, one column at a time; a is a
+        residue array, overwritten with the result."""
         rows, cols = a.shape
         pivots = []
         r = 0
@@ -129,7 +254,7 @@ class PrimeField:
         if a.ndim != 3:
             raise ValueError(f"need a (n, r, c) stack, got shape {a.shape}")
         n, r, cols = a.shape
-        inverses = np.array([0] + [self.inv(x) for x in range(1, self.p)], dtype=np.int64)
+        inverses = np.array(_inverses(self.p), dtype=np.int64)
         ranks = np.zeros(n, dtype=np.int64)
         pivots = np.zeros((n, cols), dtype=bool)
         rows = np.arange(r)
@@ -156,14 +281,11 @@ class PrimeField:
 
     def kernel_basis(self, m):
         """Columns spanning ker m; column count = cols - rank(m)."""
-        rows, cols = m.shape
         rref, rank, pivots = self.reduce(m)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = self.zeros(cols, len(free))
-        for j, fc in enumerate(free):
-            basis[fc, j] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, j] = (-rref[i, fc]) % self.p
+        free = np.delete(np.arange(m.shape[1]), pivots)
+        basis = self.zeros(m.shape[1], len(free))
+        basis[free, range(len(free))] = 1
+        basis[pivots] = -rref[:rank, free] % self.p
         return basis
 
     def solve(self, m, b):
@@ -176,14 +298,13 @@ class PrimeField:
             b = b.reshape(-1, 1)
         if m.shape[0] != b.shape[0]:
             raise ValueError(f"row counts differ: {m.shape} vs {b.shape}")
-        rows, cols = m.shape
+        cols = m.shape[1]
         aug = np.concatenate([m, b], axis=1)
         rref, rank, pivots = self.reduce(aug)
         if any(pc >= cols for pc in pivots):
             return None
         x = self.zeros(cols, b.shape[1])
-        for i, pc in enumerate(pivots):
-            x[pc] = rref[i, cols:]
+        x[pivots] = rref[:rank, cols:]
         return x
 
     def column_space_basis(self, m):

@@ -83,7 +83,7 @@ def module_from_json(doc):
     _expect_kind(doc, "module")
     F = PrimeField(int(doc["field"]["p"]))
     grid = Grid(tuple(tuple(fr_from_str(c) for c in axis) for axis in doc["grid"]))
-    dims = {_point_from_key(k): int(d) for k, d in doc["dims"].items()}
+    dims = {_point_from_key(k): d for k, d in doc["dims"].items()}
     steps = {}
     for entry in doc["steps"]:
         g = tuple(int(i) for i in entry["at"])

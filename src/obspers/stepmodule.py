@@ -63,6 +63,7 @@ a stack raises ValidationError on any block of the wrong shape.
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -253,23 +254,39 @@ def _freeze(arr):
 _ZERO_BLOCKS = {}
 
 
-def _fit(a, shape, what, *args):
-    """The residue array a, which is empty or not two dimensional, as the
-    matrix of a map of the given shape: an empty a is the one shared
-    read-only zero block of that shape, and a nonempty a with fewer than two
-    axes is read in that shape.  An a with three or more axes, an empty a
-    where the shape has entries, and any other size is a ValidationError
-    naming what.format(*args)."""
+def _integer(x, what, *args):
+    """x as an int; anything that is not an integer (a float, a Fraction) is a
+    ValidationError naming what.format(*args), where int() would truncate."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what.format(*args)} must be an integer, not {x!r}") from None
+
+
+def _block(field, m, shape, what, *args):
+    """m as the new read-only residue matrix of a map of the given shape.  An
+    empty m is the one shared read-only zero block of that shape, and a
+    nonempty m with fewer than two axes is read in that shape; a
+    two-dimensional m keeps its own shape, for validate to check.  An m with
+    three or more axes, an empty m where the shape has entries, any other
+    size and entries that are not integers are a ValidationError naming
+    what.format(*args)."""
+    a = np.asarray(m)
     if a.ndim > 2:
         raise ValidationError(f"{what.format(*args)} has shape {a.shape}, not a matrix")
     if not a.size:
         if shape[0] * shape[1]:
             raise ValidationError(f"{what.format(*args)} is empty, expected shape {shape}")
         return _shared(_ZERO_BLOCKS, shape, lambda s: np.zeros(s, np.int64))
-    if a.size != shape[0] * shape[1]:
-        raise ValidationError(f"{what.format(*args)} has {a.size} entries, "
-                              f"expected shape {shape}")
-    return a.reshape(shape)
+    if a.ndim < 2:
+        if a.size != shape[0] * shape[1]:
+            raise ValidationError(f"{what.format(*args)} has {a.size} entries, "
+                                  f"expected shape {shape}")
+        a = a.reshape(shape)
+    try:
+        return _freeze(field.residues(a))
+    except ValidationError as exc:
+        raise ValidationError(f"{what.format(*args)}: {exc}") from None
 
 
 def matrices_equal(a, b, keys):
@@ -374,15 +391,13 @@ class StepModule:
     steps: dict
 
     def __post_init__(self):
-        dims = {tuple(k): int(v) for k, v in self.dims.items()}
+        dims = {tuple(k): _integer(v, "dimension at {}", k) for k, v in self.dims.items()}
         steps, edges = {}, self.grid.edges
         for (g, axis), m in self.steps.items():
             g, axis = tuple(g), int(axis)
-            a = np.mod(np.array(m, dtype=np.int64), self.field.p)
-            if a.ndim != 2 or not a.size:
-                a = _fit(a, (dims.get(edges.get((g, axis)), 0), dims.get(g, 0)),
-                         "step at {} axis {}", g, axis)
-            steps[(g, axis)] = _freeze(a)
+            steps[(g, axis)] = _block(self.field, m, (dims.get(edges.get((g, axis)), 0),
+                                                      dims.get(g, 0)),
+                                      "step at {} axis {}", g, axis)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "steps", steps)
 
@@ -620,11 +635,9 @@ class Morphism:
         comps = {}
         for g, m in self.comps.items():
             g = tuple(g)
-            a = np.mod(np.array(m, dtype=np.int64), self.source.field.p)
-            if a.ndim != 2 or not a.size:
-                a = _fit(a, (self.target.dims.get(g, 0), self.source.dims.get(g, 0)),
-                         "component at {}", g)
-            comps[g] = _freeze(a)
+            comps[g] = _block(self.source.field, m, (self.target.dims.get(g, 0),
+                                                     self.source.dims.get(g, 0)),
+                              "component at {}", g)
         object.__setattr__(self, "comps", comps)
 
     @classmethod

@@ -1,9 +1,13 @@
 """Exact F_p linear algebra against the list-based oracles."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from obspers import fields
+from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 
 from oracles import (oracle_kernel_by_enumeration, oracle_matrix_rank,
@@ -109,6 +113,18 @@ def test_matrix_reduces_residues():
                           np.array([[1, 1], [0, 1]]))
 
 
+def test_matrix_rejects_entries_that_are_not_integers():
+    F = PrimeField(3)
+    for data in ([[1.5, 2.7]], np.array([[0.9]]), [[float("nan")]], [[float("inf")]],
+                 [["1"]], [[1j]]):
+        with pytest.raises(ValidationError, match="entries must be integers"):
+            F.matrix(data)
+    # floats that are integers stand for them exactly; empty data has no dtype
+    assert F.matrix(np.eye(2) * 4 - 1).tolist() == [[0, 2], [2, 0]]
+    assert F.matrix([[1e20]]).tolist() == [[int(1e20) % 3]]
+    assert F.matrix([]).shape == (0, 0) and F.matrix([[]]).shape == (1, 0)
+
+
 def consistent(F, aug):
     """Which systems of a stack of augmented matrices reduce_stack finds
     consistent: those with no pivot in the augmented column."""
@@ -204,3 +220,124 @@ def test_reduce_stack_edge_shapes():
     assert F.reduce_stack(a)[1].tolist() == [3, 1, 1]
     with pytest.raises(ValueError):
         F.reduce_stack(np.zeros((2, 3), dtype=np.int64))
+
+
+# -- reduce on every path: lists, packed F_2 bits and numpy columns -------------
+
+def cells_from(n):
+    """Run reduce with n as the largest matrix it takes on lists: at 0 every
+    nonempty matrix is packed (F_2) or taken by columns, and at a huge n
+    every matrix is taken on lists."""
+    return patch.object(fields, "_LIST_CELLS", n)
+
+
+list_cells = pytest.mark.parametrize("cells", [0, fields._LIST_CELLS, 10 ** 9])
+# the byte boundaries of the packed rows, and the cell constant's neighbours
+widths = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129]),
+                   st.integers(0, 140))
+
+
+def random_matrix(p, rows, cols, kind, seed):
+    """A rows x cols matrix of the given kind with entries out of range:
+    residues plus random multiples of p, some negative."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, p, size=(rows, cols))
+    if kind == "sparse":
+        m[rng.random((rows, cols)) < 0.85] = 0
+    elif kind == "low rank":
+        k = int(rng.integers(0, 4))
+        m = rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
+    elif kind == "zero":
+        m[:] = 0
+    return m + p * rng.integers(-2, 3, size=(rows, cols))
+
+
+def assert_reduce_matches_oracle(F, m):
+    before = m.copy()
+    rref, rank, pivots = F.reduce(m)
+    want, want_rank = oracle_rref((m % F.p).tolist(), F.p)
+    assert np.array_equal(m, before)
+    assert rref.dtype == np.int64 and rref.shape == m.shape
+    assert rref.flags.writeable and not np.shares_memory(rref, m)
+    assert rref.tolist() == want and rank == want_rank and type(rank) is int
+    assert pivots == leading_columns(want, rank)
+    assert all(type(c) is int for c in pivots)
+    again = F.reduce(rref)
+    assert np.array_equal(again[0], rref) and again[1:] == (rank, pivots)
+    assert F.rank(m) == rank
+    assert np.array_equal(F.column_space_basis(m), m[:, pivots])
+    return rref, rank, pivots
+
+
+def assert_kernel_matches_oracle(F, m, rref, rank, pivots):
+    cols = m.shape[1]
+    basis = F.kernel_basis(m)
+    free = [c for c in range(cols) if c not in pivots]
+    assert basis.shape == (cols, cols - rank) and basis.dtype == np.int64
+    assert np.array_equal(basis[free], np.eye(len(free), dtype=np.int64))
+    assert np.array_equal(basis[pivots], -rref[:rank][:, free] % F.p)
+    assert not (m @ basis % F.p).any()
+    if len(m) and F.p ** cols <= 3 ** 7:  # the oracle reads cols off the first row
+        assert F.p ** (cols - rank) == len(oracle_kernel_by_enumeration((m % F.p).tolist(), F.p))
+
+
+def leading_columns(rref, rank):
+    return [row.index(next(x for x in row if x)) for row in rref[:rank]]
+
+
+def assert_solve_matches_oracle(F, m, b):
+    cols = m.shape[1]
+    aug, aug_rank = oracle_rref((np.concatenate([m, b], axis=1) % F.p).tolist(), F.p)
+    lead = leading_columns(aug, aug_rank)
+    consistent = all(c < cols for c in lead)
+    if len(m) and F.p ** cols <= 3 ** 7 and b.shape[1] == 1:
+        assert (oracle_solve((m % F.p).tolist(), b[:, 0].tolist(), F.p) is not None) == consistent
+    x = F.solve(m, b)
+    if not consistent:
+        assert x is None
+        return
+    assert x.shape == (cols, b.shape[1]) and x.dtype == np.int64
+    assert np.array_equal(m @ x % F.p, b % F.p)
+    # the solution read off the reduced form: free unknowns are 0
+    want = np.zeros((cols, b.shape[1]), dtype=np.int64)
+    for c, row in zip(lead, aug):
+        want[c] = row[cols:]
+    assert np.array_equal(x, want)
+
+
+@list_cells
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 20), widths,
+       st.sampled_from(["random", "sparse", "low rank", "zero"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+def test_elimination_matches_oracles_on_every_path(cells, p, rows, cols, kind, seed, k):
+    F = PrimeField(p)
+    m = random_matrix(p, rows, cols, kind, seed)
+    with cells_from(cells):
+        rref, rank, pivots = assert_reduce_matches_oracle(F, m)
+        assert_kernel_matches_oracle(F, m, rref, rank, pivots)
+        rng = np.random.default_rng(seed)
+        solvable = m @ rng.integers(0, p, size=(cols, k)) + p * rng.integers(-1, 2, size=(rows, k))
+        assert_solve_matches_oracle(F, m, solvable)
+        assert_solve_matches_oracle(F, m, random_matrix(p, rows, k, "random", seed + 1))
+
+
+@list_cells
+def test_elimination_edge_shapes_on_every_path(cells):
+    with cells_from(cells):
+        for p in (2, 3):
+            F = PrimeField(p)
+            for shape in ((0, 0), (0, 5), (5, 0), (1, 1), (1, 65), (65, 1), (9, 129)):
+                m = random_matrix(p, *shape, "random", 7)
+                rref, rank, pivots = assert_reduce_matches_oracle(F, m)
+                assert_kernel_matches_oracle(F, m, rref, rank, pivots)
+                assert_solve_matches_oracle(F, m, random_matrix(p, shape[0], 1, "random", 8))
+            # a read-only input, as the frozen steps of a module are
+            m = random_matrix(p, 12, 70, "sparse", 9)
+            m.setflags(write=False)
+            assert_reduce_matches_oracle(F, m)
+            # identity and all-ones blocks past a word of columns
+            eye = np.eye(70, dtype=np.int64)
+            assert np.array_equal(F.reduce(eye)[0], eye)
+            assert F.reduce(np.ones((20, 130), dtype=np.int64))[1:] == (1, [0])
+            assert np.array_equal(F.inverse(eye[:66, :66] * (p - 1)), eye[:66, :66] * (p - 1))

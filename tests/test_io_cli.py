@@ -181,6 +181,24 @@ def test_cli_validate_morphism_with_an_undersized_source_step(tmp_path):
     assert err == "error: step at (0,) axis 0 has shape (1, 1), expected (2, 2)\n"
 
 
+def test_cli_validate_rejects_entries_that_are_not_integers(tmp_path):
+    doc = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1),))))
+    doc["steps"][0]["matrix"] = [[0.5]]
+    path = tmp_path / "half.json"
+    serialize.write_json(path, doc)
+    code, out, err = run_cli(["validate", path])
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: step at (0,) axis 0: entries must be integers, "
+                   "found a fraction, nan or inf\n")
+
+
+def test_module_from_json_rejects_dimensions_that_are_not_integers():
+    doc = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1),))))
+    doc["dims"]["1"] = 1.7
+    with pytest.raises(ValidationError, match=r"dimension at \(1,\) must be an integer, not 1.7"):
+        serialize.module_from_json(doc)
+
+
 def test_cli_validate_interleaving_rechecks(tmp_path):
     v = library.constant_module(F2, Grid(((0, 1, 2), (0, 1, 2))))
     pair = discretize(v, 1)

@@ -185,6 +185,32 @@ def test_constructors_give_empty_input_the_shape_its_dims_fix():
     assert Morphism(w, a, {(0,): [[]], (1,): [[1, 1]]}).comps[(0,)].shape == (0, 0)
 
 
+def test_step_module_rejects_entries_that_are_not_integers():
+    grid, dims = Grid(((0, 1),)), {(0,): 1, (1,): 1}
+    for step in ([[1.5]], np.array([[0.9]]), [[float("nan")]]):
+        with pytest.raises(ValidationError, match=r"step at \(0,\) axis 0: entries must be integers"):
+            StepModule(F2, grid, dims, {((0,), 0): step})
+    # floats that are integers stand for them exactly
+    assert (StepModule(F2, grid, dims, {((0,), 0): np.array([[3.0]])})
+            == StepModule(F2, grid, dims, {((0,), 0): [[1]]}))
+
+
+def test_step_module_rejects_dimensions_that_are_not_integers():
+    grid = Grid(((0, 1),))
+    for dim in (1.7, 1.0, Fraction(1)):
+        with pytest.raises(ValidationError, match=r"dimension at \(0,\) must be an integer"):
+            StepModule(F2, grid, {(0,): dim, (1,): 1}, {((0,), 0): [[1]]})
+    v = StepModule(F2, grid, {(0,): np.int64(1), (1,): 1}, {((0,), 0): [[1]]})
+    assert type(v.dims[(0,)]) is int
+
+
+def test_morphism_rejects_entries_that_are_not_integers():
+    v = library.constant_module(F2, Grid(((0, 1),)))
+    with pytest.raises(ValidationError, match=r"component at \(0,\): entries must be integers"):
+        Morphism(v, v, {(0,): [[0.5]], (1,): [[1]]})
+    assert Morphism(v, v, {(0,): np.eye(1), (1,): [[1]]}) == identity_morphism(v)
+
+
 def test_constructors_reject_empty_input_for_a_nonzero_map_and_stacks():
     grid = Grid(((0, 1),))
     with pytest.raises(ValidationError, match=r"step at \(0,\) axis 0 is empty"):
