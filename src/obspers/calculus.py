@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _padded, _width,
-                         anchor_map, compose, ensure_valid, factor_morphism, matrices_equal,
+                         compose, ensure_valid, factor_morphism, matrices_equal,
                          restrict_extend, same_axes, union_grids)
 
 # restrict_extend is re-exported from here because refinement and
@@ -90,12 +90,11 @@ def _triangle_holds(first, second, x, s, total, grid):
     a or b is None the left side is zero, so eta must be zero too."""
     per_axis = zip(first.grid.anchor_indices(grid), second.grid.anchor_indices(grid, s),
                    x.grid.anchor_indices(grid), x.grid.anchor_indices(grid, total))
-    memo = {}
     for cell in product(*(set(zip(*axis)) for axis in per_axis)):
         a, b, c, d = (None if None in t else t for t in zip(*cell))
         if c is None:
             continue
-        want = anchor_map(x, c, d, memo)
+        want = x.path_map(c, d)
         if a is None or b is None:
             if np.any(want):
                 return False
@@ -111,8 +110,7 @@ def eta_on(v, eps, grid):
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("eta needs eps >= 0")
-    memo = {}
-    return anchored_morphism(v, v, eps, grid, lambda q, a, b: anchor_map(v, a, b, memo))
+    return anchored_morphism(v, v, eps, grid, lambda q, a, b: v.path_map(a, b))
 
 
 def eta(v, eps):
@@ -196,12 +194,11 @@ def smooth(v, eps):
     big = s.grid
     # ambient anchor of S's value at each index tg, the image of the step from tg
     ambient = v.grid.anchors_on(big, eps)
-    memo = {}
 
     def comp(q, av, tg):
         if s.dims[tg] == 0:
             return None
-        vec = anchor_map(v, av, ambient[tg], memo)
+        vec = v.path_map(av, ambient[tg])
         x = v.field.solve(g.comps[tg], vec)
         if x is None:
             raise ValidationError("smoothing component left the image subspace")
@@ -241,22 +238,11 @@ def _pairs(grid):
 
 def image_pairs(v):
     """The image functor applied to v: value at (p, q) is im(V_{p -> q}), with
-    inclusion steps in p and corestricted structure maps in q."""
-    F = v.field
-    pts = v.grid.points()
-    path = {}
-    for p in pts:
-        path[(p, p)] = F.identity(v.dims[p])
-        for q in pts:
-            if q == p or any(x > y for x, y in zip(p, q)):
-                continue
-            for axis in range(v.grid.n_axes):
-                if q[axis] > p[axis]:
-                    prev = q[:axis] + (q[axis] - 1,) + q[axis + 1:]
-                    if (p, prev) in path:
-                        path[(p, q)] = F.matmul(v.steps[(prev, axis)], path[(p, prev)])
-                        break
-    bases = {pq: F.column_space_basis(m) for pq, m in path.items()}
+    inclusion steps in p and corestricted structure maps in q.  v must pass
+    validate, as V_{p -> q} is a path product, well defined only when v
+    commutes; anything else raises ValidationError."""
+    F = ensure_valid(v).field
+    bases = {pq: F.column_space_basis(v.path_map(*pq)) for pq in _pairs(v.grid)}
     dims = {pq: b.shape[1] for pq, b in bases.items()}
     steps, edges = {}, v.grid.edges
     for (p, q), b in bases.items():
@@ -333,14 +319,13 @@ def persistent_rank(v, eps):
         raise ValidationError("persistent_rank needs eps >= 0")
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
     ends = v.grid.anchors_on(grid, eps)
-    memo = {}
-    for q, a in v.grid.anchors_on(grid).items():
-        if a is not None:
-            anchor_map(v, a, ends[q], memo)
-    if not memo:
+    pairs = dict.fromkeys((a, ends[q]) for q, a in v.grid.anchors_on(grid).items()
+                          if a is not None)
+    if not pairs:
         return 0
     d = _width(v)
-    return int(v.field.reduce_stack(_padded(list(memo.values()), d, d))[1].max())
+    maps = _padded([v.path_map(a, b) for a, b in pairs], d, d)
+    return int(v.field.reduce_stack(maps)[1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +367,16 @@ def restriction_pair(v, q_grid, eps):
     eps = _frac(eps)
     vq = restrict_extend(v, q_grid)
     on_v = v.grid.anchors_on(q_grid)  # anchor in v's grid of each q_grid index
-    memo = {}
 
     def f_comp(qi, av, aq):
         tv = on_v[aq]
         if tv is None or any(x > y for x, y in zip(av, tv)):
             raise ValidationError("q_grid is not eps-dense over the module; no density morphism")
-        return anchor_map(v, av, tv, memo)
+        return v.path_map(av, tv)
 
     def g_comp(qi, aq, bv):
         sv = on_v[aq]
-        return None if sv is None else anchor_map(v, sv, bv, memo)
+        return None if sv is None else v.path_map(sv, bv)
 
     # f: V -> V_Q[eps] and g: V_Q -> V[eps]
     f = anchored_morphism(v, vq, eps, union_grids(v.grid, q_grid.translate(-eps)), f_comp)

@@ -33,11 +33,33 @@ def _emit(doc):
     sys.stdout.write(dumps(doc))
 
 
+def _emit_saved(ns, name, doc, **morphisms):
+    """Print doc; with --out, also write it there as name.json, and each
+    morphism m given as key=m as name_key.json."""
+    _emit(doc)
+    if getattr(ns, "out", None) is not None:
+        _write_out(ns, f"{name}.json", doc)
+        for key, m in morphisms.items():
+            _write_out(ns, f"{name}_{key}.json", serialize.morphism_to_json(m))
+
+
+# How an error names each kind of document that a command expects.
+_EXPECTED = {"module": "a module", "chain": "a chain manifest",
+             "interleaving": "an interleaving", "complex": "a complex",
+             "metric-space": "a metric space", "bifiltration": "a bifiltration"}
+
+
+def _load(path, kind, base=""):
+    """The value of the document at path, read relative to base, which must
+    be of the given kind; any other kind is a ValidationError naming path."""
+    found, value = load_any(os.path.join(base, path))
+    if found != kind:
+        raise ValidationError(f"{path}: expected {_EXPECTED[kind]}, found {found}")
+    return value
+
+
 def _load_module(path):
-    kind, value = load_any(path)
-    if kind != "module":
-        raise ValidationError(f"{path}: expected a module, found {kind}")
-    return ensure_valid(value)
+    return ensure_valid(_load(path, "module"))
 
 
 def _out_dir(ns):
@@ -107,32 +129,19 @@ def cmd_validate(ns):
 
 def cmd_sum(ns):
     s = direct_sum(_load_module(ns.a), _load_module(ns.b))
-    doc = serialize.module_to_json(s)
-    _emit(doc)
-    if getattr(ns, "out", None) is not None:
-        _write_out(ns, "sum.json", doc)
+    _emit_saved(ns, "sum", serialize.module_to_json(s))
     return 0
 
 
 def cmd_smooth(ns):
     res = calculus.smooth(_load_module(ns.file), ns.epsilon)
-    doc = serialize.module_to_json(res.module)
-    _emit(doc)
-    if getattr(ns, "out", None) is not None:
-        _write_out(ns, "smooth.json", doc)
-        _write_out(ns, "smooth_f.json", serialize.morphism_to_json(res.f))
-        _write_out(ns, "smooth_g.json", serialize.morphism_to_json(res.g))
+    _emit_saved(ns, "smooth", serialize.module_to_json(res.module), f=res.f, g=res.g)
     return 0
 
 
 def cmd_discretize(ns):
     res = calculus.discretize(_load_module(ns.file), ns.epsilon)
-    doc = serialize.module_to_json(res.module)
-    _emit(doc)
-    if getattr(ns, "out", None) is not None:
-        _write_out(ns, "discretize.json", doc)
-        _write_out(ns, "discretize_f.json", serialize.morphism_to_json(res.f))
-        _write_out(ns, "discretize_g.json", serialize.morphism_to_json(res.g))
+    _emit_saved(ns, "discretize", serialize.module_to_json(res.module), f=res.f, g=res.g)
     return 0
 
 
@@ -202,18 +211,11 @@ def cmd_distance(ns):
 
 
 def cmd_limit(ns):
-    kind, doc = load_any(ns.chain)
-    if kind != "chain":
-        raise ValidationError(f"{ns.chain}: expected a chain manifest, found {kind}")
+    doc = _load(ns.chain, "chain")
     base = os.path.dirname(os.path.abspath(ns.chain))
     terms = tuple(_load_module(os.path.join(base, p)) for p in doc["terms"])
-    links = []
-    for p in doc["links"]:
-        kind, value = load_any(os.path.join(base, p))
-        if kind != "interleaving":
-            raise ValidationError(f"{p}: expected an interleaving, found {kind}")
-        links.append(value)
-    res = cauchy_limit(CauchyChain(terms, tuple(links)))
+    links = tuple(_load(p, "interleaving", base) for p in doc["links"])
+    res = cauchy_limit(CauchyChain(terms, links))
     limit_path = _write_out(ns, "limit.json", serialize.module_to_json(res.limit))
     cert_paths = []
     for k, cert in enumerate(res.certificates):
@@ -283,29 +285,18 @@ def cmd_genericity(ns):
 
 
 def cmd_sublevel(ns):
-    kind, value = load_any(ns.file)
-    if kind != "complex":
-        raise ValidationError(f"{ns.file}: expected a complex, found {kind}")
-    cx, values = value
+    cx, values = _load(ns.file, "complex")
     if values is None:
         raise ValidationError(f"{ns.file}: complex carries no vertex values")
     b = pipelines.sublevel_bifiltration(cx, values)
-    doc = serialize.bifiltration_to_json(b)
-    _emit(doc)
-    if getattr(ns, "out", None) is not None:
-        _write_out(ns, "sublevel.json", doc)
+    _emit_saved(ns, "sublevel", serialize.bifiltration_to_json(b))
     return 0
 
 
 def cmd_degree_rips(ns):
-    kind, value = load_any(ns.file)
-    if kind != "metric-space":
-        raise ValidationError(f"{ns.file}: expected a metric space, found {kind}")
-    b = pipelines.degree_rips(value, ns.radii, ns.degrees, max_dim=ns.max_dim)
-    doc = serialize.bifiltration_to_json(b)
-    _emit(doc)
-    if getattr(ns, "out", None) is not None:
-        _write_out(ns, "degree_rips.json", doc)
+    b = pipelines.degree_rips(_load(ns.file, "metric-space"), ns.radii, ns.degrees,
+                              max_dim=ns.max_dim)
+    _emit_saved(ns, "degree_rips", serialize.bifiltration_to_json(b))
     return 0
 
 
@@ -324,14 +315,9 @@ def _grid_from_spec(spec, b):
 
 
 def cmd_homology(ns):
-    kind, value = load_any(ns.file)
-    if kind != "bifiltration":
-        raise ValidationError(f"{ns.file}: expected a bifiltration, found {kind}")
-    v = pipelines.homology_module(value, ns.dim, _grid_from_spec(ns.grid, value), ns.prime)
-    doc = serialize.module_to_json(v)
-    _emit(doc)
-    if getattr(ns, "out", None) is not None:
-        _write_out(ns, "homology.json", doc)
+    b = _load(ns.file, "bifiltration")
+    v = pipelines.homology_module(b, ns.dim, _grid_from_spec(ns.grid, b), ns.prime)
+    _emit_saved(ns, "homology", serialize.module_to_json(v))
     return 0
 
 

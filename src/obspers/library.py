@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import PrimeField
-from .stepmodule import Grid, StepModule, _frac, direct_sum
+from .stepmodule import Grid, StepModule, _frac, _integer, direct_sum
 
 
 def _module_from_dims(F, grid, dims, mats):
@@ -70,7 +70,7 @@ def m_lambda(p, lam):
     two-dimensional spaces whose last leg enters along (1, lam).  Distinct
     lam give non-isomorphic modules."""
     F = PrimeField(p)
-    lam = int(lam) % p
+    lam = _integer(lam, "lam") % p
     if lam == 0:
         raise ValueError("lam must be a unit")
     grid = integer_grid(4)

@@ -136,6 +136,14 @@ def _family_box(family):
     return tuple(lo), tuple(hi)
 
 
+def _find(parent, i):
+    """The root of i in the union-find forest parent, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
     """Smooth each member at delta, restrict to the delta-lattice over the
     common bounding box padded by delta, and partition by exact isomorphism."""
@@ -155,17 +163,10 @@ def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
     probed = [restrict_extend(smooth(v, delta).module, grid) for v in family]
     n = len(probed)
     parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     unresolved = []
     for i in range(n):
         for j in range(i + 1, n):
-            if find(i) == find(j):
+            if _find(parent, i) == _find(parent, j):
                 continue
             try:
                 same, _ = iso_test(probed[i], probed[j], seed=seed, budget=budget)
@@ -173,27 +174,20 @@ def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
                 unresolved.append((i, j))
                 continue
             if same:
-                parent[find(j)] = find(i)
-    roots = sorted({find(i) for i in range(n)})
+                parent[_find(parent, j)] = _find(parent, i)
+    roots = sorted({_find(parent, i) for i in range(n)})
     label_of_root = {r: c for c, r in enumerate(roots)}
-    labels = tuple(label_of_root[find(i)] for i in range(n))
+    labels = tuple(label_of_root[_find(parent, i)] for i in range(n))
     upper = len(roots)
     # pessimistic merge: treat every unresolved pair as isomorphic
     merged = list(parent)
-
-    def mfind(i):
-        while merged[i] != i:
-            merged[i] = merged[merged[i]]
-            i = merged[i]
-        return i
-
     for i, j in unresolved:
-        merged[mfind(j)] = mfind(i)
-    lower = len({mfind(i) for i in range(n)})
+        merged[_find(merged, j)] = _find(merged, i)
+    lower = len({_find(merged, i) for i in range(n)})
     reps = []
     seen = set()
     for i in range(n):
-        r = find(i)
+        r = _find(parent, i)
         if r not in seen:
             seen.add(r)
             reps.append((i, probed[i]))

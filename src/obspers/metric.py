@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import _triangle_holds, modules_match, restrict_extend, shift
 from .errors import BudgetExceeded, ValidationError
-from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac, anchor_map,
+from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac,
                          coefficient_vectors, hom_rows, linear_combination, union_grids,
                          validate_morphism)
 
@@ -141,10 +141,10 @@ def _triangle(first, second, eps):
     of q and q + 2eps, read off without building eta_2eps's endpoints (below
     either anchor its block is empty too)."""
     u = union_grids(first.grid, second.grid.translate(-eps))
-    x, memo = first.module, {}
+    x = first.module
     tops = x.grid.anchors_on(u, 2 * eps)
     rhs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        anchor_map(x, a, tops[q], memo).reshape(-1)
+        x.path_map(a, tops[q]).reshape(-1)
         for q, a in x.grid.anchors_on(u).items() if a is not None and tops[q] is not None])
     h1, h2, p = len(first.rows), len(second.rows), first.module.field.p
     first_stack = _blocks(first.source, first.target, first.rows)
@@ -261,14 +261,14 @@ def _one_sided_rank_violation(v, w, eps):
     av = v.grid.anchors_on(grid)
     av2 = v.grid.anchors_on(grid, 2 * eps)
     aw1 = w.grid.anchors_on(grid, eps)
-    rank_v, rank_w, memo_v, memo_w = {}, {}, {}, {}
+    rank_v, rank_w = {}, {}
     for s in pts:
         if av[s] is None:
             continue
         for t in product(*(range(i, n) for i, n in zip(s, grid.shape))):
             key = (av[s], av2[t])
             if key not in rank_v:
-                rank_v[key] = F.rank(anchor_map(v, *key, memo_v))
+                rank_v[key] = F.rank(v.path_map(*key))
             rv = rank_v[key]
             if rv == 0:
                 continue
@@ -276,7 +276,7 @@ def _one_sided_rank_violation(v, w, eps):
                 return (grid.coords(s), grid.coords(t))
             wkey = (aw1[s], aw1[t])
             if wkey not in rank_w:
-                rank_w[wkey] = w.field.rank(anchor_map(w, *wkey, memo_w))
+                rank_w[wkey] = w.field.rank(w.path_map(*wkey))
             if rv > rank_w[wkey]:
                 return (grid.coords(s), grid.coords(t))
     return None

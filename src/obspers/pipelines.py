@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import PrimeField
-from .stepmodule import StepModule, _frac
+from .stepmodule import StepModule, _frac, _integer
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def degree_rips(m, radii, degrees, max_dim=2):
     if not radii or not degrees:
         raise ValidationError("radii and degrees must be nonempty")
     radii = sorted({_frac(r) for r in radii})
-    degrees = sorted({int(k) for k in degrees})
+    degrees = sorted({_integer(k, "degree") for k in degrees})
     n = m.n
     deg = {(i, r): sum(1 for j in range(n) if j != i and m.d(i, j) <= r)
            for i in range(n) for r in radii}

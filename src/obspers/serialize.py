@@ -13,7 +13,7 @@ from .errors import ValidationError
 from .fields import PrimeField
 from .metric import INF, Interleaving
 from .pipelines import Bifiltration, FiniteMetricSpace, SimplicialComplex
-from .stepmodule import Morphism, StepModule
+from .stepmodule import Morphism, StepModule, _index, _integer
 
 FORMAT = "obspers/1"
 
@@ -35,7 +35,10 @@ def _point_key(g):
 
 
 def _point_from_key(s):
-    return tuple(int(x) for x in s.split(","))
+    try:
+        return tuple(int(x) for x in s.split(","))
+    except ValueError:
+        raise ValidationError(f"point key {s!r} is not a list of integers") from None
 
 
 def dumps(payload):
@@ -86,8 +89,8 @@ def module_from_json(doc):
     dims = {_point_from_key(k): d for k, d in doc["dims"].items()}
     steps = {}
     for entry in doc["steps"]:
-        g = tuple(int(i) for i in entry["at"])
-        axis = int(entry["axis"])
+        g = _index(entry["at"])
+        axis = _integer(entry["axis"], "axis of the step at {}", g)
         if not 0 <= axis < grid.n_axes:
             raise ValidationError(f"step at {g} names axis {axis} of a "
                                   f"{grid.n_axes}-axis grid")

@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .metric import distance_bracket, rank_lower_bound, verify
 from .library import constant_module, single_cell_module
 from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _frac,
-                         anchor_map, direct_sum, identity_morphism, validate)
+                         direct_sum, identity_morphism, validate)
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,7 @@ def shift_factor_morphism(l, r, beta):
     if beta < max(gaps):
         raise ValidationError(f"need beta >= maximum grid gap {max(gaps)}, got {beta}")
     q_grid = l.grid
-    memo = {}
-    m = anchored_morphism(shift(l, r), l, beta, q_grid,
-                          lambda q, a, b: anchor_map(l, a, b, memo))
+    m = anchored_morphism(shift(l, r), l, beta, q_grid, lambda q, a, b: l.path_map(a, b))
     first = restrict_morphism(eta(l, r), q_grid)
     if first.target != m.source:
         raise ValidationError("composition endpoints differ as extensions")
@@ -154,7 +152,6 @@ def _sample_cell_summand(v, rng, eps):
     w = direct_sum(v, t)
     F = v.field
     e0 = eps / 4
-    memo = {}
     # v's summand comes first in w, so v's eta_e0 is the top-left block
     f_grid = union_grids(v.grid, w.grid.translate(-e0))
     v_ends = v.grid.anchors_on(f_grid, e0)
@@ -164,7 +161,7 @@ def _sample_cell_summand(v, rng, eps):
         if av2 is None:
             return None
         block = F.zeros(w.dims[aw], v.dims[av])
-        block[: v.dims[av2], :] = anchor_map(v, av, av2, memo)
+        block[: v.dims[av2], :] = v.path_map(av, av2)
         return block
 
     f = anchored_morphism(v, w, e0, f_grid, f_comp)
@@ -176,7 +173,7 @@ def _sample_cell_summand(v, rng, eps):
         if av is None:
             return None
         block = F.zeros(v.dims[av2], w.dims[aw])
-        block[:, : v.dims[av]] = anchor_map(v, av, av2, memo)
+        block[:, : v.dims[av]] = v.path_map(av, av2)
         return block
 
     gm = anchored_morphism(w, v, e0, g_grid, g_comp)

@@ -13,18 +13,27 @@ are residues mod p.
 
 Integer index layer.  Rationals live only at the boundary: grid coordinates
 are compared once per axis, and everything after that works on integer index
-tuples.  Grid.anchors_on(target, delta) anchors a whole target grid (moved by
-+delta) at the cost of one bisect per target axis coordinate, instead of one
-per point and axis, and maps each target index to its anchor index tuple (None
-below the grid).  restrict_extend then reads every step of the result off the
-anchors of its two ends, which differ on at most the step's axis: equal
-anchors give a shared identity, adjacent anchors reuse the stored unit step as
-is, and only longer moves multiply a path map.  Internal results whose
-matrices are already reduced, int64 and read-only are built with the private
-StepModule._trusted / Morphism._trusted, which skip the reduction and copy of
-the public constructors; arrays are therefore shared between modules and must
-never be written to.  The public constructors keep validating, reducing and
-copying their input.
+tuples.  Every index coordinate and axis that comes in from outside (the keys
+of the public constructors, module_from_json, degree_rips's degrees,
+m_lambda's lambda) goes through _integer, so a float or a Fraction there is a
+ValidationError, never truncated.  Grid.anchors_on(target, delta) anchors a
+whole target grid (moved by +delta) at the cost of one bisect per target axis
+coordinate, instead of one per point and axis, and maps each target index to
+its anchor index tuple (None below the grid).
+
+One structure-map kernel.  Every map V_{a -> b} between grid indices comes
+from StepModule.path_map, read-only and cached on the module: the shared
+identity when a == b, the stored step for a unit move, and one product with
+the cached map below for every longer move.  restrict_extend reads every step
+of the result off the anchors of its two ends, which differ on at most the
+step's axis: equal anchors give the shared identity, adjacent anchors reuse
+the stored unit step as is, and only longer moves read path_map.  Identity
+and zero blocks (_eye, _zero) are shared package-wide.  Internal results
+whose matrices are already reduced, int64 and read-only are built with the
+private StepModule._trusted / Morphism._trusted, which skip the reduction
+and copy of the public constructors; arrays are therefore shared between
+modules and must never be written to.  The public constructors keep
+validating, reducing and copying their input.
 
 Hom through generators.  hom_basis never solves the dense naturality system,
 whose sum over points of dim v_g * dim w_g unknowns made it the largest cost
@@ -53,12 +62,13 @@ corners of each class's blocks, c the power of two at or above the widest
 block there and at least _MIN_CLASS: the corner holds the whole block, and
 the rest of the result stays zero.  So a module with one wide point and many
 narrow ones pays the wide width only at the wide point; modules at most
-_MIN_CLASS wide take one class, one product.  Both stacks are cached on first
-use, which is sound only because modules and morphisms never change: their
-arrays are read-only, and every caller that edits a steps or comps dict
-copies it into a new object first.  Padding would also hide a block smaller
-than its point's dimensions, which a per-point product rejects, so building
-a stack raises ValidationError on any block of the wrong shape.
+_MIN_CLASS wide take one class, one product.  Both stacks, like the path
+maps, are cached on first use, which is sound only because modules and
+morphisms never change: their arrays are read-only, and every caller that
+edits a steps or comps dict copies it into a new object first.  Padding
+would also hide a block smaller than its point's dimensions, which a
+per-point product rejects, so building a stack raises ValidationError on
+any block of the wrong shape.
 """
 
 import bisect
@@ -249,11 +259,6 @@ def _freeze(arr):
     return arr
 
 
-# The zero block of each shape without entries, shared by every module and
-# morphism built through the public constructors.
-_ZERO_BLOCKS = {}
-
-
 def _integer(x, what, *args):
     """x as an int; anything that is not an integer (a float, a Fraction) is a
     ValidationError naming what.format(*args), where int() would truncate."""
@@ -261,6 +266,12 @@ def _integer(x, what, *args):
         return operator.index(x)
     except TypeError:
         raise ValidationError(f"{what.format(*args)} must be an integer, not {x!r}") from None
+
+
+def _index(g):
+    """The grid index g as a tuple of ints, each coordinate through _integer."""
+    g = tuple(g)
+    return tuple(_integer(i, "grid index {}", g) for i in g)
 
 
 def _block(field, m, shape, what, *args):
@@ -277,7 +288,7 @@ def _block(field, m, shape, what, *args):
     if not a.size:
         if shape[0] * shape[1]:
             raise ValidationError(f"{what.format(*args)} is empty, expected shape {shape}")
-        return _shared(_ZERO_BLOCKS, shape, lambda s: np.zeros(s, np.int64))
+        return _zero(shape)
     if a.ndim < 2:
         if a.size != shape[0] * shape[1]:
             raise ValidationError(f"{what.format(*args)} has {a.size} entries, "
@@ -368,12 +379,16 @@ def _padded(mats, rows, cols):
     return _freeze(out)
 
 
-def _shared(blocks, n, make):
-    """blocks[n], made read-only by make(n) on first use."""
-    m = blocks.get(n)
-    if m is None:
-        m = blocks[n] = _freeze(make(n))
-    return m
+@cache
+def _zero(shape):
+    """The read-only zero block of shape, shared package-wide."""
+    return _freeze(np.zeros(shape, dtype=np.int64))
+
+
+@cache
+def _eye(n):
+    """The read-only n x n identity, shared package-wide."""
+    return _freeze(np.eye(n, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,10 +406,11 @@ class StepModule:
     steps: dict
 
     def __post_init__(self):
-        dims = {tuple(k): _integer(v, "dimension at {}", k) for k, v in self.dims.items()}
+        dims = {_index(k): _integer(v, "dimension at {}", k) for k, v in self.dims.items()}
         steps, edges = {}, self.grid.edges
         for (g, axis), m in self.steps.items():
-            g, axis = tuple(g), int(axis)
+            g = _index(g)
+            axis = _integer(axis, "axis of the step at {}", g)
             steps[(g, axis)] = _block(self.field, m, (dims.get(edges.get((g, axis)), 0),
                                                       dims.get(g, 0)),
                                       "step at {} axis {}", g, axis)
@@ -454,19 +470,37 @@ class StepModule:
                 and self.dims == other.dims and self.steps.keys() == other.steps.keys()
                 and matrices_equal(self.steps, other.steps, self.steps))
 
+    @cached_property
+    def _paths(self):
+        """{(a, b): path_map(a, b)} for every map built so far."""
+        return {}
+
     def path_map(self, a, b):
-        """The composite structure map from grid index a to grid index b >= a,
-        as a product of unit steps (axis by axis; any path agrees when the
-        module is valid)."""
+        """The structure map from grid index a to grid index b >= a, read-only
+        and cached on the module: the shared identity when a == b, the stored
+        step when b is a's successor, and otherwise step(b - e_k, k) @
+        path_map(a, b - e_k) mod p, k the highest axis where a < b.  That is
+        the product of unit steps axis by axis, lowest axis first (any path
+        agrees when the module is valid), and each longer map costs one
+        product once the maps below it are cached.  a not below b is a
+        ValidationError."""
         a, b = tuple(a), tuple(b)
+        paths = self._paths
+        m = paths.get((a, b))
+        if m is not None:
+            return m
         if any(x > y for x, y in zip(a, b)):
             raise ValidationError(f"no path from {a} to {b}")
-        m = self.field.identity(self.dims[a])
-        cur, edges = a, self.grid.edges
-        for axis in range(self.grid.n_axes):
-            while cur[axis] < b[axis]:
-                m = self.field.matmul(self.steps[(cur, axis)], m)
-                cur = edges[(cur, axis)]
+        walk = []  # the steps back from b to a, or to a map already cached
+        while b != a and (a, b) not in paths:
+            k = max(i for i, (x, y) in enumerate(zip(a, b)) if x < y)
+            prev = b[:k] + (b[k] - 1,) + b[k + 1:]
+            walk.append((prev, k, b))
+            b = prev
+        m = paths[(a, b)] if b != a else _eye(self.dims[a])
+        for prev, k, end in reversed(walk):
+            step = self.steps[(prev, k)]
+            m = paths[(a, end)] = step if prev == a else _freeze(step @ m % self.field.p)
         return m
 
     def evaluate(self, s):
@@ -539,24 +573,6 @@ def ensure_valid(v):
     return v
 
 
-def anchor_map(v, a, b, memo):
-    """v's structure map from grid index a to b >= a, read-only: a shared
-    identity when a == b, the stored unit step when b is a's successor, and a
-    path map otherwise.  memo holds the maps already built in this call."""
-    key = (a, b)
-    m = memo.get(key)
-    if m is None:
-        moved = [k for k, (x, y) in enumerate(zip(a, b)) if x != y]
-        if not moved:
-            m = _freeze(v.field.identity(v.dims[a]))
-        elif len(moved) == 1 and b[moved[0]] == a[moved[0]] + 1:
-            m = v.steps[(a, moved[0])]
-        else:
-            m = _freeze(v.path_map(a, b))
-        memo[key] = m
-    return m
-
-
 def restrict_extend(v, grid):
     """The module's extension sampled on an arbitrary finite grid.
 
@@ -566,35 +582,29 @@ def restrict_extend(v, grid):
     v itself when grid is v.grid, which is the same data.
     The anchors of a step's two ends differ only on the step's axis, by a
     move read off that axis alone: a move of 0 gives a shared identity, a
-    move of 1 reuses v's unit step, and only longer moves multiply.
+    move of 1 reuses v's unit step, and only longer moves read v.path_map.
     """
     if grid == v.grid:
         return v
-    F = v.field
     per_axis = v.grid.anchor_indices(grid)
     anchors = {q: None if None in a else a
                for q, a in zip(grid.points(), product(*per_axis))}
     dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
     moves = [[None if x is None else y - x for x, y in zip(axis, axis[1:])]
              for axis in per_axis]
-    zeros, identities = {}, {}  # read-only blocks shared by the whole result
-
-    def zero_column(n):
-        return F.zeros(n, 0)
-
     steps = {}
     for (q, axis), q2 in grid.edges.items():
         a, move = anchors[q], moves[axis][q[axis]]
         if a is None:
-            m = _shared(zeros, dims[q2], zero_column)
+            m = _zero((dims[q2], 0))
         elif move == 0:
-            m = _shared(identities, dims[q], F.identity)
+            m = _eye(dims[q])
         elif move == 1:
             m = v.steps[(a, axis)]
         else:
-            m = _freeze(v.path_map(a, anchors[q2]))
+            m = v.path_map(a, anchors[q2])
         steps[(q, axis)] = m
-    return StepModule._trusted(F, grid, dims, steps)
+    return StepModule._trusted(v.field, grid, dims, steps)
 
 
 def direct_sum(a, b):
@@ -634,7 +644,7 @@ class Morphism:
             raise ValidationError("morphism endpoints must share a grid")
         comps = {}
         for g, m in self.comps.items():
-            g = tuple(g)
+            g = _index(g)
             comps[g] = _block(self.source.field, m, (self.target.dims.get(g, 0),
                                                      self.source.dims.get(g, 0)),
                               "component at {}", g)
@@ -724,15 +734,11 @@ def validate_morphism(m):
 
 
 def identity_morphism(v):
-    eyes = {}
-    return Morphism._trusted(v, v, {g: _shared(eyes, v.dims[g], v.field.identity)
-                                    for g in v.grid.points()})
+    return Morphism._trusted(v, v, {g: _eye(v.dims[g]) for g in v.grid.points()})
 
 
 def zero_morphism(v, w):
-    zeros = {}
-    comps = {g: _shared(zeros, (w.dims[g], v.dims[g]), lambda shape: np.zeros(shape, np.int64))
-             for g in v.grid.points()}
+    comps = {g: _zero((w.dims[g], v.dims[g])) for g in v.grid.points()}
     if v.grid != w.grid:
         raise ValidationError("morphism endpoints must share a grid")
     return Morphism._trusted(v, w, comps)
@@ -886,7 +892,7 @@ def hom_rows(v, w):
     pts = v.grid.points()
     width = sum(v.dims[g] * w.dims[g] for g in pts)
     start, size = [], []  # per generator: its first unknown and dim w(grade)
-    eyes, eqs, n_unknowns = {}, [], 0
+    eqs, n_unknowns = [], 0
     # per point: the generators kept, their coordinates T_g in v_g, the
     # images of their unknowns in w_g (one column per unknown) and S_g
     at = {}
@@ -922,7 +928,7 @@ def hom_rows(v, w):
             at[g] = nothing
             continue
         n_in = len(ids)
-        eye = _shared(eyes, dv, F.identity)
+        eye = _eye(dv)
         t_in = np.concatenate(ts, axis=1) if ts else F.zeros(dv, 0)
         if ids:
             rref, _, pivots = F.reduce(np.concatenate([t_in, eye], axis=1))
@@ -946,7 +952,7 @@ def hom_rows(v, w):
         at[g] = ([ids[k] for k in kept] + list(range(len(size) - len(new), len(size))),
                  np.concatenate([t_in[:, kept], eye[:, new]], axis=1),
                  np.concatenate([p_in[:, columns(ids, kept)]]
-                                + [_shared(eyes, dw, F.identity)] * len(new), axis=1),
+                                + [_eye(dw)] * len(new), axis=1),
                  rref[:, n_in:])
     system, pos = F.zeros(sum(len(rows) for _, rows in eqs), n_unknowns), 0
     for cols, rows in eqs:

@@ -261,11 +261,26 @@ def oracle_tail_sums(eps_list):
 
 
 # ---------------------------------------------------------------------------
-# Point-by-point restriction: the package's earlier restrict_extend and eta_on,
-# one Grid.anchor per point and one path map per step or component, built
-# through the public, validating constructors.  The per-axis anchoring with
-# reused steps must reproduce them exactly.
+# Point-by-point restriction: the package's earlier path map, restrict_extend
+# and eta_on, one Grid.anchor per point and one walk of unit steps per step or
+# component, built through the public, validating constructors.  The cached
+# path maps and the per-axis anchoring with reused steps must reproduce them
+# exactly.
 # ---------------------------------------------------------------------------
+
+def oracle_path_map(v, a, b):
+    """v's structure map from grid index a to b >= a: the unit steps walked
+    with _succ, lowest axis first, one product per step on a fresh
+    identity."""
+    import numpy as np
+
+    m, cur = np.eye(v.dims[a], dtype=np.int64), tuple(a)
+    for axis in range(len(cur)):
+        while cur[axis] < b[axis]:
+            m = v.steps[(cur, axis)] @ m % v.field.p
+            cur = _succ(cur, axis, v.grid.shape)
+    return m
+
 
 def oracle_restrict_extend(v, grid):
     from obspers.stepmodule import StepModule
@@ -282,7 +297,7 @@ def oracle_restrict_extend(v, grid):
             if a is None:
                 steps[(q, axis)] = v.field.zeros(dims[q2], 0)
             else:
-                steps[(q, axis)] = v.path_map(a, b)
+                steps[(q, axis)] = oracle_path_map(v, a, b)
     return StepModule(v.field, grid, dims, steps)
 
 
@@ -300,7 +315,7 @@ def oracle_eta_on(v, eps, grid):
         if a is None:
             comps[q] = v.field.zeros(target.dims[q], 0)
         else:
-            comps[q] = v.path_map(a, b)
+            comps[q] = oracle_path_map(v, a, b)
     return Morphism(source, target, comps)
 
 
@@ -366,7 +381,7 @@ def _oracle_rank_violation(v, w, eps):
         for t in pts:
             if any(x > y for x, y in zip(s, t)):
                 continue
-            rv = v.field.rank(v.path_map(a, v.grid.anchor(
+            rv = v.field.rank(oracle_path_map(v, a, v.grid.anchor(
                 tuple(c + 2 * eps for c in grid.coords(t)))))
             if rv == 0:
                 continue
@@ -374,7 +389,7 @@ def _oracle_rank_violation(v, w, eps):
             if b is None:
                 return (grid.coords(s), grid.coords(t))
             e = w.grid.anchor(tuple(c + eps for c in grid.coords(t)))
-            if rv > w.field.rank(w.path_map(b, e)):
+            if rv > w.field.rank(oracle_path_map(w, b, e)):
                 return (grid.coords(s), grid.coords(t))
     return None
 
@@ -902,11 +917,10 @@ def oracle_submodule(v, basis, coords):
 def oracle_persistent_rank(v, eps):
     """The largest rank of an anchored structure map over the points of the
     refined grid, one F.rank per point."""
-    from obspers.stepmodule import _frac, anchor_map, union_grids
+    from obspers.stepmodule import _frac, union_grids
 
     eps = _frac(eps)
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
     ends = v.grid.anchors_on(grid, eps)
-    memo = {}
-    return max((v.field.rank(anchor_map(v, a, ends[q], memo))
+    return max((v.field.rank(oracle_path_map(v, a, ends[q]))
                 for q, a in v.grid.anchors_on(grid).items() if a is not None), default=0)

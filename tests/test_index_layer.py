@@ -1,17 +1,21 @@
-"""The integer index layer: per-axis anchors, restriction with reused steps
-against the point-by-point oracles, read-only shared matrices, and strict
-rational coercion at every entry point."""
+"""The integer index layer: per-axis anchors, the cached structure maps and
+restriction with reused steps against the point-by-point oracles, read-only
+shared matrices, strict rational coercion at every entry point, and integer
+index keys and axes everywhere."""
 
+import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from obspers import library, limits, metric, stability
-from obspers.calculus import (discretize, eta, eta_on, lattice_grid,
+from obspers import library, limits, metric, serialize, stability
+from obspers.calculus import (discretize, eta, eta_on, image_pairs, lattice_grid,
                               persistent_rank, refine, restrict_morphism,
                               restriction_pair, shift, smooth)
+from obspers.cli import main as cli_main
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.pipelines import (complex_from_simplices, degree_rips,
@@ -21,7 +25,7 @@ from obspers.stepmodule import (Grid, Morphism, StepModule, direct_sum,
                                 restrict_extend, union_grids, validate,
                                 validate_morphism)
 
-from oracles import oracle_eta_on, oracle_restrict_extend
+from oracles import oracle_eta_on, oracle_path_map, oracle_restrict_extend
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 primes = st.sampled_from([2, 3])
@@ -73,6 +77,72 @@ def test_anchors_on_below_minimum_is_none():
     assert anchors[(0, 1)] is None and anchors[(1, 0)] is None
     assert anchors[(2, 1)] == (0, 1)
     assert g.anchors_on(target, Fraction(1, 3))[(1, 0)] == (0, 0)
+
+
+# -- path_map against the walk of unit steps ---------------------------------------
+
+def comparable_pairs(v, rng):
+    """Every (a, b) with a <= b on v's grid, in a random order, so the maps are
+    built from different cached prefixes on every draw."""
+    pts = v.grid.points()
+    pairs = [(a, b) for a in pts for b in pts if all(x <= y for x, y in zip(a, b))]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def non_commuting_module(seed, p):
+    """Random dimensions and random steps on a small 3-axis grid: the squares
+    almost never commute, so each path map depends on the path taken."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(((0, 1), (0, 1, 2), (0, 1)))
+    dims = {g: int(rng.integers(0, 3)) for g in grid.points()}
+    steps = {(g, axis): rng.integers(0, p, size=(dims[h], dims[g]))
+             for (g, axis), h in grid.edges.items()}
+    return StepModule(PrimeField(p), grid, dims, steps)
+
+
+def assert_path_maps_match_oracle(v, seed):
+    for a, b in comparable_pairs(v, np.random.default_rng(seed)):
+        m = v.path_map(a, b)
+        want = oracle_path_map(v, a, b)
+        assert m.shape == want.shape and np.array_equal(m, want), (a, b)
+        assert m.dtype == np.int64 and not m.flags.writeable, (a, b)
+        assert v.path_map(a, b) is m
+
+
+@given(seeds, primes)
+def test_path_map_matches_oracle(seed, p):
+    assert_path_maps_match_oracle(module(seed, p), seed)
+
+
+@given(seeds, primes)
+def test_path_map_matches_oracle_on_non_commuting_modules(seed, p):
+    v = non_commuting_module(seed, p)
+    assume(validate(v))
+    assert_path_maps_match_oracle(v, seed)
+
+
+def test_path_map_shares_identities_and_steps():
+    v, w = module(4, 3), module(5, 3)
+    for (g, axis), h in v.grid.edges.items():
+        assert v.path_map(g, h) is v.steps[(g, axis)]
+    for g, h in product(v.grid.points(), w.grid.points()):
+        if v.dims[g] == w.dims[h]:
+            assert v.path_map(g, g) is w.path_map(h, h)
+
+
+def test_path_map_rejects_a_start_not_below_the_end():
+    v = module(6, 2)
+    with pytest.raises(ValidationError, match="no path"):
+        v.path_map((1, 0), (0, 1))
+
+
+def test_image_pairs_rejects_a_non_commuting_module():
+    grid = Grid(((0, 1), (0, 1)))
+    steps = dict(library.constant_module(PrimeField(2), grid).steps)
+    steps[((0, 0), 1)] = PrimeField(2).matrix([[0]])  # breaks the square at (0, 0)
+    bad = StepModule(PrimeField(2), grid, {g: 1 for g in grid.points()}, steps)
+    with pytest.raises(ValidationError, match="square"):
+        image_pairs(bad)
 
 
 # -- restrict_extend and eta_on against the point-by-point oracles -----------------
@@ -231,3 +301,73 @@ def test_smooth_rejects_a_float_epsilon():
     with pytest.raises(ValidationError):
         smooth(V, 0.1)
     assert smooth(V, "1/10").eps == Fraction(1, 10)
+
+
+# -- integer index keys and axes ---------------------------------------------------
+
+LINE = Grid(((0, 1),))
+
+
+def test_a_step_key_that_is_not_an_integer_is_rejected():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        StepModule(PrimeField(2), LINE, {(0,): 1, (1,): 1}, {((0.2,), 0.9): [[1]]})
+    with pytest.raises(ValidationError, match="axis .* must be an integer"):
+        StepModule(PrimeField(2), LINE, {(0,): 1, (1,): 1}, {((0,), 0.9): [[1]]})
+
+
+def test_a_dims_key_that_is_not_an_integer_is_rejected():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        StepModule(PrimeField(2), LINE, {(0.0,): 1, (1,): 1}, {((0,), 0): [[1]]})
+
+
+def test_a_comps_key_that_is_not_an_integer_is_rejected():
+    v = StepModule(PrimeField(2), LINE, {(0,): 1, (1,): 1}, {((0,), 0): [[1]]})
+    with pytest.raises(ValidationError, match="must be an integer"):
+        Morphism(v, v, {(0.0,): [[1]], (1,): [[1]]})
+
+
+def test_integer_keys_of_other_types_are_kept_as_ints():
+    v = StepModule(PrimeField(2), LINE, {(np.int64(0),): 1, (1,): 1},
+                   {((np.int64(0),), np.int64(0)): [[1]]})
+    assert validate(v) == []
+    assert all(type(i) is int for g in v.dims for i in g)
+    assert all(type(i) is int for g, axis in v.steps for i in g + (axis,))
+
+
+def fractional_step_doc():
+    doc = serialize.module_to_json(
+        StepModule(PrimeField(2), LINE, {(0,): 1, (1,): 1}, {((0,), 0): [[1]]}))
+    doc["steps"][0].update(at=[0.4], axis=0.7)
+    return doc
+
+
+def test_a_module_json_step_key_that_is_not_an_integer_is_rejected():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        serialize.module_from_json(fractional_step_doc())
+    doc = fractional_step_doc()
+    doc["steps"][0]["at"] = [0]
+    with pytest.raises(ValidationError, match="axis .* must be an integer"):
+        serialize.module_from_json(doc)
+    doc["steps"][0]["axis"] = 0
+    doc["dims"]["0.0"] = doc["dims"].pop("0")
+    with pytest.raises(ValidationError, match="not a list of integers"):
+        serialize.module_from_json(doc)
+
+
+def test_cli_validate_rejects_a_fractional_step_key(tmp_path, capsys):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(fractional_step_doc()))
+    assert cli_main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "must be an integer" in err
+
+
+def test_degree_rips_rejects_a_fractional_degree():
+    m = metric_space([0, 1, 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    with pytest.raises(ValidationError, match="degree must be an integer"):
+        degree_rips(m, [0, 1, 2], [0, 1.7])
+
+
+def test_m_lambda_rejects_a_fractional_lambda():
+    with pytest.raises(ValidationError, match="lam must be an integer"):
+        library.m_lambda(3, 1.5)
