@@ -78,6 +78,13 @@ def verify(v, w, eps, f, g):
     Returns an Interleaving whose verified flag is the outcome; violations
     name the first failing constraint of each kind.
 
+    The endpoint checks are O(1) where an endpoint is a restriction of the
+    module it should match (or of a shift copy of it) onto a grid that
+    refines that module's grid, as the witnesses of discretize, smooth,
+    restriction_pair and decide are built: restricting again would rebuild
+    the same data (see calculus.modules_match).  Other endpoints are
+    restricted and compared.
+
     The triangles are checked once the four endpoints match and f and g are
     natural, and without building a composite.  Take g[eps] o f = eta_2eps
     on V; the other triangle swaps the roles.  The matching endpoints give

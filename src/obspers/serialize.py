@@ -84,7 +84,7 @@ def module_to_json(v):
 
 def module_from_json(doc):
     _expect_kind(doc, "module")
-    F = PrimeField(int(doc["field"]["p"]))
+    F = PrimeField(_integer(doc["field"]["p"], "field p"))
     grid = Grid(tuple(tuple(fr_from_str(c) for c in axis) for axis in doc["grid"]))
     dims = {_point_from_key(k): d for k, d in doc["dims"].items()}
     steps = {}
@@ -214,7 +214,7 @@ def bifiltration_from_json(doc):
     cx, _ = complex_from_json(doc["complex"])
     grades = {tuple(s): tuple(tuple(fr_from_str(x) for x in g) for g in gs)
               for s, gs in doc["grades"]}
-    return Bifiltration(cx, grades, int(doc["n_axes"]))
+    return Bifiltration(cx, grades, _integer(doc["n_axes"], "n_axes"))
 
 
 def chain_manifest_to_json(term_paths, link_paths):

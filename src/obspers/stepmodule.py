@@ -8,18 +8,31 @@ grid point lies below), so the represented module is constant on half-open
 cells and upper semicontinuous.  Composite structure maps are path products of
 unit steps, well defined whenever the commutativity invariant holds.
 
-No floating point appears anywhere: coordinates are Fractions, matrix entries
-are residues mod p.
+No floating point appears anywhere: coordinates are exact rationals, matrix
+entries are residues mod p.
 
-Integer index layer.  Rationals live only at the boundary: grid coordinates
-are compared once per axis, and everything after that works on integer index
-tuples.  Every index coordinate and axis that comes in from outside (the keys
-of the public constructors, module_from_json, degree_rips's degrees,
-m_lambda's lambda) goes through _integer, so a float or a Fraction there is a
-ValidationError, never truncated.  Grid.anchors_on(target, delta) anchors a
-whole target grid (moved by +delta) at the cost of one bisect per target axis
-coordinate, instead of one per point and axis, and maps each target index to
+Integer index layer.  Rationals live only at the boundary.  A Grid is kept
+as integer keys: per axis a least common denominator den and the
+coordinates times den, a pair that equal coordinates always give.  So grid
+equality and hashing compare int tuples, translate and union_grids build
+keys only, and the Fraction coordinates (Grid.axes) are built from the keys
+only when coords, anchor, the corners or serialization ask for them.  Every
+index coordinate and axis that comes in from outside (the keys of the public
+constructors, module_from_json, degree_rips's degrees, m_lambda's lambda)
+goes through _integer, so a float or a Fraction there is a ValidationError,
+never truncated.  Grid.anchors_on(target, delta) anchors a whole target grid
+(moved by +delta) at the cost of one bisect per target axis coordinate, on
+the keys, instead of one per point and axis, and maps each target index to
 its anchor index tuple (None below the grid).
+
+Endpoint checks in O(1).  restrict_extend records on its result the module
+it restricted, the result's source (any other module is its own source).
+Modules never change and restrict_extend is deterministic, so two modules on
+equal grids whose sources share their dims and steps objects are equal
+without a matrix compared, and calculus.modules_match needs no restriction
+when one module is already on the common refinement and its source has the
+other's data.  metric.verify's endpoint checks on the witnesses of
+discretize, smooth, restriction_pair and decide are of this kind.
 
 One structure-map kernel.  Every map V_{a -> b} between grid indices comes
 from StepModule.path_map, read-only and cached on the module: the shared
@@ -96,15 +109,29 @@ def _frac(x):
     raise ValidationError(f"coordinate {x!r} is not an exact rational")
 
 
-@dataclass(frozen=True)
+def _ratio(x):
+    """(numerator, denominator) of the exact rational x, as _frac reads it; an
+    int or a Fraction is read as it stands, without building a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        x = _frac(x)
+    return x.numerator, x.denominator
+
+
 class Grid:
     """A finite product grid in R^n: one strictly increasing tuple of exact
-    rational coordinates per axis."""
+    rational coordinates per axis.
 
-    axes: tuple
+    A grid is its canonical integer keys, _scaled: per axis the pair (den,
+    keys), with coordinate i equal to keys[i] / den.  Equal coordinates give
+    equal pairs, so == and hash compare int tuples, and translate and
+    union_grids build keys only.  The Fraction coordinates, axes, are built
+    from the keys the first time coords, anchor, the corners or
+    serialization ask for them.  Grid(axes) coerces every coordinate through
+    _frac and checks that each axis is nonempty and strictly increasing; its
+    keys are built on first use.  Grids never change."""
 
-    def __post_init__(self):
-        axes = tuple(tuple(_frac(c) for c in axis) for axis in self.axes)
+    def __init__(self, axes):
+        axes = tuple(tuple(_frac(c) for c in axis) for axis in axes)
         if not axes:
             raise ValidationError("grid needs at least one axis")
         for axis in axes:
@@ -112,40 +139,56 @@ class Grid:
                 raise ValidationError("every axis needs at least one coordinate")
             if any(a >= b for a, b in zip(axis, axis[1:])):
                 raise ValidationError("axis coordinates must be strictly increasing")
-        object.__setattr__(self, "axes", axes)
+        self.__dict__["axes"] = axes
 
     @classmethod
-    def _trusted(cls, axes, scaled=None):
-        """Internal constructor for a tuple of strictly increasing tuples of
-        Fractions; skips the coercion and checks of __post_init__.  scaled,
-        when given, is the value of _scaled for these axes."""
+    def _from_keys(cls, scaled):
+        """Internal constructor for canonical (den, keys) pairs with increasing
+        keys; skips the coercion and checks of Grid(axes)."""
         grid = object.__new__(cls)
-        object.__setattr__(grid, "axes", axes)
-        if scaled is not None:
-            grid.__dict__["_scaled"] = scaled
+        grid.__dict__["_scaled"] = scaled
         return grid
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Grid is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self._scaled == other._scaled
+
+    def __hash__(self):
+        return hash(self._scaled)
+
+    def __repr__(self):
+        return f"Grid(axes={self.axes!r})"
 
     @cached_property
     def _scaled(self):
-        """Per axis, (den, keys): den a common denominator of the axis's
-        coordinates and keys the coordinates times den, increasing integers."""
+        """Per axis, (den, keys): den the least common denominator of the
+        axis's coordinates and keys the coordinates times den.  No integer
+        > 1 divides den and every key, so the pair is canonical."""
         out = []
         for axis in self.axes:
             den = math.lcm(*(c.denominator for c in axis))
             out.append((den, tuple(c.numerator * (den // c.denominator) for c in axis)))
         return tuple(out)
 
+    @cached_property
+    def axes(self):
+        return tuple(tuple(Fraction(k, den) for k in keys) for den, keys in self._scaled)
+
     @property
     def n_axes(self):
-        return len(self.axes)
+        return len(self._scaled)
 
     @property
     def shape(self):
-        return tuple(len(axis) for axis in self.axes)
+        return tuple(len(keys) for _, keys in self._scaled)
 
     def points(self):
         """All grid point index tuples in lexicographic order."""
-        return list(product(*[range(len(axis)) for axis in self.axes]))
+        return list(product(*map(range, self.shape)))
 
     def coords(self, idx):
         return tuple(self.axes[a][i] for a, i in enumerate(idx))
@@ -172,15 +215,16 @@ class Grid:
         """Per axis of grid, the anchor index on this grid's axis of every
         coordinate + delta (None below the minimum): one bisect per axis
         coordinate of grid, on the integer keys of _scaled, so the
-        comparisons stay exact.  A key is at most a rational x exactly when
-        it is at most floor(x); with c = k / den_c and delta = n / d, c + delta
-        on this axis's scale den is x = (k * d + n * den_c) * den / (den_c * d)."""
+        comparisons stay exact and build no Fraction.  A key is at most a
+        rational x exactly when it is at most floor(x); with c = k / den_c and
+        delta = n / d, c + delta on this axis's scale den is
+        x = (k * d + n * den_c) * den / (den_c * d)."""
         same_axes(self, grid)
-        d = _frac(delta)
+        n, d = _ratio(delta)
         out = []
         for (den, mine), (den_c, theirs) in zip(self._scaled, grid._scaled):
-            shift, below = d.numerator * den_c, den_c * d.denominator
-            found = (bisect.bisect_right(mine, (k * d.denominator + shift) * den // below) - 1
+            shift, below = n * den_c, den_c * d
+            found = (bisect.bisect_right(mine, (k * d + shift) * den // below) - 1
                      for k in theirs)
             out.append(tuple(i if i >= 0 else None for i in found))
         return tuple(out)
@@ -192,15 +236,19 @@ class Grid:
                 for q, a in zip(grid.points(), product(*self.anchor_indices(grid, delta)))}
 
     def translate(self, delta):
-        """Grid moved by +delta on every axis."""
-        d = _frac(delta)
+        """Grid moved by +delta on every axis, built on the keys: with delta =
+        n / d, a key k on the scale den becomes k * (den' / den) + n * (den' /
+        d) on the scale den' = lcm(den, d), divided by the gcd of den' and the
+        new keys to stay canonical."""
+        n, d = _ratio(delta)
         scaled = []
         for den, keys in self._scaled:
-            new = math.lcm(den, d.denominator)
-            up, shift = new // den, d.numerator * (new // d.denominator)
-            scaled.append((new, tuple(k * up + shift for k in keys)))
-        return Grid._trusted(tuple(tuple(c + d for c in axis) for axis in self.axes),
-                             tuple(scaled))
+            new = math.lcm(den, d)
+            up, shift = new // den, n * (new // d)
+            keys = [k * up + shift for k in keys]
+            g = math.gcd(new, *keys)
+            scaled.append((new // g, tuple(k // g for k in keys)))
+        return Grid._from_keys(tuple(scaled))
 
     def min_corner(self):
         return tuple(axis[0] for axis in self.axes)
@@ -237,21 +285,19 @@ def same_axes(*grids):
 
 def union_grids(*grids):
     """The grid whose axes are the unions of the grids' axes, merged on the
-    integer keys of _scaled; the coordinates are the grids' own Fractions."""
+    integer keys of _scaled.  The union's least common denominator is the lcm
+    of the grids' own, so the merged keys are canonical as they stand."""
     same_axes(*grids)
     if all(g is grids[0] for g in grids):
         return grids[0]
-    axes, scaled = [], []
-    for a in range(grids[0].n_axes):
-        den = math.lcm(*(g._scaled[a][0] for g in grids))
-        merged = {}
-        for g in grids:
-            own, keys = g._scaled[a]
-            merged.update(zip((k * (den // own) for k in keys), g.axes[a]))
-        keys = sorted(merged)
-        axes.append(tuple(merged[k] for k in keys))
-        scaled.append((den, tuple(keys)))
-    return Grid._trusted(tuple(axes), tuple(scaled))
+    scaled = []
+    for axis in zip(*(g._scaled for g in grids)):
+        den = math.lcm(*(own for own, _ in axis))
+        merged = set()
+        for own, keys in axis:
+            merged.update(keys if own == den else (k * (den // own) for k in keys))
+        scaled.append((den, tuple(sorted(merged))))
+    return Grid._from_keys(tuple(scaled))
 
 
 def _freeze(arr):
@@ -464,11 +510,17 @@ class StepModule:
         return sum(self.dims.values())
 
     def __eq__(self, other):
+        """Exact data equality.  O(1) when the two sources (_source) share
+        their data (_same_data), as two shift copies by one eps do: each
+        module is then its source or that source restricted to the common
+        grid, and restrict_extend is deterministic."""
         if not isinstance(other, StepModule):
             return NotImplemented
-        return (self.field == other.field and self.grid == other.grid
-                and self.dims == other.dims and self.steps.keys() == other.steps.keys()
-                and matrices_equal(self.steps, other.steps, self.steps))
+        if self.field != other.field or self.grid != other.grid:
+            return False
+        return _same_data(_source(self), _source(other)) or (
+            self.dims == other.dims and self.steps.keys() == other.steps.keys()
+            and matrices_equal(self.steps, other.steps, self.steps))
 
     @cached_property
     def _paths(self):
@@ -510,6 +562,19 @@ class StepModule:
         if idx is None:
             return 0, None
         return self.dims[idx], idx
+
+
+def _same_data(a, b):
+    """True when a and b share their dims and steps objects, over one field on
+    equal grids: then they are one module, as modules never change."""
+    return (a.dims is b.dims and a.steps is b.steps and a.field == b.field
+            and a.grid == b.grid)
+
+
+def _source(v):
+    """The module that restrict_extend built v from (it records it as
+    _restricted_from), or v itself."""
+    return v.__dict__.get("_restricted_from", v)
 
 
 def zero_module(p, n_axes=1):
@@ -583,6 +648,7 @@ def restrict_extend(v, grid):
     The anchors of a step's two ends differ only on the step's axis, by a
     move read off that axis alone: a move of 0 gives a shared identity, a
     move of 1 reuses v's unit step, and only longer moves read v.path_map.
+    The result records v as its source (see _source).
     """
     if grid == v.grid:
         return v
@@ -604,7 +670,9 @@ def restrict_extend(v, grid):
         else:
             m = v.path_map(a, anchors[q2])
         steps[(q, axis)] = m
-    return StepModule._trusted(v.field, grid, dims, steps)
+    out = StepModule._trusted(v.field, grid, dims, steps)
+    out.__dict__["_restricted_from"] = v
+    return out
 
 
 def direct_sum(a, b):

@@ -199,6 +199,22 @@ def test_module_from_json_rejects_dimensions_that_are_not_integers():
         serialize.module_from_json(doc)
 
 
+def test_module_from_json_rejects_a_field_p_that_is_not_an_integer():
+    doc = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1),))))
+    doc["field"]["p"] = 2.5  # int() would read F_2
+    with pytest.raises(ValidationError, match="field p must be an integer, not 2.5"):
+        serialize.module_from_json(doc)
+
+
+def test_bifiltration_from_json_rejects_n_axes_that_is_not_an_integer():
+    b = degree_rips(metric_space(list(range(3)), [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+                    [1, 2], [1, 2])
+    doc = serialize.bifiltration_to_json(b)
+    doc["n_axes"] = 2.5  # int() would read 2 axes
+    with pytest.raises(ValidationError, match="n_axes must be an integer, not 2.5"):
+        serialize.bifiltration_from_json(doc)
+
+
 def test_cli_validate_interleaving_rechecks(tmp_path):
     v = library.constant_module(F2, Grid(((0, 1, 2), (0, 1, 2))))
     pair = discretize(v, 1)
