@@ -9,14 +9,13 @@ honest interleavings, which is what the tests check.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import ValidationError
-from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _padded, _same_data,
-                         _source, _width, compose, ensure_valid, factor_morphism,
-                         matrices_equal, restrict_extend, same_axes, union_grids)
+from .stepmodule import (Grid, Morphism, StepModule, _cells, _frac, _freeze, _padded,
+                         _same_data, _source, _width, _zero, compose, ensure_valid,
+                         factor_morphism, restrict_extend, same_axes, union_grids)
 
 # restrict_extend is re-exported from here because refinement and
 # discretization conceptually belong to the calculus layer.
@@ -24,7 +23,7 @@ __all__ = [
     "refine", "restrict_extend", "shift", "eta", "eta_on", "smooth",
     "image_pairs", "diagonal", "persistent_rank", "PairGridModule",
     "SmoothResult", "DiscretizationPair", "restrict_morphism",
-    "shift_morphism", "modules_match", "morphisms_match", "compose_matched",
+    "shift_morphism", "modules_match", "compose_matched",
     "lattice_grid", "discretize", "restriction_pair", "mono_epi_report",
     "anchored_morphism",
 ]
@@ -59,20 +58,23 @@ def shift(v, eps):
 
 def anchored_morphism(x, y, eps, grid, comp):
     """The morphism restrict_extend(x, grid) -> restrict_extend(shift(y, eps),
-    grid) whose component at q is comp(q, a, b), where a is the anchor of q in
+    grid) whose component at q is comp(a, b), where a is the anchor of q in
     x's grid and b the anchor of q + eps in y's grid.  The component is the
-    zero block where a or b is None, or where comp returns None."""
+    zero block where a or b is None, or where comp returns None.  comp is
+    called once per distinct pair, whose points share its block.  As an end
+    of stepmodule._cells, source (on grid) gives each point q itself."""
     eps = _frac(eps)
     source = restrict_extend(x, grid)
     target = restrict_extend(shift(y, eps), grid)
-    ends = y.grid.anchors_on(grid, eps)
-    comps = {}
-    for q, a in x.grid.anchors_on(grid).items():
-        b = ends[q]
-        m = None if a is None or b is None else comp(q, a, b)
-        if m is None:
-            m = x.field.zeros(target.dims[q], source.dims[q])
-        comps[q] = _freeze(m)
+    blocks, comps = {}, {}
+    for a, b, q in _cells(grid, (x, 0), (y, eps), (source, 0)):
+        block = blocks.get((a, b))
+        if block is None:
+            m = None if a is None or b is None else comp(a, b)
+            if m is None:
+                m = _zero((target.dims[q], source.dims[q]))
+            block = blocks[a, b] = _freeze(m)
+        comps[q] = block
     return Morphism._trusted(source, target, comps)
 
 
@@ -84,14 +86,10 @@ def _triangle_holds(first, second, x, s, total, grid):
     At a point q of grid the left side is second's component at b, the
     anchor of q + s, times first's at a, the anchor of q, and the right side
     is x's structure map from c, the anchor of q, to d, the anchor of
-    q + total.  Anchors are taken axis by axis, so the distinct tuples
-    (a, b, c, d) are the product of the distinct ones per axis, and each is
+    q + total.  Each distinct tuple (a, b, c, d) of stepmodule._cells is
     compared once.  Below x's grid (c None) the block has no columns; where
     a or b is None the left side is zero, so eta must be zero too."""
-    per_axis = zip(first.grid.anchor_indices(grid), second.grid.anchor_indices(grid, s),
-                   x.grid.anchor_indices(grid), x.grid.anchor_indices(grid, total))
-    for cell in product(*(set(zip(*axis)) for axis in per_axis)):
-        a, b, c, d = (None if None in t else t for t in zip(*cell))
+    for a, b, c, d in _cells(grid, (first, 0), (second, s), (x, 0), (x, total)):
         if c is None:
             continue
         want = x.path_map(c, d)
@@ -110,7 +108,7 @@ def eta_on(v, eps, grid):
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("eta needs eps >= 0")
-    return anchored_morphism(v, v, eps, grid, lambda q, a, b: v.path_map(a, b))
+    return anchored_morphism(v, v, eps, grid, v.path_map)
 
 
 def eta(v, eps):
@@ -127,7 +125,7 @@ def restrict_morphism(m, grid):
     grid is m's grid, which by idempotence is the same data."""
     if grid == m.grid:
         return m
-    return anchored_morphism(m.source, m.target, 0, grid, lambda q, a, b: m.comps[a])
+    return anchored_morphism(m.source, m.target, 0, grid, lambda a, b: m.comps[a])
 
 
 def shift_morphism(m, eps):
@@ -151,18 +149,6 @@ def modules_match(a, b):
     if any(x.grid == u and _same_data(_source(x), y) for x, y in ((a, b), (b, a))):
         return True
     return restrict_extend(a, u) == restrict_extend(b, u)
-
-
-def morphisms_match(m1, m2):
-    """True when the two morphisms agree as morphisms of extensions."""
-    if m1.field != m2.field or m1.grid.n_axes != m2.grid.n_axes:
-        return False
-    u = union_grids(m1.grid, m2.grid)
-    r1 = restrict_morphism(m1, u)
-    r2 = restrict_morphism(m2, u)
-    if r1.source != r2.source or r1.target != r2.target:
-        return False
-    return matrices_equal(r1.comps, r2.comps, u.points())
 
 
 def compose_matched(m2, m1):
@@ -204,7 +190,7 @@ def smooth(v, eps):
     # ambient anchor of S's value at each index tg, the image of the step from tg
     ambient = v.grid.anchors_on(big, eps)
 
-    def comp(q, av, tg):
+    def comp(av, tg):
         if s.dims[tg] == 0:
             return None
         vec = v.path_map(av, ambient[tg])
@@ -321,20 +307,18 @@ def diagonal(pm):
 def persistent_rank(v, eps):
     """sup over s of rank(V_s -> V_{s+eps}); attained at anchors of the
     refinement grid u (grid - eps), so the supremum is a finite max.  The
-    distinct maps are zero-padded to one stack, which leaves their ranks as
-    they are, and ranked by one reduce_stack."""
+    maps, one per distinct anchor pair (stepmodule._cells), are zero-padded
+    to one stack, which leaves their ranks as they are, and ranked by one
+    reduce_stack."""
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("persistent_rank needs eps >= 0")
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
-    ends = v.grid.anchors_on(grid, eps)
-    pairs = dict.fromkeys((a, ends[q]) for q, a in v.grid.anchors_on(grid).items()
-                          if a is not None)
-    if not pairs:
+    maps = [v.path_map(a, b) for a, b in _cells(grid, (v, 0), (v, eps)) if a is not None]
+    if not maps:
         return 0
     d = _width(v)
-    maps = _padded([v.path_map(a, b) for a, b in pairs], d, d)
-    return int(v.field.reduce_stack(maps)[1].max())
+    return int(v.field.reduce_stack(_padded(maps, d, d))[1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +361,13 @@ def restriction_pair(v, q_grid, eps):
     vq = restrict_extend(v, q_grid)
     on_v = v.grid.anchors_on(q_grid)  # anchor in v's grid of each q_grid index
 
-    def f_comp(qi, av, aq):
+    def f_comp(av, aq):
         tv = on_v[aq]
         if tv is None or any(x > y for x, y in zip(av, tv)):
             raise ValidationError("q_grid is not eps-dense over the module; no density morphism")
         return v.path_map(av, tv)
 
-    def g_comp(qi, aq, bv):
+    def g_comp(aq, bv):
         sv = on_v[aq]
         return None if sv is None else v.path_map(sv, bv)
 

@@ -112,16 +112,12 @@ def cmd_validate(ns):
         violations = pipelines.validate_complex(value[0])
         if violations:
             raise ValidationError("; ".join(violations))
-    elif kind == "metric-space":
-        violations = pipelines.validate_metric_space(value)
-        if violations:
-            raise ValidationError("; ".join(violations))
     elif kind == "bifiltration":
         violations = pipelines.validate_bifiltration(value)
         if violations:
             raise ValidationError("; ".join(violations))
-    elif kind == "chain":
-        pass  # structural check happens in `limit`, which resolves the paths
+    # a metric space is checked as it is decoded, and a chain's structure by
+    # `limit`, which resolves the paths
     _emit({"format": FORMAT, "kind": "validation", "file": ns.file,
            "input_kind": kind, "valid": True})
     return 0

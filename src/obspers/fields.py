@@ -97,7 +97,7 @@ class PrimeField:
 
     def __post_init__(self):
         if self.p not in _SMALL_PRIMES:
-            raise ValueError(f"p must be a small prime, got {self.p}")
+            raise ValidationError(f"p must be a small prime, got {self.p}")
 
     # -- scalar arithmetic -------------------------------------------------
 

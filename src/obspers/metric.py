@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import _triangle_holds, modules_match, restrict_extend, shift
 from .errors import BudgetExceeded, ValidationError
-from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac,
+from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _cells, _frac,
                          coefficient_vectors, hom_rows, linear_combination, union_grids,
                          validate_morphism)
 
@@ -89,15 +89,10 @@ def verify(v, w, eps, f, g):
     natural, and without building a composite.  Take g[eps] o f = eta_2eps
     on V; the other triangle swaps the roles.  The matching endpoints give
     both sides the same spaces in the same bases at every point q:
-    V(q) -> V(q + 2eps).  Let u be the common refinement of f's grid,
-    g's grid - eps, V's grid and V's grid - 2eps.  At q the left side is g's
-    component at b, the anchor of q + eps, times f's at a, the anchor of q;
-    the right side is V's structure map from c, the anchor of q, to d, the
-    anchor of q + 2eps.  All four anchors are constant on each cell of u, so
-    both sides are, and checking one point per distinct tuple (a, b, c, d)
-    is exact.  Where c is None, V(q) = 0 and the block is empty; where a or
-    b is None the left side is zero, so eta_2eps must be zero there too.
-    calculus._triangle_holds makes that comparison.
+    V(q) -> V(q + 2eps).  On u, the common refinement of f's grid,
+    g's grid - eps, V's grid and V's grid - 2eps, calculus._triangle_holds
+    compares them once per distinct tuple of anchors (stepmodule._cells
+    holds the argument that this is exact).
     """
     eps = _frac(eps)
     if eps < 0:
@@ -139,37 +134,26 @@ def _side(x, y, eps):
 def _triangle(first, second, eps):
     """The triangle second[eps] o first = eta_2eps on first.module, in
     coordinates on the common grid u: tensor[i, j] flattens second_j[eps] o
-    first_i over the two bases, and rhs flattens eta_2eps.  The component at
-    a point of u is the product of the basis components at its anchors in
-    the two sides' grids (none below either grid: the block is then empty),
-    each stacked as one (h, r, c) view of the side's rows, so it is computed
-    once per distinct anchor pair for all basis pairs.
-    eta_2eps at q is the structure map of first.module between the anchors
-    of q and q + 2eps, read off without building eta_2eps's endpoints (below
-    either anchor its block is empty too)."""
+    first_i over the two bases, and rhs flattens eta_2eps, one block per
+    distinct tuple (a, b, c, d) of stepmodule._cells, as in
+    calculus._triangle_holds.  The left block is the product of the basis
+    components at a and b, each stacked as one (h, r, c) view of the side's
+    rows, so one product serves all basis pairs; the right block is
+    first.module's structure map from c to d.  Where c is None both are
+    empty; elsewhere a and b are not None, as the sides' grids refine
+    first.module's and its translate by -eps."""
     u = union_grids(first.grid, second.grid.translate(-eps))
-    x = first.module
-    tops = x.grid.anchors_on(u, 2 * eps)
-    rhs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        x.path_map(a, tops[q]).reshape(-1)
-        for q, a in x.grid.anchors_on(u).items() if a is not None and tops[q] is not None])
-    h1, h2, p = len(first.rows), len(second.rows), first.module.field.p
+    x, h1, h2 = first.module, len(first.rows), len(second.rows)
     first_stack = _blocks(first.source, first.target, first.rows)
     second_stack = _blocks(second.source, second.target, second.rows)
-    tensor = np.zeros((h1, h2, rhs.size), dtype=np.int64)
-    ends = second.grid.anchors_on(u, eps)
-    blocks, pos = {}, 0
-    for q, a in first.grid.anchors_on(u).items():
-        b = ends[q]
-        if a is None or b is None:
+    tensor, rhs = [np.zeros((h1, h2, 0), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for a, b, c, d in _cells(u, (first, 0), (second, eps), (x, 0), (x, 2 * eps)):
+        if c is None:
             continue
-        block = blocks.get((a, b))
-        if block is None:
-            prod = second_stack[b][None] @ first_stack[a][:, None]  # (h1, h2, r, c)
-            block = blocks[(a, b)] = prod.reshape(h1, h2, prod.shape[2] * prod.shape[3]) % p
-        tensor[:, :, pos:pos + block.shape[2]] = block
-        pos += block.shape[2]
-    return tensor, rhs
+        prod = second_stack[b][None] @ first_stack[a][:, None]  # (h1, h2, r, c)
+        tensor.append(prod.reshape(h1, h2, prod.shape[2] * prod.shape[3]) % x.field.p)
+        rhs.append(x.path_map(c, d).reshape(-1))
+    return np.concatenate(tensor, axis=2), np.concatenate(rhs)
 
 
 # decide's default for a rank-obstruction verdict it has not been given.
@@ -186,8 +170,9 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     triangle is built, so an exhausted budget costs only the two Hom bases.
     v and w must share their field and their number of axes.
 
-    The triangles give, for the enumerated coefficients c (length h) and the
-    other side's x (length k), one equation per row e:
+    The triangles (_triangle, one block of equations per distinct cell of
+    stepmodule._cells, not per point) give, for the enumerated coefficients
+    c (length h) and the other side's x (length k), one equation per row e:
     sum_ij c_i T[e, i, j] x_j = rhs_e.  The rows [T[e] | rhs_e] of the stacked
     system B (equations x (h*k + 1)) are reduced once; a candidate's
     augmented system [sum_i c_i T[:, i, :] | rhs] is B @ L(c) for a fixed

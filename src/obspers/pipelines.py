@@ -358,7 +358,7 @@ def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
     wmod = homology_module(bg, k, grid, p)
 
     def induced(src_hom, src_mod, dst_hom, dst_mod):
-        def comp(q, a_src, a_dst):
+        def comp(a_src, a_dst):
             if src_mod.dims[a_src] == 0:
                 return None
             rep, _ = src_hom.at(src_mod.grid.coords(a_src))

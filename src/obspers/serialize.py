@@ -12,8 +12,8 @@ from .calculus import Grid
 from .errors import ValidationError
 from .fields import PrimeField
 from .metric import INF, Interleaving
-from .pipelines import Bifiltration, FiniteMetricSpace, SimplicialComplex
-from .stepmodule import Morphism, StepModule, _index, _integer
+from .pipelines import Bifiltration, SimplicialComplex, metric_space
+from .stepmodule import Morphism, StepModule, _frac, _index, _integer
 
 FORMAT = "obspers/1"
 
@@ -25,9 +25,8 @@ def fr_to_str(q):
 
 
 def fr_from_str(s):
-    if s == "inf":
-        return INF
-    return Fraction(s)
+    """INF for "inf", else _frac's exact rational: a JSON float raises."""
+    return INF if s == "inf" else _frac(s)
 
 
 def _point_key(g):
@@ -193,9 +192,8 @@ def metric_to_json(m):
 
 def metric_from_json(doc):
     _expect_kind(doc, "metric-space")
-    return FiniteMetricSpace(
-        tuple(doc["points"]),
-        tuple(tuple(fr_from_str(x) for x in row) for row in doc["distances"]))
+    return metric_space(doc["points"],
+                        [[fr_from_str(x) for x in row] for row in doc["distances"]])
 
 
 def bifiltration_to_json(b):

@@ -75,7 +75,7 @@ def shift_factor_morphism(l, r, beta):
     if beta < max(gaps):
         raise ValidationError(f"need beta >= maximum grid gap {max(gaps)}, got {beta}")
     q_grid = l.grid
-    m = anchored_morphism(shift(l, r), l, beta, q_grid, lambda q, a, b: l.path_map(a, b))
+    m = anchored_morphism(shift(l, r), l, beta, q_grid, l.path_map)
     first = restrict_morphism(eta(l, r), q_grid)
     if first.target != m.source:
         raise ValidationError("composition endpoints differ as extensions")
@@ -152,31 +152,28 @@ def _sample_cell_summand(v, rng, eps):
     w = direct_sum(v, t)
     F = v.field
     e0 = eps / 4
-    # v's summand comes first in w, so v's eta_e0 is the top-left block
-    f_grid = union_grids(v.grid, w.grid.translate(-e0))
-    v_ends = v.grid.anchors_on(f_grid, e0)
+    # v's summand comes first in w, so v's eta_e0 is the top-left block; w's
+    # grid refines v's, so v's anchor of a point is v's anchor of w's anchor
+    on_v = v.grid.anchors_on(w.grid)
 
-    def f_comp(q, av, aw):
-        av2 = v_ends[q]
+    def f_comp(av, aw):
+        av2 = on_v[aw]
         if av2 is None:
             return None
         block = F.zeros(w.dims[aw], v.dims[av])
         block[: v.dims[av2], :] = v.path_map(av, av2)
         return block
 
-    f = anchored_morphism(v, w, e0, f_grid, f_comp)
-    g_grid = union_grids(w.grid, v.grid.translate(-e0))
-    v_starts = v.grid.anchors_on(g_grid)
-
-    def g_comp(q, aw, av2):
-        av = v_starts[q]
+    def g_comp(aw, av2):
+        av = on_v[aw]
         if av is None:
             return None
         block = F.zeros(v.dims[av2], w.dims[aw])
         block[:, : v.dims[av]] = v.path_map(av, av2)
         return block
 
-    gm = anchored_morphism(w, v, e0, g_grid, g_comp)
+    f = anchored_morphism(v, w, e0, union_grids(v.grid, w.grid.translate(-e0)), f_comp)
+    gm = anchored_morphism(w, v, e0, union_grids(w.grid, v.grid.translate(-e0)), g_comp)
     wit = verify(v, w, e0, f, gm)
     return w, wit, "added a strictly (eps/2)-trivial cell summand"
 

@@ -23,7 +23,9 @@ goes through _integer, so a float or a Fraction there is a ValidationError,
 never truncated.  Grid.anchors_on(target, delta) anchors a whole target grid
 (moved by +delta) at the cost of one bisect per target axis coordinate, on
 the keys, instead of one per point and axis, and maps each target index to
-its anchor index tuple (None below the grid).
+its anchor index tuple (None below the grid).  _cells gives each distinct
+tuple of anchors in several grids once, and holds the argument that one
+point per cell is exact.
 
 Endpoint checks in O(1).  restrict_extend records on its result the module
 it restricted, the result's source (any other module is its own source).
@@ -298,6 +300,33 @@ def union_grids(*grids):
             merged.update(keys if own == den else (k * (den // own) for k in keys))
         scaled.append((den, tuple(sorted(merged))))
     return Grid._from_keys(tuple(scaled))
+
+
+def _cells(grid, *ends):
+    """The tuples of anchors of the points of grid, one anchor per end (other,
+    delta): the anchor in other.grid of the point + delta, or None below it.
+
+    The cell argument.  Let grid refine other.grid - delta for every end.
+    Each anchor is then constant on each cell of grid, the half-open box
+    from a grid point up to the next coordinate on every axis, and below
+    grid every end with delta 0 is None too, so a module on such an end's
+    grid is zero there.  So an identity read off the anchors (a triangle, a
+    component of an anchored morphism, a persistent rank) holds on all of
+    R^n once it holds at one point per distinct tuple.  An anchor is taken
+    axis by axis, so the tuples are the product over axes of the distinct
+    per-axis tuples: one bisect per axis coordinate, and one tuple per
+    cell.  A tuple without None comes once; one with None may come more
+    than once.  Each end's anchors are one product over axes in that order,
+    and only an end that is None somewhere is checked for None per cell."""
+    per_axis = [list(dict.fromkeys(zip(*axis))) for axis in
+                zip(*(other.grid.anchor_indices(grid, delta) for other, delta in ends))]
+    columns = []
+    for e in range(len(ends)):
+        column = product(*([t[e] for t in axis] for axis in per_axis))
+        if any(t[e] is None for axis in per_axis for t in axis):
+            column = (None if None in a else a for a in column)
+        columns.append(column)
+    return zip(*columns)
 
 
 def _freeze(arr):

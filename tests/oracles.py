@@ -1,17 +1,18 @@
 """Independent oracles used by the test suite.
 
-Everything in this file except the last seven sections is deliberately written
+Everything in this file except the last nine sections is deliberately written
 against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-eight sections keep earlier code of the package itself as the reference for
+nine sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element linear
 combination, the per-element decide kernel, the dense Hom solver, the full
 factorization with the per-piece decomposition, the restricting endpoint
 checks and composite-building verify, the point-by-point Fitting split and
-isomorphism search, and the per-edge and per-point naturality check,
-composition, sum, submodule and persistent rank.
+isomorphism search, the per-edge and per-point naturality check,
+composition, sum, submodule and persistent rank, and the per-point anchored
+morphisms with the witnesses built on them.
 """
 
 from fractions import Fraction
@@ -688,9 +689,10 @@ def oracle_decompose(v, seed=0, budget=1 << 16):
 # modules to the common refinement (oracle_modules_match, here point by point
 # on the union of the Fraction coordinates), each triangle composite built
 # on the common refinement as compose_matched builds it, eta_2eps built on a
-# grid refining it, and the two compared by morphisms_match, which restricts
-# both once more.  The endpoint checks without a rebuild and the anchored
-# triangle check must give the same verdict and violations.
+# grid refining it, and the two compared by oracle_morphisms_match (once
+# calculus.morphisms_match), which restricts both once more.  The endpoint
+# checks without a rebuild and the anchored triangle check must give the
+# same verdict and violations.
 # ---------------------------------------------------------------------------
 
 def oracle_modules_match(a, b):
@@ -708,6 +710,22 @@ def oracle_modules_match(a, b):
             and all(np.array_equal(m, rb.steps[k]) for k, m in ra.steps.items()))
 
 
+def oracle_morphisms_match(m1, m2):
+    """True when the two morphisms agree as morphisms of extensions: both
+    restricted to the common refinement and their components compared."""
+    from obspers.calculus import restrict_morphism
+    from obspers.stepmodule import matrices_equal, union_grids
+
+    if m1.field != m2.field or m1.grid.n_axes != m2.grid.n_axes:
+        return False
+    u = union_grids(m1.grid, m2.grid)
+    r1 = restrict_morphism(m1, u)
+    r2 = restrict_morphism(m2, u)
+    if r1.source != r2.source or r1.target != r2.target:
+        return False
+    return matrices_equal(r1.comps, r2.comps, u.points())
+
+
 def oracle_compose_matched(m2, m1):
     """calculus.compose_matched with the per-point oracle_compose: both
     morphisms restricted to the common refinement, then composed."""
@@ -723,7 +741,7 @@ def oracle_compose_matched(m2, m1):
 
 
 def oracle_verify(v, w, eps, f, g):
-    from obspers.calculus import eta_on, morphisms_match, shift, shift_morphism
+    from obspers.calculus import eta_on, shift, shift_morphism
     from obspers.errors import ValidationError
     from obspers.metric import Interleaving
     from obspers.stepmodule import _frac, union_grids
@@ -748,7 +766,7 @@ def oracle_verify(v, w, eps, f, g):
                                        (g, f, w, "f[eps] o g != eta_2eps on W")):
             t = oracle_compose_matched(shift_morphism(second, eps), first)
             u = union_grids(t.grid, x.grid, x.grid.translate(-2 * eps))
-            if not morphisms_match(t, eta_on(x, 2 * eps, u)):
+            if not oracle_morphisms_match(t, eta_on(x, 2 * eps, u)):
                 out.append(f"triangle {name}")
     return Interleaving(eps, f, g, not out, tuple(out))
 
@@ -756,9 +774,9 @@ def oracle_verify(v, w, eps, f, g):
 def oracle_shift_factor_ok(l, m, first, beta):
     """The earlier shift_factor_morphism check: the composite m o first built
     by compose_matched against eta_beta on l's grid."""
-    from obspers.calculus import eta_on, morphisms_match
+    from obspers.calculus import eta_on
 
-    return morphisms_match(oracle_compose_matched(m, first), eta_on(l, beta, l.grid))
+    return oracle_morphisms_match(oracle_compose_matched(m, first), eta_on(l, beta, l.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -941,3 +959,105 @@ def oracle_persistent_rank(v, eps):
     ends = v.grid.anchors_on(grid, eps)
     return max((v.field.rank(oracle_path_map(v, a, ends[q]))
                 for q, a in v.grid.anchors_on(grid).items() if a is not None), default=0)
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier anchored morphisms: anchored_morphism with one comp
+# call per point of the grid, comp(q, a, b) given the point, a fresh zero
+# block at every point without both anchors, and the witnesses of smooth,
+# restriction_pair and the cell-summand sampler built on it as they were.
+# The per-cell anchored_morphism must give the same components.
+# ---------------------------------------------------------------------------
+
+def oracle_anchored_morphism(x, y, eps, grid, comp):
+    from obspers.calculus import restrict_extend, shift
+    from obspers.stepmodule import Morphism, _frac, _freeze
+
+    eps = _frac(eps)
+    source = restrict_extend(x, grid)
+    target = restrict_extend(shift(y, eps), grid)
+    ends = y.grid.anchors_on(grid, eps)
+    comps = {}
+    for q, a in x.grid.anchors_on(grid).items():
+        b = ends[q]
+        m = None if a is None or b is None else comp(q, a, b)
+        if m is None:
+            m = x.field.zeros(target.dims[q], source.dims[q])
+        comps[q] = _freeze(m)
+    return Morphism._trusted(source, target, comps)
+
+
+def oracle_smooth_f(v, res):
+    """smooth's f for the SmoothResult res of v, from the module and g of res."""
+    from obspers.errors import ValidationError
+    from obspers.stepmodule import union_grids
+
+    s, g, eps = res.module, res.g, res.eps
+    ambient = v.grid.anchors_on(s.grid, eps)
+
+    def comp(q, av, tg):
+        if s.dims[tg] == 0:
+            return None
+        x = v.field.solve(g.comps[tg], v.path_map(av, ambient[tg]))
+        if x is None:
+            raise ValidationError("smoothing component left the image subspace")
+        return x
+
+    return oracle_anchored_morphism(v, s, eps, union_grids(v.grid, s.grid.translate(-eps)), comp)
+
+
+def oracle_restriction_pair(v, q_grid, eps):
+    """restriction_pair's (f, g) onto q_grid."""
+    from obspers.calculus import restrict_extend
+    from obspers.errors import ValidationError
+    from obspers.stepmodule import union_grids
+
+    vq = restrict_extend(v, q_grid)
+    on_v = v.grid.anchors_on(q_grid)
+
+    def f_comp(qi, av, aq):
+        tv = on_v[aq]
+        if tv is None or any(x > y for x, y in zip(av, tv)):
+            raise ValidationError("q_grid is not eps-dense over the module; no density morphism")
+        return v.path_map(av, tv)
+
+    def g_comp(qi, aq, bv):
+        sv = on_v[aq]
+        return None if sv is None else v.path_map(sv, bv)
+
+    return (oracle_anchored_morphism(v, vq, eps, union_grids(v.grid, q_grid.translate(-eps)),
+                                     f_comp),
+            oracle_anchored_morphism(vq, v, eps, union_grids(q_grid, v.grid.translate(-eps)),
+                                     g_comp))
+
+
+def oracle_cell_summand_pair(v, w, e0):
+    """The cell-summand sampler's (f, g) between v and w = v (+) T at e0,
+    reading v's anchors per point of each morphism's grid."""
+    from obspers.stepmodule import union_grids
+
+    F = v.field
+    f_grid = union_grids(v.grid, w.grid.translate(-e0))
+    v_ends = v.grid.anchors_on(f_grid, e0)
+
+    def f_comp(q, av, aw):
+        av2 = v_ends[q]
+        if av2 is None:
+            return None
+        block = F.zeros(w.dims[aw], v.dims[av])
+        block[: v.dims[av2], :] = v.path_map(av, av2)
+        return block
+
+    g_grid = union_grids(w.grid, v.grid.translate(-e0))
+    v_starts = v.grid.anchors_on(g_grid)
+
+    def g_comp(q, aw, av2):
+        av = v_starts[q]
+        if av is None:
+            return None
+        block = F.zeros(v.dims[av2], w.dims[aw])
+        block[:, : v.dims[av]] = v.path_map(av, av2)
+        return block
+
+    return (oracle_anchored_morphism(v, w, e0, f_grid, f_comp),
+            oracle_anchored_morphism(w, v, e0, g_grid, g_comp))

@@ -215,6 +215,69 @@ def test_bifiltration_from_json_rejects_n_axes_that_is_not_an_integer():
         serialize.bifiltration_from_json(doc)
 
 
+def float_documents():
+    """(kind, document) for every kind whose decoder reads rationals, with one
+    JSON float where a rational goes."""
+    from obspers.pipelines import complex_from_simplices
+    v = library.constant_module(F2, Grid(((0, 1),)))
+    ident = identity_morphism(v)
+    module = serialize.module_to_json(v)
+    module["grid"][0][0] = 0.1
+    morphism = serialize.morphism_to_json(ident)
+    morphism["target"]["grid"][0][1] = 1.0
+    interleaving = serialize.interleaving_to_json(verify(v, v, 0, ident, ident))
+    interleaving["eps"] = 0.0
+    complex_doc = serialize.complex_to_json(complex_from_simplices([(0, 1)]), {0: (0,), 1: (1,)})
+    complex_doc["values"]["1"] = [0.5]
+    metric = serialize.metric_to_json(metric_space(["a", "b"], [[0, 1], [1, 0]]))
+    metric["distances"][0][1] = metric["distances"][1][0] = 1.5
+    pts = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    bifiltration = serialize.bifiltration_to_json(
+        degree_rips(metric_space(list(range(3)), pts), [1, 2], [1, 2]))
+    bifiltration["grades"][0][1][0][0] = 0.5
+    return [pytest.param(doc["kind"], doc, id=doc["kind"])
+            for doc in (module, morphism, interleaving, complex_doc, metric, bifiltration)]
+
+
+@pytest.mark.parametrize("kind,doc", float_documents())
+def test_json_floats_raise_in_every_decoder(tmp_path, kind, doc):
+    # Fraction(0.1) would read 3602879701896397/36028797018963968
+    with pytest.raises(ValidationError, match="is not an exact rational"):
+        serialize._DECODERS[kind](doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(serialize.dumps(doc))
+    code, out, err = run_cli(["validate", path])
+    assert (code, out) == (1, "") and err.startswith(f"error: {path}: "), err
+
+
+def test_cli_rejects_an_invalid_metric_space(tmp_path):
+    doc = serialize.metric_to_json(metric_space(["a", "b", "c"],
+                                                [[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+    doc["distances"][0][1] = "-1"
+    doc["distances"][1][2] = "3"
+    path = tmp_path / "bad_metric.json"
+    path.write_text(serialize.dumps(doc))
+    with pytest.raises(ValidationError, match="negative distance at .0,1."):
+        serialize.metric_from_json(doc)
+    for argv in (["degree-rips", "--radii", "1,2", "--degrees", "1,2", path,
+                  "--out", tmp_path / "rips"], ["validate", path]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: {path}: ") and "asymmetry at (1,2)" in err, argv
+
+
+def test_cli_homology_rejects_a_prime_that_is_not_small(tmp_path):
+    b = degree_rips(metric_space(list(range(3)), [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+                    [1, 2], [1, 2])
+    path = tmp_path / "rips.json"
+    serialize.write_json(path, serialize.bifiltration_to_json(b))
+    assert run_cli(["homology", "--dim", "0", "--prime", "3", path])[0] == 0
+    code, out, err = run_cli(["homology", "--dim", "0", "--prime", "4", path])
+    assert (code, out, err) == (1, "", "error: p must be a small prime, got 4\n")
+    with pytest.raises(ValidationError):
+        PrimeField(4)
+
+
 def test_cli_validate_interleaving_rechecks(tmp_path):
     v = library.constant_module(F2, Grid(((0, 1, 2), (0, 1, 2))))
     pair = discretize(v, 1)
