@@ -20,7 +20,12 @@ Gauss-Jordan elimination on Python integers or numpy rows, by size:
 
 The reduced row echelon form of a matrix is unique, so every path returns
 the same (rref, rank, pivots), and no caller can tell which one ran.
-`reduce_stack` reduces a stack of matrices in one numpy pass.
+`reduce_stack` reduces a stack of matrices in one numpy pass, a column at a
+time.  Over F_2, a stack of 2 to `_STACK_BITS` columns goes through the
+pass with each row packed into one int64, so that clearing a column is one
+XOR per row; any other stack goes through it on the (n, r, c) residues.
+Each slice ends in its reduced row echelon form either way, so both give the
+same bytes.
 """
 
 import functools
@@ -38,6 +43,16 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 # F_3 up to 256 (dense) to 1024 cells (sparse); over the benchmark's
 # recorded calls the total is flat within 1% from 32 to 128, lowest at 64.
 _LIST_CELLS = 64
+
+# reduce_stack packs the rows of an F_2 stack of at most this many columns
+# into one int64 each, every bit below the sign bit.  The packed pass takes
+# about a quarter of the time of the pass on residues on decide's
+# (24, 24, 14) chunks, and no more than it on every F_2 stack shape of two
+# or more columns the benchmark makes, down to (64, 2, 2) and (2, 1, 2).
+# A one-column stack has nothing to pack, and on iso_test's (n, 1, 1)
+# stacks the packed pass's gathers and scatters cost more (about 1.45 times
+# the time at n = 3712), so it stays on residues.
+_STACK_BITS = 62
 
 
 @functools.cache
@@ -83,6 +98,41 @@ def _reduce_bits(a):
     out[:len(pivots)] = np.unpackbits(np.frombuffer(data, np.uint8).reshape(-1, width),
                                       axis=1, count=cols, bitorder="little")
     return out, len(pivots), pivots
+
+
+def _reduce_stack_bits(a):
+    """reduce_stack over F_2 on rows packed into one int64 each, bit c
+    holding column c; a is a nonempty (n, r, cols) array of 0s and 1s with
+    2 to _STACK_BITS columns.
+
+    The pass is reduce_stack's: at column c, in every slice with a row at
+    or below its rank row that has bit c set, the first such row is the
+    pivot.  It is XORed into every row with bit c set, itself included,
+    which clears the column; the rank row, which lacks bit c unless it is
+    the pivot, then moves into the pivot's place and the pivot into the
+    rank row.  A slice without a pivot XORs 0 and swaps its rank row with
+    itself, so every step runs on the whole stack at once."""
+    n, r, cols = a.shape
+    x = a @ (1 << np.arange(cols, dtype=np.int64))
+    ranks = np.zeros(n, dtype=np.int64)
+    pivots = np.zeros((n, cols), dtype=bool)
+    rows, stack = np.arange(r), np.arange(n)
+    for c in range(cols):
+        has = (x & (1 << c)) != 0
+        live = has & (rows >= ranks[:, None])
+        first = live.argmax(axis=1)
+        found = live[stack, first]
+        if not found.any():
+            continue
+        pivot = x[stack, first] * found
+        x ^= has * pivot[:, None]
+        at = np.minimum(ranks, r - 1)
+        first = np.where(found, first, at)
+        x[stack, first] = x[stack, at]
+        x[stack, at] = np.where(found, pivot, x[stack, at])
+        pivots[:, c] = found
+        ranks += found
+    return (x[:, :, None] >> np.arange(cols)) & 1, ranks, pivots
 
 
 @dataclass(frozen=True)
@@ -249,11 +299,18 @@ class PrimeField:
         slice ends in reduced row echelon form, which is unique, so
         rref[i], ranks[i] and the columns where pivots[i] holds are exactly
         what reduce returns for a[i].
+
+        Over F_2, a nonempty stack of 2 to _STACK_BITS columns runs the same
+        pass on rows packed into one int64 each (_reduce_stack_bits).
+        It ends in the same unique reduced forms, so it returns the same
+        bytes, in the same dtypes and shapes.
         """
         a = np.mod(np.array(a, dtype=np.int64), self.p)
         if a.ndim != 3:
             raise ValueError(f"need a (n, r, c) stack, got shape {a.shape}")
         n, r, cols = a.shape
+        if self.p == 2 and a.size and 1 < cols <= _STACK_BITS:
+            return _reduce_stack_bits(a)
         inverses = np.array(_inverses(self.p), dtype=np.int64)
         ranks = np.zeros(n, dtype=np.int64)
         pivots = np.zeros((n, cols), dtype=bool)

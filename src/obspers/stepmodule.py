@@ -102,8 +102,13 @@ from .fields import PrimeField
 
 
 def _frac(x):
+    """x as a Fraction: a Fraction, an int or a string that Fraction reads.
+    A bool is an int to Python, but never a coordinate, so like a float it
+    is a ValidationError."""
     if isinstance(x, Fraction):
         return x
+    if type(x) is bool:
+        raise ValidationError(f"coordinate {x!r} is not an exact rational")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -114,7 +119,7 @@ def _frac(x):
 def _ratio(x):
     """(numerator, denominator) of the exact rational x, as _frac reads it; an
     int or a Fraction is read as it stands, without building a Fraction."""
-    if not isinstance(x, (int, Fraction)):
+    if type(x) is bool or not isinstance(x, (int, Fraction)):
         x = _frac(x)
     return x.numerator, x.denominator
 
@@ -335,12 +340,17 @@ def _freeze(arr):
 
 
 def _integer(x, what, *args):
-    """x as an int; anything that is not an integer (a float, a Fraction) is a
-    ValidationError naming what.format(*args), where int() would truncate."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValidationError(f"{what.format(*args)} must be an integer, not {x!r}") from None
+    """x as an int; anything that is not an integer (a float, a Fraction, a
+    bool) is a ValidationError naming what.format(*args), where int() would
+    truncate."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what.format(*args)} must be an integer, not {x!r}")
 
 
 def _index(g):

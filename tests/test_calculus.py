@@ -81,6 +81,16 @@ def test_shift_is_a_group_action_preserving_data():
     assert (br.lower, br.upper, br.exact) == (e, e, True)
 
 
+def test_shift_rejects_a_bool():
+    # True is an int to Python, and would shift by 1
+    v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
+    for eps in (True, False):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            shift(v, eps)
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            v.grid.translate(eps)
+
+
 @given(st.fractions(min_value=0, max_value=2, max_denominator=4),
        st.fractions(min_value=-1, max_value=5, max_denominator=8),
        st.fractions(min_value=-1, max_value=5, max_denominator=8))

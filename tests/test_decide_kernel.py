@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from obspers import library
 from obspers.errors import BudgetExceeded
-from obspers.fields import PrimeField
+from obspers.fields import _STACK_BITS, PrimeField
 from obspers.metric import _side, _triangle, candidate_set, decide, rank_obstruction_at
 from obspers.pipelines import degree_rips, homology_module, metric_space
 from obspers.stepmodule import _CHUNK_CELLS, Grid, direct_sum
@@ -115,7 +115,7 @@ def test_firing_rank_obstruction_matches_oracle():
         assert decide(a, b, 0) is None
 
 
-# -- compare-shaped inputs: degree-Rips H_0 of 4-point clouds and their jitters --
+# -- compare-shaped inputs: degree-Rips H_0 of 4- and 5-point clouds and their jitters
 
 RADII, DEGREES = (0, 1, 2, 3), (0, 1, 2)
 RIPS_GRID = Grid((RADII, tuple(-d for d in reversed(DEGREES))))
@@ -129,6 +129,10 @@ CLOUDS = {
                           [(1, 0), (2, 1), (2, 6), (3, 1)]),
     "h = 11": ([(2, 4), (2, 5), (3, 5), (5, 0)],
                [(1, 3), (2, 5), (2, 4), (6, 0)]),
+    # 5 points: at eps = 0 both Hom spaces have dimension 12 over F_2, and
+    # the first consistent candidate is in the 17th chunk
+    "h = 12, many chunks": ([(0, 1), (0, 4), (1, 5), (4, 0), (4, 2)],
+                            [(0, 1), (1, 5), (2, 5), (5, 0), (3, 2)]),
 }
 
 
@@ -176,6 +180,18 @@ def test_first_solvable_candidate_past_the_first_chunk(chunks):
     v, w = (rips_h0(points) for points in CLOUDS["past the first chunk"])
     assert decide(v, w, 0, budget=RIPS_BUDGET).verified
     assert len(chunks) >= 2 and not chunks[0][1].any() and chunks[-1][1].any()
+    assert_chunks_within_cap(chunks)
+    assert_same_decision(v, w, 0, RIPS_BUDGET)
+
+
+def test_first_solvable_candidate_several_chunks_into_an_h_12_scan(chunks):
+    v, w = (rips_h0(points) for points in CLOUDS["h = 12, many chunks"])
+    assert [len(_side(v, w, 0).rows), len(_side(w, v, 0).rows)] == [12, 12]
+    assert decide(v, w, 0, budget=RIPS_BUDGET).verified
+    hits = [i for i, (_, consistent) in enumerate(chunks) if consistent.any()]
+    assert hits == [len(chunks) - 1] and hits[0] >= 8
+    # every chunk before the last is full, and over F_2 the packed pass takes it
+    assert len({shape for shape, _ in chunks[:-1]}) == 1 and 1 < chunks[0][0][2] <= _STACK_BITS
     assert_chunks_within_cap(chunks)
     assert_same_decision(v, w, 0, RIPS_BUDGET)
 

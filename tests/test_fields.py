@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obspers import fields
 from obspers.errors import ValidationError
@@ -161,36 +161,41 @@ def test_consistent_matches_solve_and_oracle(p, n, rows, unknowns, kind, data):
 
 
 def test_consistent_edge_shapes():
-    F = PrimeField(3)
-    no_rows = np.zeros((2, 0, 3), dtype=np.int64)
-    assert consistent(F, no_rows).tolist() == [True, True]
-    no_unknowns = np.array([[[0], [0]], [[0], [2]]], dtype=np.int64)
-    assert consistent(F, no_unknowns).tolist() == [True, False]
-    assert_consistent_matches_solve(F, no_unknowns)
-    assert consistent(F, np.zeros((1, 3, 4), dtype=np.int64)).tolist() == [True]
-    assert consistent(F, np.zeros((0, 2, 3), dtype=np.int64)).shape == (0,)
-    # x + y = 1 and x + y = 0 have no common solution; dropping the second does
-    one = np.array([[[1, 1, 1], [1, 1, 0]]], dtype=np.int64)
-    assert consistent(F, one).tolist() == [False]
-    assert consistent(F, one[:, :1]).tolist() == [True]
-    # the pivot rows sit below rows that are zero in their column, in another
-    # order in each system of the stack
-    mixed = np.array([[[0, 0, 1], [0, 2, 1], [1, 0, 2], [1, 2, 0]],
-                      [[1, 0, 2], [0, 0, 0], [0, 2, 1], [1, 2, 0]]], dtype=np.int64)
-    assert_consistent_matches_solve(F, mixed)
-    assert consistent(F, mixed).tolist() == [False, True]
+    # t is 2 over F_3 and 1 over F_2, where the packed pass runs
+    for F in (PrimeField(3), PrimeField(2)):
+        t = F.p - 1
+        no_rows = np.zeros((2, 0, 3), dtype=np.int64)
+        assert consistent(F, no_rows).tolist() == [True, True]
+        no_unknowns = np.array([[[0], [0]], [[0], [t]]], dtype=np.int64)
+        assert consistent(F, no_unknowns).tolist() == [True, False]
+        assert_consistent_matches_solve(F, no_unknowns)
+        assert consistent(F, np.zeros((1, 3, 4), dtype=np.int64)).tolist() == [True]
+        assert consistent(F, np.zeros((0, 2, 3), dtype=np.int64)).shape == (0,)
+        # x + y = 1 and x + y = 0 have no common solution; dropping the second does
+        one = np.array([[[1, 1, 1], [1, 1, 0]]], dtype=np.int64)
+        assert consistent(F, one).tolist() == [False]
+        assert consistent(F, one[:, :1]).tolist() == [True]
+        # the pivot rows sit below rows that are zero in their column, in another
+        # order in each system of the stack
+        mixed = np.array([[[0, 0, 1], [0, t, 1], [1, 0, t], [1, t, 0]],
+                          [[1, 0, t], [0, 0, 0], [0, t, 1], [1, t, 0]]], dtype=np.int64)
+        assert_consistent_matches_solve(F, mixed)
+        assert consistent(F, mixed).tolist() == [False, True]
 
 
-def assert_reduce_stack_slices(F, a):
+def assert_reduce_stack_slices(F, a, oracle_every=1):
+    """reduce_stack(a) slice by slice against reduce, and every
+    oracle_every-th slice, the first and the last against oracle_rref."""
     rref, ranks, pivots = F.reduce_stack(a)
     n, _, c = a.shape
     assert rref.shape == a.shape and ranks.shape == (n,) and pivots.shape == (n, c)
-    assert pivots.dtype == bool
-    for m, got, rank, mask in zip(a, rref, ranks, pivots):
+    assert rref.dtype == ranks.dtype == np.int64 and pivots.dtype == bool
+    for i, (m, got, rank, mask) in enumerate(zip(a, rref, ranks, pivots)):
         want, want_rank, want_pivots = F.reduce(m)
         assert np.array_equal(got, want) and rank == want_rank
         assert np.flatnonzero(mask).tolist() == want_pivots
-        assert (got.tolist(), rank) == oracle_rref((m % F.p).tolist(), F.p)
+        if i % oracle_every == 0 or i == n - 1:
+            assert (got.tolist(), rank) == oracle_rref((m % F.p).tolist(), F.p)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 4), st.integers(0, 4), st.integers(0, 5),
@@ -208,18 +213,75 @@ def test_reduce_stack_matches_reduce_and_oracle(p, n, rows, cols, kind, data):
 
 
 def test_reduce_stack_edge_shapes():
-    F = PrimeField(3)
-    for shape in ((0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (1, 1, 1)):
-        assert_reduce_stack_slices(F, np.zeros(shape, dtype=np.int64))
-    # pivots found in other rows and columns in each matrix of the stack,
-    # entries given out of range
-    a = np.array([[[0, 0, 2], [0, 1, 1], [2, 0, 0]],
-                  [[1, 2, 0], [2, 1, 0], [0, 0, 0]],
-                  [[0, 0, 0], [0, 0, 0], [0, 5, -1]]], dtype=np.int64)
-    assert_reduce_stack_slices(F, a)
-    assert F.reduce_stack(a)[1].tolist() == [3, 1, 1]
-    with pytest.raises(ValueError):
-        F.reduce_stack(np.zeros((2, 3), dtype=np.int64))
+    # over F_2 the 2s are 0, and the packed pass takes the nonempty stacks of
+    # two or more columns
+    for F, ranks in ((PrimeField(3), [3, 1, 1]), (PrimeField(2), [1, 2, 1])):
+        for shape in ((0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (1, 1, 1)):
+            assert_reduce_stack_slices(F, np.zeros(shape, dtype=np.int64))
+        # pivots found in other rows and columns in each matrix of the stack,
+        # entries given out of range
+        a = np.array([[[0, 0, 2], [0, 1, 1], [2, 0, 0]],
+                      [[1, 2, 0], [2, 1, 0], [0, 0, 0]],
+                      [[0, 0, 0], [0, 0, 0], [0, 5, -1]]], dtype=np.int64)
+        assert_reduce_stack_slices(F, a)
+        assert F.reduce_stack(a)[1].tolist() == ranks
+        with pytest.raises(ValueError):
+            F.reduce_stack(np.zeros((2, 3), dtype=np.int64))
+
+
+# -- reduce_stack over F_2: rows packed into one int64, 2 to _STACK_BITS columns --
+
+def random_stack(n, rows, cols, kind, seed):
+    """An (n, rows, cols) stack over F_2 of the given kind, with entries out
+    of range: 0s and 1s plus random even numbers, some negative."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(n, rows, cols))
+    if kind == "sparse":
+        a[rng.random(a.shape) < 0.9] = 0
+    elif kind == "low rank":
+        k = int(rng.integers(0, 4))
+        a = rng.integers(0, 2, size=(n, rows, k)) @ rng.integers(0, 2, size=(n, k, cols))
+    elif kind == "zero":
+        a[:] = 0
+    elif kind in ("identity", "shuffled identity"):
+        a = np.broadcast_to(np.eye(rows, cols, dtype=np.int64), a.shape)
+        if kind == "shuffled identity":  # rows in another order in each slice
+            a = np.take_along_axis(a, rng.random((n, rows)).argsort(axis=1)[:, :, None], 1)
+    return a % 2 + 2 * rng.integers(-2, 3, size=a.shape)
+
+
+# the packing limit's neighbours, and every width to past a machine word
+stack_cols = st.one_of(st.sampled_from([1, 61, 62, 63, 64, 70]), st.integers(1, 70))
+stack_n = st.one_of(st.integers(1, 8), st.sampled_from([24, 400]))
+stack_kinds = st.sampled_from(["random", "sparse", "low rank", "zero", "identity",
+                               "shuffled identity"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_n, st.integers(1, 30), stack_cols, stack_kinds, st.integers(0, 2 ** 32 - 1))
+@example(400, 30, 62, "random", 1)
+@example(400, 30, 63, "random", 2)
+@example(400, 30, 64, "sparse", 3)
+@example(400, 30, 62, "shuffled identity", 4)
+@example(24, 24, 14, "low rank", 5)
+def test_packed_stack_matches_reduce_and_oracle(n, rows, cols, kind, seed):
+    F = PrimeField(2)
+    a = random_stack(n, rows, cols, kind, seed)
+    before = a.copy()
+    with patch.object(fields, "_reduce_stack_bits", wraps=fields._reduce_stack_bits) as packed:
+        got = F.reduce_stack(a)
+    assert packed.called == (1 < cols <= fields._STACK_BITS)
+    assert np.array_equal(a, before)
+    # the pass on residues gives the same bytes
+    with patch.object(fields, "_STACK_BITS", 0):
+        want = F.reduce_stack(a)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    assert_reduce_stack_slices(F, a, oracle_every=max(1, n // 8))
+    if kind == "zero":
+        assert not got[1].any()
+    elif kind.endswith("identity"):
+        assert got[1].tolist() == [min(rows, cols)] * n
 
 
 # -- reduce on every path: lists, packed F_2 bits and numpy columns -------------

@@ -250,6 +250,32 @@ def test_json_floats_raise_in_every_decoder(tmp_path, kind, doc):
     assert (code, out) == (1, "") and err.startswith(f"error: {path}: "), err
 
 
+def bool_documents():
+    """(document, message) params, each document with JSON bools where a
+    rational or an axis goes; Python reads true as the int 1 and false as 0."""
+    grid = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1),))))
+    grid["grid"] = [[False, True]]
+    metric = serialize.metric_to_json(metric_space(["a", "b"], [[0, 1], [1, 0]]))
+    metric["distances"] = [[False, True], [True, False]]
+    step = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1), (0, 1)))))
+    entry = next(e for e in step["steps"] if e["axis"] == 1)
+    entry["axis"] = True
+    return [pytest.param(doc, match, id=name) for name, doc, match in (
+        ("grid", grid, "not an exact rational"),
+        ("distances", metric, "not an exact rational"),
+        ("step axis", step, "axis of the step at .* must be an integer, not True"))]
+
+
+@pytest.mark.parametrize("doc,match", bool_documents())
+def test_json_bools_raise_where_numbers_go(tmp_path, doc, match):
+    with pytest.raises(ValidationError, match=match):
+        serialize._DECODERS[doc["kind"]](doc)
+    path = tmp_path / "bool.json"
+    path.write_text(serialize.dumps(doc))
+    code, out, err = run_cli(["validate", path])
+    assert (code, out) == (1, "") and err.startswith(f"error: {path}: "), err
+
+
 def test_cli_rejects_an_invalid_metric_space(tmp_path):
     doc = serialize.metric_to_json(metric_space(["a", "b", "c"],
                                                 [[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
