@@ -3,9 +3,25 @@ Degree-Rips constructions, and grid homology over a prime field.
 
 Grades are antichains of minimal entry points, one or more per simplex; a
 simplex is present at s when some grade is componentwise at most s.  The
-Degree-Rips degree axis is stored negated so both axes increase.
+Degree-Rips degree axis is stored negated so both axes increase.  Every
+grade coordinate is read through stepmodule._frac and n_axes through
+_integer, so a float or a bool grade is a ValidationError.
+
+Homology on grid indices.  homology_module never compares a grade with a
+grid coordinate at a grid point.  Each grade is bisected once onto the
+grid's integer keys (Grid._scaled): on an axis with denominator den and
+keys k_0 < k_1 < ..., a grade coordinate x lies at or below k_i / den
+exactly when x * den <= k_i, and as k_i is an integer, exactly when
+ceil(x * den) <= k_i.  So the grade is present at index i on that axis
+exactly when i >= c, its corner bisect_left(keys, ceil(x * den)), and at a
+grid index q exactly when q is componentwise at least its corner tuple; a
+corner equal to the axis length lies beyond the grid.  One boolean table
+per chain dimension, (grid shape) x simplices, holds every simplex's
+presence, and np.flatnonzero reads a point's simplices off it.  Each
+point's cycle representatives are built once, keyed by grid index.
 """
 
+import bisect
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -15,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import PrimeField
-from .stepmodule import StepModule, _frac, _integer
+from .stepmodule import StepModule, _frac, _freeze, _integer, _ratio, _zero
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,12 @@ class Bifiltration:
     complex: SimplicialComplex
     grades: dict
     n_axes: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_axes", _integer(self.n_axes, "n_axes"))
+        object.__setattr__(self, "grades", {
+            s: tuple(tuple(_frac(x) for x in g) for g in chain)
+            for s, chain in self.grades.items()})
 
     def present_at(self, simplex, s):
         return any(all(x <= y for x, y in zip(g, s))
@@ -242,48 +264,95 @@ def _boundary_matrix(F, rows_simplices, cols_simplices):
     return mat
 
 
-class _GradeHomology:
-    """Per-grade cycle representatives in global chain coordinates, plus the
-    boundary-spanning basis used to express incoming cycles."""
+def _corners(b, grid):
+    """{simplex: the corners on grid of its grades}, in b.grades order.  Per
+    axis a grade's corner is the first grid index whose coordinate is at
+    least the grade's, the axis length when there is none (the argument is
+    in the module docstring).  A simplex without grades gets the corner of
+    the grid's shape, which no grid index reaches.  A grade with another
+    number of coordinates than the grid has axes is a ValidationError."""
+    scaled, shape = grid._scaled, grid.shape
+    out = {}
+    for s, chain in b.grades.items():
+        corners = []
+        for g in chain:
+            if len(g) != len(scaled):
+                raise ValidationError(f"grade {g} of {s} has {len(g)} coordinates "
+                                      f"on a {len(scaled)}-axis grid")
+            corner = []
+            for (den, keys), x in zip(scaled, g):
+                n, d = _ratio(x)
+                corner.append(bisect.bisect_left(keys, -(-n * den // d)))
+            corners.append(tuple(corner))
+        out[s] = tuple(corners) or (shape,)
+    return out
 
-    def __init__(self, b, k, p):
-        self.b = b
+
+def _presence(grid, corners):
+    """The boolean table (grid shape) x simplices, True where the simplex is
+    present: corners holds, per simplex, the corners of its grades."""
+    shape = grid.shape
+    counts = [len(c) for c in corners]
+    flat = np.array([c for cs in corners for c in cs], dtype=np.intp).reshape(-1, len(shape))
+    hit = np.ones(shape + (len(flat),), dtype=bool)
+    for a, n in enumerate(shape):
+        axis = np.arange(n).reshape((1,) * a + (n,) + (1,) * (len(shape) - a))
+        hit &= axis >= flat[:, a]
+    if len(flat) == len(corners):
+        return hit
+    starts = np.cumsum([0] + counts[:-1])
+    return np.logical_or.reduceat(hit, starts, axis=-1)
+
+
+class _GradeHomology:
+    """Per grid index, cycle representatives of H_k in global chain
+    coordinates, plus the boundary-spanning basis used to express incoming
+    cycles.  Building it warns when some simplex has no grade on the grid."""
+
+    def __init__(self, b, k, grid, p):
         self.k = k
         self.F = PrimeField(p)
+        self.grid = grid
+        corners = _corners(b, grid)
+        shape = grid.shape
+        for s, cs in corners.items():
+            if not any(all(c < n for c, n in zip(corner, shape)) for corner in cs):
+                warnings.warn(
+                    f"grade of {s} lies beyond the grid; module truncated")
+                break
         self.simp_k = b.complex.of_dim(k)
         self.simp_lo = b.complex.of_dim(k - 1) if k > 0 else []
         self.simp_hi = b.complex.of_dim(k + 1)
         self.full_lo = _boundary_matrix(self.F, self.simp_lo, self.simp_k)
         self.full_hi = _boundary_matrix(self.F, self.simp_k, self.simp_hi)
+        self.lo, self.mid, self.hi = (
+            _presence(grid, [corners[s] for s in simp])
+            for simp in (self.simp_lo, self.simp_k, self.simp_hi))
         self.cache = {}
 
-    def at(self, coords):
-        """(reps, span) at the given coordinates: reps columns generate H_k,
+    def at(self, q):
+        """(reps, span) at the grid index q: reps columns generate H_k,
         span = [boundary basis | reps] spans the cycle space."""
-        key = tuple(coords)
-        if key in self.cache:
-            return self.cache[key]
+        out = self.cache.get(q)
+        if out is not None:
+            return out
         F = self.F
         nk = len(self.simp_k)
-        idx_k = [i for i, s in enumerate(self.simp_k)
-                 if self.b.present_at(s, coords)]
-        if not idx_k:
-            out = (F.zeros(nk, 0), F.zeros(nk, 0))
-            self.cache[key] = out
+        idx_k = np.flatnonzero(self.mid[q])
+        if not len(idx_k):
+            out = self.cache[q] = (F.zeros(nk, 0), F.zeros(nk, 0))
             return out
         if self.k == 0:
             kern_local = F.identity(len(idx_k))
         else:
-            idx_lo = [i for i, s in enumerate(self.simp_lo)
-                      if self.b.present_at(s, coords)]
-            local = (self.full_lo[np.ix_(idx_lo, idx_k)] if idx_lo
+            idx_lo = np.flatnonzero(self.lo[q])
+            local = (self.full_lo[np.ix_(idx_lo, idx_k)] if len(idx_lo)
                      else F.zeros(0, len(idx_k)))
             kern_local = F.kernel_basis(local)
         kern = F.zeros(nk, kern_local.shape[1])
         kern[idx_k, :] = kern_local
-        idx_hi = [i for i, s in enumerate(self.simp_hi)
-                  if self.b.present_at(s, coords)]
-        if idx_hi:
+        idx_hi = np.flatnonzero(self.hi[q])
+        if len(idx_hi):
             bd = F.zeros(nk, len(idx_hi))
             bd[idx_k, :] = self.full_hi[np.ix_(idx_k, idx_hi)]
             bd = F.column_space_basis(bd)
@@ -293,56 +362,53 @@ class _GradeHomology:
         _, _, pivots = F.reduce(stacked)
         chosen = [j - bd.shape[1] for j in pivots if j >= bd.shape[1]]
         rep = kern[:, chosen] if chosen else F.zeros(nk, 0)
-        out = (rep, np.concatenate([bd, rep], axis=1))
-        self.cache[key] = out
+        out = self.cache[q] = (rep, np.concatenate([bd, rep], axis=1))
         return out
 
-    def express(self, coords, cycles):
+    def express(self, q, cycles):
         """Coordinates of the given global cycle columns in the homology
-        basis at coords; None when some column is not a cycle there."""
-        rep, span = self.at(coords)
+        basis at the grid index q, as a read-only matrix; None when some
+        column is not a cycle there."""
+        rep, span = self.at(q)
         d = rep.shape[1]
         if cycles.shape[1] == 0 or span.shape[1] == 0:
             if span.shape[1] == 0 and cycles.size and np.any(cycles):
                 return None
-            return self.F.zeros(d, cycles.shape[1])
+            return _zero((d, cycles.shape[1]))
         sol = self.F.solve(span, cycles)
         if sol is None:
             return None
-        return sol[span.shape[1] - d:, :] % self.F.p
+        return _freeze(sol[span.shape[1] - d:, :] % self.F.p)
+
+    def module(self):
+        """The StepModule of H_k on the grid: dims from the representatives,
+        steps by expressing each point's representatives at its successor."""
+        grid = self.grid
+        dims = {g: self.at(g)[0].shape[1] for g in grid.points()}
+        steps = {}
+        for (g, axis), h in grid.edges.items():
+            comp = self.express(h, self.at(g)[0])
+            if comp is None:
+                raise ValidationError(
+                    "induced map solve failed; bifiltration is not monotone")
+            steps[(g, axis)] = comp
+        return StepModule._trusted(self.F, grid, dims, steps)
 
 
 def homology_module(b, k, grid, p):
     """dims(g) = dim H_k of the subcomplex present at g over F_p; steps are
     the inclusion-induced maps, computed by expressing image cycles in a
-    boundary-plus-representative basis."""
-    top = grid.max_corner()
-    for s, chain in b.grades.items():
-        if not any(all(x <= t for x, t in zip(g, top)) for g in chain):
-            warnings.warn(
-                f"grade of {s} lies beyond the grid; module truncated")
-            break
-    hom = _GradeHomology(b, k, p)
-    F = hom.F
-    dims = {}
-    for g in grid.points():
-        rep, _ = hom.at(grid.coords(g))
-        dims[g] = rep.shape[1]
-    steps = {}
-    for (g, axis), h in grid.edges.items():
-        rep_g, _ = hom.at(grid.coords(g))
-        comp = hom.express(grid.coords(h), rep_g)
-        if comp is None:
-            raise ValidationError(
-                "induced map solve failed; bifiltration is not monotone")
-        steps[(g, axis)] = comp
-    return StepModule(F, grid, dims, steps)
+    boundary-plus-representative basis.  Warns when some simplex has no
+    grade on the grid."""
+    return _GradeHomology(b, k, grid, p).module()
 
 
 def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
     """Homology modules of two sublevel filtrations whose vertex values differ
     by at most eta in sup norm, with the explicit inclusion-induced
-    eta-interleaving between them (returned as a verified Interleaving)."""
+    eta-interleaving between them (returned as a verified Interleaving).
+    Each filtration's homology is computed once, on grid, and the
+    interleaving reads its representatives by grid index."""
     from .calculus import anchored_morphism, union_grids
     from .metric import verify
     eta = _frac(eta)
@@ -352,17 +418,16 @@ def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
               for v in cx.vertices for i in range(bf.n_axes))
     if gap > eta:
         raise ValidationError(f"vertex values differ by {gap} > eta = {eta}")
-    hom_f = _GradeHomology(bf, k, p)
-    hom_g = _GradeHomology(bg, k, p)
-    vmod = homology_module(bf, k, grid, p)
-    wmod = homology_module(bg, k, grid, p)
+    hom_f = _GradeHomology(bf, k, grid, p)
+    hom_g = _GradeHomology(bg, k, grid, p)
+    vmod, wmod = hom_f.module(), hom_g.module()
+    m_grid = union_grids(grid, grid.translate(-eta))
 
     def induced(src_hom, src_mod, dst_hom, dst_mod):
         def comp(a_src, a_dst):
             if src_mod.dims[a_src] == 0:
                 return None
-            rep, _ = src_hom.at(src_mod.grid.coords(a_src))
-            out = dst_hom.express(dst_mod.grid.coords(a_dst), rep)
+            out = dst_hom.express(a_dst, src_hom.at(a_src)[0])
             if out is None:
                 raise ValidationError(
                     "perturbed cycle not representable at the anchored grade; "
@@ -370,7 +435,6 @@ def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
                     "anchoring rounds the eta-shift away")
             return out
 
-        m_grid = union_grids(src_mod.grid, dst_mod.grid.translate(-eta))
         return anchored_morphism(src_mod, dst_mod, eta, m_grid, comp)
 
     fmor = induced(hom_f, vmod, hom_g, wmod)

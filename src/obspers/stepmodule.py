@@ -102,15 +102,16 @@ from .fields import PrimeField
 
 
 def _frac(x):
-    """x as a Fraction: a Fraction, an int or a string that Fraction reads.
-    A bool is an int to Python, but never a coordinate, so like a float it
-    is a ValidationError."""
+    """x as a Fraction: a Fraction, an int, a numpy integer or a string that
+    Fraction reads.  A numpy integer is read through operator.index, so the
+    Fraction holds Python ints.  A bool is an int to Python, but never a
+    coordinate, so like a float (numpy's too) it is a ValidationError."""
     if isinstance(x, Fraction):
         return x
     if type(x) is bool:
         raise ValidationError(f"coordinate {x!r} is not an exact rational")
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (int, np.integer)):
+        return Fraction(operator.index(x))
     if isinstance(x, str):
         return Fraction(x)
     raise ValidationError(f"coordinate {x!r} is not an exact rational")

@@ -1,18 +1,19 @@
 """Independent oracles used by the test suite.
 
-Everything in this file except the last nine sections is deliberately written
+Everything in this file except the last ten sections is deliberately written
 against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-nine sections keep earlier code of the package itself as the reference for
+ten sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element linear
 combination, the per-element decide kernel, the dense Hom solver, the full
 factorization with the per-piece decomposition, the restricting endpoint
 checks and composite-building verify, the point-by-point Fitting split and
 isomorphism search, the per-edge and per-point naturality check,
-composition, sum, submodule and persistent rank, and the per-point anchored
-morphisms with the witnesses built on them.
+composition, sum, submodule and persistent rank, the per-point anchored
+morphisms with the witnesses built on them, and grid homology on rational
+coordinates through Bifiltration.present_at.
 """
 
 from fractions import Fraction
@@ -1061,3 +1062,158 @@ def oracle_cell_summand_pair(v, w, e0):
 
     return (oracle_anchored_morphism(v, w, e0, f_grid, f_comp),
             oracle_anchored_morphism(w, v, e0, g_grid, g_comp))
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier grid homology: presence decided by
+# Bifiltration.present_at at each point's rational coordinates, a cache keyed
+# by those coordinates, the public StepModule constructor, and a
+# vertex_perturbation_pair that builds each filtration's homology twice.
+# homology_module and vertex_perturbation_pair must give the same bytes.
+# ---------------------------------------------------------------------------
+
+class OracleGradeHomology:
+    """Per-grade cycle representatives in global chain coordinates, plus the
+    boundary-spanning basis used to express incoming cycles."""
+
+    def __init__(self, b, k, p):
+        from obspers.fields import PrimeField
+        from obspers.pipelines import _boundary_matrix
+
+        self.b = b
+        self.k = k
+        self.F = PrimeField(p)
+        self.simp_k = b.complex.of_dim(k)
+        self.simp_lo = b.complex.of_dim(k - 1) if k > 0 else []
+        self.simp_hi = b.complex.of_dim(k + 1)
+        self.full_lo = _boundary_matrix(self.F, self.simp_lo, self.simp_k)
+        self.full_hi = _boundary_matrix(self.F, self.simp_k, self.simp_hi)
+        self.cache = {}
+
+    def at(self, coords):
+        """(reps, span) at the given coordinates: reps columns generate H_k,
+        span = [boundary basis | reps] spans the cycle space."""
+        import numpy as np
+
+        key = tuple(coords)
+        if key in self.cache:
+            return self.cache[key]
+        F = self.F
+        nk = len(self.simp_k)
+        idx_k = [i for i, s in enumerate(self.simp_k)
+                 if self.b.present_at(s, coords)]
+        if not idx_k:
+            out = (F.zeros(nk, 0), F.zeros(nk, 0))
+            self.cache[key] = out
+            return out
+        if self.k == 0:
+            kern_local = F.identity(len(idx_k))
+        else:
+            idx_lo = [i for i, s in enumerate(self.simp_lo)
+                      if self.b.present_at(s, coords)]
+            local = (self.full_lo[np.ix_(idx_lo, idx_k)] if idx_lo
+                     else F.zeros(0, len(idx_k)))
+            kern_local = F.kernel_basis(local)
+        kern = F.zeros(nk, kern_local.shape[1])
+        kern[idx_k, :] = kern_local
+        idx_hi = [i for i, s in enumerate(self.simp_hi)
+                  if self.b.present_at(s, coords)]
+        if idx_hi:
+            bd = F.zeros(nk, len(idx_hi))
+            bd[idx_k, :] = self.full_hi[np.ix_(idx_k, idx_hi)]
+            bd = F.column_space_basis(bd)
+        else:
+            bd = F.zeros(nk, 0)
+        stacked = np.concatenate([bd, kern], axis=1)
+        _, _, pivots = F.reduce(stacked)
+        chosen = [j - bd.shape[1] for j in pivots if j >= bd.shape[1]]
+        rep = kern[:, chosen] if chosen else F.zeros(nk, 0)
+        out = (rep, np.concatenate([bd, rep], axis=1))
+        self.cache[key] = out
+        return out
+
+    def express(self, coords, cycles):
+        """Coordinates of the given global cycle columns in the homology
+        basis at coords; None when some column is not a cycle there."""
+        import numpy as np
+
+        rep, span = self.at(coords)
+        d = rep.shape[1]
+        if cycles.shape[1] == 0 or span.shape[1] == 0:
+            if span.shape[1] == 0 and cycles.size and np.any(cycles):
+                return None
+            return self.F.zeros(d, cycles.shape[1])
+        sol = self.F.solve(span, cycles)
+        if sol is None:
+            return None
+        return sol[span.shape[1] - d:, :] % self.F.p
+
+
+def oracle_homology_module(b, k, grid, p):
+    import warnings
+
+    from obspers.errors import ValidationError
+    from obspers.stepmodule import StepModule
+
+    top = grid.max_corner()
+    for s, chain in b.grades.items():
+        if not any(all(x <= t for x, t in zip(g, top)) for g in chain):
+            warnings.warn(
+                f"grade of {s} lies beyond the grid; module truncated")
+            break
+    hom = OracleGradeHomology(b, k, p)
+    F = hom.F
+    dims = {}
+    for g in grid.points():
+        rep, _ = hom.at(grid.coords(g))
+        dims[g] = rep.shape[1]
+    steps = {}
+    for (g, axis), h in grid.edges.items():
+        rep_g, _ = hom.at(grid.coords(g))
+        comp = hom.express(grid.coords(h), rep_g)
+        if comp is None:
+            raise ValidationError(
+                "induced map solve failed; bifiltration is not monotone")
+        steps[(g, axis)] = comp
+    return StepModule(F, grid, dims, steps)
+
+
+def oracle_vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
+    from obspers.calculus import anchored_morphism, union_grids
+    from obspers.errors import ValidationError
+    from obspers.metric import verify
+    from obspers.pipelines import sublevel_bifiltration
+    from obspers.stepmodule import _frac
+
+    eta = _frac(eta)
+    bf = sublevel_bifiltration(cx, f_values)
+    bg = sublevel_bifiltration(cx, g_values)
+    gap = max(abs(_frac(f_values[v][i]) - _frac(g_values[v][i]))
+              for v in cx.vertices for i in range(bf.n_axes))
+    if gap > eta:
+        raise ValidationError(f"vertex values differ by {gap} > eta = {eta}")
+    hom_f = OracleGradeHomology(bf, k, p)
+    hom_g = OracleGradeHomology(bg, k, p)
+    vmod = oracle_homology_module(bf, k, grid, p)
+    wmod = oracle_homology_module(bg, k, grid, p)
+
+    def induced(src_hom, src_mod, dst_hom, dst_mod):
+        def comp(a_src, a_dst):
+            if src_mod.dims[a_src] == 0:
+                return None
+            rep, _ = src_hom.at(src_mod.grid.coords(a_src))
+            out = dst_hom.express(dst_mod.grid.coords(a_dst), rep)
+            if out is None:
+                raise ValidationError(
+                    "perturbed cycle not representable at the anchored grade; "
+                    "the grid must resolve eta (eta-spaced ticks), otherwise "
+                    "anchoring rounds the eta-shift away")
+            return out
+
+        m_grid = union_grids(src_mod.grid, dst_mod.grid.translate(-eta))
+        return anchored_morphism(src_mod, dst_mod, eta, m_grid, comp)
+
+    fmor = induced(hom_f, vmod, hom_g, wmod)
+    gmor = induced(hom_g, wmod, hom_f, vmod)
+    wit = verify(vmod, wmod, eta, fmor, gmor)
+    return vmod, wmod, wit

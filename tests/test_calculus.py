@@ -91,6 +91,26 @@ def test_shift_rejects_a_bool():
             v.grid.translate(eps)
 
 
+def test_numpy_integers_are_exact_coordinates():
+    # a numpy integer is exact, and reads as the Python int it holds
+    v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
+    for eps in (np.int64(1), np.int32(-2), np.uint8(3)):
+        assert shift(v, eps).grid == shift(v, int(eps)).grid
+        assert v.grid.translate(eps) == v.grid.translate(int(eps))
+    grid = Grid(((np.int64(0), np.int64(1)), (np.int8(-1), 2)))
+    assert grid == Grid(((0, 1), (-1, 2)))
+    assert all(type(c.numerator) is int for axis in grid.axes for c in axis)
+
+
+def test_numpy_bools_and_floats_are_not_coordinates():
+    v = library.constant_module(F2, Grid(((0, 1), (0, 1))))
+    for bad in (np.bool_(True), np.float64(1.0), np.float32(0.5), 1.0):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            shift(v, bad)
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            Grid(((0, bad),))
+
+
 @given(st.fractions(min_value=0, max_value=2, max_denominator=4),
        st.fractions(min_value=-1, max_value=5, max_denominator=8),
        st.fractions(min_value=-1, max_value=5, max_denominator=8))

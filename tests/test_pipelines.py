@@ -105,6 +105,29 @@ def test_sublevel_hollow_triangle_matches_enumeration():
         assert got == expect
 
 
+def test_bifiltration_reads_grades_as_exact_rationals():
+    cx = complex_from_simplices([(0, 1)])
+    b = Bifiltration(cx, {(0,): ((0, 0),), (1,): (("1/2", np.int64(0)),), (0, 1): ((1, 1),)},
+                     np.int64(2))
+    assert b.grades[(1,)] == ((Fraction(1, 2), 0),) and type(b.n_axes) is int
+    assert all(type(x) is Fraction for chain in b.grades.values() for g in chain for x in g)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, np.float64(0.5), np.bool_(True)])
+def test_bifiltration_rejects_float_and_bool_grades(bad):
+    # a float would be computed with as its binary expansion, and True as 1
+    cx = complex_from_simplices([(0, 1)])
+    with pytest.raises(ValidationError, match="not an exact rational"):
+        Bifiltration(cx, {(0,): ((0, 0),), (1,): ((bad, 0),), (0, 1): ((1, 1),)}, 2)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, np.bool_(True)])
+def test_bifiltration_rejects_n_axes_that_is_not_an_integer(bad):
+    cx = complex_from_simplices([(0,)])
+    with pytest.raises(ValidationError, match="n_axes must be an integer"):
+        Bifiltration(cx, {(0,): ((0, 0),)}, bad)
+
+
 def test_sublevel_rejects_bad_values():
     cx = hollow_triangle()
     with pytest.raises(ValidationError):
