@@ -7,10 +7,12 @@ random grid in [0, 4]^2 with N ticks per axis (quarter steps, as
 library.random_grid draws them), applies discretize and smooth at eps = 1,
 1/2 and 1/4, and checks each interleaving with metric.verify.  Prints one
 JSON line: the seconds the six constructions and their checks took, the
-seconds verify took of them, the module's total dimension, and a sha256
-digest of the grids and dims of the six results in canonical JSON, which
-stays the same as long as the output does.  Exits 1 when a witness does not
-verify.
+seconds verify took of them, the number of generator grades of the module
+and of the six results (the points where verify compares the two sides of
+a triangle, which its cost follows), the module's total dimension, and a
+sha256 digest of the grids and dims of the six results in canonical JSON,
+which stays the same as long as the output does.  Exits 1 when a witness
+does not verify.
 
     python3 scripts/run_verify_point.py --ticks 8
 """
@@ -59,7 +61,9 @@ def main():
     docs = [module_to_json(m) for m in results]
     data = json.dumps([{"grid": d["grid"], "dims": d["dims"]} for d in docs], sort_keys=True)
     print(json.dumps({"ticks": args.ticks, "seconds": round(seconds, 3),
-                      "verify_s": round(verify_s, 3), "total_dim": v.total_dim,
+                      "verify_s": round(verify_s, 3),
+                      "generators": sum(len(m._generators) for m in [v, *results]),
+                      "total_dim": v.total_dim,
                       "sha256": hashlib.sha256(data.encode()).hexdigest()}))
     for line in failed:
         print(f"witness does not verify: {line}", file=sys.stderr)

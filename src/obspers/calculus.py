@@ -78,21 +78,39 @@ def anchored_morphism(x, y, eps, grid, comp):
     return Morphism._trusted(source, target, comps)
 
 
-def _triangle_holds(first, second, x, s, total, grid):
-    """True when second[s] o first and eta_total on x, restricted-extended to
-    grid, have equal components, for first's target equal to second[s]'s
-    source on grid and total >= 0.  Builds no module or morphism.
+def _generator_anchors(first, second, x, s, total):
+    """(q, a, b, d) for each generator grade q of x (StepModule._generators):
+    a the anchor of q in first's grid, b that of q + s in second's grid and
+    d that of q + total in x's grid, each None below its grid."""
+    ends = [other.grid.anchor_indices(x.grid, delta)
+            for other, delta in ((first, 0), (second, s), (x, total))]
+    for q in x._generators:
+        anchors = (tuple(axis[i] for axis, i in zip(end, q)) for end in ends)
+        yield q, *(None if None in t else t for t in anchors)
 
-    At a point q of grid the left side is second's component at b, the
-    anchor of q + s, times first's at a, the anchor of q, and the right side
-    is x's structure map from c, the anchor of q, to d, the anchor of
-    q + total.  Each distinct tuple (a, b, c, d) of stepmodule._cells is
-    compared once.  Below x's grid (c None) the block has no columns; where
-    a or b is None the left side is zero, so eta must be zero too."""
-    for a, b, c, d in _cells(grid, (first, 0), (second, s), (x, 0), (x, total)):
-        if c is None:
-            continue
-        want = x.path_map(c, d)
+
+def _triangle_holds(first, second, x, s, total):
+    """True when second[s] o first and eta_total on x agree, for x a module
+    (it passes validate), first and second natural, first's source equal to
+    x and its target to second[s]'s source as extensions, and total >= 0.
+    Builds no module or morphism.
+
+    The generator argument.  Both sides are then natural maps ext(x) ->
+    ext(x)[total].  At a grid index of x that is not a generator grade
+    (StepModule._generators), x's space is spanned by the images of its
+    predecessors' spaces under the unit steps into it, and two natural maps
+    that agree at the predecessors agree on those images.  By induction in
+    lexicographic order they agree at every grid index once they agree at
+    the generator grades.  Off the grid a point's space is its anchor's
+    under an identity structure map, or 0 below the grid, so naturality
+    carries the agreement to all of R^n.
+
+    At a generator grade q (_generator_anchors) the left side is second's
+    component at b times first's at a, and the right side is x's structure
+    map from q to d.  Where a or b is None the left side is zero, so eta
+    must be zero too."""
+    for q, a, b, d in _generator_anchors(first, second, x, s, total):
+        want = x.path_map(q, d)
         if a is None or b is None:
             if np.any(want):
                 return False

@@ -19,9 +19,10 @@ from numbers import Rational
 
 import numpy as np
 
-from .calculus import _triangle_holds, modules_match, restrict_extend, shift
+from .calculus import (_generator_anchors, _triangle_holds, modules_match,
+                       restrict_extend, shift)
 from .errors import BudgetExceeded, ValidationError
-from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _cells, _frac,
+from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac,
                          coefficient_vectors, hom_rows, linear_combination, union_grids,
                          validate_morphism)
 
@@ -72,11 +73,22 @@ class Interleaving:
     violations: tuple = ()
 
 
+def _not_modules(v, w):
+    """"V is not a module" and "W is not a module", each with the first
+    violation validate finds, for those of v and w that fail it."""
+    return [f"{name} is not a module: {x._violations[0]}"
+            for name, x in (("V", v), ("W", w)) if x._violations]
+
+
 def verify(v, w, eps, f, g):
-    """Check shapes, naturality and both triangle identities exactly.
+    """Check that V and W are modules, then shapes, naturality and both
+    triangle identities exactly.
 
     Returns an Interleaving whose verified flag is the outcome; violations
-    name the first failing constraint of each kind.
+    name the first failing constraint of each kind.  A module that fails
+    validate is named first ("V is not a module: square at ... does not
+    commute"), and no triangle is checked then: eta is natural only on a
+    module, and the triangle check below needs it.
 
     The endpoint checks are O(1) where an endpoint is a restriction of the
     module it should match (or of a shift copy of it) onto a grid that
@@ -85,19 +97,21 @@ def verify(v, w, eps, f, g):
     the same data (see calculus.modules_match).  Other endpoints are
     restricted and compared.
 
-    The triangles are checked once the four endpoints match and f and g are
-    natural, and without building a composite.  Take g[eps] o f = eta_2eps
-    on V; the other triangle swaps the roles.  The matching endpoints give
-    both sides the same spaces in the same bases at every point q:
-    V(q) -> V(q + 2eps).  On u, the common refinement of f's grid,
-    g's grid - eps, V's grid and V's grid - 2eps, calculus._triangle_holds
-    compares them once per distinct tuple of anchors (stepmodule._cells
-    holds the argument that this is exact).
+    The triangles are checked once V and W are modules, the four endpoints
+    match and f and g are natural, and without building a composite.  Take
+    g[eps] o f = eta_2eps on V; the other triangle swaps the roles.  Both
+    sides are then natural maps ext(V) -> ext(V)[2eps], and two natural maps
+    out of V agree as soon as they agree at its generator grades, the grid
+    indices where V is not spanned by the images of its predecessors
+    (StepModule._generators).  So calculus._triangle_holds compares g's
+    component at the anchor of q + eps times f's at the anchor of q with V's
+    structure map from q to the anchor of q + 2eps at those grades q only,
+    which is exact (its docstring holds the argument).
     """
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("interleaving eps must be >= 0")
-    out = []
+    out = _not_modules(v, w)
     if not modules_match(f.source, v):
         out.append("f's source is not V")
     if not modules_match(f.target, shift(w, eps)):
@@ -112,9 +126,7 @@ def verify(v, w, eps, f, g):
     if not out:
         for first, second, x, name in ((f, g, v, "g[eps] o f != eta_2eps on V"),
                                        (g, f, w, "f[eps] o g != eta_2eps on W")):
-            u = union_grids(first.grid, second.grid.translate(-eps),
-                            x.grid, x.grid.translate(-2 * eps))
-            if not _triangle_holds(first, second, x, eps, 2 * eps, u):
+            if not _triangle_holds(first, second, x, eps, 2 * eps):
                 out.append(f"triangle {name}")
     return Interleaving(eps, f, g, not out, tuple(out))
 
@@ -132,27 +144,31 @@ def _side(x, y, eps):
 
 
 def _triangle(first, second, eps):
-    """The triangle second[eps] o first = eta_2eps on first.module, in
-    coordinates on the common grid u: tensor[i, j] flattens second_j[eps] o
-    first_i over the two bases, and rhs flattens eta_2eps, one block per
-    distinct tuple (a, b, c, d) of stepmodule._cells, as in
+    """The triangle second[eps] o first = eta_2eps on x = first.module, in
+    coordinates: tensor[i, j] flattens second_j[eps] o first_i over the two
+    bases, and rhs flattens eta_2eps, one block per generator grade q of x
+    with its anchors a, b and d (calculus._generator_anchors), as in
     calculus._triangle_holds.  The left block is the product of the basis
     components at a and b, each stacked as one (h, r, c) view of the side's
-    rows, so one product serves all basis pairs; the right block is
-    first.module's structure map from c to d.  Where c is None both are
-    empty; elsewhere a and b are not None, as the sides' grids refine
-    first.module's and its translate by -eps."""
-    u = union_grids(first.grid, second.grid.translate(-eps))
+    rows, so one product serves all basis pairs; the right block is x's
+    structure map from q to d.  a and b are never None, as the sides' grids
+    refine x's grid and its translate by -eps.
+
+    The blocks at the other points of the common grid are left out, and the
+    system keeps its row space.  For any coefficients (z, z0), sum_ij z_ij
+    second_j[eps] o first_i - z0 eta_2eps is natural out of x (the basis
+    elements are natural and x is a module), so it vanishes everywhere as
+    soon as it vanishes at the generator grades.  A row of the full system
+    is a linear functional of (z, z0) that vanishes wherever the generator
+    rows all do, so it lies in their span."""
     x, h1, h2 = first.module, len(first.rows), len(second.rows)
     first_stack = _blocks(first.source, first.target, first.rows)
     second_stack = _blocks(second.source, second.target, second.rows)
     tensor, rhs = [np.zeros((h1, h2, 0), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for a, b, c, d in _cells(u, (first, 0), (second, eps), (x, 0), (x, 2 * eps)):
-        if c is None:
-            continue
+    for q, a, b, d in _generator_anchors(first, second, x, eps, 2 * eps):
         prod = second_stack[b][None] @ first_stack[a][:, None]  # (h1, h2, r, c)
         tensor.append(prod.reshape(h1, h2, prod.shape[2] * prod.shape[3]) % x.field.p)
-        rhs.append(x.path_map(c, d).reshape(-1))
+        rhs.append(x.path_map(q, d).reshape(-1))
     return np.concatenate(tensor, axis=2), np.concatenate(rhs)
 
 
@@ -168,11 +184,16 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     exactly.  Certified absence therefore means the enumeration completed;
     BudgetExceeded is raised when it would be larger than budget, before any
     triangle is built, so an exhausted budget costs only the two Hom bases.
-    v and w must share their field and their number of axes.
+    v and w must share their field and their number of axes, and both must
+    be modules (pass validate): anything else raises ValidationError.
 
-    The triangles (_triangle, one block of equations per distinct cell of
-    stepmodule._cells, not per point) give, for the enumerated coefficients
-    c (length h) and the other side's x (length k), one equation per row e:
+    The triangles (_triangle) hold one block of equations per generator
+    grade of the module each starts from, not one per point.  The rows left
+    out lie in the span of the others (_triangle holds the argument), so the
+    stacked system has the full system's row space and so its unique reduced
+    form: every candidate, solution and witness is the one the full system
+    gives.  For the enumerated coefficients c (length h) and the other
+    side's x (length k) there is one equation per row e:
     sum_ij c_i T[e, i, j] x_j = rhs_e.  The rows [T[e] | rhs_e] of the stacked
     system B (equations x (h*k + 1)) are reduced once; a candidate's
     augmented system [sum_i c_i T[:, i, :] | rhs] is B @ L(c) for a fixed
@@ -196,6 +217,8 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     _obstruction is private: distance_bracket passes the verdict of
     rank_obstruction_at(v, w, eps) when its rank scan already has it."""
     _check_comparable(v, w)
+    if bad := _not_modules(v, w):
+        raise ValidationError("; ".join(bad))
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")

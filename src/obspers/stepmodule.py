@@ -25,7 +25,17 @@ never truncated.  Grid.anchors_on(target, delta) anchors a whole target grid
 the keys, instead of one per point and axis, and maps each target index to
 its anchor index tuple (None below the grid).  _cells gives each distinct
 tuple of anchors in several grids once, and holds the argument that one
-point per cell is exact.
+point per cell is exact for anchored morphisms and persistent ranks.
+
+Generator grades.  StepModule._generators lists the grid indices where a
+module is not spanned by the images of the unit steps into it, found by
+one reduce_stack over each point's incoming steps side by side.  Two
+natural maps out of a module agree everywhere once they agree there, so the
+interleaving triangles of metric.verify, decide's triangle systems and
+stability.shift_factor_morphism are read at those grades only
+(calculus._triangle_holds holds the argument).  It needs the squares to
+commute, so validate's result is cached on the module as _violations, and
+verify, decide and shift_factor_morphism read it first.
 
 Endpoint checks in O(1).  restrict_extend records on its result the module
 it restricted, the result's source (any other module is its own source).
@@ -316,14 +326,14 @@ def _cells(grid, *ends):
     Each anchor is then constant on each cell of grid, the half-open box
     from a grid point up to the next coordinate on every axis, and below
     grid every end with delta 0 is None too, so a module on such an end's
-    grid is zero there.  So an identity read off the anchors (a triangle, a
-    component of an anchored morphism, a persistent rank) holds on all of
-    R^n once it holds at one point per distinct tuple.  An anchor is taken
-    axis by axis, so the tuples are the product over axes of the distinct
-    per-axis tuples: one bisect per axis coordinate, and one tuple per
-    cell.  A tuple without None comes once; one with None may come more
-    than once.  Each end's anchors are one product over axes in that order,
-    and only an end that is None somewhere is checked for None per cell."""
+    grid is zero there.  So an identity read off the anchors (a component
+    of an anchored morphism, a persistent rank) holds on all of R^n once it
+    holds at one point per distinct tuple.  An anchor is taken axis by axis,
+    so the tuples are the product over axes of the distinct per-axis tuples:
+    one bisect per axis coordinate, and one tuple per cell.  A tuple without
+    None comes once; one with None may come more than once.  Each end's
+    anchors are one product over axes in that order, and only an end that
+    is None somewhere is checked for None per cell."""
     per_axis = [list(dict.fromkeys(zip(*axis))) for axis in
                 zip(*(other.grid.anchor_indices(grid, delta) for other, delta in ends))]
     columns = []
@@ -539,6 +549,37 @@ class StepModule:
         """The size class of each point's dimension, in grid.points() order."""
         return _freeze(np.array([_class(self.dims[g]) for g in self.grid.points()]))
 
+    @cached_property
+    def _violations(self):
+        """validate's violations, as a tuple, found once: modules never
+        change.  A restriction (restrict_extend) of a module is a module,
+        its steps being the source's path maps between anchors and zero
+        below the source's grid, so it is not checked again."""
+        source = _source(self)
+        if source is not self and not source._violations:
+            return ()
+        return tuple(_module_violations(self))
+
+    @cached_property
+    def _generators(self):
+        """The generator grades: the grid indices g, in lexicographic order,
+        where dim V_g exceeds the rank of the unit steps into g taken side
+        by side, that is where V_g is not spanned by the images of its
+        predecessors.  The ranks come from one reduce_stack over a (P, D,
+        n * D) stack: point h's block holds, in its k-th D columns, _stack's
+        step into h along axis k (zero where there is none).  That is one
+        block per point and axis against _stack's one per edge, and padding
+        leaves each rank as it is."""
+        d = _width(self)
+        if not d:
+            return ()
+        pts, n = self.grid.points(), self.grid.n_axes
+        axes = np.array([axis for _, axis in self.grid.edges], dtype=np.intp)
+        incoming = np.zeros((len(pts), d, n, d), dtype=np.int64)
+        incoming[_edge_ends(self.grid.shape)[1], :, axes] = self._stack
+        ranks = self.field.reduce_stack(incoming.reshape(len(pts), d, n * d))[1]
+        return tuple(g for g, r in zip(pts, ranks.tolist()) if self.dims[g] > r)
+
     def dim(self, idx):
         return self.dims[tuple(idx)]
 
@@ -624,12 +665,9 @@ def zero_module(p, n_axes=1):
     return StepModule(PrimeField(p), grid, dims, {})
 
 
-def validate(v):
-    """Check every shape and commutativity invariant.
-
-    Returns a list of violation strings, empty when the module is valid; the
-    first entry names the first violated constraint found.
-    """
+def _module_violations(v):
+    """Every shape and commutativity violation of v, as validate reports
+    them, checked afresh."""
     out = []
     pts = v.grid.points()
     for g in pts:
@@ -669,12 +707,21 @@ def validate(v):
     return out
 
 
+def validate(v):
+    """Check every shape and commutativity invariant.
+
+    Returns a new list of violation strings, empty when the module is valid;
+    the first entry names the first violated constraint found.  The check
+    runs once per module (StepModule._violations).
+    """
+    return list(v._violations)
+
+
 def ensure_valid(v):
     """v itself when validate finds nothing, else ValidationError naming
     every violation found."""
-    violations = validate(v)
-    if violations:
-        raise ValidationError("; ".join(violations))
+    if v._violations:
+        raise ValidationError("; ".join(v._violations))
     return v
 
 

@@ -9,11 +9,11 @@ ten sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element linear
 combination, the per-element decide kernel, the dense Hom solver, the full
 factorization with the per-piece decomposition, the restricting endpoint
-checks and composite-building verify, the point-by-point Fitting split and
-isomorphism search, the per-edge and per-point naturality check,
-composition, sum, submodule and persistent rank, the per-point anchored
-morphisms with the witnesses built on them, and grid homology on rational
-coordinates through Bifiltration.present_at.
+checks, the composite-building verify and the per-cell triangle check, the
+point-by-point Fitting split and isomorphism search, the per-edge and
+per-point naturality check, composition, sum, submodule and persistent
+rank, the per-point anchored morphisms with the witnesses built on them,
+and grid homology on rational coordinates through Bifiltration.present_at.
 """
 
 from fractions import Fraction
@@ -693,7 +693,9 @@ def oracle_decompose(v, seed=0, budget=1 << 16):
 # grid refining it, and the two compared by oracle_morphisms_match (once
 # calculus.morphisms_match), which restricts both once more.  The endpoint
 # checks without a rebuild and the anchored triangle check must give the
-# same verdict and violations.
+# same verdict and violations.  oracle_triangle_holds is the anchored check
+# as it was before it went to generator grades: one comparison per distinct
+# tuple of anchors of the common refinement of the four grids.
 # ---------------------------------------------------------------------------
 
 def oracle_modules_match(a, b):
@@ -778,6 +780,29 @@ def oracle_shift_factor_ok(l, m, first, beta):
     from obspers.calculus import eta_on
 
     return oracle_morphisms_match(oracle_compose_matched(m, first), eta_on(l, beta, l.grid))
+
+
+def oracle_triangle_holds(first, second, x, s, total):
+    """calculus._triangle_holds as it was: second's component at b times
+    first's at a against x's structure map from c to d, once per distinct
+    tuple (a, b, c, d) of stepmodule._cells on the common refinement of
+    first's grid, second's grid - s, x's grid and x's grid - total."""
+    import numpy as np
+
+    from obspers.stepmodule import _cells, union_grids
+
+    grid = union_grids(first.grid, second.grid.translate(-s),
+                       x.grid, x.grid.translate(-total))
+    for a, b, c, d in _cells(grid, (first, 0), (second, s), (x, 0), (x, total)):
+        if c is None:
+            continue
+        want = x.path_map(c, d)
+        if a is None or b is None:
+            if np.any(want):
+                return False
+        elif not np.array_equal(x.field.matmul(second.comps[b], first.comps[a]), want):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 the once-reduced system and the chunked candidate test against the earlier
 per-element code kept in tests/oracles.py, at every candidate eps of random
 F_2/F_3 pairs and of the degree-Rips H_0 pairs the compare benchmark builds.
-The triangle tensors hold one block per distinct tuple of anchors, not one
-per point, so they are compared as decide reads them: by the rank and the
-reduced form of each system."""
+The triangle tensors hold one block per generator grade of the module the
+triangle starts from, not one per point, so they are compared as decide
+reads them: by the rank and the reduced form of each system."""
 
 import numpy as np
 import pytest
@@ -148,7 +148,9 @@ def rips_h0(points, grid=RIPS_GRID):
 def chunks(monkeypatch):
     """Every stack of augmented systems decide hands to
     PrimeField.reduce_stack: (shape, which systems are consistent, that is
-    have no pivot in the augmented column)."""
+    have no pivot in the augmented column).  The generator grades of the
+    modules compared come from reduce_stack too, so a test warms them with
+    warm before it reads the log."""
     log, reduce_stack = [], PrimeField.reduce_stack
 
     def recording(self, aug):
@@ -160,6 +162,14 @@ def chunks(monkeypatch):
     return log
 
 
+def warm(chunks, *modules):
+    """Compute the modules' generator grades, which decide's triangles and
+    verify read, and clear the log, so that it holds decide's chunks only."""
+    for v in modules:
+        v._generators
+    chunks.clear()
+
+
 def assert_chunks_within_cap(chunks):
     assert chunks
     for (n, r, cols), _ in chunks:
@@ -169,6 +179,7 @@ def assert_chunks_within_cap(chunks):
 @pytest.mark.parametrize("name", sorted(CLOUDS))
 def test_decide_on_rips_h0_matches_oracle(name, chunks):
     v, w = (rips_h0(points) for points in CLOUDS[name])
+    warm(chunks, v, w)
     for eps in candidate_set(v, w):
         for a, b in ((v, w), (w, v)):
             assert_same_decision(a, b, eps, RIPS_BUDGET)
@@ -178,6 +189,7 @@ def test_decide_on_rips_h0_matches_oracle(name, chunks):
 
 def test_first_solvable_candidate_past_the_first_chunk(chunks):
     v, w = (rips_h0(points) for points in CLOUDS["past the first chunk"])
+    warm(chunks, v, w)
     assert decide(v, w, 0, budget=RIPS_BUDGET).verified
     assert len(chunks) >= 2 and not chunks[0][1].any() and chunks[-1][1].any()
     assert_chunks_within_cap(chunks)
@@ -186,6 +198,7 @@ def test_first_solvable_candidate_past_the_first_chunk(chunks):
 
 def test_first_solvable_candidate_several_chunks_into_an_h_12_scan(chunks):
     v, w = (rips_h0(points) for points in CLOUDS["h = 12, many chunks"])
+    warm(chunks, v, w)
     assert [len(_side(v, w, 0).rows), len(_side(w, v, 0).rows)] == [12, 12]
     assert decide(v, w, 0, budget=RIPS_BUDGET).verified
     hits = [i for i, (_, consistent) in enumerate(chunks) if consistent.any()]
@@ -203,6 +216,7 @@ def test_zero_hom_spaces_on_rips_h0(chunks):
     grid = Grid(((0,), (-2, -1)))
     with pytest.warns(UserWarning, match="truncated"):
         v, w = (rips_h0(points, grid) for points in CLOUDS["rank obstructions"])
+    warm(chunks, v, w)
     assert v.total_dim == w.total_dim == 0
     for eps in (0, 1):
         assert [len(_side(v, w, eps).rows), len(_side(w, v, eps).rows)] == [0, 0]
@@ -216,6 +230,7 @@ def test_zero_hom_spaces_without_interleaving(chunks):
     # inequality fails, but neither maps to the other: the one empty
     # candidate leaves eta_0 = id on the right-hand side, and decide says none
     v, w = library.m_lambda(3, 1), library.m_lambda(3, 2)
+    warm(chunks, v, w)
     assert [len(_side(v, w, 0).rows), len(_side(w, v, 0).rows)] == [0, 0]
     assert rank_obstruction_at(v, w, 0) is None
     assert decide(v, w, 0) is None
@@ -232,6 +247,7 @@ def test_certified_none_scans_every_candidate(chunks):
     g = library.integer_grid(4)
     extra = direct_sum(library.constant_module(F3, g), library.box_interval(F3, g, (1, 1)))
     v, w = (direct_sum(library.m_lambda(3, lam), extra) for lam in (1, 2))
+    warm(chunks, v, w)
     h = min(len(_side(v, w, 0).rows), len(_side(w, v, 0).rows))
     assert rank_obstruction_at(v, w, 0) is None
     assert decide(v, w, 0, budget=RIPS_BUDGET) is None
