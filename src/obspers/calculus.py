@@ -9,13 +9,14 @@ honest interleavings, which is what the tests check.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from .errors import ValidationError
-from .stepmodule import (Grid, Morphism, StepModule, _cells, _frac, _freeze, _padded,
-                         _same_data, _source, _width, _zero, compose, ensure_valid,
-                         factor_morphism, restrict_extend, same_axes, union_grids)
+from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _padded, _same_data,
+                         _source, _width, _zero, compose, ensure_valid, factor_morphism,
+                         restrict_extend, same_axes, union_grids)
 
 # restrict_extend is re-exported from here because refinement and
 # discretization conceptually belong to the calculus layer.
@@ -59,22 +60,18 @@ def shift(v, eps):
 def anchored_morphism(x, y, eps, grid, comp):
     """The morphism restrict_extend(x, grid) -> restrict_extend(shift(y, eps),
     grid) whose component at q is comp(a, b), where a is the anchor of q in
-    x's grid and b the anchor of q + eps in y's grid.  The component is the
-    zero block where a or b is None, or where comp returns None.  comp is
-    called once per distinct pair, whose points share its block.  As an end
-    of stepmodule._cells, source (on grid) gives each point q itself."""
+    x's grid and b the anchor of q + eps in y's grid.  comp is called once
+    per point where both anchors exist, in grid.points() order; the
+    component is the shared zero block where a or b is None, or where comp
+    returns None."""
     eps = _frac(eps)
     source = restrict_extend(x, grid)
     target = restrict_extend(shift(y, eps), grid)
-    blocks, comps = {}, {}
-    for a, b, q in _cells(grid, (x, 0), (y, eps), (source, 0)):
-        block = blocks.get((a, b))
-        if block is None:
-            m = None if a is None or b is None else comp(a, b)
-            if m is None:
-                m = _zero((target.dims[q], source.dims[q]))
-            block = blocks[a, b] = _freeze(m)
-        comps[q] = block
+    comps = {}
+    for (q, a), b in zip(x.grid.anchors_on(grid).items(),
+                         y.grid.anchors_on(grid, eps).values()):
+        m = None if a is None or b is None else comp(a, b)
+        comps[q] = _zero((target.dims[q], source.dims[q])) if m is None else _freeze(m)
     return Morphism._trusted(source, target, comps)
 
 
@@ -323,16 +320,20 @@ def diagonal(pm):
 
 
 def persistent_rank(v, eps):
-    """sup over s of rank(V_s -> V_{s+eps}); attained at anchors of the
-    refinement grid u (grid - eps), so the supremum is a finite max.  The
-    maps, one per distinct anchor pair (stepmodule._cells), are zero-padded
-    to one stack, which leaves their ranks as they are, and ranked by one
-    reduce_stack."""
+    """sup over s of rank(V_s -> V_{s+eps}), a finite max over the points of
+    the refinement grid u of v's grid and v's grid - eps: the anchors of s
+    and of s + eps are constant on each cell of u, and V_s is 0 below u.
+    The anchors of u's points, at 0 and at eps, are read point by point off
+    the per-axis anchors of Grid.anchor_indices (which Grid.anchors_on pairs
+    with the points); where the first is not None neither is the second, as
+    eps >= 0.  The maps are zero-padded to one stack, which leaves their
+    ranks as they are, and ranked by one reduce_stack."""
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("persistent_rank needs eps >= 0")
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
-    maps = [v.path_map(a, b) for a, b in _cells(grid, (v, 0), (v, eps)) if a is not None]
+    ends = (product(*v.grid.anchor_indices(grid, delta)) for delta in (0, eps))
+    maps = [v.path_map(a, b) for a, b in zip(*ends) if None not in a]
     if not maps:
         return 0
     d = _width(v)

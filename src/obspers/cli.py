@@ -157,8 +157,7 @@ def _summand_signature(s, eps_list):
 def cmd_decompose(ns):
     v = _load_module(ns.file)
     dec = run_decompose(v, seed=_cfg(ns, "seed"), budget=_cfg(ns, "budget"))
-    gaps = sorted({b - a for axis in v.grid.axes for a, b in zip(axis, axis[1:])})
-    eps_list = gaps[:2]
+    eps_list = sorted(set(v.grid.gaps()))[:2]
     files = []
     for i, s in enumerate(dec.summands):
         files.append(_write_out(ns, f"summand_{i:02d}.json",

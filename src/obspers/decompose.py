@@ -310,7 +310,7 @@ def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
         return False, None
     if rv.total_dim == 0 or rv == rw:
         return True, identity_morphism(rv)
-    gaps = [b - a for axis in u.axes for a, b in zip(axis, axis[1:])]
+    gaps = u.gaps()
     if gaps and persistent_rank(rv, min(gaps)) != persistent_rank(rw, min(gaps)):
         return False, None
     rows = hom_rows(rv, rw)

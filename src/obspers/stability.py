@@ -40,14 +40,6 @@ def strictly_trivial(v, sigma):
     return TrivialityReport(sigma, True, "eta_sigma = 0 verified")
 
 
-def _grid_gaps(grid):
-    gaps = []
-    for axis in grid.axes:
-        for a, b in zip(axis, axis[1:]):
-            gaps.append(b - a)
-    return gaps
-
-
 @dataclass(frozen=True)
 class ShiftFactorResult:
     """m factors eta_beta on the grid through the r-shifted restriction:
@@ -70,7 +62,7 @@ def shift_factor_morphism(l, r, beta):
     m o first with eta_beta at l's generator grades only."""
     r = _frac(r)
     beta = _frac(beta)
-    gaps = _grid_gaps(l.grid)
+    gaps = l.grid.gaps()
     if not gaps:
         raise ValidationError("shift factorization needs at least two grid points per axis")
     alpha = min(gaps)
@@ -127,7 +119,7 @@ class PerturbationReport:
 
 
 def _regular_gap(v):
-    gaps = set(_grid_gaps(v.grid))
+    gaps = set(v.grid.gaps())
     if len(gaps) != 1:
         raise ValidationError("perturbation experiment needs a regular grid")
     return gaps.pop()

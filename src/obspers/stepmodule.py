@@ -23,9 +23,9 @@ goes through _integer, so a float or a Fraction there is a ValidationError,
 never truncated.  Grid.anchors_on(target, delta) anchors a whole target grid
 (moved by +delta) at the cost of one bisect per target axis coordinate, on
 the keys, instead of one per point and axis, and maps each target index to
-its anchor index tuple (None below the grid).  _cells gives each distinct
-tuple of anchors in several grids once, and holds the argument that one
-point per cell is exact for anchored morphisms and persistent ranks.
+its anchor index tuple (None below the grid).  calculus.anchored_morphism
+reads its components through it one point at a time, and persistent_rank
+its maps through the per-axis anchors of anchor_indices.
 
 Generator grades.  StepModule._generators lists the grid indices where a
 module is not spanned by the images of the unit steps into it, found by
@@ -35,7 +35,8 @@ interleaving triangles of metric.verify, decide's triangle systems and
 stability.shift_factor_morphism are read at those grades only
 (calculus._triangle_holds holds the argument).  It needs the squares to
 commute, so validate's result is cached on the module as _violations, and
-verify, decide and shift_factor_morphism read it first.
+verify, decide and shift_factor_morphism read it first; validate_morphism's
+is cached on the morphism the same way.
 
 Endpoint checks in O(1).  restrict_extend records on its result the module
 it restricted, the result's source (any other module is its own source).
@@ -220,7 +221,10 @@ class Grid:
 
     def anchor(self, s):
         """Index of sup{p in grid : p <= s}, or None when some axis of s lies
-        below the grid minimum."""
+        below the grid minimum.  A point s with a coordinate count other than
+        the grid's axis count is a ValidationError."""
+        if len(s) != self.n_axes:
+            raise ValidationError(f"point has {len(s)} coordinates, grid has {self.n_axes} axes")
         idx = []
         for a, axis in enumerate(self.axes):
             i = bisect.bisect_right(axis, _frac(s[a])) - 1
@@ -267,6 +271,11 @@ class Grid:
             g = math.gcd(new, *keys)
             scaled.append((new // g, tuple(k // g for k in keys)))
         return Grid._from_keys(tuple(scaled))
+
+    def gaps(self):
+        """The differences between consecutive coordinates, axis by axis, in
+        axis order."""
+        return [b - a for axis in self.axes for a, b in zip(axis, axis[1:])]
 
     def min_corner(self):
         return tuple(axis[0] for axis in self.axes)
@@ -316,33 +325,6 @@ def union_grids(*grids):
             merged.update(keys if own == den else (k * (den // own) for k in keys))
         scaled.append((den, tuple(sorted(merged))))
     return Grid._from_keys(tuple(scaled))
-
-
-def _cells(grid, *ends):
-    """The tuples of anchors of the points of grid, one anchor per end (other,
-    delta): the anchor in other.grid of the point + delta, or None below it.
-
-    The cell argument.  Let grid refine other.grid - delta for every end.
-    Each anchor is then constant on each cell of grid, the half-open box
-    from a grid point up to the next coordinate on every axis, and below
-    grid every end with delta 0 is None too, so a module on such an end's
-    grid is zero there.  So an identity read off the anchors (a component
-    of an anchored morphism, a persistent rank) holds on all of R^n once it
-    holds at one point per distinct tuple.  An anchor is taken axis by axis,
-    so the tuples are the product over axes of the distinct per-axis tuples:
-    one bisect per axis coordinate, and one tuple per cell.  A tuple without
-    None comes once; one with None may come more than once.  Each end's
-    anchors are one product over axes in that order, and only an end that
-    is None somewhere is checked for None per cell."""
-    per_axis = [list(dict.fromkeys(zip(*axis))) for axis in
-                zip(*(other.grid.anchor_indices(grid, delta) for other, delta in ends))]
-    columns = []
-    for e in range(len(ends)):
-        column = product(*([t[e] for t in axis] for axis in per_axis))
-        if any(t[e] is None for axis in per_axis for t in axis):
-            column = (None if None in a else a for a in column)
-        columns.append(column)
-    return zip(*columns)
 
 
 def _freeze(arr):
@@ -837,6 +819,12 @@ class Morphism:
                         for g in self.grid.points()],
                        _width(self.target), _width(self.source))
 
+    @cached_property
+    def _violations(self):
+        """validate_morphism's violations, as a tuple, found once: morphisms
+        never change.  Nothing is cached when the check raises."""
+        return tuple(_morphism_violations(self))
+
     @property
     def grid(self):
         return self.source.grid
@@ -857,11 +845,17 @@ class Morphism:
 
 
 def validate_morphism(m):
-    """Shape and naturality check; returns a list of violations.  Naturality
-    is one batched test per size class over the padded stacks, comps[h] o
-    step = step o comps[g] on every edge g -> h, naming the first failing
-    edge in grid.edges order.  An endpoint step of the wrong shape raises
-    ValidationError."""
+    """Shape and naturality check; returns a new list of violations.  The
+    check runs once per morphism (Morphism._violations); an endpoint step
+    of the wrong shape raises ValidationError on every call."""
+    return list(m._violations)
+
+
+def _morphism_violations(m):
+    """validate_morphism's violations, checked afresh.  Naturality is one
+    batched test per size class over the padded stacks, comps[h] o step =
+    step o comps[g] on every edge g -> h, naming the first failing edge in
+    grid.edges order."""
     out = []
     pts = m.grid.points()
     for g in pts:

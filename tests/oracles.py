@@ -694,8 +694,8 @@ def oracle_decompose(v, seed=0, budget=1 << 16):
 # calculus.morphisms_match), which restricts both once more.  The endpoint
 # checks without a rebuild and the anchored triangle check must give the
 # same verdict and violations.  oracle_triangle_holds is the anchored check
-# as it was before it went to generator grades: one comparison per distinct
-# tuple of anchors of the common refinement of the four grids.
+# as it was before it went to generator grades, read point by point: one
+# comparison per point of the common refinement of the four grids.
 # ---------------------------------------------------------------------------
 
 def oracle_modules_match(a, b):
@@ -784,19 +784,24 @@ def oracle_shift_factor_ok(l, m, first, beta):
 
 def oracle_triangle_holds(first, second, x, s, total):
     """calculus._triangle_holds as it was: second's component at b times
-    first's at a against x's structure map from c to d, once per distinct
-    tuple (a, b, c, d) of stepmodule._cells on the common refinement of
-    first's grid, second's grid - s, x's grid and x's grid - total."""
+    first's at a against x's structure map from c to d, at every point q of
+    the common refinement of first's grid, second's grid - s, x's grid and
+    x's grid - total, each anchor taken by Grid.anchor at q's coordinates
+    (moved by s for b and by total for d)."""
     import numpy as np
 
-    from obspers.stepmodule import _cells, union_grids
+    from obspers.stepmodule import union_grids
 
     grid = union_grids(first.grid, second.grid.translate(-s),
                        x.grid, x.grid.translate(-total))
-    for a, b, c, d in _cells(grid, (first, 0), (second, s), (x, 0), (x, total)):
+    for q in grid.points():
+        at = grid.coords(q)
+        c = x.grid.anchor(at)
         if c is None:
             continue
-        want = x.path_map(c, d)
+        a = first.grid.anchor(at)
+        b = second.grid.anchor(tuple(t + s for t in at))
+        want = x.path_map(c, x.grid.anchor(tuple(t + total for t in at)))
         if a is None or b is None:
             if np.any(want):
                 return False

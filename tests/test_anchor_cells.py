@@ -1,10 +1,9 @@
-"""The anchor-cell kernel: stepmodule._cells against the per-point anchors it
-replaces, and the per-cell anchored_morphism against the per-point one kept
-in tests/oracles.py, on eta, restrictions of morphisms, the smoothing and
-discretization witnesses and the cell-summand sampler's pair."""
+"""calculus.anchored_morphism, which reads its components one grid point
+at a time, against the per-point construction kept in tests/oracles.py, on
+eta, restrictions of morphisms, the smoothing and discretization witnesses
+and the cell-summand sampler's pair, and the order of its comp calls."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,7 @@ from obspers.calculus import (anchored_morphism, eta, eta_on, lattice_grid, rest
                               restriction_pair, smooth)
 from obspers.fields import PrimeField
 from obspers.stability import _sample_cell_summand
-from obspers.stepmodule import Grid, _cells, union_grids
+from obspers.stepmodule import Grid, union_grids
 
 from conftest import assert_same_morphism
 from oracles import (oracle_anchored_morphism, oracle_cell_summand_pair,
@@ -25,22 +24,11 @@ primes = st.sampled_from([2, 3])
 coords = st.fractions(min_value=-2, max_value=6, max_denominator=6)
 axis_ticks = st.lists(coords, min_size=1, max_size=4, unique=True).map(sorted)
 grids = st.tuples(axis_ticks, axis_ticks).map(lambda axes: Grid(tuple(map(tuple, axes))))
-shifts = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 epsilons = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
 
 
 def module(seed, p):
     return library.random_module(PrimeField(p), np.random.default_rng(seed))
-
-
-@given(grids, st.lists(st.tuples(grids, shifts), min_size=1, max_size=4))
-def test_cells_are_the_per_point_anchor_tuples(grid, ends):
-    holders = [(SimpleNamespace(grid=g), d) for g, d in ends]
-    cells = list(_cells(grid, *holders))
-    per_point = [h.grid.anchors_on(grid, d) for h, d in holders]
-    assert set(cells) == {tuple(a[q] for a in per_point) for q in grid.points()}
-    whole = [c for c in cells if None not in c]
-    assert len(whole) == len(set(whole))
 
 
 @settings(max_examples=30)
@@ -70,7 +58,7 @@ def test_anchored_morphism_matches_per_point_oracle(seed, p, eps, other):
 
 @settings(max_examples=20)
 @given(seeds, primes, epsilons, grids)
-def test_anchored_morphism_calls_comp_once_per_anchor_pair(seed, p, eps, grid):
+def test_anchored_morphism_calls_comp_once_per_point(seed, p, eps, grid):
     v = module(seed, p)
     calls = []
 
@@ -79,8 +67,7 @@ def test_anchored_morphism_calls_comp_once_per_anchor_pair(seed, p, eps, grid):
         return None
 
     m = anchored_morphism(v, v, eps, grid, comp)
-    ends = v.grid.anchors_on(grid, eps)
-    pairs = {(a, ends[q]) for q, a in v.grid.anchors_on(grid).items()
-             if a is not None and ends[q] is not None}
-    assert sorted(calls) == sorted(pairs)
+    anchors = [(v.grid.anchor(at), v.grid.anchor(tuple(t + eps for t in at)))
+               for at in map(grid.coords, grid.points())]
+    assert calls == [(a, b) for a, b in anchors if a is not None and b is not None]
     assert not any(np.any(c) for c in m.comps.values())

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used there,
-every function and class the package defines is named somewhere else, no
-float enters the source, and every function the benchmark's tracer wraps
-still exists where the tracer looks for it."""
+every function and class the package defines is named somewhere else, every
+private top-level name is used by the package itself, no float enters the
+source, and every function the benchmark's tracer wraps still exists where
+the tracer looks for it."""
 
 import ast
 import importlib
@@ -61,6 +62,51 @@ def test_every_definition_is_named_elsewhere():
                        if not (other == path and first <= i <= last)):
                 unnamed.append(f"{path.name}:{first}: {name}")
     assert unnamed == []
+
+
+def private_definitions(tree):
+    """(name, first line, last line) of every top-level function, class and
+    assigned name of the module that starts with one underscore."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(name, node.lineno, node.end_lineno) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def references(tree):
+    """(name, line) of every ast.Name, ast.Attribute and import alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private helper kept alive only by its tests or a docstring is dead
+    # code: only references in src/ count, outside the helper's own lines
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {}
+    for path, tree in trees.items():
+        for name, line in references(tree):
+            used.setdefault(name, []).append((path, line))
+    unused = [f"{path.name}:{first}: {name}" for path, tree in trees.items()
+              for name, first, last in private_definitions(tree)
+              if all(other == path and first <= line <= last
+                     for other, line in used.get(name, ()))]
+    assert unused == []
 
 
 def float_uses(path):

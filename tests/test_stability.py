@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obspers import library
 from obspers.calculus import lattice_grid, restrict_extend
@@ -12,7 +13,9 @@ from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.stability import (perturbation_experiment, shift_factor_morphism,
                                strictly_trivial, tau_indecomposable)
-from obspers.stepmodule import Grid, direct_sum, zero_module
+from obspers.stepmodule import Grid, direct_sum, union_grids, zero_module
+
+from oracles import oracle_eta_on
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -44,6 +47,23 @@ def test_cell_trivial_from_its_width_on():
     assert not strictly_trivial(cell, Fraction(3 * w, 4)).strict
     assert strictly_trivial(cell, w).strict
     assert strictly_trivial(cell, w + Fraction(1, 4)).strict
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]),
+       st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]))
+def test_strictly_trivial_matches_the_per_point_eta(seed, p, sigma):
+    # eta comes from the per-point anchored_morphism; the report must read
+    # the oracle's eta: strict exactly when every component is zero, and
+    # otherwise the first nonzero index in grid.points() order
+    v = library.random_module(PrimeField(p), np.random.default_rng(seed))
+    grid = union_grids(v.grid, v.grid.translate(-sigma)) if sigma else v.grid
+    comps = oracle_eta_on(v, sigma, grid).comps
+    nonzero = [g for g in grid.points() if np.any(comps[g])]
+    rep = strictly_trivial(v, sigma)
+    assert rep.strict == (not nonzero)
+    assert rep.witness == (f"nonzero eta component at index {nonzero[0]}" if nonzero
+                           else "eta_sigma = 0 verified")
 
 
 def test_triviality_report_reproducible():

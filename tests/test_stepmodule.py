@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from obspers import library
+from obspers import library, stepmodule
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.stepmodule import (Grid, Morphism, StepModule, add_morphisms, compose,
@@ -319,6 +319,16 @@ def test_evaluate_below_on_and_inside():
     assert v.evaluate((Fraction(1, 2), Fraction(3, 4))) == (1, (0, 0))
 
 
+def test_evaluate_rejects_a_point_of_the_wrong_arity():
+    # a third coordinate was dropped and a missing one was a bare IndexError
+    v = library.constant_module(F2, library.integer_grid(3))
+    for s in ((1, 1, 99), (1,)):
+        with pytest.raises(ValidationError, match=f"point has {len(s)} coordinates, "
+                                                  "grid has 2 axes"):
+            v.evaluate(s)
+    assert v.evaluate((1, 1)) == (1, (1, 1))
+
+
 @given(st.integers(0, 3), st.integers(0, 3),
        st.fractions(min_value=0, max_value=3, max_denominator=8),
        st.fractions(min_value=0, max_value=3, max_denominator=8))
@@ -439,6 +449,27 @@ def test_validate_morphism_catches_non_naturality():
     bad = Morphism(v, w, {(0,): F2.zeros(0, 1), (1,): F2.matrix([[1]])})
     violations = validate_morphism(bad)
     assert violations and "naturality" in violations[0]
+
+
+def test_validate_morphism_checks_once_per_morphism(monkeypatch):
+    grid = Grid(((0, 1),))
+    v = library.box_interval(F2, grid, (0,))
+    w = library.box_interval(F2, grid, (1,))
+    bad = Morphism(v, w, {(0,): F2.zeros(0, 1), (1,): F2.matrix([[1]])})
+    checks = []
+    check = stepmodule._morphism_violations
+    monkeypatch.setattr(stepmodule, "_morphism_violations",
+                        lambda m: checks.append(m) or check(m))
+    first = validate_morphism(bad)
+    first.append("changed by the caller")
+    assert validate_morphism(bad) == first[:-1] and checks == [bad]
+    # a step of the wrong shape raises, and raises again: nothing is cached
+    small = StepModule(F2, grid, {(0,): 2, (1,): 2}, {((0,), 0): [[1]]})
+    m = Morphism(small, small, {g: np.eye(2, dtype=np.int64) for g in grid.points()})
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"step at \(0,\) axis 0 has shape"):
+            validate_morphism(m)
+    assert len(checks) == 3
 
 
 # -- image of a morphism ----------------------------------------------------

@@ -1,5 +1,5 @@
 """The triangle check of verify and shift_factor_morphism against the
-per-cell check (oracles.oracle_triangle_holds) and the composite-building
+per-point check (oracles.oracle_triangle_holds) and the composite-building
 path (oracles.oracle_verify) it replaced, and the generator grades it walks
 against a per-point rank.
 
