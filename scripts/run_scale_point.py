@@ -7,13 +7,16 @@ it, and checks every witness: each inclusion and projection is natural, each
 proj o inc is the identity of its summand, and the inc o proj sum to the
 identity of the module.  Prints one JSON line: the seconds decompose took,
 the tracemalloc peak of a second, traced decompose, the module's total and
-largest dimension, and the summand count.  Exits 1 when a witness check
-fails.
+largest dimension, the summand count, and the sha256 of the canonical JSON
+(serialize.dumps) of the summands, then the inclusions, then the
+projections, which stays the same while decompose's output does.  Exits 1
+when a witness check fails.
 
     python3 scripts/run_scale_point.py --points 40
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -23,6 +26,7 @@ import numpy as np
 
 from obspers.decompose import decompose
 from obspers.pipelines import degree_rips, homology_module, metric_space
+from obspers.serialize import dumps, module_to_json, morphism_to_json
 from obspers.stepmodule import (Grid, add_morphisms, compose, identity_morphism,
                                 validate_morphism, zero_morphism)
 
@@ -69,6 +73,16 @@ def witness_failures(v, dec):
     return out
 
 
+def digest(dec):
+    """sha256 of the canonical JSON of the summands, the inclusions and the
+    projections, in that order."""
+    h = hashlib.sha256()
+    for doc in ([module_to_json(s) for s in dec.summands]
+                + [morphism_to_json(m) for m in dec.inclusions + dec.projections]):
+        h.update(dumps(doc).encode())
+    return h.hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -91,7 +105,8 @@ def main():
                       "decompose_s": round(seconds, 3),
                       "tracemalloc_peak_mb": round(peak / 2 ** 20, 1),
                       "total_dim": v.total_dim, "max_dim": max(v.dims.values()),
-                      "summands": len(dec.summands), "failures": failures}))
+                      "summands": len(dec.summands), "sha256": digest(dec),
+                      "failures": failures}))
     return 1 if failures else 0
 
 

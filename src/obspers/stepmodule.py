@@ -532,6 +532,22 @@ class StepModule:
         return _freeze(np.array([_class(self.dims[g]) for g in self.grid.points()]))
 
     @cached_property
+    def _dim_groups(self):
+        """One (d, point numbers, columns of their blocks in a flattened Hom
+        row) per dimension d, increasing; decompose's docstring has more."""
+        dims = np.array([self.dims[g] for g in self.grid.points()], dtype=np.intp)
+        starts = np.cumsum(dims ** 2) - dims ** 2
+        out = []
+        for d in sorted(set(dims.tolist())):
+            pts = _freeze(np.flatnonzero(dims == d))
+            if len(pts) == 1:
+                cols = slice(int(starts[pts[0]]), int(starts[pts[0]]) + d * d)
+            else:
+                cols = _freeze(starts[pts][:, None] + np.arange(d * d))
+            out.append((d, pts, cols))
+        return tuple(out)
+
+    @cached_property
     def _violations(self):
         """validate's violations, as a tuple, found once: modules never
         change.  A restriction (restrict_extend) of a module is a module,
@@ -1134,9 +1150,10 @@ def hom_basis(v, w):
 
     Both modules must live on the same grid (refine first).  The basis spans
     the exact solution space of all naturality equations; it always contains
-    the identity in its span when w = v.
+    the identity in its span when w = v.  A v or w that validate rejects is
+    a ValidationError.
     """
-    return _morphisms(v, w, hom_rows(v, w))
+    return _morphisms(v, w, hom_rows(ensure_valid(v), ensure_valid(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 
 from obspers import library
 from obspers.decompose import (decompose, endo_algebra, iso_test, split_once)
-from obspers.errors import BudgetExceeded
+from obspers.errors import BudgetExceeded, ValidationError
 from obspers.fields import PrimeField
-from obspers.stepmodule import (Grid, coefficient_vectors, compose, direct_sum,
-                                identity_morphism, restrict_extend, validate,
+from obspers.stepmodule import (Grid, StepModule, coefficient_vectors, compose, direct_sum,
+                                hom_basis, identity_morphism, restrict_extend, validate,
                                 zero_module)
 
 from conftest import doubled_m_lambda, to_plain
@@ -34,7 +34,6 @@ def test_endo_of_double_constant_is_matrix_algebra():
 def test_endo_dim_matches_enumeration():
     # same all-dims-one module as the hom test; End enumerated exhaustively
     grid = Grid(((0, 1), (0, 1)))
-    from obspers.stepmodule import StepModule
     v = StepModule(F2, grid, {g: 1 for g in grid.points()}, {
         ((0, 0), 0): [[1]], ((0, 0), 1): [[0]],
         ((1, 0), 1): [[0]], ((0, 1), 0): [[1]]})
@@ -173,3 +172,19 @@ def test_coefficient_vectors_lexicographic_within_budget():
     assert list(coefficient_vectors(2, 0, 1, "Hom")) == [()]
     with pytest.raises(BudgetExceeded):
         coefficient_vectors(3, 2, 8, "Hom")
+
+
+def test_non_modules_are_rejected_not_decomposed():
+    # the step (0, 1) -> (1, 1) is zero, so the square at (0, 0) does not
+    # commute; split_once used to split it along witnesses that are not natural
+    grid = Grid(((0, 1), (0, 1)))
+    v = StepModule(F2, grid, {g: 1 for g in grid.points()}, {
+        ((0, 0), 0): [[1]], ((0, 0), 1): [[1]],
+        ((1, 0), 1): [[1]], ((0, 1), 0): [[0]]})
+    assert validate(v) == ["square at (0, 0) axes (0,1) does not commute"]
+    f = library.constant_module(F2, grid)
+    for call in (lambda: decompose(v), lambda: split_once(v), lambda: endo_algebra(v),
+                 lambda: iso_test(v, f), lambda: iso_test(f, v),
+                 lambda: hom_basis(v, f), lambda: hom_basis(f, v)):
+        with pytest.raises(ValidationError, match="does not commute"):
+            call()

@@ -1,32 +1,42 @@
-"""The derived End kernel of decompose: End bases derived from the parent
-piece's, the batched structure table, the kernel-and-image Fitting split taken
-a dimension group at a time, and iso_test's chunked candidate scan, against
-the earlier per-piece and per-point code kept in tests/oracles.py, on random
-F_2/F_3/F_5 modules and on twisted box sums like the benchmark's.  The
-piece-by-piece checks come first: a broken split can keep decompose from
-terminating, and with -x they report it before the whole-decomposition
+"""The derived End kernel of decompose: the dimension groups' gather of
+flattened Hom rows, End bases derived from the parent piece's, the batched
+structure table, the kernel-and-image Fitting split taken a dimension group
+at a time, and iso_test's chunked candidate scan, against the earlier
+per-piece and per-point code kept in tests/oracles.py, on random F_2/F_3/F_5
+modules, on twisted box sums like the benchmark's and on skewed modules with
+one wide point, like the scale point's; and the scale point's digest pinned.
+The piece-by-piece checks come first: a broken split can keep decompose
+from terminating, and with -x they report it before the whole-decomposition
 checks run."""
 
 import functools
 import importlib
+import io
+import json
+import runpy
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from obspers import library
-from obspers.decompose import (_derived_rows, _split, _split_from_endo, _table,
+from obspers.decompose import (_derived_rows, _gather, _split, _split_from_endo, _table,
                                decompose, endo_algebra, iso_test)
 from obspers.errors import BudgetExceeded
 from obspers.fields import PrimeField
-from obspers.stepmodule import (DEFAULT_BUDGET, Grid, _morphisms, direct_sum, hom_basis,
-                                hom_rows, linear_combination, validate, validate_morphism)
+from obspers.stepmodule import (DEFAULT_BUDGET, Grid, Morphism, _morphisms, direct_sum,
+                                flatten_morphism, hom_basis, hom_rows, linear_combination,
+                                validate, validate_morphism)
 
 from conftest import assert_same_morphism, doubled_m_lambda
 from oracles import (oracle_decompose, oracle_endo_algebra, oracle_invertible_pointwise,
                      oracle_iso_test, oracle_split_from_endo, oracle_split_pointwise)
 
 DECOMPOSE = importlib.import_module("obspers.decompose")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 primes = st.sampled_from([2, 3, 5])
 
@@ -48,6 +58,20 @@ def twisted_boxes(seed, p, n=6, summands=4):
         x, y = int(rng.integers(0, n - w + 1)), int(rng.integers(0, n - h + 1))
         parts.append(library.box_interval(F, grid, (x, y), (x + w - 1, y + h - 1)))
     return library.twist_module(functools.reduce(direct_sum, parts), rng)
+
+
+def skewed(seed, p, copies):
+    """A twisted sum on the 3 x 3 integer grid of copies of the point
+    interval at the centre and the four segments that end or start there:
+    dimension copies + 4 at the centre, 1 at its four neighbours and 0 at
+    the corners, the scale point's shape of one wide point beside narrow
+    ones."""
+    F = PrimeField(p)
+    grid = library.integer_grid(3)
+    c = (1, 1)
+    ends = [(c, c)] * copies + [((0, 1), c), ((1, 0), c), (c, (2, 1)), (c, (1, 2))]
+    parts = [library.box_interval(F, grid, lo, hi) for lo, hi in ends]
+    return library.twist_module(functools.reduce(direct_sum, parts), np.random.default_rng(seed))
 
 
 def pieces(v, seed=0):
@@ -86,7 +110,7 @@ def assert_kernel_matches(v):
         combos = [linear_combination(m, m, rows, rng.integers(0, m.field.p, size=len(rows)))
                   for _ in range(3)]
         for f in basis + combos:
-            split = _split_from_endo(m, f)
+            split = _split_from_endo(m, flatten_morphism(f))
             assert split == oracle_split_from_endo(m, f)
             assert_same_split(split, oracle_split_pointwise(m, f))
             if split is not None:
@@ -126,6 +150,41 @@ def test_derived_bases_tables_and_splits_on_random_modules(seed, p):
 @given(seeds, st.sampled_from([2, 3]))
 def test_derived_bases_tables_and_splits_on_twisted_boxes(seed, p):
     assert_kernel_matches(twisted_boxes(seed, p))
+
+
+@settings(max_examples=5)
+@given(seeds, primes, st.integers(5, 6))
+def test_derived_bases_tables_and_splits_on_skewed_modules(seed, p, copies):
+    v = skewed(seed, p, copies)
+    assert sorted(v.dims.values())[-2:] == [1, copies + 4]
+    assert_kernel_matches(v)
+
+
+@settings(max_examples=20)
+@given(seeds, primes)
+def test_group_gather_matches_stacked_components(seed, p):
+    for v in (twisted_boxes(seed, p), skewed(seed, p, 5)):
+        pts = v.grid.points()
+        rng = np.random.default_rng(seed)
+        maps = [Morphism(v, v, {g: rng.integers(0, p, size=(v.dims[g], v.dims[g])) for g in pts})
+                for _ in range(3)]
+        rows = np.stack([flatten_morphism(f) for f in maps])
+        groups = v._dim_groups
+        assert [d for d, _, _ in groups] == sorted(set(v.dims.values()))
+        assert groups[0][0] == 0
+        assert sorted(np.concatenate([at for _, at, _ in groups]).tolist()) == list(range(len(pts)))
+        for group in groups:
+            d, at, _ = group
+            assert all(v.dims[pts[i]] == d for i in at)
+            for f, row in zip(maps, rows):
+                got, want = _gather(row, group), np.stack([f.comps[pts[i]] for i in at])
+                assert got.shape == want.shape == (len(at), d, d)
+                assert np.array_equal(got, want)
+                if len(at) == 1:
+                    assert np.shares_memory(got, row)
+            stacked = _gather(rows, group)
+            assert stacked.shape == (len(rows), len(at), d, d)
+            assert np.array_equal(stacked, np.stack([_gather(row, group) for row in rows]))
 
 
 @settings(max_examples=25)
@@ -175,7 +234,7 @@ def test_batched_split_matches_pointwise_split_with_zero_spaces(seed, p):
               for _ in range(4)]
     found = 0
     for f in basis + combos:
-        split = _split_from_endo(v, f)
+        split = _split_from_endo(v, flatten_morphism(f))
         assert_same_split(split, oracle_split_pointwise(v, f))
         found += split is not None
     assert found
@@ -242,3 +301,19 @@ def test_iso_test_certified_non_isomorphism_matches_oracle(monkeypatch):
     w = direct_sum(library.box_interval(F2, grid, (0,), (2,)),
                    library.box_interval(F2, grid, (1,), (1,)))
     assert assert_same_iso(v, w) == (False, None)
+
+
+def test_scale_point_digest(monkeypatch):
+    """scripts/run_scale_point.py at 16 points: the sha256 of the summands,
+    inclusions and projections as the per-point split and derived End code
+    gave it."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.setattr(sys, "argv", ["run_scale_point.py", "--points", "16"])
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "run_scale_point.py"), run_name="__main__")
+    assert done.value.code == 0
+    got = json.loads(out.getvalue())
+    assert got["failures"] == []
+    assert (got["total_dim"], got["summands"], got["sha256"]) == (
+        113, 17, "f68b71a32468152dd160c98d768110043913dcbf2dc97a2e5e4f8700b32376c0")
