@@ -193,6 +193,13 @@ class SmoothResult:
     eps: Fraction
 
 
+def _smoothed(v, eps):
+    """smooth's first step, for a rational eps >= 0: the smoothing S =
+    im(eta_eps) of v and the inclusion g: S -> V[eps] as extensions, without
+    the witness f that smooth builds on them."""
+    return factor_morphism(eta(ensure_valid(v), eps))
+
+
 def smooth(v, eps):
     """The eps-smoothing S = im(eta_eps) of v with its interleaving witnesses
     (SmoothResult).  v must pass validate: eta is natural only on a
@@ -200,7 +207,7 @@ def smooth(v, eps):
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("smooth needs eps >= 0")
-    s, g = factor_morphism(eta(ensure_valid(v), eps))  # g: S -> V[eps] as extensions
+    s, g = _smoothed(v, eps)
     big = s.grid
     # ambient anchor of S's value at each index tg, the image of the step from tg
     ambient = v.grid.anchors_on(big, eps)
@@ -327,10 +334,13 @@ def persistent_rank(v, eps):
     the per-axis anchors of Grid.anchor_indices (which Grid.anchors_on pairs
     with the points); where the first is not None neither is the second, as
     eps >= 0.  The maps are zero-padded to one stack, which leaves their
-    ranks as they are, and ranked by one reduce_stack."""
+    ranks as they are, and ranked by one reduce_stack.  v must pass
+    validate, or ValidationError is raised: a rank read off anchored paths
+    of a non-commuting module depends on the path."""
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("persistent_rank needs eps >= 0")
+    ensure_valid(v)
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
     ends = (product(*v.grid.anchor_indices(grid, delta)) for delta in (0, eps))
     maps = [v.path_map(a, b) for a, b in zip(*ends) if None not in a]

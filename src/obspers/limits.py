@@ -9,8 +9,8 @@ earlier term, at the exact rational tail sums, and verifying each one.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import (compose_matched, lattice_grid, restrict_extend,
-                       shift_morphism, smooth)
+from .calculus import (_smoothed, compose_matched, lattice_grid, restrict_extend,
+                       shift_morphism)
 from .decompose import iso_test
 from .errors import BudgetExceeded, ValidationError
 from .metric import verify
@@ -160,7 +160,7 @@ def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
     grid = lattice_grid(delta,
                         tuple(x - delta for x in lo),
                         tuple(x + delta for x in hi))
-    probed = [restrict_extend(smooth(v, delta).module, grid) for v in family]
+    probed = [restrict_extend(_smoothed(v, delta)[0], grid) for v in family]
     n = len(probed)
     parent = list(range(n))
     unresolved = []

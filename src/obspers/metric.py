@@ -52,14 +52,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-def _check_comparable(v, w):
-    """Raise ValidationError unless v and w share their field and their
-    number of axes, which every comparison of the two needs."""
-    if v.field != w.field:
-        raise ValidationError(f"field mismatch: p={v.field.p} vs p={w.field.p}")
-    if v.grid.n_axes != w.grid.n_axes:
-        raise ValidationError(f"axis count mismatch: {v.grid.n_axes} vs {w.grid.n_axes}")
-
 
 @dataclass(frozen=True)
 class Interleaving:
@@ -71,6 +63,21 @@ class Interleaving:
     g: Morphism
     verified: bool
     violations: tuple = ()
+
+
+def _check_pair(v, w):
+    """Raise ValidationError unless v and w share their field and their
+    number of axes, which every comparison of the two needs, and both are
+    modules (pass validate): the checks decide, rank_obstruction_at,
+    rank_lower_bound and distance_bracket make before anything else.
+    validate's verdict is cached on each module, so repeated checks are
+    free."""
+    if v.field != w.field:
+        raise ValidationError(f"field mismatch: p={v.field.p} vs p={w.field.p}")
+    if v.grid.n_axes != w.grid.n_axes:
+        raise ValidationError(f"axis count mismatch: {v.grid.n_axes} vs {w.grid.n_axes}")
+    if bad := _not_modules(v, w):
+        raise ValidationError("; ".join(bad))
 
 
 def _not_modules(v, w):
@@ -215,10 +222,8 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     F.solve would reject, which never reach verify.
 
     _obstruction is private: distance_bracket passes the verdict of
-    rank_obstruction_at(v, w, eps) when its rank scan already has it."""
-    _check_comparable(v, w)
-    if bad := _not_modules(v, w):
-        raise ValidationError("; ".join(bad))
+    rank_obstruction_at(v, w, eps), which it computes once per candidate."""
+    _check_pair(v, w)
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")
@@ -299,8 +304,10 @@ def _one_sided_rank_violation(v, w, eps):
 
 def rank_obstruction_at(v, w, eps):
     """A human-readable witness that no eps-interleaving can exist, from the
-    functorial rank inequalities; None when no inequality is violated."""
-    _check_comparable(v, w)
+    functorial rank inequalities; None when no inequality is violated.
+    v and w must be comparable modules (pass validate), or ValidationError
+    is raised."""
+    _check_pair(v, w)
     eps = _frac(eps)
     hit = _one_sided_rank_violation(v, w, eps)
     if hit is not None:
@@ -332,24 +339,21 @@ def candidate_set(v, w):
 def rank_lower_bound(v, w):
     """The largest candidate eps at which a rank inequality is violated (so
     d_I > eps there), 0 when none is, or INF when the eventual dimensions
-    differ (no interleaving at any shift)."""
-    _check_comparable(v, w)
+    differ (no interleaving at any shift).  v and w must be comparable
+    modules (pass validate), or ValidationError is raised."""
+    _check_pair(v, w)
     if _eventual_dim(v) != _eventual_dim(w):
         return INF
-    return _rank_scan(v, w, candidate_set(v, w))[0]
+    cands = candidate_set(v, w)
+    return _rank_bound(lambda i: rank_obstruction_at(v, w, cands[i]), cands, len(cands) - 1)
 
 
-def _rank_scan(v, w, cands):
-    """rank_lower_bound's scan of the sorted candidates cands from the top:
-    the bound, and {index: rank_obstruction_at verdict} for every candidate
-    the scan evaluated (the bound alone cannot tell an obstruction at 0
-    from none at all)."""
-    verdicts = {}
-    for i in reversed(range(len(cands))):
-        verdicts[i] = rank_obstruction_at(v, w, cands[i])
-        if verdicts[i] is not None:
-            return cands[i], verdicts
-    return Fraction(0), verdicts
+def _rank_bound(verdict, cands, start):
+    """The largest of the sorted candidates cands[:start + 1] whose verdict(i)
+    (rank_obstruction_at at cands[i]) is an obstruction, scanning down from
+    start, or 0 when none is."""
+    return next((cands[i] for i in range(start, -1, -1) if verdict(i) is not None),
+                Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -370,36 +374,56 @@ def distance_bracket(v, w, budget=DEFAULT_BUDGET):
     """Monotone search over the candidate set: upper is the smallest candidate
     where decide succeeds, lower combines the rank bound with the largest
     certified-none candidate.  Budget failures widen the bracket and clear the
-    exact flag instead of guessing."""
-    _check_comparable(v, w)
+    exact flag instead of guessing.  v and w must be comparable modules (pass
+    validate), or ValidationError is raised.
+
+    The search decides only the candidates its answer reads.  It bisects
+    over all of them without deciding the top one first: bisection moves hi
+    only to a mid that succeeded, so the final index k has been decided
+    unless it is the top index, which is decided then.  When that fails (no
+    candidate succeeded, or none that bisection met) the bracket has no
+    upper bound, and it is read off that one result as if the top had been
+    decided first.  Each candidate's rank verdict is computed once and
+    handed to decide.
+
+    The rank bound is the first obstruction scanning down from k - 1 (from k
+    when nothing succeeded), which is the one a scan from the top finds.
+    An eps-interleaving gives an eps'-interleaving for every eps' >= eps
+    (compose with eta; Lesnick, FoCM 2015), and a rank obstruction at eps'
+    proves that none exists there.  So once cands[k] has a verified witness,
+    no candidate at or above it is obstructed.  A search that decided the
+    top candidate first, and bisected only when it succeeded, would add to
+    these decisions only that success, which none of the answer's values
+    reads: the mids, the decision at k - 1, the largest certified-none
+    candidate, exact and every certificate are the same.
+
+    One input class can differ, and only for the better: if deciding the
+    top candidate would exhaust the budget while bisection meets a smaller
+    success, the bracket reports that verified witness instead of an
+    infinite upper bound."""
+    _check_pair(v, w)
     if _eventual_dim(v) != _eventual_dim(w):
         return DistanceBracket(INF, INF, None, True,
                                {"reason": "eventual dimensions differ",
                                 "rank_lower_bound": INF})
     cands = candidate_set(v, w)
-    rlb, verdicts = _rank_scan(v, w, cands)
-    results = {}
+    verdicts, results = {}, {}
+
+    def verdict(i):
+        if i not in verdicts:
+            verdicts[i] = rank_obstruction_at(v, w, cands[i])
+        return verdicts[i]
 
     def dec(i):
         if i not in results:
             try:
-                results[i] = decide(v, w, cands[i], budget=budget,
-                                    _obstruction=verdicts.get(i, _UNKNOWN))
+                results[i] = decide(v, w, cands[i], budget=budget, _obstruction=verdict(i))
             except BudgetExceeded:
                 results[i] = "budget"
         return results[i]
 
     lo, hi = 0, len(cands) - 1
     budget_gap = False
-    top = dec(hi)
-    if top == "budget" or top is None:
-        # cannot certify any upper bound inside the candidate range
-        largest_none = max((cands[i] for i, r in results.items() if r is None), default=None)
-        lower = max([x for x in (rlb, largest_none) if x is not None] or [Fraction(0)])
-        return DistanceBracket(lower, INF, None, False,
-                               {"rank_lower_bound": rlb,
-                                "largest_none_candidate": largest_none,
-                                "smallest_success_candidate": None})
     while lo < hi:
         mid = (lo + hi) // 2
         r = dec(mid)
@@ -411,9 +435,19 @@ def distance_bracket(v, w, budget=DEFAULT_BUDGET):
         else:
             hi = mid
     k = lo
-    if k > 0 and (k - 1) not in results:
+    witness = dec(k)
+    if witness == "budget" or witness is None:
+        # k is the top candidate: no upper bound inside the candidate range
+        rlb = _rank_bound(verdict, cands, k)
+        largest_none = None if witness == "budget" else cands[k]
+        lower = rlb if largest_none is None else max(rlb, largest_none)
+        return DistanceBracket(lower, INF, None, False,
+                               {"rank_lower_bound": rlb,
+                                "largest_none_candidate": largest_none,
+                                "smallest_success_candidate": None})
+    if k > 0:
         dec(k - 1)
-    witness = results[k]
+    rlb = _rank_bound(verdict, cands, k - 1)
     largest_none = max((cands[i] for i, r in results.items() if r is None), default=None)
     smallest_success = cands[k]
     pieces = [rlb]

@@ -1,11 +1,11 @@
 """Independent oracles used by the test suite.
 
-Everything in this file except the last ten sections is deliberately written
+Everything in this file except the last eleven sections is deliberately written
 against plain Python lists and ints (no numpy, no imports from the package
 under test) so that agreement between the library and these oracles is
 meaningful.  The implementations are brute force: exhaustive enumeration and
 textbook elimination, feasible only at the tiny sizes the tests use.  The last
-ten sections keep earlier code of the package itself as the reference for
+eleven sections keep earlier code of the package itself as the reference for
 its replacements: the point-by-point restriction, the per-element linear
 combination, the per-element decide kernel, the dense Hom solver, the full
 factorization with the per-piece decomposition, the restricting endpoint
@@ -13,7 +13,8 @@ checks, the composite-building verify and the per-cell triangle check, the
 point-by-point Fitting split and isomorphism search, the per-edge and
 per-point naturality check, composition, sum, submodule and persistent
 rank, the per-point anchored morphisms with the witnesses built on them,
-and grid homology on rational coordinates through Bifiltration.present_at.
+grid homology on rational coordinates through Bifiltration.present_at, and
+the distance bracket that decides its top candidate first.
 """
 
 from fractions import Fraction
@@ -1247,3 +1248,79 @@ def oracle_vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
     gmor = induced(hom_g, wmod, hom_f, vmod)
     wit = verify(vmod, wmod, eta, fmor, gmor)
     return vmod, wmod, wit
+
+
+# ---------------------------------------------------------------------------
+# The package's earlier distance bracket: the rank bound from a full scan of
+# the candidates from the top, and the top candidate decided before the
+# bisection.  distance_bracket must give the same bracket wherever this one
+# has a finite upper bound or no candidate succeeds in either.
+# ---------------------------------------------------------------------------
+
+def oracle_distance_bracket(v, w, budget):
+    from obspers import metric
+    from obspers.errors import BudgetExceeded
+    from obspers.metric import INF, DistanceBracket, candidate_set, decide
+
+    metric._check_pair(v, w)
+    if metric._eventual_dim(v) != metric._eventual_dim(w):
+        return DistanceBracket(INF, INF, None, True,
+                               {"reason": "eventual dimensions differ",
+                                "rank_lower_bound": INF})
+    cands = candidate_set(v, w)
+    verdicts, rlb = {}, Fraction(0)
+    for i in reversed(range(len(cands))):
+        verdicts[i] = metric.rank_obstruction_at(v, w, cands[i])
+        if verdicts[i] is not None:
+            rlb = cands[i]
+            break
+    results = {}
+
+    def dec(i):
+        if i not in results:
+            try:
+                results[i] = decide(v, w, cands[i], budget=budget,
+                                    _obstruction=verdicts.get(i, metric._UNKNOWN))
+            except BudgetExceeded:
+                results[i] = "budget"
+        return results[i]
+
+    lo, hi = 0, len(cands) - 1
+    budget_gap = False
+    top = dec(hi)
+    if top == "budget" or top is None:
+        largest_none = max((cands[i] for i, r in results.items() if r is None), default=None)
+        lower = max([x for x in (rlb, largest_none) if x is not None] or [Fraction(0)])
+        return DistanceBracket(lower, INF, None, False,
+                               {"rank_lower_bound": rlb,
+                                "largest_none_candidate": largest_none,
+                                "smallest_success_candidate": None})
+    while lo < hi:
+        mid = (lo + hi) // 2
+        r = dec(mid)
+        if r == "budget":
+            budget_gap = True
+            lo = mid + 1
+        elif r is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    k = lo
+    if k > 0 and (k - 1) not in results:
+        dec(k - 1)
+    witness = results[k]
+    largest_none = max((cands[i] for i, r in results.items() if r is None), default=None)
+    smallest_success = cands[k]
+    pieces = [rlb]
+    if largest_none is not None and largest_none == (cands[k - 1] if k else None) and not budget_gap:
+        pieces.append(smallest_success)
+    elif largest_none is not None:
+        pieces.append(largest_none)
+    if k == 0:
+        pieces.append(Fraction(0))
+    lower = max(pieces)
+    exact = (lower == smallest_success) and not budget_gap
+    return DistanceBracket(lower, smallest_success, witness, exact,
+                           {"rank_lower_bound": rlb,
+                            "largest_none_candidate": largest_none,
+                            "smallest_success_candidate": smallest_success})

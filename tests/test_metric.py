@@ -1,9 +1,16 @@
 """Interleaving verification, decision, and distance brackets."""
 
+import io
+import json
+import runpy
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obspers import library, metric
 from obspers.calculus import discretize, shift
@@ -12,14 +19,16 @@ from obspers.errors import BudgetExceeded, ValidationError
 from obspers.fields import PrimeField
 from obspers.metric import (INF, candidate_set, decide, distance_bracket,
                             rank_lower_bound, rank_obstruction_at, verify)
-from obspers.stepmodule import (Grid, Morphism, identity_morphism,
+from obspers.serialize import bracket_to_json
+from obspers.stepmodule import (DEFAULT_BUDGET, Grid, Morphism, identity_morphism,
                                 restrict_extend, union_grids, zero_module,
                                 zero_morphism)
 
 from conftest import enumerate_interleavings
-from oracles import oracle_verify
+from oracles import oracle_distance_bracket, oracle_verify
 
 F2 = PrimeField(2)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def offset_cells(d):
@@ -237,12 +246,12 @@ def test_metric_functions_reject_incomparable_modules(v, w):
         assert iso_test(a, b) == (False, None)
 
 
-# -- the bracket's rank scan ---------------------------------------------------
+# -- the bracket's search ------------------------------------------------------
 
-def counted_bracket(monkeypatch, v, w, reuse):
-    """distance_bracket(v, w) and the shifts at which it evaluated a rank
-    obstruction; without reuse its decide calls scan for themselves."""
-    shifts, scan, check = [], metric._rank_scan, metric.rank_obstruction_at
+def counted_bracket(monkeypatch, bracket, v, w):
+    """bracket(v, w) at budget 1 << 10, and the shifts at which it evaluated
+    a rank obstruction."""
+    shifts, check = [], metric.rank_obstruction_at
 
     def counted(a, b, eps):
         shifts.append(eps)
@@ -250,23 +259,90 @@ def counted_bracket(monkeypatch, v, w, reuse):
 
     with monkeypatch.context() as m:
         m.setattr(metric, "rank_obstruction_at", counted)
-        if not reuse:
-            m.setattr(metric, "_rank_scan", lambda a, b, cands: (scan(a, b, cands)[0], {}))
-        return metric.distance_bracket(v, w, budget=1 << 10), shifts
+        return bracket(v, w, 1 << 10), shifts
 
 
 @pytest.mark.parametrize("seed", [83, 101, 0, 1, 2, 3])
 def test_distance_bracket_scans_each_shift_once(monkeypatch, seed):
+    # the search evaluates each shift at most once, and only shifts that the
+    # top-first search evaluates too
     rng = np.random.default_rng(seed)
     v = library.random_module(F2, rng, hi=2, max_summands=2)
     w = library.random_module(F2, rng, grid=v.grid, max_summands=2)
-    fast, shifts = counted_bracket(monkeypatch, v, w, reuse=True)
-    slow, repeated = counted_bracket(monkeypatch, v, w, reuse=False)
+    fast, shifts = counted_bracket(monkeypatch, metric.distance_bracket, v, w)
+    slow, oracle_shifts = counted_bracket(monkeypatch, oracle_distance_bracket, v, w)
     assert fast == slow
-    assert len(set(shifts)) == len(shifts) and set(shifts) == set(repeated)
+    assert len(set(shifts)) == len(shifts) and set(shifts) <= set(oracle_shifts)
     if seed == 101:
         # rank_lower_bound reads 0, yet the scan found an obstruction at 0:
-        # the bracket must not decide 0 again, nor take the 0 as "none"
+        # the bracket must not evaluate 0 again, nor take the 0 as "none"
         assert metric.rank_lower_bound(v, w) == 0
         assert rank_obstruction_at(v, w, 0) is not None
-        assert shifts.count(Fraction(0)) == 1 and len(repeated) > len(shifts)
+        assert shifts.count(Fraction(0)) == 1
+
+
+def bracket_pair(seed, p):
+    """A random module over F_p and, for odd seeds, a random module on its
+    grid, for even ones its discretization at 1, 1/2 or 1/3, which shares
+    its eventual dimension."""
+    rng = np.random.default_rng(seed)
+    F = PrimeField(p)
+    v = library.random_module(F, rng, max_summands=3)
+    if seed % 2:
+        return v, library.random_module(F, rng, grid=v.grid, max_summands=3)
+    return v, discretize(v, Fraction(1, 1 + seed % 3)).module
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3]),
+       st.sampled_from([4, 16, 256, DEFAULT_BUDGET]))
+def test_distance_bracket_matches_the_top_first_search(seed, p, budget):
+    # the same bracket wherever the top-first search has an upper bound or no
+    # candidate succeeds; else only the top decision ran out of budget, and
+    # the bracket holds the smaller verified success bisection met
+    v, w = bracket_pair(seed, p)
+    fast = distance_bracket(v, w, budget)
+    slow = oracle_distance_bracket(v, w, budget)
+    if slow.upper != INF or fast.upper == INF:
+        assert bracket_to_json(fast) == bracket_to_json(slow)
+    else:
+        assert slow.certificates["largest_none_candidate"] is None
+        assert slow.lower <= fast.lower <= fast.upper
+    for br in (fast, slow):
+        if br.witness is not None:
+            wit = br.witness
+            assert verify(v, w, wit.eps, wit.f, wit.g).verified
+
+
+def test_distance_bracket_finds_a_success_below_an_exhausted_top():
+    # at budget 256 deciding the top candidate 3 runs out of budget, and the
+    # top-first search reported [5/8, INF] without a witness; bisection meets
+    # the success at 3/4 and a certified none at 5/8 just below it
+    v, w = bracket_pair(72, 2)
+    slow = oracle_distance_bracket(v, w, 256)
+    assert (slow.lower, slow.upper, slow.witness) == (Fraction(5, 8), INF, None)
+    with pytest.raises(BudgetExceeded):
+        decide(v, w, candidate_set(v, w)[-1], budget=256)
+    br = distance_bracket(v, w, 256)
+    assert (br.lower, br.upper, br.exact) == (Fraction(3, 4), Fraction(3, 4), True)
+    assert br.certificates["largest_none_candidate"] == Fraction(5, 8)
+    assert verify(v, w, br.witness.eps, br.witness.f, br.witness.g).verified
+
+
+@pytest.mark.parametrize("points, pairs, exact, digest", [
+    (5, 8, 7, "f22e997c174bb73a0f1f8baa67bbba79edf702d6ee3e08645bc9d051d814c26f"),
+    # mostly out of budget: the brackets without an upper bound
+    (6, 16, 1, "08648a6a5c81d7c31a98c2b60624e53b40227e63b81e8ed813407224a66a25f6"),
+])
+def test_decide_point_digests(monkeypatch, points, pairs, exact, digest):
+    """scripts/run_decide_point.py: the digest of every bracket's canonical
+    JSON as the top-first search gave it, and every witness verified (the
+    script exits 0)."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.setattr(sys, "argv", ["run_decide_point.py", "--points", str(points),
+                                      "--pairs", str(pairs)])
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "run_decide_point.py"), run_name="__main__")
+    got = json.loads(out.getvalue())
+    assert (done.value.code, got["exact"], got["sha256"]) == (0, exact, digest)

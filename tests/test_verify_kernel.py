@@ -7,8 +7,9 @@ verify must return the same verdict and the same violations on witnesses
 that verify, on natural single-entry corruptions of them, on zero morphisms
 and on decide's witnesses, over F_2, F_3 and F_5 and on one, two and three
 axes.  The generator-grade check is exact only for natural maps out of a
-module, so verify and decide reject endpoints that are not modules, and
-shift_factor_morphism a factor that is not natural."""
+module, so verify, decide and the other metric entry points reject
+endpoints that are not modules, and shift_factor_morphism a factor that is
+not natural."""
 
 from fractions import Fraction
 
@@ -19,14 +20,15 @@ from hypothesis import given, settings, strategies as st
 import obspers.stability as stability
 from obspers import library
 from obspers.calculus import (_triangle_holds, discretize, lattice_grid,
-                              restriction_pair, smooth)
+                              persistent_rank, restriction_pair, smooth)
 from obspers.errors import BudgetExceeded, ValidationError
 from obspers.fields import _STACK_BITS, PrimeField
-from obspers.metric import decide, verify
+from obspers.metric import (decide, distance_bracket, rank_lower_bound,
+                            rank_obstruction_at, verify)
 from obspers.stability import shift_factor_morphism
 from obspers.stepmodule import (Grid, Morphism, StepModule, direct_sum,
                                 identity_morphism, restrict_extend, validate,
-                                validate_morphism, zero_morphism)
+                                validate_morphism, zero_module, zero_morphism)
 
 from conftest import tiny_decide_corpus
 from oracles import oracle_shift_factor_ok, oracle_triangle_holds, oracle_verify
@@ -264,6 +266,23 @@ def test_decide_rejects_endpoints_that_are_not_modules():
     for a, b in ((v, v), (v, good), (good, v)):
         with pytest.raises(ValidationError, match="is not a module: square at"):
             decide(a, b, 0)
+
+
+def test_metric_entry_points_reject_endpoints_that_are_not_modules():
+    # each used to answer: the bracket against the zero module took the
+    # eventual-dimension shortcut to an exact infinite bracket, the rank
+    # bound read 1/2, and the ranks were read off the non-commuting square
+    v = non_module()
+    good = library.constant_module(PrimeField(2), v.grid)
+    calls = [lambda: distance_bracket(v, zero_module(2, 2)),
+             lambda: persistent_rank(v, 1)]
+    for a, b in ((v, good), (good, v)):
+        calls += [lambda a=a, b=b: distance_bracket(a, b),
+                  lambda a=a, b=b: rank_lower_bound(a, b),
+                  lambda a=a, b=b: rank_obstruction_at(a, b, 1)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="does not commute"):
+            call()
 
 
 def test_validate_runs_once_and_returns_a_new_list():
