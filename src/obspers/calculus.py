@@ -54,7 +54,9 @@ def shift(v, eps):
     eps = _frac(eps)
     if not eps:
         return v
-    return StepModule._trusted(v.field, v.grid.translate(-eps), v.dims, v.steps)
+    out = StepModule._trusted(v.field, v.grid.translate(-eps), v.dims, v.steps)
+    out.__dict__["_valid_if"] = v  # see StepModule._violations
+    return out
 
 
 def anchored_morphism(x, y, eps, grid, comp):

@@ -100,7 +100,13 @@ def cmd_validate(ns):
     if kind == "module":
         ensure_valid(value)
     elif kind == "morphism":
-        violations = validate_morphism(value)
+        # validate_morphism checks naturality only, and raises first on an
+        # endpoint step of the wrong shape; endpoints that are not modules
+        # are named before its violations, as verify names them
+        natural = validate_morphism(value)
+        violations = [f"{name} is not a module: {x._violations[0]}"
+                      for name, x in (("source", value.source), ("target", value.target))
+                      if x._violations] + natural
         if violations:
             raise ValidationError("; ".join(violations))
     elif kind == "interleaving":

@@ -80,21 +80,30 @@ grid.edges order; Morphism._stack holds the components padded to
 edge, the point numbers of its two ends, to index a morphism's stack.
 Padding is exact: the top-left block of a product of padded matrices is the
 product of the blocks, and every other entry stays zero, so a batched product
-of stacks is the stack of the per-point products, and the results of compose,
-add_morphisms and _submodule are views into one read-only product that
-becomes the new object's own stack.  The same argument lets a product take
-its points (or edges) by size class and multiply only the top-left c x c
-corners of each class's blocks, c the power of two at or above the widest
-block there and at least _MIN_CLASS: the corner holds the whole block, and
-the rest of the result stays zero.  So a module with one wide point and many
-narrow ones pays the wide width only at the wide point; modules at most
-_MIN_CLASS wide take one class, one product.  Both stacks, like the path
-maps, are cached on first use, which is sound only because modules and
-morphisms never change: their arrays are read-only, and every caller that
-edits a steps or comps dict copies it into a new object first.  Padding
-would also hide a block smaller than its point's dimensions, which a
-per-point product rejects, so building a stack raises ValidationError on
-any block of the wrong shape.
+of stacks is the stack of the per-point products.  The same argument lets a
+product take its points (or edges) by size class and multiply only the
+top-left c x c corners of each class's blocks, c the power of two at or above
+the widest block there and at least _MIN_CLASS: the corner holds the whole
+block, and the rest of the result stays zero.  So a module with one wide
+point and many narrow ones pays the wide width only at the wide point;
+modules at most _MIN_CLASS wide take one class, one product.  Padding would
+also hide a block smaller than its point's dimensions, which a per-point
+product rejects, so building a stack raises ValidationError on any block of
+the wrong shape.
+
+Stacks first.  What _from_stack builds (the results of compose,
+add_morphisms, _submodule, factor_morphism and decompose's split) keeps
+only its read-only stack.  Its steps or comps dict is a view, the per-point
+slices of the stack, built on first read and cached by a cached_property on
+the field's name (_stack_view); validate_morphism's shape and naturality
+tests and == against the object itself never read it.  An object built
+with a dict keeps it in its __dict__, which a non-data descriptor never
+shadows, so its reads stay plain attribute lookups (a __getattr__ hook
+would slow every read).  Stacks, views and path maps are cached, which is
+sound only because modules and morphisms never change: their arrays are
+read-only, and every caller that edits a steps or comps dict copies it into
+a new object first.  A view keeps its identity once built, so _same_data
+and shift treat it as a dict given to the constructor.
 """
 
 import bisect
@@ -501,19 +510,18 @@ class StepModule:
         every matrix reduced mod p, int64, two dimensional and read-only;
         skips the reduction and copy of __post_init__."""
         v = object.__new__(cls)
-        for name, value in (("field", field), ("grid", grid), ("dims", dims), ("steps", steps)):
-            object.__setattr__(v, name, value)
+        v.__dict__.update(field=field, grid=grid, dims=dims, steps=steps)
         return v
 
     @classmethod
     def _from_stack(cls, field, grid, dims, stack):
         """Internal constructor for dims keyed by the grid points in order and
-        a read-only (E, D, D) stack of steps padded as _stack pads them; the
-        steps are views into stack, which becomes the module's _stack."""
-        v = cls._trusted(field, grid, dims, {
-            (g, axis): stack[i, :dims[h], :dims[g]]
-            for i, ((g, axis), h) in enumerate(grid.edges.items())})
-        v.__dict__["_stack"] = stack
+        a read-only (E, D, D) stack of steps padded as _stack pads them.  The
+        stack is the module's storage, its _stack; steps is not set, and is
+        built from the stack as views the first time it is read
+        (_stack_view)."""
+        v = object.__new__(cls)
+        v.__dict__.update(field=field, grid=grid, dims=dims, _stack=stack)
         return v
 
     @cached_property
@@ -552,9 +560,21 @@ class StepModule:
         """validate's violations, as a tuple, found once: modules never
         change.  A restriction (restrict_extend) of a module is a module,
         its steps being the source's path maps between anchors and zero
-        below the source's grid, so it is not checked again."""
-        source = _source(self)
-        if source is not self and not source._violations:
+        below the source's grid, so it is not checked again.  Nor is a
+        module that records a module as its _valid_if:
+        - calculus.shift records its input, whose dims and steps it keeps on
+          a grid of the same shape, so validate reads the same data;
+        - _submodule records its ambient module.  Its callers guarantee that
+          the ambient steps keep the spans (factor_morphism checks the
+          products that leave them, and a Fitting piece of decompose is the
+          kernel or the image of a natural map), so basis[h] @ step =
+          ambient step @ basis[g] on every step g -> h.  basis[h] times
+          either path of a square of the submodule is then the ambient path
+          times basis[g]; the ambient paths agree and basis[h] has
+          independent columns, so the submodule's paths agree.  Its stack
+          gives each step its exact shape."""
+        parent = self.__dict__.get("_valid_if") or _source(self)
+        if parent is not self and not parent._violations:
             return ()
         return tuple(_module_violations(self))
 
@@ -589,10 +609,13 @@ class StepModule:
         return sum(self.dims.values())
 
     def __eq__(self, other):
-        """Exact data equality.  O(1) when the two sources (_source) share
-        their data (_same_data), as two shift copies by one eps do: each
-        module is then its source or that source restricted to the common
-        grid, and restrict_extend is deterministic."""
+        """Exact data equality.  True at once for the module itself, which
+        reads no steps.  O(1) when the two sources (_source) share their
+        data (_same_data), as two shift copies by one eps do: each module is
+        then its source or that source restricted to the common grid, and
+        restrict_extend is deterministic."""
+        if self is other:
+            return True
         if not isinstance(other, StepModule):
             return NotImplemented
         if self.field != other.field or self.grid != other.grid:
@@ -641,6 +664,28 @@ class StepModule:
         if idx is None:
             return 0, None
         return self.dims[idx], idx
+
+
+def _stack_view(cls, name, build):
+    """Put build on cls as a cached_property named after the dataclass field
+    name.  An object built with the field holds it in its __dict__, which a
+    non-data descriptor never shadows; one built by _from_stack holds only
+    its _stack, and gets the field from build(object) the first time it is
+    read, cached in its __dict__ from then on."""
+    view = cached_property(build)
+    view.__set_name__(cls, name)
+    setattr(cls, name, view)
+
+
+def _steps_view(v):
+    """The steps of a module built by _from_stack, as read-only views into its
+    _stack: each step is the top-left dims(end) x dims(start) block."""
+    stack, dims = v._stack, v.dims
+    return {(g, axis): stack[i, :dims[h], :dims[g]]
+            for i, ((g, axis), h) in enumerate(v.grid.edges.items())}
+
+
+_stack_view(StepModule, "steps", _steps_view)
 
 
 def _same_data(a, b):
@@ -809,19 +854,18 @@ class Morphism:
         by index tuples, each reduced mod p, int64 and read-only; skips the
         grid check, reduction and copy of __post_init__."""
         m = object.__new__(cls)
-        for name, value in (("source", source), ("target", target), ("comps", comps)):
-            object.__setattr__(m, name, value)
+        m.__dict__.update(source=source, target=target, comps=comps)
         return m
 
     @classmethod
     def _from_stack(cls, source, target, stack):
-        """Internal constructor for a read-only (P, D_target, D_source) stack of
-        components padded as _stack pads them; the components are views into
-        stack, which becomes the morphism's _stack."""
-        s, t = source.dims, target.dims
-        m = cls._trusted(source, target, {g: stack[i, :t[g], :s[g]]
-                                          for i, g in enumerate(source.grid.points())})
-        m.__dict__["_stack"] = stack
+        """Internal constructor for endpoints on one grid and a read-only (P,
+        D_target, D_source) stack of components padded as _stack pads them.
+        The stack is the morphism's storage, its _stack; comps is not set,
+        and is built from the stack as views the first time it is read
+        (_stack_view)."""
+        m = object.__new__(cls)
+        m.__dict__.update(source=source, target=target, _stack=stack)
         return m
 
     @cached_property
@@ -853,6 +897,8 @@ class Morphism:
         return self.comps[tuple(idx)]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Morphism):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
@@ -860,10 +906,22 @@ class Morphism:
                 and matrices_equal(self.comps, other.comps, self.comps))
 
 
+def _comps_view(m):
+    """The components of a morphism built by _from_stack, as read-only views
+    into its _stack: each is the top-left target.dims x source.dims block."""
+    stack, s, t = m._stack, m.source.dims, m.target.dims
+    return {g: stack[i, :t[g], :s[g]] for i, g in enumerate(m.grid.points())}
+
+
+_stack_view(Morphism, "comps", _comps_view)
+
+
 def validate_morphism(m):
     """Shape and naturality check; returns a new list of violations.  The
     check runs once per morphism (Morphism._violations); an endpoint step
-    of the wrong shape raises ValidationError on every call."""
+    of the wrong shape raises ValidationError on every call.  It does not
+    check that the endpoints are modules (validate does): naturality is
+    defined square by square whether or not the endpoints' squares commute."""
     return list(m._violations)
 
 
@@ -871,21 +929,27 @@ def _morphism_violations(m):
     """validate_morphism's violations, checked afresh.  Naturality is one
     batched test per size class over the padded stacks, comps[h] o step =
     step o comps[g] on every edge g -> h, naming the first failing edge in
-    grid.edges order."""
+    grid.edges order.  A morphism built by _from_stack whose comps were
+    never read is shape-checked by its stack alone: a stack of shape (P,
+    D_target, D_source) gives every point a view of exactly its shape.  Any
+    other stack falls back to the per-point scan, with its messages."""
     out = []
     pts = m.grid.points()
-    for g in pts:
-        if g not in m.comps:
-            out.append(f"missing component at {g}")
+    if "comps" in m.__dict__ or m._stack.shape != (len(pts), _width(m.target),
+                                                    _width(m.source)):
+        for g in pts:
+            if g not in m.comps:
+                out.append(f"missing component at {g}")
+                return out
+            want = (m.target.dims[g], m.source.dims[g])
+            if m.comps[g].shape != want:
+                out.append(f"component at {g} has shape {m.comps[g].shape}, expected {want}")
+        if len(m.comps) > len(pts):
+            on_grid = set(pts)
+            out += [f"component at {g} is not at a grid point"
+                    for g in m.comps if g not in on_grid]
+        if out:
             return out
-        want = (m.target.dims[g], m.source.dims[g])
-        if m.comps[g].shape != want:
-            out.append(f"component at {g} has shape {m.comps[g].shape}, expected {want}")
-    if len(m.comps) > len(pts):
-        on_grid = set(pts)
-        out += [f"component at {g} is not at a grid point" for g in m.comps if g not in on_grid]
-    if out:
-        return out
     ends = src, dst = _edge_ends(m.grid.shape)
     c, sv, sw, p = m._stack, m.source._stack, m.target._stack, m.field.p
     bad = np.zeros(len(src), dtype=bool)
@@ -1167,9 +1231,12 @@ def _submodule(v, dims, basis, coords):
     grid.points() order, padded to (D_v, D) and (D, D_v), D the largest of
     dims; each step is coords[h] @ step @ basis[g], h the step's end, in one
     batched product per size class.  The caller guarantees that v's steps
-    keep the spans."""
-    return StepModule._from_stack(v.field, v.grid, dims,
-                                  _edge_products(coords, v, basis, dims.values()))
+    keep the spans, so the result is a module when v is one, and it records
+    v as its _valid_if (StepModule._violations)."""
+    sub = StepModule._from_stack(v.field, v.grid, dims,
+                                 _edge_products(coords, v, basis, dims.values()))
+    sub.__dict__["_valid_if"] = v
+    return sub
 
 
 def factor_morphism(m):
@@ -1182,22 +1249,28 @@ def factor_morphism(m):
     and its other rows vanish exactly on the span.  A step of w that carries
     the span at g outside the span at its end means m is not natural, and
     raises ValidationError.
+
+    Both reductions run over stacks.  One reduce_stack over m's stack gives
+    every point's pivot columns, which are gathered into the padded basis
+    stack; a second one reduces [basis | I_w], I_w the identity on w_g's
+    coordinates at each point and zero past them.  The padding adds zero
+    columns and zero rows, which leave a reduced row echelon form as it is,
+    and that form is unique, so each slice is the per-point one: its first
+    rank rows past the basis columns are the coordinates, and the rows from
+    rank on are the rows that vanish on the span, in place.
     """
-    F = m.field
-    w = m.target
-    pts = m.grid.points()
-    basis, coords, outside = [], [], []
-    for g in pts:
-        b = F.column_space_basis(m.comps[g])
-        r = b.shape[1]
-        rref, _, _ = F.reduce(np.concatenate([b, F.identity(w.dims[g])], axis=1))
-        basis.append(b)
-        coords.append(rref[:r, r:])
-        outside.append(rref[r:, r:])
-    dims = {g: b.shape[1] for g, b in zip(pts, basis)}
-    dw, d = _width(w), max(dims.values())
-    basis, coords = _padded(basis, dw, d), _padded(coords, d, dw)
-    if _edge_products(_padded(outside, dw, dw), w, basis, dims.values()).any():
+    F, w, stack = m.field, m.target, m._stack
+    _, ranks, pivots = F.reduce_stack(stack)
+    dims = dict(zip(m.grid.points(), ranks.tolist()))
+    d, dw = max(dims.values()), _width(w)
+    kept = np.arange(d) < ranks[:, None]
+    first = np.argsort(~pivots, axis=1, kind="stable")[:, None, :d]
+    basis = _freeze(np.take_along_axis(stack, first, axis=2) * kept[:, None, :])
+    w_dims = np.array([w.dims[g] for g in dims])
+    eye = np.eye(dw, dtype=np.int64) * (np.arange(dw) < w_dims[:, None])[:, None, :]
+    red = F.reduce_stack(np.concatenate([basis, eye], axis=2))[0][:, :, d:]
+    outside = red * (np.arange(dw)[:, None] >= ranks[:, None, None])
+    if _edge_products(outside, w, basis, dims.values()).any():
         raise ValidationError("induced step left the subspace; morphism invalid")
-    image = _submodule(w, dims, basis, coords)
+    image = _submodule(w, dims, basis, red[:, :d] * kept[:, :, None])
     return image, Morphism._from_stack(image, w, basis)

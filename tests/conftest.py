@@ -7,7 +7,10 @@ from hypothesis import settings
 
 from obspers import library
 from obspers.fields import PrimeField
-from obspers.stepmodule import Grid, StepModule
+from obspers.stepmodule import (Grid, StepModule, _module_violations, factor_morphism, validate,
+                                validate_morphism)
+
+from oracles import oracle_factor_morphism
 
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
@@ -60,6 +63,29 @@ def assert_same_morphism(fast, slow):
     assert fast.comps.keys() == slow.comps.keys()
     for g, m in slow.comps.items():
         assert fast.comps[g].shape == m.shape and np.array_equal(fast.comps[g], m), g
+
+
+def assert_image_matches_oracle(m):
+    """factor_morphism(m) is the oracle's image and image inclusion, element
+    by element, and the image's dims are the pointwise ranks of m.  validate
+    defers the image to m's target, so the image is also checked afresh."""
+    image, inclusion = factor_morphism(m)
+    slow = oracle_factor_morphism(m)
+    assert image == slow.image
+    assert_same_morphism(inclusion, slow.image_inclusion)
+    assert validate(image) == [] and validate_morphism(inclusion) == []
+    assert _module_violations(image) == []
+    for g in m.grid.points():
+        assert image.dims[g] == m.field.rank(m.comps[g])
+
+
+def non_module():
+    """A 2x2 F_2 module of dimension 1 everywhere whose step (0, 1) -> (1, 1)
+    is 0, so the square at (0, 0) does not commute."""
+    grid = Grid(((0, 1), (0, 1)))
+    steps = {(g, axis): [[1]] for g, axis in grid.edges}
+    steps[((0, 1), 0)] = [[0]]
+    return StepModule(PrimeField(2), grid, {g: 1 for g in grid.points()}, steps)
 
 
 def doubled_m_lambda(p, lam):

@@ -27,9 +27,9 @@ from obspers.decompose import (_derived_rows, _gather, _split, _split_from_endo,
                                decompose, endo_algebra, iso_test)
 from obspers.errors import BudgetExceeded
 from obspers.fields import PrimeField
-from obspers.stepmodule import (DEFAULT_BUDGET, Grid, Morphism, _morphisms, direct_sum,
-                                flatten_morphism, hom_basis, hom_rows, linear_combination,
-                                validate, validate_morphism)
+from obspers.stepmodule import (DEFAULT_BUDGET, Grid, Morphism, _module_violations, _morphisms,
+                                direct_sum, flatten_morphism, hom_basis, hom_rows,
+                                linear_combination, validate, validate_morphism)
 
 from conftest import assert_same_morphism, doubled_m_lambda
 from oracles import (oracle_decompose, oracle_endo_algebra, oracle_invertible_pointwise,
@@ -128,9 +128,11 @@ def assert_same_split(fast, slow):
 
 
 def assert_sound(split, p):
-    """Pieces and witnesses valid, with read-only reduced int64 matrices."""
+    """Pieces and witnesses valid, with read-only reduced int64 matrices.
+    validate defers a piece to the module it was split from, so the pieces
+    are also checked afresh."""
     for piece in (split.a, split.b):
-        assert validate(piece) == []
+        assert validate(piece) == [] and _module_violations(piece) == []
     maps = (split.inc_a, split.inc_b, split.proj_a, split.proj_b)
     for m in maps:
         assert validate_morphism(m) == []

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module of the package imports is used there,
 every function and class the package defines is named somewhere else, every
 private top-level name is used by the package itself, no float enters the
-source, and every function the benchmark's tracer wraps still exists where
-the tracer looks for it."""
+source, no class hooks attribute lookup, and every function the benchmark's
+tracer wraps still exists where the tracer looks for it."""
 
 import ast
 import importlib
@@ -144,3 +144,18 @@ def test_every_traced_function_exists():
         if attr not in vars(obj):
             missing.append(f"{owner}.{attr}")
     assert missing == []
+
+
+def test_no_class_hooks_attribute_lookup():
+    # a __getattr__ hook slows every attribute read on its class: a version
+    # of the lazy steps and comps views built on one lost 6% of the certify
+    # benchmark's jobs per second (0 of 6 pairs faster), so the views are
+    # cached_property descriptors on the field names instead
+    hooks = [f"{path.name}:{node.lineno}: {cls.name}.{node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in ("__getattr__", "__getattribute__")]
+    assert hooks == []

@@ -23,6 +23,8 @@ from obspers.metric import INF, distance_bracket, verify
 from obspers.pipelines import degree_rips, metric_space, sublevel_bifiltration
 from obspers.stepmodule import Grid, direct_sum, identity_morphism, validate_morphism
 
+from conftest import non_module
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -606,3 +608,14 @@ def test_cli_trivial_and_near_indec(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["tau_indecomposable"] is True and doc["offender_count"] <= 1
+
+
+def test_cli_validate_rejects_a_morphism_between_non_modules(tmp_path):
+    # the identity of a module whose square does not commute is natural,
+    # but neither endpoint is a module
+    path = tmp_path / "id.json"
+    serialize.write_json(path, serialize.morphism_to_json(identity_morphism(non_module())))
+    code, out, err = run_cli(["validate", path])
+    assert (code, out) == (1, "")
+    assert err == ("error: source is not a module: square at (0, 0) axes (0,1) does not commute; "
+                   "target is not a module: square at (0, 0) axes (0,1) does not commute\n")

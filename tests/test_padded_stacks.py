@@ -5,7 +5,12 @@ F_3 with one to three axes, single-coordinate axes and points of dimension
 zero; and the cached stacks against freshly padded ones.  The random modules
 are narrow, so the kernels run on them both with the narrowest size class as
 it is (one class) and with it set to 1 (one class per power of two), and once
-more on a module whose dimensions span two size classes."""
+more on a module whose dimensions span two size classes.
+
+Objects built from stacks (_from_stack) over F_2, F_3 and F_5: their steps
+or comps are views built on first read, validate_morphism reads their
+stacks alone and agrees with a dict-built copy, and the stacked
+factor_morphism matches the per-point oracle."""
 
 import functools
 from fractions import Fraction
@@ -17,13 +22,16 @@ from hypothesis import given, strategies as st
 
 import obspers.stepmodule as stepmodule
 from obspers import library
-from obspers.calculus import persistent_rank
+from obspers.calculus import eta, persistent_rank
+from obspers.decompose import decompose
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.stepmodule import (Grid, Morphism, StepModule, _groups, _submodule,
-                                add_morphisms, compose, direct_sum, hom_basis, hom_rows,
-                                identity_morphism, linear_combination, validate_morphism)
+                                add_morphisms, compose, direct_sum, factor_morphism, hom_basis,
+                                hom_rows, identity_morphism, linear_combination,
+                                validate_morphism)
 
+from conftest import assert_image_matches_oracle
 from oracles import (oracle_add_morphisms, oracle_compose, oracle_persistent_rank,
                      oracle_submodule, oracle_validate_morphism)
 
@@ -238,3 +246,141 @@ def test_hom_rows_are_the_same_one_solution_at_a_time(monkeypatch):
     monkeypatch.setattr(stepmodule, "_CHUNK_CELLS", 1)
     assert np.array_equal(hom_rows(v, v), whole)
     assert len(hom_basis(v, v)) == len(whole) > 1
+
+
+# -- objects built from stacks ----------------------------------------------
+
+all_primes = st.sampled_from([2, 3, 5])
+
+
+def stack_built(seed, p):
+    """Modules and morphisms fresh from _from_stack, none of them read yet:
+    a composite, a sum, a random submodule, an image with its inclusion, and
+    the summands and witnesses of a decomposition; random modules over F_p
+    on one random grid, then a module whose dimensions span two size
+    classes."""
+    rng, (u, v, w) = modules(seed, p, 3)
+    f, f2, g = (random_morphism(rng, a, b) for a, b in ((u, v), (u, v), (v, w)))
+    pts = v.grid.points()
+    dims = {q: int(rng.integers(0, v.dims[q] + 2)) for q in pts}
+    k = max(dims.values())
+    sub = _submodule(v, dims, padded([rng.integers(0, p, size=(v.dims[q], dims[q]))
+                                      for q in pts], width(v), k),
+                     padded([rng.integers(0, p, size=(dims[q], v.dims[q])) for q in pts],
+                            k, width(v)))
+    out = [compose(g, f), add_morphisms(f, f2), sub]
+    for x in (v, skewed_module(rng, p)):
+        out += factor_morphism(eta(x, 1))
+        dec = decompose(x)
+        out += [s for s in dec.summands if s is not x] + dec.inclusions + dec.projections
+    return rng, [x for x in out if "_stack" in x.__dict__ and x is not v]
+
+
+def assert_lazy_view(x):
+    """x's steps or comps is built on first read, as read-only int64 views
+    that are the per-point blocks of x's stack, and read again as is."""
+    if isinstance(x, Morphism):
+        name, s, t = "comps", x.source.dims, x.target.dims
+        blocks = {q: (q, t[q], s[q]) for q in x.grid.points()}
+    else:
+        name, dims = "steps", x.dims
+        blocks = {(q, axis): ((q, axis), dims[h], dims[q])
+                  for (q, axis), h in x.grid.edges.items()}
+    assert name not in x.__dict__
+    view = getattr(x, name)
+    assert getattr(x, name) is view and x.__dict__[name] is view
+    assert list(view) == list(blocks)
+    for i, (key, rows, cols) in enumerate(blocks.values()):
+        m = view[key]
+        assert m.dtype == np.int64 and not m.flags.writeable
+        assert not m.size or np.shares_memory(m, x._stack)
+        assert m.shape == (rows, cols) and np.array_equal(m, x._stack[i, :rows, :cols]), key
+    assert_fresh_stacks(x)
+
+
+def assert_same_verdict(m):
+    """validate_morphism on m, a morphism built from a stack and not read yet,
+    equals its verdict on a copy built through the public constructor; the
+    stack alone decides it when its shape is the padded one."""
+    unread = Morphism._from_stack(m.source, m.target, m._stack)
+    copy = Morphism(m.source, m.target, {q: c.copy() for q, c in unread.comps.items()})
+    padded_shape = (len(m.grid.points()), width(m.target), width(m.source))
+    assert validate_morphism(m) == validate_morphism(copy)
+    assert ("comps" in m.__dict__) == (m._stack.shape != padded_shape)
+
+
+@given(seeds, all_primes)
+def test_stack_built_objects_build_their_dicts_on_first_read(seed, p):
+    _, built = stack_built(seed, p)
+    assert any(isinstance(x, Morphism) for x in built)
+    assert any(isinstance(x, StepModule) for x in built)
+    for x in built:
+        if isinstance(x, Morphism):
+            assert_same_verdict(x)
+        assert_lazy_view(x)
+
+
+@given(seeds, all_primes)
+def test_stack_built_morphisms_with_a_bad_entry_or_width_get_the_dict_verdict(seed, p):
+    rng, built = stack_built(seed, p)
+    for m in built:
+        if not isinstance(m, Morphism):
+            continue
+        pts, s, t = m.grid.points(), m.source.dims, m.target.dims
+        # one corrupted entry inside a block: naturality may fail there
+        sized = [i for i, q in enumerate(pts) if t[q] * s[q]]
+        if sized:
+            i = sized[int(rng.integers(0, len(sized)))]
+            bad = m._stack.copy()
+            r, c = int(rng.integers(0, t[pts[i]])), int(rng.integers(0, s[pts[i]]))
+            bad[i, r, c] = (bad[i, r, c] + 1) % p
+            assert_same_verdict(Morphism._from_stack(m.source, m.target, stepmodule._freeze(bad)))
+        # a stack one row too narrow: the widest points' blocks lose a row.
+        # The public constructor reads an empty block as a zero block of the
+        # right shape, so the copy keeps the violation only where no such
+        # block is empty
+        wt = width(m.target)
+        if wt > 1 and all(s[q] for q in pts if t[q] == wt):
+            narrow = Morphism._from_stack(m.source, m.target, m._stack[:, :wt - 1])
+            assert_same_verdict(narrow)
+            assert validate_morphism(narrow)[0].startswith("component at ")
+
+
+@given(seeds, all_primes)
+def test_stacked_image_matches_the_oracle(seed, p):
+    rng, (v, w) = modules(seed, p, 2)
+    skewed = skewed_module(rng, p)
+    for x in (v, skewed):
+        for eps in (Fraction(1, 2), 1, 2):
+            assert_image_matches_oracle(eta(x, eps))
+        m = natural_morphism(rng, x, x)
+        if m is not None:
+            assert_image_matches_oracle(m)
+    m = natural_morphism(rng, v, w)
+    if m is not None:
+        assert_image_matches_oracle(m)
+
+
+def image_leaves(m):
+    """True when a step of m's target carries the span of m's components at
+    its start outside their span at its end, found per edge by a solve."""
+    F, w = m.field, m.target
+    span = {q: F.column_space_basis(m.comps[q]) for q in m.grid.points()}
+    return any(F.solve(span[h], F.matmul(w.steps[(q, axis)], span[q])) is None
+               for (q, axis), h in m.grid.edges.items())
+
+
+@given(seeds, all_primes)
+def test_stacked_image_of_a_morphism_that_is_not_natural(seed, p):
+    rng, (v, w) = modules(seed, p, 2)
+    for m in (random_morphism(rng, v, w), random_morphism(rng, v, v)):
+        if image_leaves(m):
+            with pytest.raises(ValidationError,
+                               match=r"^induced step left the subspace; morphism invalid$"):
+                factor_morphism(m)
+            continue
+        image, inclusion = factor_morphism(m)
+        for q in m.grid.points():
+            want = m.field.column_space_basis(m.comps[q])
+            assert image.dims[q] == want.shape[1] and inclusion.comps[q].shape == want.shape
+            assert np.array_equal(inclusion.comps[q], want)

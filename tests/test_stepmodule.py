@@ -18,8 +18,8 @@ from obspers.stepmodule import (Grid, Morphism, StepModule, add_morphisms, compo
 from obspers.calculus import eta, eta_on, restrict_morphism
 from obspers.decompose import iso_test
 
-from conftest import assert_same_morphism, to_plain
-from oracles import (oracle_edges, oracle_factor_morphism, oracle_hom_count,
+from conftest import assert_image_matches_oracle, assert_same_morphism, to_plain
+from oracles import (oracle_edges, oracle_hom_count,
                      oracle_linear_combination, oracle_morphisms_match)
 
 F2 = PrimeField(2)
@@ -473,18 +473,6 @@ def test_validate_morphism_checks_once_per_morphism(monkeypatch):
 
 
 # -- image of a morphism ----------------------------------------------------
-
-def assert_image_matches_oracle(m):
-    """factor_morphism(m) is the oracle's image and image inclusion, element
-    by element, and the image's dims are the pointwise ranks of m."""
-    image, inclusion = factor_morphism(m)
-    slow = oracle_factor_morphism(m)
-    assert image == slow.image
-    assert_same_morphism(inclusion, slow.image_inclusion)
-    assert validate(image) == [] and validate_morphism(inclusion) == []
-    for g in m.grid.points():
-        assert image.dims[g] == m.field.rank(m.comps[g])
-
 
 def test_factor_identity_and_zero():
     v = library.m_lambda(5, 2)

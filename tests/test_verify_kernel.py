@@ -30,7 +30,7 @@ from obspers.stepmodule import (Grid, Morphism, StepModule, direct_sum,
                                 identity_morphism, restrict_extend, validate,
                                 validate_morphism, zero_module, zero_morphism)
 
-from conftest import tiny_decide_corpus
+from conftest import non_module, tiny_decide_corpus
 from oracles import oracle_shift_factor_ok, oracle_triangle_holds, oracle_verify
 
 EPSILONS = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 3))
@@ -236,15 +236,6 @@ def test_generators_of_a_box_sum_are_its_births():
 
 
 # -- endpoints that are not modules, and factors that are not natural
-
-def non_module():
-    """A 2x2 F_2 module of dimension 1 everywhere whose step (0, 1) -> (1, 1)
-    is 0, so the square at (0, 0) does not commute."""
-    grid = Grid(((0, 1), (0, 1)))
-    steps = {(g, axis): [[1]] for g, axis in grid.edges}
-    steps[((0, 1), 0)] = [[0]]
-    return StepModule(PrimeField(2), grid, {g: 1 for g in grid.points()}, steps)
-
 
 def test_verify_rejects_endpoints_that_are_not_modules():
     v = non_module()
