@@ -74,9 +74,9 @@ import numpy as np
 
 from .calculus import persistent_rank, restrict_extend
 from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, StepModule, _blocks, _freeze,
-                         _morphisms, _submodule, _width, canonical_rows, coefficient_vectors,
-                         compose, ensure_valid, flatten_morphism, hom_rows, identity_morphism,
-                         union_grids)
+                         _morphisms, _submodule, _width, canonical_rows, check_budget,
+                         coefficient_vectors, compose, ensure_valid, flatten_morphism, hom_rows,
+                         identity_morphism, union_grids)
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,7 @@ def split_once(v, seed=0, budget=DEFAULT_BUDGET):
     """One splitting V = a + b with witnesses, or None when V is certified
     indecomposable (no nontrivial idempotent exists in End(V), checked by
     exhaustive enumeration when random Fitting finds nothing)."""
+    budget = check_budget(budget)
     if ensure_valid(v).total_dim == 0:
         raise ValueError("split_once needs a nonzero module")
     return _split(v, hom_rows(v, v), seed, budget)
@@ -297,6 +298,7 @@ def decompose(v, seed=0, budget=DEFAULT_BUDGET):
     """Indecomposable summands of v with witnesses, largest first.  A Hom
     basis is computed once, for End(v); each split piece derives its End
     from the End of the module it was split from."""
+    budget = check_budget(budget)
     if ensure_valid(v).total_dim == 0:
         return Decomposition(v, [], [], [])
     ident = identity_morphism(v)
@@ -322,12 +324,21 @@ def decompose(v, seed=0, budget=DEFAULT_BUDGET):
                          [projs[i] for i in order])
 
 
-def _first_invertible(F, groups, cands, size):
+def _square_groups(v, rows):
+    """One (d, point numbers, stack) per dimension group of v, smallest d
+    first, for the basis of Hom(v, w) flattened in rows, w of v's dimension
+    at every point: stack holds the basis components at the points of
+    dimension d as one (h, points * d * d) array."""
+    return [(d, pts, _gather(rows, (d, pts, cols)).reshape(len(rows), len(pts) * d * d))
+            for d, pts, cols in v._dim_groups]
+
+
+def _first_invertible(F, groups, cands):
     """The first of the coefficient vectors cands whose combination is
-    invertible at every point, or None, testing chunks of size candidates.
-    groups holds, smallest dimension first, (d, points, stack) with the basis
-    components at the points of dimension d as one (h, points * d * d)
-    array; a group rejects candidates before the larger groups see them."""
+    invertible at every point, or None, for the groups of _square_groups.
+    Candidates are tested in chunks of at most _CHUNK_CELLS block entries,
+    and a group rejects candidates before the larger groups see them."""
+    size = max(1, _CHUNK_CELLS // max(1, sum(stack.shape[1] for _, _, stack in groups)))
     while chunk := list(islice(cands, size)):
         alive = np.arange(len(chunk))
         c = np.array(chunk, dtype=np.int64)
@@ -348,6 +359,7 @@ def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
     reported as non-isomorphism).  Candidates are tested a chunk at a time
     (the module docstring has the argument that the witness is the one a
     candidate-by-candidate scan finds)."""
+    budget = check_budget(budget)
     ensure_valid(v)
     ensure_valid(w)
     if v.field != w.field or v.grid.n_axes != w.grid.n_axes:
@@ -367,20 +379,17 @@ def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
     if h == 0:
         return False, None
     F = v.field
-    points = u.points()
-    groups = [(d, [points[i] for i in pts], _gather(rows, (d, pts, cols)).reshape(h, -1))
-              for d, pts, cols in rv._dim_groups]
-    size = max(1, _CHUNK_CELLS // sum(stack.shape[1] for _, _, stack in groups))
+    groups = _square_groups(rv, rows)
     rng = np.random.default_rng(seed)
     random = (rng.integers(0, F.p, size=h) for _ in range(min(200, F.p ** h)))
-    hit = _first_invertible(F, groups, random, size)
+    hit = _first_invertible(F, groups, random)
     if hit is None:
         # the zero vector is tested too: it is singular wherever rv is nonzero
-        hit = _first_invertible(F, groups, coefficient_vectors(F.p, h, budget, "Hom(V, W)"),
-                                size)
+        hit = _first_invertible(F, groups, coefficient_vectors(F.p, h, budget, "Hom(V, W)"))
     if hit is None:
         return False, None
-    comps = {}
+    points, comps = u.points(), {}
     for d, pts, stack in groups:
-        comps.update(zip(pts, map(_freeze, (hit @ stack % F.p).reshape(len(pts), d, d))))
+        comps.update(zip((points[i] for i in pts),
+                         map(_freeze, (hit @ stack % F.p).reshape(len(pts), d, d))))
     return True, Morphism._trusted(rv, rw, comps)

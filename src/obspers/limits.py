@@ -14,7 +14,7 @@ from .calculus import (_smoothed, compose_matched, lattice_grid, restrict_extend
 from .decompose import iso_test
 from .errors import BudgetExceeded, ValidationError
 from .metric import verify
-from .stepmodule import DEFAULT_BUDGET, _frac, identity_morphism
+from .stepmodule import DEFAULT_BUDGET, _frac, check_budget, identity_morphism
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,7 @@ def _find(parent, i):
 def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
     """Smooth each member at delta, restrict to the delta-lattice over the
     common bounding box padded by delta, and partition by exact isomorphism."""
+    budget = check_budget(budget)
     delta = _frac(delta)
     if delta <= 0:
         raise ValidationError("probe needs delta > 0")

@@ -3,7 +3,8 @@ two-sided interleaving-distance bracketing.
 
 decide enumerates one morphism's coefficient space exhaustively (whichever
 Hom space is smaller) and solves the triangle identities, which are linear in
-the other morphism, exactly.  Certified absence therefore requires completing
+the other morphism, exactly; at eps = 0 it scans Hom(V, W) for an
+isomorphism instead, which is the same search.  Certified absence therefore requires completing
 the enumeration; running out of budget raises instead of reporting "none".
 
 All epsilons are rational.  Infinite distance (detectable from the eventual
@@ -21,10 +22,11 @@ import numpy as np
 
 from .calculus import (_generator_anchors, _triangle_holds, modules_match,
                        restrict_extend, shift)
+from .decompose import _first_invertible, _square_groups
 from .errors import BudgetExceeded, ValidationError
-from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac,
-                         coefficient_vectors, hom_rows, linear_combination, union_grids,
-                         validate_morphism)
+from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac, _freeze,
+                         check_budget, coefficient_vectors, hom_rows, linear_combination,
+                         union_grids, validate_morphism)
 
 
 @total_ordering
@@ -185,10 +187,10 @@ _UNKNOWN = object()
 
 def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     """A verified eps-interleaving of (v, w), or None when none exists at this
-    exact eps.  Both Hom spaces are computed once; the coefficient space of
-    the smaller one (f's on ties) is enumerated, and for each candidate the
-    triangle identities, which are linear in the other morphism, are solved
-    exactly.  Certified absence therefore means the enumeration completed;
+    exact eps.  Both Hom spaces are computed once (at eps = 0 only f's, see
+    below); the coefficient space of the smaller one (f's on ties) is
+    enumerated, and for each candidate the triangle identities, which are
+    linear in the other morphism, are solved exactly.  Certified absence therefore means the enumeration completed;
     BudgetExceeded is raised when it would be larger than budget, before any
     triangle is built, so an exhausted budget costs only the two Hom bases.
     v and w must share their field and their number of axes, and both must
@@ -221,9 +223,27 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     first whose pair verifies is returned.  The candidates dropped are those
     F.solve would reject, which never reach verify.
 
+    At eps = 0 the search is an invertibility scan.  The two triangles say
+    g o f = id_V and f o g = id_W at the generator grades, and so everywhere
+    (both sides are natural).  So a candidate f's system is consistent
+    exactly when f is invertible at every point, and then g = f^-1 is its
+    only solution, which verifies.  With no rank obstruction at 0, V and W
+    have the same dimension at every point.  Only f's side is computed, and
+    its coefficient vectors are scanned in lexicographic order for the first
+    f invertible at every point (decompose._first_invertible, one batch per
+    dimension group, as iso_test scans); the answer is (f, f^-1), or None
+    when the scan finds no such f.  This is the answer the triangle scan
+    gives: if a 0-interleaving exists, V and W are isomorphic, their Hom
+    spaces have equal dimension, and on that tie the triangle scan
+    enumerates f's side too, in the same order, and returns the first
+    consistent candidate.  When f's side exceeds the budget, the triangle
+    scan below runs on it as before, as Hom(W, V) may be smaller; so
+    BudgetExceeded is raised exactly when the triangle scan raises it.
+
     _obstruction is private: distance_bracket passes the verdict of
     rank_obstruction_at(v, w, eps), which it computes once per candidate."""
     _check_pair(v, w)
+    budget = check_budget(budget)
     eps = _frac(eps)
     if eps < 0:
         raise ValidationError("decide needs eps >= 0")
@@ -231,10 +251,17 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
         _obstruction = rank_obstruction_at(v, w, eps)
     if _obstruction is not None:
         return None  # a rank inequality proves impossibility outright
-    f_side, g_side = _side(v, w, eps), _side(w, v, eps)
+    F, f_side = v.field, _side(v, w, eps)
+    if not eps:
+        try:
+            cands = coefficient_vectors(F.p, len(f_side.rows), budget, "Hom(V, W[eps])")
+        except BudgetExceeded:
+            pass  # Hom(W, V) may be smaller: the triangle scan decides
+        else:
+            return _isomorphism(v, w, f_side, cands)
+    g_side = _side(w, v, eps)
     flip = len(g_side.rows) < len(f_side.rows)
     enum, other = (g_side, f_side) if flip else (f_side, g_side)
-    F = v.field
     h, k = len(enum.rows), len(other.rows)
     cands = coefficient_vectors(F.p, h, budget,
                                 "Hom(W, V[eps])" if flip else "Hom(V, W[eps])")
@@ -260,6 +287,33 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
             if result.verified:
                 return result
     return None
+
+
+def _isomorphism(v, w, side, cands):
+    """decide at eps = 0 from f's side: the verified 0-interleaving (f, g)
+    for the first f among the coefficient vectors cands that is invertible
+    at every point, g its pointwise inverse, or None when none is.  side's
+    blocks are square: with no rank obstruction at 0, V and W have the same
+    dimension at every point of the side's grid (the rank scan at s = t
+    compares them)."""
+    F, points = v.field, side.grid.points()
+    groups = _square_groups(side.source, side.rows)
+    hit = _first_invertible(F, groups, cands)
+    if hit is None:
+        return None
+    inverses = [None] * len(points)
+    for d, pts, stack in groups:
+        blocks = (hit @ stack % F.p).reshape(len(pts), d, d)
+        eye = np.broadcast_to(np.eye(d, dtype=np.int64), blocks.shape)
+        inv = F.reduce_stack(np.concatenate([blocks, eye], axis=2))[0][:, :, d:] if d else blocks
+        for i, m in zip(pts, inv):
+            inverses[i] = _freeze(m)
+    f = linear_combination(side.source, side.target, side.rows, hit)
+    g = Morphism._trusted(side.target, side.source, dict(zip(points, inverses)))
+    result = verify(v, w, 0, f, g)
+    if not result.verified:
+        raise RuntimeError("the inverse of an invertible natural map failed to verify")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -400,29 +454,52 @@ def distance_bracket(v, w, budget=DEFAULT_BUDGET):
     One input class can differ, and only for the better: if deciding the
     top candidate would exhaust the budget while bisection meets a smaller
     success, the bracket reports that verified witness instead of an
-    infinite upper bound."""
+    infinite upper bound.
+
+    Distance zero first.  Before bisecting, when there is more than one
+    candidate and the rank verdict at 0 is not an obstruction, the search
+    decides 0 (an invertibility scan in decide: on a grid a 0-interleaving
+    is an isomorphism).  A success ends the search with k = 0 and no
+    bisection.  Any other result leaves the search as it was: the result is
+    kept for bisection to reuse should it reach 0, and the answer reads it
+    only then (a "budget" at 0 widens the bracket only then, too).  So the
+    answer is the one bisection alone gives whenever 0 does not succeed.
+    When it does, the verified successes form an up-set of the candidates,
+    as an eps-interleaving gives an eps'-interleaving for every eps' >= eps:
+    every decision bisection makes within budget succeeds, it moves hi down
+    to 0, and its answer is k = 0 with the same witness.  Here too one input
+    class differs, and only for the better: where bisection would meet a
+    decision above 0 that runs out of budget, the bracket reports the exact
+    distance 0 and its witness instead of a wider, inexact bracket."""
     _check_pair(v, w)
+    budget = check_budget(budget)
     if _eventual_dim(v) != _eventual_dim(w):
         return DistanceBracket(INF, INF, None, True,
                                {"reason": "eventual dimensions differ",
                                 "rank_lower_bound": INF})
     cands = candidate_set(v, w)
-    verdicts, results = {}, {}
+    verdicts, known, results = {}, {}, {}
 
     def verdict(i):
         if i not in verdicts:
             verdicts[i] = rank_obstruction_at(v, w, cands[i])
         return verdicts[i]
 
-    def dec(i):
-        if i not in results:
+    def decided(i):
+        if i not in known:
             try:
-                results[i] = decide(v, w, cands[i], budget=budget, _obstruction=verdict(i))
+                known[i] = decide(v, w, cands[i], budget=budget, _obstruction=verdict(i))
             except BudgetExceeded:
-                results[i] = "budget"
+                known[i] = "budget"
+        return known[i]
+
+    def dec(i):
+        results[i] = decided(i)
         return results[i]
 
     lo, hi = 0, len(cands) - 1
+    if hi and verdict(0) is None and isinstance(decided(0), Interleaving):
+        hi = 0  # isomorphic: the smallest candidate succeeds
     budget_gap = False
     while lo < hi:
         mid = (lo + hi) // 2

@@ -18,7 +18,7 @@ from .decompose import decompose, split_once
 from .errors import ValidationError
 from .metric import distance_bracket, rank_lower_bound, verify
 from .library import constant_module, single_cell_module
-from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _frac,
+from .stepmodule import (DEFAULT_BUDGET, Morphism, StepModule, _frac, check_budget,
                          direct_sum, identity_morphism, validate, validate_morphism)
 
 
@@ -84,6 +84,7 @@ def shift_factor_morphism(l, r, beta):
 def tau_indecomposable(w, tau, seed=0, budget=DEFAULT_BUDGET):
     """True when at most one indecomposable summand of w fails strict
     triviality at tau; returns the offending summands alongside."""
+    budget = check_budget(budget)
     tau = _frac(tau)
     dec = decompose(w, seed=seed, budget=budget)
     offenders = [s for s in dec.summands if not strictly_trivial(s, tau).strict]
@@ -236,6 +237,7 @@ def perturbation_experiment(v, trials=20, seed=0, c=6, budget=DEFAULT_BUDGET):
     """Sample perturbations of a certified-indecomposable module on a regular
     grid, keep those with a verified interleaving witness strictly inside the
     mu-ball (mu = eps/2), and check c*mu-indecomposability of each."""
+    budget = check_budget(budget)
     eps = _regular_gap(v)
     mu = eps / 2
     tau = c * mu

@@ -1006,6 +1006,15 @@ def flatten_morphism(m):
 # Largest number of candidates an exhaustive Hom-space search may try.
 DEFAULT_BUDGET = 1 << 16
 
+
+def check_budget(budget):
+    """budget as an int, the number of candidates a search may try: an
+    integer of at least 1 (through _integer), else a ValidationError."""
+    budget = _integer(budget, "search budget")
+    if budget < 1:
+        raise ValidationError(f"search budget must be at least 1, not {budget}")
+    return budget
+
 # The most matrix entries that a Hom-space search tests in one batch (decide's
 # candidate systems, iso_test's candidate combinations).  Larger chunks raise
 # peak memory and test more candidates past the first hit.

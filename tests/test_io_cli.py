@@ -447,6 +447,20 @@ def test_cli_budget_exit_3(tmp_path):
     assert code == 3 and "budget" in err
 
 
+def test_cli_rejects_a_budget_below_one(tmp_path):
+    # a module against itself is at distance 0, never "inf", and a budget
+    # that allows no candidate is a usage error, not a search that ran out
+    p = write_module(tmp_path / "v.json", library.box_interval(F2, Grid(((0, 1), (0, 1))), (0, 0)))
+    for argv in (["distance", p, p, "--budget", "-5"],
+                 ["iso", p, p, "--budget", "-1"],
+                 ["decompose", p, "--budget", "-1"],
+                 ["interleave", "--epsilon", "0", p, p, "--budget", "0"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "") and "search budget must be at least 1" in err, argv
+    code, out, _ = run_cli(["distance", p, p, "--budget", "2"])
+    assert code == 0 and json.loads(out)["upper"] == "0"
+
+
 def test_cli_comparisons_reject_modules_over_different_fields(tmp_path):
     g = Grid(((0, 1, 2, 3), (0, 1, 2, 3)))
     a = write_module(tmp_path / "a.json", library.box_interval(F2, g, (0, 0), (2, 2)))

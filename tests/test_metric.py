@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from obspers import library, metric
 from obspers.calculus import discretize, shift
-from obspers.decompose import iso_test
+from obspers.decompose import decompose, iso_test, split_once
 from obspers.errors import BudgetExceeded, ValidationError
 from obspers.fields import PrimeField
+from obspers.limits import precompact_probe
 from obspers.metric import (INF, candidate_set, decide, distance_bracket,
                             rank_lower_bound, rank_obstruction_at, verify)
 from obspers.serialize import bracket_to_json
+from obspers.stability import perturbation_experiment, tau_indecomposable
 from obspers.stepmodule import (DEFAULT_BUDGET, Grid, Morphism, identity_morphism,
                                 restrict_extend, union_grids, zero_module,
                                 zero_morphism)
@@ -246,6 +248,29 @@ def test_metric_functions_reject_incomparable_modules(v, w):
         assert iso_test(a, b) == (False, None)
 
 
+BUDGET_SEARCHES = {
+    "decide": lambda v, b: decide(v, v, 0, budget=b),
+    "distance_bracket": lambda v, b: distance_bracket(v, v, budget=b),
+    "iso_test": lambda v, b: iso_test(v, v, budget=b),
+    "split_once": lambda v, b: split_once(v, budget=b),
+    "decompose": lambda v, b: decompose(v, budget=b),
+    "precompact_probe": lambda v, b: precompact_probe([v, v], 1, budget=b),
+    "tau_indecomposable": lambda v, b: tau_indecomposable(v, 1, budget=b),
+    "perturbation_experiment": lambda v, b: perturbation_experiment(v, trials=1, budget=b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_SEARCHES))
+def test_search_budgets_are_validated(name):
+    # a budget is a number of candidates: an integer of at least 1
+    search = BUDGET_SEARCHES[name]
+    v = library.box_interval(F2, G4, (0, 0), (2, 2))
+    for bad in (-5, 0, True, 1.0, 2.5, Fraction(4), "4"):
+        with pytest.raises(ValidationError, match="search budget"):
+            search(v, bad)
+    search(v, np.int64(4))
+
+
 # -- the bracket's search ------------------------------------------------------
 
 def counted_bracket(monkeypatch, bracket, v, w):
@@ -265,14 +290,15 @@ def counted_bracket(monkeypatch, bracket, v, w):
 @pytest.mark.parametrize("seed", [83, 101, 0, 1, 2, 3])
 def test_distance_bracket_scans_each_shift_once(monkeypatch, seed):
     # the search evaluates each shift at most once, and only shifts that the
-    # top-first search evaluates too
+    # top-first search evaluates too, and 0, which it evaluates first
     rng = np.random.default_rng(seed)
     v = library.random_module(F2, rng, hi=2, max_summands=2)
     w = library.random_module(F2, rng, grid=v.grid, max_summands=2)
     fast, shifts = counted_bracket(monkeypatch, metric.distance_bracket, v, w)
     slow, oracle_shifts = counted_bracket(monkeypatch, oracle_distance_bracket, v, w)
     assert fast == slow
-    assert len(set(shifts)) == len(shifts) and set(shifts) <= set(oracle_shifts)
+    assert len(set(shifts)) == len(shifts) and set(shifts) <= set(oracle_shifts) | {0}
+    assert shifts[:1] in ([], [0])  # none where the eventual dimensions differ
     if seed == 101:
         # rank_lower_bound reads 0, yet the scan found an obstruction at 0:
         # the bracket must not evaluate 0 again, nor take the 0 as "none"
@@ -298,12 +324,18 @@ def bracket_pair(seed, p):
        st.sampled_from([4, 16, 256, DEFAULT_BUDGET]))
 def test_distance_bracket_matches_the_top_first_search(seed, p, budget):
     # the same bracket wherever the top-first search has an upper bound or no
-    # candidate succeeds; else only the top decision ran out of budget, and
-    # the bracket holds the smaller verified success bisection met
+    # candidate succeeds, unless 0 succeeds, which the search decides first:
+    # then the bracket is exact at 0.  Else only the top decision ran out of
+    # budget, and the bracket holds the smaller verified success bisection met
     v, w = bracket_pair(seed, p)
     fast = distance_bracket(v, w, budget)
     slow = oracle_distance_bracket(v, w, budget)
-    if slow.upper != INF or fast.upper == INF:
+    if fast.upper == 0:
+        assert fast.exact and fast.lower == slow.lower == 0
+        assert slow.upper == 0 or not slow.exact
+        if slow.upper == 0:
+            assert bracket_to_json(fast) == bracket_to_json(slow)
+    elif slow.upper != INF or fast.upper == INF:
         assert bracket_to_json(fast) == bracket_to_json(slow)
     else:
         assert slow.certificates["largest_none_candidate"] is None
@@ -329,8 +361,25 @@ def test_distance_bracket_finds_a_success_below_an_exhausted_top():
     assert verify(v, w, br.witness.eps, br.witness.f, br.witness.g).verified
 
 
+def test_distance_bracket_decides_zero_first():
+    # a module and a twisted copy at budget 4: decide succeeds at 0, and the
+    # top-first search, whose bisection meets decisions over budget above 0,
+    # reported the inexact [0, 3]
+    rng = np.random.default_rng(8)
+    v = library.random_module(F2, rng, max_summands=3)
+    w = library.twist_module(v, rng)
+    slow = oracle_distance_bracket(v, w, 4)
+    assert (slow.lower, slow.upper, slow.exact) == (0, 3, False)
+    br = distance_bracket(v, w, 4)
+    assert (br.lower, br.upper, br.exact) == (0, 0, True)
+    assert br.witness.verified and iso_test(v, w)[0]
+    assert bracket_to_json(br) == bracket_to_json(distance_bracket(v, w))
+
+
 @pytest.mark.parametrize("points, pairs, exact, digest", [
+    (4, 64, 64, "592c5df0a449561ebe5ec9428c149089a42bc88e514079b6aaa30fb077fc81a0"),
     (5, 8, 7, "f22e997c174bb73a0f1f8baa67bbba79edf702d6ee3e08645bc9d051d814c26f"),
+    (5, 32, 28, "cfa41584153185afb084c2287f06be5b63ed49e1c082db19d818006e95602ce6"),
     # mostly out of budget: the brackets without an upper bound
     (6, 16, 1, "08648a6a5c81d7c31a98c2b60624e53b40227e63b81e8ed813407224a66a25f6"),
 ])
