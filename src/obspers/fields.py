@@ -29,6 +29,7 @@ same bytes.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,20 @@ _LIST_CELLS = 64
 # stacks the packed pass's gathers and scatters cost more (about 1.45 times
 # the time at n = 3712), so it stays on residues.
 _STACK_BITS = 62
+
+
+def _integer(x, what, *args):
+    """x as an int; anything that is not an integer (a float, a Fraction, a
+    bool) is a ValidationError naming what.format(*args), where int() would
+    truncate."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what.format(*args)} must be an integer, not {x!r}")
 
 
 @functools.cache
@@ -146,8 +161,10 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p not in _SMALL_PRIMES:
-            raise ValidationError(f"p must be a small prime, got {self.p}")
+        p = _integer(self.p, "p")
+        if p not in _SMALL_PRIMES:
+            raise ValidationError(f"p must be a small prime, got {p}")
+        object.__setattr__(self, "p", p)
 
     # -- scalar arithmetic -------------------------------------------------
 

@@ -19,6 +19,35 @@ corner equal to the axis length lies beyond the grid.  One boolean table
 per chain dimension, (grid shape) x simplices, holds every simplex's
 presence, and np.flatnonzero reads a point's simplices off it.  Each
 point's cycle representatives are built once, keyed by grid index.
+
+H_k for k >= 1 is an elimination per grid index (_GradeHomology): the
+representatives are the columns of a kernel basis kern that are pivots of
+[bd | kern], bd a basis of the boundaries of the present (k+1)-simplices
+restricted to the present k-simplices, and a cycle's coordinates are the
+last entries of the solution of [bd | reps] x = cycle.  For H_0, kern is
+the identity on the present vertices in increasing order, and that
+elimination's output is read off connected components instead
+(_Components), byte for byte.  Link the present vertices by the present
+edges with both ends present, and call a component dead when a present edge
+has exactly one end present, and that end in it.  span(bd) is spanned by
+e_b - e_a for each linking edge and by e_v for each such end v, so modulo
+span(bd) the vertices of a component are all equal, those of a dead one
+are 0, and the classes of the live components are a basis of the vectors
+on the present vertices.
+- e_v is a pivot of [bd | kern] exactly when it is not in span(bd) plus the
+  span of the e_u with u < v present, that is, exactly when no smaller
+  present vertex shares v's component and that component is live.  The
+  pivots depend only on span(bd), not on the basis bd is.  So the
+  representatives are e_m for m the smallest vertex of each live
+  component, in increasing m.
+- [bd | reps] has independent columns and spans the vectors on the present
+  vertices, so the solve has a solution exactly when the cycle is zero at
+  every absent vertex, and it is unique: the coordinate at e_m is the sum
+  of the cycle's entries over m's component, mod p.  For the step g -> h,
+  e_m minus e of the smallest vertex of m's component at h is a boundary
+  at h, so the coordinates are that unit vector, or 0 when the component is
+  dead; when m is absent at h there is no solution, and the bifiltration is
+  not monotone.
 """
 
 import bisect
@@ -31,7 +60,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import PrimeField
-from .stepmodule import StepModule, _frac, _freeze, _integer, _ratio, _zero
+from .stepmodule import StepModule, _at_least, _frac, _freeze, _integer, _ratio, _zero
 
 
 @dataclass(frozen=True)
@@ -214,6 +243,7 @@ def degree_rips(m, radii, degrees, max_dim=2):
     with r."""
     if not radii or not degrees:
         raise ValidationError("radii and degrees must be nonempty")
+    max_dim = _at_least(max_dim, 0, "max_dim")
     radii = sorted({_frac(r) for r in radii})
     degrees = sorted({_integer(k, "degree") for k in degrees})
     n = m.n
@@ -270,7 +300,8 @@ def _corners(b, grid):
     least the grade's, the axis length when there is none (the argument is
     in the module docstring).  A simplex without grades gets the corner of
     the grid's shape, which no grid index reaches.  A grade with another
-    number of coordinates than the grid has axes is a ValidationError."""
+    number of coordinates than the grid has axes is a ValidationError, and
+    a simplex none of whose corners lies on the grid is warned of."""
     scaled, shape = grid._scaled, grid.shape
     out = {}
     for s, chain in b.grades.items():
@@ -285,6 +316,10 @@ def _corners(b, grid):
                 corner.append(bisect.bisect_left(keys, -(-n * den // d)))
             corners.append(tuple(corner))
         out[s] = tuple(corners) or (shape,)
+    for s, cs in out.items():
+        if not any(all(c < n for c, n in zip(corner, shape)) for corner in cs):
+            warnings.warn(f"grade of {s} lies beyond the grid; module truncated")
+            break
     return out
 
 
@@ -304,24 +339,125 @@ def _presence(grid, corners):
     return np.logical_or.reduceat(hit, starts, axis=-1)
 
 
+def _labels(present, edges):
+    """(mins, cls) at one grid index, from present, whether each vertex is
+    present, and edges, the (a, c) ends of the present edges, None for an end
+    that is no vertex of the complex: the components are those of the
+    present vertices linked by the edges with both ends present, a component
+    is dead when an edge has one end present and that end in it, mins lists
+    the smallest vertex of each live component in increasing order, and
+    cls[v] is the position in mins of v's component, -1 when it is dead, None
+    when v is absent.  The union-find keeps the smallest vertex as a root."""
+    parent = list(range(len(present)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    killed = []
+    for a, c in edges:
+        on_a = a is not None and present[a]
+        on_c = c is not None and present[c]
+        if on_a and on_c:
+            ra, rc = find(a), find(c)
+            parent[max(ra, rc)] = min(ra, rc)
+        elif on_a or on_c:
+            killed.append(a if on_a else c)
+    dead = {find(v) for v in killed}
+    mins, cls = [], []
+    for v, on in enumerate(present):
+        root = find(v) if on else None
+        if root is None:
+            cls.append(None)
+        elif root in dead:
+            cls.append(-1)
+        elif root == v:
+            cls.append(len(mins))
+            mins.append(v)
+        else:
+            cls.append(cls[root])
+    return mins, cls
+
+
+class _Components:
+    """H_0 on the grid from the connected components at each grid index (the
+    argument is in the module docstring): labels[g] is _labels' (mins, cls)
+    at g, and the basis at g is e_m for m in mins.  Building it warns when
+    some simplex has no grade on the grid."""
+
+    def __init__(self, b, grid, p):
+        self.F = PrimeField(p)
+        self.grid = grid
+        corners = _corners(b, grid)
+        vertices, edges = b.complex.of_dim(0), b.complex.of_dim(1)
+        index = {s: i for i, s in enumerate(vertices)}
+        # an edge's boundary is nonzero at those of its faces that are
+        # vertices; the boundary of an edge (v, v) is -e_v, one face only
+        ends = []
+        for s in edges:
+            a, c = index.get(s[:1]), index.get(s[1:])
+            ends.append((a, None if c == a else c))
+        points = grid.points()
+        present, linked = (
+            _presence(grid, [corners[s] for s in simp]).reshape(len(points), len(simp))
+            for simp in (vertices, edges))
+        self.labels = {g: _labels(on, [e for e, live in zip(ends, row) if live])
+                       for g, on, row in zip(points, present.tolist(), linked.tolist())}
+
+    def reps(self, q):
+        """The basis at the grid index q as global chain columns."""
+        mins, cls = self.labels[q]
+        out = self.F.zeros(len(cls), len(mins))
+        out[mins, range(len(mins))] = 1
+        return out
+
+    def express(self, q, cycles):
+        """Coordinates of the given global cycle columns in the basis at the
+        grid index q, as a read-only matrix: each column's entries summed
+        over each live component, mod p.  None when some column is nonzero
+        at a vertex absent at q."""
+        mins, cls = self.labels[q]
+        cls = np.array([-2 if c is None else c for c in cls], dtype=np.intp)
+        if np.any(cycles[cls == -2]):
+            return None
+        member = (np.arange(len(mins))[:, None] == cls).astype(np.int64)
+        return _freeze(member @ cycles % self.F.p)
+
+    def module(self):
+        """The StepModule of H_0 on the grid, built as one stack: the step g
+        -> h sends e_m to the class of m's component at h, and to 0 when that
+        component is dead."""
+        grid, labels = self.grid, self.labels
+        dims = {g: len(labels[g][0]) for g in grid.points()}
+        hits = []
+        for i, ((g, _), h) in enumerate(grid.edges.items()):
+            cls = labels[h][1]
+            for j, m in enumerate(labels[g][0]):
+                if cls[m] is None:
+                    raise ValidationError(
+                        "induced map solve failed; bifiltration is not monotone")
+                if cls[m] >= 0:
+                    hits.append((i, cls[m], j))
+        width = max(dims.values(), default=0)
+        stack = np.zeros((len(grid.edges), width, width), dtype=np.int64)
+        if hits:
+            stack[tuple(np.array(hits).T)] = 1
+        return StepModule._from_stack(self.F, grid, dims, _freeze(stack))
+
+
 class _GradeHomology:
-    """Per grid index, cycle representatives of H_k in global chain
+    """Per grid index, cycle representatives of H_k, k >= 1, in global chain
     coordinates, plus the boundary-spanning basis used to express incoming
     cycles.  Building it warns when some simplex has no grade on the grid."""
 
     def __init__(self, b, k, grid, p):
-        self.k = k
         self.F = PrimeField(p)
         self.grid = grid
         corners = _corners(b, grid)
-        shape = grid.shape
-        for s, cs in corners.items():
-            if not any(all(c < n for c, n in zip(corner, shape)) for corner in cs):
-                warnings.warn(
-                    f"grade of {s} lies beyond the grid; module truncated")
-                break
         self.simp_k = b.complex.of_dim(k)
-        self.simp_lo = b.complex.of_dim(k - 1) if k > 0 else []
+        self.simp_lo = b.complex.of_dim(k - 1)
         self.simp_hi = b.complex.of_dim(k + 1)
         self.full_lo = _boundary_matrix(self.F, self.simp_lo, self.simp_k)
         self.full_hi = _boundary_matrix(self.F, self.simp_k, self.simp_hi)
@@ -342,13 +478,10 @@ class _GradeHomology:
         if not len(idx_k):
             out = self.cache[q] = (F.zeros(nk, 0), F.zeros(nk, 0))
             return out
-        if self.k == 0:
-            kern_local = F.identity(len(idx_k))
-        else:
-            idx_lo = np.flatnonzero(self.lo[q])
-            local = (self.full_lo[np.ix_(idx_lo, idx_k)] if len(idx_lo)
-                     else F.zeros(0, len(idx_k)))
-            kern_local = F.kernel_basis(local)
+        idx_lo = np.flatnonzero(self.lo[q])
+        local = (self.full_lo[np.ix_(idx_lo, idx_k)] if len(idx_lo)
+                 else F.zeros(0, len(idx_k)))
+        kern_local = F.kernel_basis(local)
         kern = F.zeros(nk, kern_local.shape[1])
         kern[idx_k, :] = kern_local
         idx_hi = np.flatnonzero(self.hi[q])
@@ -364,6 +497,9 @@ class _GradeHomology:
         rep = kern[:, chosen] if chosen else F.zeros(nk, 0)
         out = self.cache[q] = (rep, np.concatenate([bd, rep], axis=1))
         return out
+
+    def reps(self, q):
+        return self.at(q)[0]
 
     def express(self, q, cycles):
         """Coordinates of the given global cycle columns in the homology
@@ -384,10 +520,10 @@ class _GradeHomology:
         """The StepModule of H_k on the grid: dims from the representatives,
         steps by expressing each point's representatives at its successor."""
         grid = self.grid
-        dims = {g: self.at(g)[0].shape[1] for g in grid.points()}
+        dims = {g: self.reps(g).shape[1] for g in grid.points()}
         steps = {}
         for (g, axis), h in grid.edges.items():
-            comp = self.express(h, self.at(g)[0])
+            comp = self.express(h, self.reps(g))
             if comp is None:
                 raise ValidationError(
                     "induced map solve failed; bifiltration is not monotone")
@@ -395,12 +531,20 @@ class _GradeHomology:
         return StepModule._trusted(self.F, grid, dims, steps)
 
 
+def _homology(b, k, grid, p):
+    """H_k of b on grid, from components for k = 0 and by elimination above;
+    a degree that is not an integer of at least 0 is a ValidationError."""
+    k = _at_least(k, 0, "homology degree")
+    return _GradeHomology(b, k, grid, p) if k else _Components(b, grid, p)
+
+
 def homology_module(b, k, grid, p):
     """dims(g) = dim H_k of the subcomplex present at g over F_p; steps are
-    the inclusion-induced maps, computed by expressing image cycles in a
-    boundary-plus-representative basis.  Warns when some simplex has no
-    grade on the grid."""
-    return _GradeHomology(b, k, grid, p).module()
+    the inclusion-induced maps: for k = 0 read off connected components, for
+    k >= 1 computed by expressing image cycles in a boundary-plus-
+    representative basis.  Warns when some simplex has no grade on the
+    grid."""
+    return _homology(b, k, grid, p).module()
 
 
 def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
@@ -418,8 +562,7 @@ def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
               for v in cx.vertices for i in range(bf.n_axes))
     if gap > eta:
         raise ValidationError(f"vertex values differ by {gap} > eta = {eta}")
-    hom_f = _GradeHomology(bf, k, grid, p)
-    hom_g = _GradeHomology(bg, k, grid, p)
+    hom_f, hom_g = _homology(bf, k, grid, p), _homology(bg, k, grid, p)
     vmod, wmod = hom_f.module(), hom_g.module()
     m_grid = union_grids(grid, grid.translate(-eta))
 
@@ -427,7 +570,7 @@ def vertex_perturbation_pair(cx, f_values, g_values, k, grid, p, eta):
         def comp(a_src, a_dst):
             if src_mod.dims[a_src] == 0:
                 return None
-            out = dst_hom.express(a_dst, src_hom.at(a_src)[0])
+            out = dst_hom.express(a_dst, src_hom.reps(a_src))
             if out is None:
                 raise ValidationError(
                     "perturbed cycle not representable at the anchored grade; "

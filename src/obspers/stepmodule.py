@@ -118,7 +118,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .fields import PrimeField
+from .fields import PrimeField, _integer
 
 
 def _frac(x):
@@ -339,20 +339,6 @@ def union_grids(*grids):
 def _freeze(arr):
     arr.setflags(write=False)
     return arr
-
-
-def _integer(x, what, *args):
-    """x as an int; anything that is not an integer (a float, a Fraction, a
-    bool) is a ValidationError naming what.format(*args), where int() would
-    truncate."""
-    if type(x) is int:
-        return x
-    if not isinstance(x, (bool, np.bool_)):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValidationError(f"{what.format(*args)} must be an integer, not {x!r}")
 
 
 def _index(g):
@@ -1007,13 +993,19 @@ def flatten_morphism(m):
 DEFAULT_BUDGET = 1 << 16
 
 
+def _at_least(x, least, what):
+    """x as an int of at least least (through _integer), else a
+    ValidationError naming what."""
+    x = _integer(x, what)
+    if x < least:
+        raise ValidationError(f"{what} must be at least {least}, not {x}")
+    return x
+
+
 def check_budget(budget):
     """budget as an int, the number of candidates a search may try: an
-    integer of at least 1 (through _integer), else a ValidationError."""
-    budget = _integer(budget, "search budget")
-    if budget < 1:
-        raise ValidationError(f"search budget must be at least 1, not {budget}")
-    return budget
+    integer of at least 1, else a ValidationError."""
+    return _at_least(budget, 1, "search budget")
 
 # The most matrix entries that a Hom-space search tests in one batch (decide's
 # candidate systems, iso_test's candidate combinations).  Larger chunks raise

@@ -1,5 +1,7 @@
 """Exact F_p linear algebra against the list-based oracles."""
 
+import json
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -9,6 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from obspers import fields
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
+from obspers.library import constant_module
+from obspers.serialize import dumps, module_from_json, module_to_json
+from obspers.stepmodule import Grid
 
 from oracles import (oracle_kernel_by_enumeration, oracle_matrix_rank,
                      oracle_rank_minor, oracle_rref, oracle_solve)
@@ -20,6 +25,18 @@ def test_field_requires_prime():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_field_takes_p_as_an_integer_and_stores_an_int():
+    # a numpy integer is stored as int, so a module over the field writes
+    # JSON that reads back; a float, a bool or a string is no p at all
+    F = PrimeField(np.int64(3))
+    assert type(F.p) is int and F == PrimeField(3) and F.inv(2) == 2
+    v = constant_module(F, Grid(((0, 1), (0, 1))))
+    assert module_from_json(json.loads(dumps(module_to_json(v)))) == v
+    for bad in (2.0, 3.0, np.float64(3), True, np.bool_(True), "3", Fraction(3)):
+        with pytest.raises(ValidationError, match="p must be an integer"):
+            PrimeField(bad)
 
 
 def test_scalar_ops_mod_p():

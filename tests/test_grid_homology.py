@@ -1,8 +1,9 @@
 """Grid homology on integer keys and the canonical JSON writer, each against
 the code it replaced: homology_module and vertex_perturbation_pair against
-the present_at oracles (byte for byte, warnings included), serialize.dumps
-against json.dumps(indent=2, sort_keys=True), and the homology point's
-digests pinned."""
+the present_at oracles (byte for byte, warnings included, on monotone and
+non-monotone bifiltrations), H_0 without any row reduction,
+serialize.dumps against json.dumps(indent=2, sort_keys=True), and the
+homology point's digests pinned."""
 
 import io
 import json
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obspers.errors import ValidationError
+from obspers.fields import PrimeField
 from obspers.pipelines import (Bifiltration, complex_from_simplices, degree_rips,
                                homology_module, metric_space, sublevel_bifiltration,
                                vertex_perturbation_pair)
@@ -79,25 +81,123 @@ def assert_same_homology(b, k, grid, p):
 
 # -- homology_module against the present_at oracle ------------------------------
 
+value = st.integers(0, 3) | rationals  # plain ints, or rationals
+
+
 @st.composite
-def sublevel_cases(draw):
+def complexes(draw):
     edges_and_triangles = st.lists(st.integers(0, 4), min_size=2, max_size=3, unique=True)
     simplices = draw(st.lists(edges_and_triangles | st.lists(st.integers(0, 4), min_size=1,
                                                              max_size=4, unique=True),
                               min_size=1, max_size=5))
     simplices += draw(st.sampled_from([  # nothing, a square for H1, or H2's sphere
         [], [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]))
-    cx = complex_from_simplices(simplices)
-    value = st.integers(0, 3) | rationals  # plain ints, or rationals
+    return complex_from_simplices(simplices)
+
+
+@st.composite
+def sublevel_cases(draw):
+    cx = draw(complexes())
     b = sublevel_bifiltration(cx, {v: (draw(value), draw(value)) for v in cx.vertices})
     return b, grid_near(b, draw)
 
 
 @settings(max_examples=80)
-@given(sublevel_cases(), st.integers(0, 2), st.sampled_from([2, 3]))
+@given(sublevel_cases(), st.integers(0, 2), st.sampled_from([2, 3, 5]))
 def test_sublevel_homology_matches_oracle(case, k, p):
     b, grid = case
     assert_same_homology(b, k, grid, p)
+
+
+@st.composite
+def unchecked_cases(draw):
+    """Bifiltrations built directly, every simplex's grades drawn on their
+    own, so that an edge may be present where an end of it is not: the
+    components of H_0 then die, and a step may fail as not monotone."""
+    cx = draw(complexes())
+    grades = st.lists(st.tuples(value, value), max_size=2, unique=True)
+    b = Bifiltration(cx, {s: tuple(draw(grades)) for s in cx.simplices})
+    return b, grid_near(b, draw)
+
+
+@settings(max_examples=120)
+@given(unchecked_cases(), st.integers(0, 1), st.sampled_from([2, 3, 5]))
+def test_non_monotone_homology_matches_oracle(case, k, p):
+    b, grid = case
+    assert_same_homology(b, k, grid, p)
+
+
+def test_an_edge_with_one_end_present_kills_its_component():
+    # at (0, 0) the edge (1, 2) is present and vertex 2 is not, so the class
+    # of vertex 1 is a boundary; at (1, 0) the edge (0, 1) joins vertex 0 to it
+    cx = complex_from_simplices([(0, 1), (1, 2)])
+    grades = {(0,): ((0, 0),), (1,): ((0, 0),), (2,): ((1, 1),),
+              (0, 1): ((1, 0),), (1, 2): ((0, 0),)}
+    b = Bifiltration(cx, grades)
+    grid = Grid(((0, 1), (0, 1)))
+    v = homology_module(b, 0, grid, 2)
+    assert v.dims == {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}
+    assert v.steps[((0, 0), 1)].tolist() == [[1]] and v.steps[((0, 0), 0)].shape == (0, 1)
+    for p in (2, 3, 5):
+        for k in (0, 1):
+            assert_same_homology(b, k, grid, p)
+
+
+def test_an_edge_with_both_ends_absent_changes_nothing():
+    cx = complex_from_simplices([(0, 1), (2,)])
+    grades = {(0,): ((1, 1),), (1,): ((1, 1),), (2,): ((0, 0),), (0, 1): ((0, 0),)}
+    b = Bifiltration(cx, grades)
+    grid = Grid(((0, 1), (0, 1)))
+    assert homology_module(b, 0, grid, 3).dims == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+    for p in (2, 3, 5):
+        for k in (0, 1):
+            assert_same_homology(b, k, grid, p)
+
+
+def test_h0_does_no_row_reduction(monkeypatch):
+    calls = []
+    for name in ("reduce", "solve"):
+        real = getattr(PrimeField, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(PrimeField, name, counted)
+    cloud = [(0, 0), (1, 0), (3, 1), (3, 3), (0, 2)]
+    d = [[max(abs(a - c), abs(b - e)) for c, e in cloud] for a, b in cloud]
+    rips = degree_rips(metric_space(list(range(len(cloud))), d), [0, 1, 2, 3], [0, 1, 2])
+    rips_grid = Grid(((0, 1, 2, 3), (-2, -1, 0)))
+    cx = complex_from_simplices([(0, 1), (1, 2), (0, 2), (2, 3)])
+    sub = sublevel_bifiltration(cx, {0: (0, 1), 1: (1, 0), 2: (1, 1), 3: (Fraction(1, 2), 2)})
+    sub_grid = Grid(((0, Fraction(1, 2), 1), (0, 1, 2)))
+    for b, grid in ((rips, rips_grid), (sub, sub_grid)):
+        assert homology_module(b, 0, grid, 3).total_dim > 0
+    assert calls == []
+    homology_module(rips, 1, rips_grid, 3)
+    assert calls  # the counters see H_1's eliminations
+
+
+@pytest.mark.parametrize("k, match", [
+    (-1, "homology degree must be at least 0, not -1"),
+    (1.5, "homology degree must be an integer, not 1.5"),
+    (1.0, "homology degree must be an integer, not 1.0"),
+    (True, "homology degree must be an integer, not True")])
+def test_homology_degrees_are_integers_of_at_least_0(k, match):
+    cx = complex_from_simplices([(0, 1), (1, 2), (0, 2)])
+    values = {0: (0, 0), 1: (1, 0), 2: (0, 1)}
+    b = sublevel_bifiltration(cx, values)
+    grid = Grid(((0, 1), (0, 1)))
+    with pytest.raises(ValidationError, match=match):
+        homology_module(b, k, grid, 2)
+    with pytest.raises(ValidationError, match=match):
+        vertex_perturbation_pair(cx, values, values, k, grid, 2, 0)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_homology_rejects_a_prime_that_is_not_an_integer(k):
+    b = sublevel_bifiltration(complex_from_simplices([(0, 1)]), {0: (0, 0), 1: (1, 1)})
+    with pytest.raises(ValidationError, match="p must be an integer, not 2.0"):
+        homology_module(b, k, Grid(((0, 1), (0, 1))), 2.0)
 
 
 @st.composite
@@ -117,7 +217,7 @@ def rips_cases(draw):
 
 
 @settings(max_examples=80)
-@given(rips_cases(), st.integers(0, 2), st.sampled_from([2, 3]))
+@given(rips_cases(), st.integers(0, 2), st.sampled_from([2, 3, 5]))
 def test_degree_rips_homology_matches_oracle(case, k, p):
     b, grid = case
     assert_same_homology(b, k, grid, p)

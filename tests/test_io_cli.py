@@ -306,6 +306,19 @@ def test_cli_homology_rejects_a_prime_that_is_not_small(tmp_path):
         PrimeField(4)
 
 
+def test_cli_rejects_a_negative_degree(tmp_path):
+    m = metric_space(list(range(3)), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    b = degree_rips(m, [1, 2], [1, 2])
+    path, space = tmp_path / "rips.json", tmp_path / "space.json"
+    serialize.write_json(path, serialize.bifiltration_to_json(b))
+    serialize.write_json(space, serialize.metric_to_json(m))
+    code, out, err = run_cli(["homology", "--dim", "-1", path])
+    assert (code, out, err) == (1, "", "error: homology degree must be at least 0, not -1\n")
+    code, out, err = run_cli(["degree-rips", "--radii", "1,2", "--degrees", "1,2",
+                              "--max-dim", "-1", space])
+    assert (code, out, err) == (1, "", "error: max_dim must be at least 0, not -1\n")
+
+
 def test_cli_validate_interleaving_rechecks(tmp_path):
     v = library.constant_module(F2, Grid(((0, 1, 2), (0, 1, 2))))
     pair = discretize(v, 1)

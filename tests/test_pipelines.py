@@ -128,6 +128,15 @@ def test_bifiltration_rejects_n_axes_that_is_not_an_integer(bad):
         Bifiltration(cx, {(0,): ((0, 0),)}, bad)
 
 
+@pytest.mark.parametrize("bad, match", [(-1, "max_dim must be at least 0, not -1"),
+                                        (1.5, "max_dim must be an integer, not 1.5")])
+def test_degree_rips_max_dim_is_an_integer_of_at_least_0(bad, match):
+    m = metric_space([0, 1], [[0, 1], [1, 0]])
+    with pytest.raises(ValidationError, match=match):
+        degree_rips(m, [1], [1], max_dim=bad)
+    assert degree_rips(m, [1], [1], max_dim=0).complex.simplices == ((0,), (1,))
+
+
 def test_sublevel_rejects_bad_values():
     cx = hollow_triangle()
     with pytest.raises(ValidationError):
