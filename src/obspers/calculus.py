@@ -14,9 +14,9 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _padded, _same_data,
-                         _source, _width, _zero, compose, ensure_valid, factor_morphism,
-                         restrict_extend, same_axes, union_grids)
+from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _nonnegative, _padded,
+                         _same_data, _source, _width, _zero, compose, ensure_valid,
+                         factor_morphism, restrict_extend, same_axes, union_grids)
 
 # restrict_extend is re-exported from here because refinement and
 # discretization conceptually belong to the calculus layer.
@@ -122,9 +122,7 @@ def eta_on(v, eps, grid):
     """The shift morphism eta_eps: V -> V[eps] restricted-extended to the
     given grid: the component at q is the internal structure map of v from
     the anchor of q to the anchor of q + eps."""
-    eps = _frac(eps)
-    if eps < 0:
-        raise ValidationError("eta needs eps >= 0")
+    eps = _nonnegative(eps, "eta needs eps >= 0")
     return anchored_morphism(v, v, eps, grid, v.path_map)
 
 
@@ -206,9 +204,7 @@ def smooth(v, eps):
     """The eps-smoothing S = im(eta_eps) of v with its interleaving witnesses
     (SmoothResult).  v must pass validate: eta is natural only on a
     commuting module, so anything else raises ValidationError."""
-    eps = _frac(eps)
-    if eps < 0:
-        raise ValidationError("smooth needs eps >= 0")
+    eps = _nonnegative(eps, "smooth needs eps >= 0")
     s, g = _smoothed(v, eps)
     big = s.grid
     # ambient anchor of S's value at each index tg, the image of the step from tg
@@ -245,9 +241,6 @@ class PairGridModule:
     grid: Grid
     dims: dict
     steps: dict  # ((p, q), kind, axis) -> matrix
-
-    def dim(self, p, q):
-        return self.dims[(tuple(p), tuple(q))]
 
 
 def _pairs(grid):
@@ -339,9 +332,7 @@ def persistent_rank(v, eps):
     ranks as they are, and ranked by one reduce_stack.  v must pass
     validate, or ValidationError is raised: a rank read off anchored paths
     of a non-commuting module depends on the path."""
-    eps = _frac(eps)
-    if eps < 0:
-        raise ValidationError("persistent_rank needs eps >= 0")
+    eps = _nonnegative(eps, "persistent_rank needs eps >= 0")
     ensure_valid(v)
     grid = union_grids(v.grid, v.grid.translate(-eps)) if eps > 0 else v.grid
     ends = (product(*v.grid.anchor_indices(grid, delta)) for delta in (0, eps))

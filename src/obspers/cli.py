@@ -15,7 +15,7 @@ from functools import cache
 
 from . import calculus, limits, metric, pipelines, serialize, stability
 from .decompose import decompose as run_decompose, iso_test
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, check
 from .limits import CauchyChain, cauchy_limit
 from .serialize import (FORMAT, dumps, fr_from_str, fr_to_str, load_any,
                         write_json)
@@ -107,21 +107,16 @@ def cmd_validate(ns):
         violations = [f"{name} is not a module: {x._violations[0]}"
                       for name, x in (("source", value.source), ("target", value.target))
                       if x._violations] + natural
-        if violations:
-            raise ValidationError("; ".join(violations))
+        check(violations)
     elif kind == "interleaving":
         w = metric.verify(value.f.source, value.g.source, value.eps, value.f, value.g)
         if not w.verified:
             raise ValidationError("interleaving does not verify: "
                                   + "; ".join(w.violations))
     elif kind == "complex":
-        violations = pipelines.validate_complex(value[0])
-        if violations:
-            raise ValidationError("; ".join(violations))
+        check(pipelines.validate_complex(value[0]))
     elif kind == "bifiltration":
-        violations = pipelines.validate_bifiltration(value)
-        if violations:
-            raise ValidationError("; ".join(violations))
+        check(pipelines.validate_bifiltration(value))
     # a metric space is checked as it is decoded, and a chain's structure by
     # `limit`, which resolves the paths
     _emit({"format": FORMAT, "kind": "validation", "file": ns.file,
@@ -317,6 +312,7 @@ def _grid_from_spec(spec, b):
 
 def cmd_homology(ns):
     b = _load(ns.file, "bifiltration")
+    check(pipelines.validate_bifiltration(b))
     v = pipelines.homology_module(b, ns.dim, _grid_from_spec(ns.grid, b), ns.prime)
     _emit_saved(ns, "homology", serialize.module_to_json(v))
     return 0

@@ -12,3 +12,10 @@ class BudgetExceeded(Exception):
 class ValidationError(ValueError):
     """Input data violates a structural invariant (shapes, monotonicity,
     commutativity, file format)."""
+
+
+def check(violations):
+    """Raise ValidationError naming every violation, joined by "; ", when
+    there is one; return None when violations is empty."""
+    if violations:
+        raise ValidationError("; ".join(violations))

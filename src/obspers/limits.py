@@ -9,12 +9,12 @@ earlier term, at the exact rational tail sums, and verifying each one.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .calculus import (_smoothed, compose_matched, lattice_grid, restrict_extend,
-                       shift_morphism)
+from .calculus import (_smoothed, compose_matched, lattice_grid, persistent_rank,
+                       restrict_extend, shift_morphism)
 from .decompose import iso_test
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, check
 from .metric import verify
-from .stepmodule import DEFAULT_BUDGET, _frac, check_budget, identity_morphism
+from .stepmodule import DEFAULT_BUDGET, _find, _frac, check_budget, identity_morphism
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ class LimitResult:
 def cauchy_limit(c):
     """The chain's limit (its final term) together with one verified
     interleaving certificate per term at the exact tail sums."""
-    bad = validate_chain(c)
-    if bad:
-        raise ValidationError("; ".join(bad))
+    check(validate_chain(c))
     terms = c.terms
     tails = c.tails
     last = len(terms) - 1
@@ -122,26 +120,13 @@ class ProbeResult:
         return self.count_upper if self.exact else None
 
 
-def _family_box(family):
-    lo = None
-    hi = None
-    for v in family:
-        mn = v.grid.min_corner()
-        mx = v.grid.max_corner()
-        if lo is None:
-            lo, hi = list(mn), list(mx)
-        else:
-            lo = [min(a, b) for a, b in zip(lo, mn)]
-            hi = [max(a, b) for a, b in zip(hi, mx)]
-    return tuple(lo), tuple(hi)
-
-
-def _find(parent, i):
-    """The root of i in the union-find forest parent, halving the path."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
+def _box(points):
+    """(min corner, max corner) of the points, coordinatewise, or None when
+    there are none."""
+    points = list(points)
+    if not points:
+        return None
+    return tuple(map(min, zip(*points))), tuple(map(max, zip(*points)))
 
 
 def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
@@ -157,7 +142,7 @@ def precompact_probe(family, delta, seed=0, budget=DEFAULT_BUDGET):
     axes = {v.grid.n_axes for v in family}
     if len(fields) > 1 or len(axes) > 1:
         raise ValidationError("probe family must share the field and the number of axes")
-    lo, hi = _family_box(family)
+    lo, hi = _box(c for v in family for c in (v.grid.min_corner(), v.grid.max_corner()))
     grid = lattice_grid(delta,
                         tuple(x - delta for x in lo),
                         tuple(x + delta for x in hi))
@@ -205,20 +190,7 @@ class UniformBoundsReport:
 def uniform_bounds_report(family, eps_list):
     """Smallest box containing every member's support, and for each eps the
     family-wide maximum persistent rank."""
-    from .calculus import persistent_rank
-    lo = None
-    hi = None
-    for v in family:
-        for g in v.grid.points():
-            if v.dims[g] == 0:
-                continue
-            c = v.grid.coords(g)
-            if lo is None:
-                lo, hi = list(c), list(c)
-            else:
-                lo = [min(a, b) for a, b in zip(lo, c)]
-                hi = [max(a, b) for a, b in zip(hi, c)]
-    box = None if lo is None else (tuple(lo), tuple(hi))
+    box = _box(v.grid.coords(g) for v in family for g in v.grid.points() if v.dims[g])
     ranks = {}
     for eps in eps_list:
         eps = _frac(eps)

@@ -23,10 +23,10 @@ import numpy as np
 from .calculus import (_generator_anchors, _triangle_holds, modules_match,
                        restrict_extend, shift)
 from .decompose import _first_invertible, _square_groups
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, check
 from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, _blocks, _frac, _freeze,
-                         check_budget, coefficient_vectors, hom_rows, linear_combination,
-                         union_grids, validate_morphism)
+                         _nonnegative, check_budget, coefficient_vectors, hom_rows,
+                         linear_combination, union_grids, validate_morphism)
 
 
 @total_ordering
@@ -78,8 +78,7 @@ def _check_pair(v, w):
         raise ValidationError(f"field mismatch: p={v.field.p} vs p={w.field.p}")
     if v.grid.n_axes != w.grid.n_axes:
         raise ValidationError(f"axis count mismatch: {v.grid.n_axes} vs {w.grid.n_axes}")
-    if bad := _not_modules(v, w):
-        raise ValidationError("; ".join(bad))
+    check(_not_modules(v, w))
 
 
 def _not_modules(v, w):
@@ -117,9 +116,7 @@ def verify(v, w, eps, f, g):
     structure map from q to the anchor of q + 2eps at those grades q only,
     which is exact (its docstring holds the argument).
     """
-    eps = _frac(eps)
-    if eps < 0:
-        raise ValidationError("interleaving eps must be >= 0")
+    eps = _nonnegative(eps, "interleaving eps must be >= 0")
     out = _not_modules(v, w)
     if not modules_match(f.source, v):
         out.append("f's source is not V")
@@ -244,9 +241,7 @@ def decide(v, w, eps, budget=DEFAULT_BUDGET, *, _obstruction=_UNKNOWN):
     rank_obstruction_at(v, w, eps), which it computes once per candidate."""
     _check_pair(v, w)
     budget = check_budget(budget)
-    eps = _frac(eps)
-    if eps < 0:
-        raise ValidationError("decide needs eps >= 0")
+    eps = _nonnegative(eps, "decide needs eps >= 0")
     if _obstruction is _UNKNOWN:
         _obstruction = rank_obstruction_at(v, w, eps)
     if _obstruction is not None:

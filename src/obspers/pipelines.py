@@ -58,9 +58,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check
 from .fields import PrimeField
-from .stepmodule import StepModule, _at_least, _frac, _freeze, _integer, _ratio, _zero
+from .stepmodule import (StepModule, _at_least, _find, _frac, _freeze, _integer, _ratio,
+                         _zero)
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,7 @@ def validate_metric_space(m):
 def metric_space(points, distances):
     m = FiniteMetricSpace(tuple(points),
                           tuple(tuple(_frac(x) for x in row) for row in distances))
-    bad = validate_metric_space(m)
-    if bad:
-        raise ValidationError("; ".join(bad))
+    check(validate_metric_space(m))
     return m
 
 
@@ -349,26 +348,19 @@ def _labels(present, edges):
     cls[v] is the position in mins of v's component, -1 when it is dead, None
     when v is absent.  The union-find keeps the smallest vertex as a root."""
     parent = list(range(len(present)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     killed = []
     for a, c in edges:
         on_a = a is not None and present[a]
         on_c = c is not None and present[c]
         if on_a and on_c:
-            ra, rc = find(a), find(c)
+            ra, rc = _find(parent, a), _find(parent, c)
             parent[max(ra, rc)] = min(ra, rc)
         elif on_a or on_c:
             killed.append(a if on_a else c)
-    dead = {find(v) for v in killed}
+    dead = {_find(parent, v) for v in killed}
     mins, cls = [], []
     for v, on in enumerate(present):
-        root = find(v) if on else None
+        root = _find(parent, v) if on else None
         if root is None:
             cls.append(None)
         elif root in dead:

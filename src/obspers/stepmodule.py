@@ -117,7 +117,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, check
 from .fields import PrimeField, _integer
 
 
@@ -143,6 +143,22 @@ def _ratio(x):
     if type(x) is bool or not isinstance(x, (int, Fraction)):
         x = _frac(x)
     return x.numerator, x.denominator
+
+
+def _nonnegative(x, message):
+    """x through _frac, else ValidationError(message) when it is below 0."""
+    x = _frac(x)
+    if x < 0:
+        raise ValidationError(message)
+    return x
+
+
+def _find(parent, i):
+    """The root of i in the union-find forest parent, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 class Grid:
@@ -584,12 +600,6 @@ class StepModule:
         ranks = self.field.reduce_stack(incoming.reshape(len(pts), d, n * d))[1]
         return tuple(g for g, r in zip(pts, ranks.tolist()) if self.dims[g] > r)
 
-    def dim(self, idx):
-        return self.dims[tuple(idx)]
-
-    def step(self, idx, axis):
-        return self.steps[(tuple(idx), axis)]
-
     @property
     def total_dim(self):
         return sum(self.dims.values())
@@ -749,8 +759,7 @@ def validate(v):
 def ensure_valid(v):
     """v itself when validate finds nothing, else ValidationError naming
     every violation found."""
-    if v._violations:
-        raise ValidationError("; ".join(v._violations))
+    check(v._violations)
     return v
 
 
@@ -879,9 +888,6 @@ class Morphism:
     def field(self):
         return self.source.field
 
-    def comp(self, idx):
-        return self.comps[tuple(idx)]
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -953,9 +959,9 @@ def identity_morphism(v):
 
 
 def zero_morphism(v, w):
-    comps = {g: _zero((w.dims[g], v.dims[g])) for g in v.grid.points()}
     if v.grid != w.grid:
         raise ValidationError("morphism endpoints must share a grid")
+    comps = {g: _zero((w.dims[g], v.dims[g])) for g in v.grid.points()}
     return Morphism._trusted(v, w, comps)
 
 

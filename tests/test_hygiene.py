@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used there,
 every function and class the package defines is named somewhere else, every
-private top-level name is used by the package itself, no float enters the
-source, no class hooks attribute lookup, and every function the benchmark's
-tracer wraps still exists where the tracer looks for it."""
+method is read somewhere, every private top-level name is used by the
+package itself, no float enters the source, no class hooks attribute
+lookup, and every function the benchmark's tracer wraps still exists where
+the tracer looks for it."""
 
 import ast
 import importlib
@@ -62,6 +63,38 @@ def test_every_definition_is_named_elsewhere():
                        if not (other == path and first <= i <= last)):
                 unnamed.append(f"{path.name}:{first}: {name}")
     assert unnamed == []
+
+
+def methods(tree):
+    """(class, name, line) of every method and property a class of the tree
+    defines, dunders aside."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    yield cls.name, node.name, node.lineno
+
+
+def test_every_method_is_read_somewhere():
+    # a method or property that no attribute access and no string (a getattr
+    # or monkeypatch name, a view made by name) reads, in the package, the
+    # tests, the scripts or the benchmark, is dead code.  Reads are matched
+    # by name alone, so a method stays unseen while another class's method
+    # of its name is read: a StepModule.dim with no caller would pass, as
+    # EndoAlgebra.dim is read
+    read = set()
+    for folder in (SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"):
+        for path in sorted(folder.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    unread = [f"{path.name}:{line}: {cls}.{name}" for path in sorted(SRC.glob("*.py"))
+              for cls, name, line in methods(ast.parse(path.read_text(), filename=str(path)))
+              if name not in read]
+    assert unread == []
 
 
 def private_definitions(tree):

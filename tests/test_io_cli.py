@@ -20,7 +20,8 @@ from obspers.cli import build_parser, main as cli_main
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.metric import INF, distance_bracket, verify
-from obspers.pipelines import degree_rips, metric_space, sublevel_bifiltration
+from obspers.pipelines import (Bifiltration, SimplicialComplex, degree_rips, metric_space,
+                               sublevel_bifiltration)
 from obspers.stepmodule import Grid, direct_sum, identity_morphism, validate_morphism
 
 from conftest import non_module
@@ -317,6 +318,34 @@ def test_cli_rejects_a_negative_degree(tmp_path):
     code, out, err = run_cli(["degree-rips", "--radii", "1,2", "--degrees", "1,2",
                               "--max-dim", "-1", space])
     assert (code, out, err) == (1, "", "error: max_dim must be at least 0, not -1\n")
+
+
+def bad_bifiltration(grades):
+    """A bifiltration over the simplices of grades, with no check made."""
+    simplices = list(grades)
+    vertices = sorted({x for s in simplices for x in s})
+    return Bifiltration(SimplicialComplex(vertices, simplices), grades, 2)
+
+
+@pytest.mark.parametrize("b, dim, message", [
+    # a triangle stored without its edges
+    (bad_bifiltration({(0,): ((0, 0),), (1,): ((0, 0),), (2,): ((0, 0),),
+                       (0, 1, 2): ((0, 0),)}), 1,
+     "face (1, 2) of (0, 1, 2) is missing; face (0, 2) of (0, 1, 2) is missing; "
+     "face (0, 1) of (0, 1, 2) is missing"),
+    # an edge present before its vertex 0
+    (bad_bifiltration({(0,): ((1, 1),), (1,): ((0, 0),), (0, 1): ((0, 0),)}), 0,
+     "monotonicity: face (0,) absent at grade (Fraction(0, 1), Fraction(0, 1)) of (0, 1)"),
+    # a grade of 3 coordinates in a document of 2 axes, under --grid auto
+    (bad_bifiltration({(0,): ((0, 0),), (1,): ((0, 0),), (0, 1): ((0, 0, 0),)}), 0,
+     "grade (Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)) of (0, 1) has wrong arity"),
+], ids=["missing-faces", "not-monotone", "wrong-arity"])
+def test_cli_homology_rejects_what_validate_rejects(tmp_path, b, dim, message):
+    path = tmp_path / "bad.json"
+    serialize.write_json(path, serialize.bifiltration_to_json(b))
+    want = (1, "", f"error: {message}\n")
+    assert run_cli(["validate", path]) == want
+    assert run_cli(["homology", "--dim", dim, path]) == want
 
 
 def test_cli_validate_interleaving_rechecks(tmp_path):

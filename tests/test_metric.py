@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obspers import library, metric
-from obspers.calculus import discretize, shift
+from obspers.calculus import compose_matched, discretize, shift, shift_morphism
 from obspers.decompose import decompose, iso_test, split_once
 from obspers.errors import BudgetExceeded, ValidationError
 from obspers.fields import PrimeField
@@ -395,3 +395,55 @@ def test_decide_point_digests(monkeypatch, points, pairs, exact, digest):
         runpy.run_path(str(SCRIPTS / "run_decide_point.py"), run_name="__main__")
     got = json.loads(out.getvalue())
     assert (done.value.code, got["exact"], got["sha256"]) == (0, exact, digest)
+
+
+# -- the metric axioms, on the 4-point pool of scripts/run_decide_point.py ------
+
+@pytest.fixture(scope="module")
+def decide_pool():
+    """The 64 pairs of run_decide_point.py --points 4, with the bracket of each."""
+    script = runpy.run_path(str(SCRIPTS / "run_decide_point.py"))
+    rng = np.random.default_rng(script["SEED"])
+    pairs = [script["draw_pair"](rng, 4) for _ in range(64)]
+    return pairs, [distance_bracket(v, w) for v, w in pairs]
+
+
+def test_distance_bracket_is_symmetric(decide_pool):
+    for (v, w), br in zip(*decide_pool):
+        back = distance_bracket(w, v)
+        assert (back.lower, back.upper, back.exact) == (br.lower, br.upper, br.exact)
+
+
+def test_distance_zero_exactly_when_isomorphic(decide_pool):
+    # only an exact bracket certifies the converse: a decision at 0 that runs
+    # out of budget leaves upper above 0 where iso_test's random phase may
+    # still find an isomorphism
+    answers = set()
+    for (v, w), br in zip(*decide_pool):
+        same = iso_test(v, w)[0]
+        if br.upper == 0:
+            assert same
+        elif br.exact:
+            assert not same
+        answers.add(same)
+    assert answers == {True, False}
+
+
+def test_composed_witnesses_verify_at_the_sum(decide_pool):
+    # (f2[e1] o f1, g1[e2] o g2) interleaves U and W at e1 + e2, from the
+    # witnesses of (U, V) and (V, W): verify checks a pair no search built,
+    # and the certified lower bound of (U, W) is at most e1 + e2
+    pairs, brackets = decide_pool
+    composed = 0
+    for k in range(len(pairs) - 1):
+        (u, v), w = pairs[k], pairs[k + 1][0]
+        first, second = brackets[k].witness, distance_bracket(v, w).witness
+        if first is None or second is None:
+            continue
+        e1, e2 = first.eps, second.eps
+        f = compose_matched(shift_morphism(second.f, e1), first.f)
+        g = compose_matched(shift_morphism(first.g, e2), second.g)
+        assert verify(u, w, e1 + e2, f, g).verified
+        assert distance_bracket(u, w).lower <= e1 + e2
+        composed += 1
+    assert composed == 46

@@ -436,8 +436,12 @@ def test_morphism_builders_keep_their_endpoint_errors():
     w = direct_sum(v, v)
     with pytest.raises(ValidationError, match="composition endpoints do not match"):
         compose(identity_morphism(v), zero_morphism(v, w))
-    with pytest.raises(ValidationError, match="morphism endpoints must share a grid"):
-        zero_morphism(v, u)
+    # and grids of different shapes, in either order
+    a = library.constant_module(F3, Grid(((0, 1, 2),)))
+    b = library.constant_module(F3, Grid(((0, 1),)))
+    for x, y in ((v, u), (a, b), (b, a)):
+        with pytest.raises(ValidationError, match="morphism endpoints must share a grid"):
+            zero_morphism(x, y)
 
 
 def test_validate_morphism_catches_non_naturality():
