@@ -7,6 +7,7 @@ exactly the maps used in the corresponding existence proofs and they verify as
 honest interleavings, which is what the tests check.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -14,8 +15,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .stepmodule import (Grid, Morphism, StepModule, _frac, _freeze, _nonnegative, _padded,
-                         _same_data, _source, _width, _zero, compose, ensure_valid,
+from .stepmodule import (Grid, Morphism, StepModule, _exact, _frac, _freeze, _nonnegative,
+                         _padded, _same_data, _source, _width, compose, ensure_valid,
                          factor_morphism, restrict_extend, same_axes, union_grids)
 
 # restrict_extend is re-exported from here because refinement and
@@ -63,18 +64,20 @@ def anchored_morphism(x, y, eps, grid, comp):
     """The morphism restrict_extend(x, grid) -> restrict_extend(shift(y, eps),
     grid) whose component at q is comp(a, b), where a is the anchor of q in
     x's grid and b the anchor of q + eps in y's grid.  comp is called once
-    per point where both anchors exist, in grid.points() order; the
-    component is the shared zero block where a or b is None, or where comp
-    returns None."""
+    per point where both anchors exist, in grid.points() order, its result
+    written into the stack, which stays zero where a or b is None or comp
+    returns None; a result of the wrong shape is a ValidationError."""
     eps = _frac(eps)
     source = restrict_extend(x, grid)
     target = restrict_extend(shift(y, eps), grid)
-    comps = {}
-    for (q, a), b in zip(x.grid.anchors_on(grid).items(),
-                         y.grid.anchors_on(grid, eps).values()):
+    s, t = source.dims, target.dims
+    out = np.zeros((math.prod(grid.shape), _width(target), _width(source)), dtype=np.int64)
+    for i, ((q, a), b) in enumerate(zip(x.grid.anchors_on(grid).items(),
+                                        y.grid.anchors_on(grid, eps).values())):
         m = None if a is None or b is None else comp(a, b)
-        comps[q] = _zero((target.dims[q], source.dims[q])) if m is None else _freeze(m)
-    return Morphism._trusted(source, target, comps)
+        if m is not None:
+            out[i, :t[q], :s[q]] = _exact(m, (t[q], s[q]), "component at {}", q)
+    return Morphism._from_stack(source, target, _freeze(out))
 
 
 def _generator_anchors(first, second, x, s, total):
@@ -113,7 +116,7 @@ def _triangle_holds(first, second, x, s, total):
         if a is None or b is None:
             if np.any(want):
                 return False
-        elif not np.array_equal(x.field.matmul(second.comps[b], first.comps[a]), want):
+        elif not np.array_equal(x.field.matmul(second._component(b), first._component(a)), want):
             return False
     return True
 
@@ -140,12 +143,12 @@ def restrict_morphism(m, grid):
     grid is m's grid, which by idempotence is the same data."""
     if grid == m.grid:
         return m
-    return anchored_morphism(m.source, m.target, 0, grid, lambda a, b: m.comps[a])
+    return anchored_morphism(m.source, m.target, 0, grid, lambda a, b: m._component(a))
 
 
 def shift_morphism(m, eps):
-    """m[eps]: the same components between the shifted endpoints."""
-    return Morphism._trusted(shift(m.source, eps), shift(m.target, eps), m.comps)
+    """m[eps]: m's stack between the shifted endpoints."""
+    return Morphism._from_stack(shift(m.source, eps), shift(m.target, eps), m._stack)
 
 
 def modules_match(a, b):
@@ -214,7 +217,7 @@ def smooth(v, eps):
         if s.dims[tg] == 0:
             return None
         vec = v.path_map(av, ambient[tg])
-        x = v.field.solve(g.comps[tg], vec)
+        x = v.field.solve(g._component(tg), vec)
         if x is None:
             raise ValidationError("smoothing component left the image subspace")
         return x

@@ -59,7 +59,7 @@ exactly what the per-point code gave (kept in tests/oracles.py):
   lexicographic order.  A chunk's candidates are tested together, and the
   answer is the first candidate of the first chunk that is invertible at
   every point, so it is the first candidate the one-by-one scan accepts;
-  its components are listed smallest dimension first, as before.
+  the witness is its combination of the Hom basis.
 
 Validity.  decompose, split_once, endo_algebra, iso_test and
 stepmodule.hom_basis take their modules through ensure_valid, so a module
@@ -76,7 +76,7 @@ from .calculus import persistent_rank, restrict_extend
 from .stepmodule import (_CHUNK_CELLS, DEFAULT_BUDGET, Morphism, StepModule, _blocks, _freeze,
                          _morphisms, _submodule, _width, canonical_rows, check_budget,
                          coefficient_vectors, compose, ensure_valid, flatten_morphism, hom_rows,
-                         identity_morphism, union_grids)
+                         identity_morphism, linear_combination, union_grids)
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,7 @@ def _derived_rows(a, m, rows, inc, proj):
     End(m) flattened in rows, one batched product per (dim m, dim a) group
     of points (the module docstring has the argument)."""
     p = a.field.p
-    dims = np.zeros(len(a.dims), dtype=np.intp)
-    for k, pts, _ in a._dim_groups:
-        dims[pts] = k
+    dims = a._point_dims
     starts = np.cumsum(dims ** 2) - dims ** 2
     span = np.zeros((len(rows), int((dims ** 2).sum())), dtype=np.int64)
     for d, pts, cols in m._dim_groups:
@@ -388,8 +386,4 @@ def iso_test(v, w, seed=0, budget=DEFAULT_BUDGET):
         hit = _first_invertible(F, groups, coefficient_vectors(F.p, h, budget, "Hom(V, W)"))
     if hit is None:
         return False, None
-    points, comps = u.points(), {}
-    for d, pts, stack in groups:
-        comps.update(zip((points[i] for i in pts),
-                         map(_freeze, (hit @ stack % F.p).reshape(len(pts), d, d))))
-    return True, Morphism._trusted(rv, rw, comps)
+    return True, linear_combination(rv, rw, rows, hit)

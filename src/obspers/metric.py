@@ -291,20 +291,19 @@ def _isomorphism(v, w, side, cands):
     blocks are square: with no rank obstruction at 0, V and W have the same
     dimension at every point of the side's grid (the rank scan at s = t
     compares them)."""
-    F, points = v.field, side.grid.points()
+    F = v.field
     groups = _square_groups(side.source, side.rows)
     hit = _first_invertible(F, groups, cands)
     if hit is None:
         return None
-    inverses = [None] * len(points)
-    for d, pts, stack in groups:
-        blocks = (hit @ stack % F.p).reshape(len(pts), d, d)
-        eye = np.broadcast_to(np.eye(d, dtype=np.int64), blocks.shape)
-        inv = F.reduce_stack(np.concatenate([blocks, eye], axis=2))[0][:, :, d:] if d else blocks
-        for i, m in zip(pts, inv):
-            inverses[i] = _freeze(m)
     f = linear_combination(side.source, side.target, side.rows, hit)
-    g = Morphism._trusted(side.target, side.source, dict(zip(points, inverses)))
+    inverse = np.zeros_like(f._stack)
+    for d, pts, _ in groups:
+        if d:
+            f_d = f._stack[pts, :d, :d]
+            eye = np.broadcast_to(np.eye(d, dtype=np.int64), f_d.shape)
+            inverse[pts, :d, :d] = F.reduce_stack(np.concatenate([f_d, eye], axis=2))[0][:, :, d:]
+    g = Morphism._from_stack(side.target, side.source, _freeze(inverse))
     result = verify(v, w, 0, f, g)
     if not result.verified:
         raise RuntimeError("the inverse of an invertible natural map failed to verify")

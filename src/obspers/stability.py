@@ -33,10 +33,10 @@ def strictly_trivial(v, sigma):
     """strict iff every component of eta(v, sigma) is the zero matrix."""
     sigma = _frac(sigma)
     m = eta(v, sigma)
-    for g in m.grid.points():
-        if m.comps[g].size and np.any(m.comps[g]):
-            return TrivialityReport(sigma, False,
-                                    f"nonzero eta component at index {g}")
+    nonzero = m._stack.any(axis=(1, 2))  # a stack is zero past its blocks
+    if nonzero.any():
+        g = m.grid.points()[int(nonzero.argmax())]
+        return TrivialityReport(sigma, False, f"nonzero eta component at index {g}")
     return TrivialityReport(sigma, True, "eta_sigma = 0 verified")
 
 
@@ -180,11 +180,7 @@ def _sample_shift(v, rng, eps):
     delta = eps / 4
     w = shift(v, delta)
     f = eta(v, 2 * delta)  # target matches w[delta] = v[2 delta]
-    g_source = restrict_extend(w, w.grid)
-    g_target = restrict_extend(shift(v, delta), w.grid)
-    comps = {g: v.field.identity(g_source.dims[g]) for g in w.grid.points()}
-    g = Morphism(g_source, g_target, comps)
-    wit = verify(v, w, delta, f, g)
+    wit = verify(v, w, delta, f, identity_morphism(w))  # g: w -> v[delta] = w
     return w, wit, "shifted by eps/4"
 
 

@@ -56,9 +56,9 @@ step's axis: equal anchors give the shared identity, adjacent anchors reuse
 the stored unit step as is, and only longer moves read path_map.  Identity
 and zero blocks (_eye, _zero) are shared package-wide.  Internal results
 whose matrices are already reduced, int64 and read-only are built with the
-private StepModule._trusted / Morphism._trusted, which skip the reduction
-and copy of the public constructors; arrays are therefore shared between
-modules and must never be written to.  The public constructors keep
+private StepModule._trusted and the _from_stack constructors, which skip
+the reduction and copy of the public constructors; arrays are therefore
+shared and must never be written to.  The public constructors keep
 validating, reducing and copying their input.
 
 Hom through generators.  hom_basis never solves the dense naturality system,
@@ -91,12 +91,12 @@ also hide a block smaller than its point's dimensions, which a per-point
 product rejects, so building a stack raises ValidationError on any block of
 the wrong shape.
 
-Stacks first.  What _from_stack builds (the results of compose,
-add_morphisms, _submodule, factor_morphism and decompose's split) keeps
-only its read-only stack.  Its steps or comps dict is a view, the per-point
-slices of the stack, built on first read and cached by a cached_property on
-the field's name (_stack_view); validate_morphism's shape and naturality
-tests and == against the object itself never read it.  An object built
+Stacks first.  Every morphism built in src, and every module of _submodule,
+comes from _from_stack and keeps only its read-only stack; only the public
+constructor keeps a comps dict.  A stack's steps or comps dict is a view,
+its per-point slices, built on first read and cached by a cached_property on
+the field's name (_stack_view); validate_morphism, Morphism._component and
+== between two morphisms that hold stacks never read it.  An object built
 with a dict keeps it in its __dict__, which a non-data descriptor never
 shadows, so its reads stay plain attribute lookups (a __getattr__ hook
 would slow every read).  Stacks, views and path maps are cached, which is
@@ -518,10 +518,8 @@ class StepModule:
     @classmethod
     def _from_stack(cls, field, grid, dims, stack):
         """Internal constructor for dims keyed by the grid points in order and
-        a read-only (E, D, D) stack of steps padded as _stack pads them.  The
-        stack is the module's storage, its _stack; steps is not set, and is
-        built from the stack as views the first time it is read
-        (_stack_view)."""
+        a read-only (E, D, D) stack of steps padded as _stack pads: the
+        module's storage, from which steps is built on first read (_stack_view)."""
         v = object.__new__(cls)
         v.__dict__.update(field=field, grid=grid, dims=dims, _stack=stack)
         return v
@@ -529,12 +527,21 @@ class StepModule:
     @cached_property
     def _stack(self):
         """The unit steps zero-padded to (D, D), D the largest dimension,
-        stacked in grid.edges order: one read-only (E, D, D) array.  A step
-        of the wrong shape is a ValidationError, as padding would hide it."""
+        stacked in grid.edges order: one read-only (E, D, D) array.  A missing
+        or misshapen step is a ValidationError, as padding would hide it."""
         d, dims = _width(self), self.dims
-        return _padded([_exact(self.steps[(g, axis)], (dims[h], dims[g]),
-                               "step at {} axis {}", g, axis)
-                        for (g, axis), h in self.grid.edges.items()], d, d)
+        try:
+            return _padded([_exact(self.steps[(g, axis)], (dims[h], dims[g]),
+                                   "step at {} axis {}", g, axis)
+                            for (g, axis), h in self.grid.edges.items()], d, d)
+        except KeyError:  # a missing dimension or step, which validate names
+            check(_module_violations(self))
+            raise
+
+    @cached_property
+    def _point_dims(self):
+        """The dimensions in grid.points() order, one read-only int array."""
+        return _freeze(np.array([self.dims[g] for g in self.grid.points()], dtype=np.intp))
 
     @cached_property
     def _classes(self):
@@ -545,7 +552,7 @@ class StepModule:
     def _dim_groups(self):
         """One (d, point numbers, columns of their blocks in a flattened Hom
         row) per dimension d, increasing; decompose's docstring has more."""
-        dims = np.array([self.dims[g] for g in self.grid.points()], dtype=np.intp)
+        dims = self._point_dims
         starts = np.cumsum(dims ** 2) - dims ** 2
         out = []
         for d in sorted(set(dims.tolist())):
@@ -707,18 +714,14 @@ def zero_module(p, n_axes=1):
 def _module_violations(v):
     """Every shape and commutativity violation of v, as validate reports
     them, checked afresh."""
-    out = []
     pts = v.grid.points()
     for g in pts:
         if g not in v.dims:
-            out.append(f"missing dimension at {g}")
-            return out
+            return [f"missing dimension at {g}"]
         if v.dims[g] < 0:
-            out.append(f"negative dimension at {g}")
-            return out
-    if len(v.dims) > len(pts):
-        on_grid = set(pts)
-        out += [f"dimension at {g} is not at a grid point" for g in v.dims if g not in on_grid]
+            return [f"negative dimension at {g}"]
+    on_grid = set(pts)
+    out = [f"dimension at {g} is not at a grid point" for g in v.dims if g not in on_grid]
     edges = v.grid.edges
     for (g, axis), h in edges.items():
         if (g, axis) not in v.steps:
@@ -780,21 +783,25 @@ def restrict_extend(v, grid):
     per_axis = v.grid.anchor_indices(grid)
     anchors = {q: None if None in a else a
                for q, a in zip(grid.points(), product(*per_axis))}
-    dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
     moves = [[None if x is None else y - x for x, y in zip(axis, axis[1:])]
              for axis in per_axis]
     steps = {}
-    for (q, axis), q2 in grid.edges.items():
-        a, move = anchors[q], moves[axis][q[axis]]
-        if a is None:
-            m = _zero((dims[q2], 0))
-        elif move == 0:
-            m = _eye(dims[q])
-        elif move == 1:
-            m = v.steps[(a, axis)]
-        else:
-            m = v.path_map(a, anchors[q2])
-        steps[(q, axis)] = m
+    try:
+        dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
+        for (q, axis), q2 in grid.edges.items():
+            a, move = anchors[q], moves[axis][q[axis]]
+            if a is None:
+                m = _zero((dims[q2], 0))
+            elif move == 0:
+                m = _eye(dims[q])
+            elif move == 1:
+                m = v.steps[(a, axis)]
+            else:
+                m = v.path_map(a, anchors[q2])
+            steps[(q, axis)] = m
+    except KeyError:  # a missing dimension or step of v, which validate names
+        check(_module_violations(v))
+        raise
     out = StepModule._trusted(v.field, grid, dims, steps)
     out.__dict__["_restricted_from"] = v
     return out
@@ -844,20 +851,10 @@ class Morphism:
         object.__setattr__(self, "comps", comps)
 
     @classmethod
-    def _trusted(cls, source, target, comps):
-        """Internal constructor for endpoints on one grid and components keyed
-        by index tuples, each reduced mod p, int64 and read-only; skips the
-        grid check, reduction and copy of __post_init__."""
-        m = object.__new__(cls)
-        m.__dict__.update(source=source, target=target, comps=comps)
-        return m
-
-    @classmethod
     def _from_stack(cls, source, target, stack):
-        """Internal constructor for endpoints on one grid and a read-only (P,
-        D_target, D_source) stack of components padded as _stack pads them.
-        The stack is the morphism's storage, its _stack; comps is not set,
-        and is built from the stack as views the first time it is read
+        """Internal constructor, the only one src uses, for endpoints on one
+        grid and a read-only (P, D_target, D_source) stack padded as _stack
+        pads: the morphism's storage, from which comps is built on first read
         (_stack_view)."""
         m = object.__new__(cls)
         m.__dict__.update(source=source, target=target, _stack=stack)
@@ -867,11 +864,10 @@ class Morphism:
     def _stack(self):
         """The components zero-padded to (D_target, D_source), the largest
         dimensions of the endpoints, stacked in grid.points() order: one
-        read-only (P, D_target, D_source) array.  A component of the wrong
-        shape is a ValidationError, as padding would hide it."""
-        s, t = self.source.dims, self.target.dims
-        return _padded([_exact(self.comps[g], (t[g], s[g]), "component at {}", g)
-                        for g in self.grid.points()],
+        read-only (P, D_target, D_source) array.  A missing, misshapen or
+        off-grid component is a ValidationError, as padding would hide it."""
+        check(self._comps_violations())
+        return _padded([self.comps[g] for g in self.grid.points()],
                        _width(self.target), _width(self.source))
 
     @cached_property
@@ -879,6 +875,26 @@ class Morphism:
         """validate_morphism's violations, as a tuple, found once: morphisms
         never change.  Nothing is cached when the check raises."""
         return tuple(_morphism_violations(self))
+
+    def _comps_violations(self):
+        """Missing, misshapen and off-grid components, as validate_morphism words them."""
+        out, pts = [], self.grid.points()
+        for g in pts:
+            if g not in self.comps:
+                return out + [f"missing component at {g}"]
+            want = (self.target.dims[g], self.source.dims[g])
+            if self.comps[g].shape != want:
+                out.append(f"component at {g} has shape {self.comps[g].shape}, expected {want}")
+        on_grid = set(pts)
+        return out + [f"component at {g} is not at a grid point" for g in self.comps
+                      if g not in on_grid]
+
+    def _component(self, g):
+        """The component at the grid index g, a view into the stack."""
+        i = 0
+        for k, n in zip(g, self.grid.shape):
+            i = i * n + k
+        return self._stack[i, :self.target.dims[g], :self.source.dims[g]]
 
     @property
     def grid(self):
@@ -893,9 +909,11 @@ class Morphism:
             return True
         if not isinstance(other, Morphism):
             return NotImplemented
+        stacks = "_stack" in self.__dict__ and "_stack" in other.__dict__
         return (self.source == other.source and self.target == other.target
-                and self.comps.keys() == other.comps.keys()
-                and matrices_equal(self.comps, other.comps, self.comps))
+                and (np.array_equal(self._stack, other._stack) if stacks
+                     else self.comps.keys() == other.comps.keys()
+                     and matrices_equal(self.comps, other.comps, self.comps)))
 
 
 def _comps_view(m):
@@ -925,44 +943,37 @@ def _morphism_violations(m):
     never read is shape-checked by its stack alone: a stack of shape (P,
     D_target, D_source) gives every point a view of exactly its shape.  Any
     other stack falls back to the per-point scan, with its messages."""
-    out = []
-    pts = m.grid.points()
-    if "comps" in m.__dict__ or m._stack.shape != (len(pts), _width(m.target),
-                                                    _width(m.source)):
-        for g in pts:
-            if g not in m.comps:
-                out.append(f"missing component at {g}")
-                return out
-            want = (m.target.dims[g], m.source.dims[g])
-            if m.comps[g].shape != want:
-                out.append(f"component at {g} has shape {m.comps[g].shape}, expected {want}")
-        if len(m.comps) > len(pts):
-            on_grid = set(pts)
-            out += [f"component at {g} is not at a grid point"
-                    for g in m.comps if g not in on_grid]
-        if out:
-            return out
+    padded = (len(m.grid.points()), _width(m.target), _width(m.source))
+    if ("comps" in m.__dict__ or m._stack.shape != padded) and (out := m._comps_violations()):
+        return out
     ends = src, dst = _edge_ends(m.grid.shape)
     c, sv, sw, p = m._stack, m.source._stack, m.target._stack, m.field.p
     bad = np.zeros(len(src), dtype=bool)
     for k, i in _groups(max(c.shape[1:]), [m.source, m.target], ends=ends):
         a, b = c[dst[i], :k, :k] @ sv[i, :k, :k], sw[i, :k, :k] @ c[src[i], :k, :k]
         bad[i] = ((a - b) % p).any(axis=(1, 2))
-    if bad.any():
-        g, axis = next(islice(m.grid.edges, int(bad.argmax()), None))
-        out.append(f"naturality fails at {g} axis {axis}")
-    return out
+    if not bad.any():
+        return []
+    g, axis = next(islice(m.grid.edges, int(bad.argmax()), None))
+    return [f"naturality fails at {g} axis {axis}"]
+
+
+def _block_mask(v, w):
+    """Where the blocks of morphisms v -> w lie in their stacks, in flatten_morphism's order."""
+    rows = np.arange(_width(w)) < w._point_dims[:, None]
+    cols = np.arange(_width(v)) < v._point_dims[:, None]
+    return rows[:, :, None] & cols[:, None, :]
 
 
 def identity_morphism(v):
-    return Morphism._trusted(v, v, {g: _eye(v.dims[g]) for g in v.grid.points()})
+    eye = np.eye(_width(v), dtype=np.int64) * _block_mask(v, v)
+    return Morphism._from_stack(v, v, _freeze(eye))
 
 
 def zero_morphism(v, w):
     if v.grid != w.grid:
         raise ValidationError("morphism endpoints must share a grid")
-    comps = {g: _zero((w.dims[g], v.dims[g])) for g in v.grid.points()}
-    return Morphism._trusted(v, w, comps)
+    return Morphism._from_stack(v, w, _zero((math.prod(v.grid.shape), _width(w), _width(v))))
 
 
 def compose(m2, m1):
@@ -989,10 +1000,7 @@ def add_morphisms(m1, m2):
 def flatten_morphism(m):
     """All components concatenated into one residue vector, points in
     lexicographic order; the coordinate form used by Hom-space searches."""
-    parts = [m.comps[g].reshape(-1) for g in m.grid.points()]
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
+    return m._stack[_block_mask(m.source, m.target)]
 
 
 # Largest number of candidates an exhaustive Hom-space search may try.
@@ -1067,17 +1075,18 @@ def _blocks(v, w, rows):
 
 
 def _morphisms(v, w, rows):
-    """The morphisms v -> w flattened in rows, which must be read-only."""
-    blocks = _blocks(v, w, rows)
-    return [Morphism._trusted(v, w, {g: b[i] for g, b in blocks.items()})
-            for i in range(len(rows))]
+    """The morphisms v -> w flattened in rows, their stacks the slices of one
+    read-only (len(rows), P, D_w, D_v) array."""
+    mask = _block_mask(v, w)
+    out = np.zeros((len(rows),) + mask.shape, dtype=np.int64)
+    out[:, mask] = rows
+    return [Morphism._from_stack(v, w, stack) for stack in _freeze(out)]
 
 
 def linear_combination(v, w, rows, coeffs):
     """sum_i coeffs[i] * basis[i] as a morphism v -> w, for the basis of
     Hom(v, w) flattened in rows (hom_rows)."""
-    row = _freeze(np.asarray(coeffs, dtype=np.int64) @ rows % v.field.p)
-    return _morphisms(v, w, row[None])[0]
+    return _morphisms(v, w, (np.asarray(coeffs, dtype=np.int64) @ rows % v.field.p)[None])[0]
 
 
 def hom_rows(v, w):
@@ -1273,9 +1282,7 @@ def factor_morphism(m):
     kept = np.arange(d) < ranks[:, None]
     first = np.argsort(~pivots, axis=1, kind="stable")[:, None, :d]
     basis = _freeze(np.take_along_axis(stack, first, axis=2) * kept[:, None, :])
-    w_dims = np.array([w.dims[g] for g in dims])
-    eye = np.eye(dw, dtype=np.int64) * (np.arange(dw) < w_dims[:, None])[:, None, :]
-    red = F.reduce_stack(np.concatenate([basis, eye], axis=2))[0][:, :, d:]
+    red = F.reduce_stack(np.concatenate([basis, identity_morphism(w)._stack], axis=2))[0][:, :, d:]
     outside = red * (np.arange(dw)[:, None] >= ranks[:, None, None])
     if _edge_products(outside, w, basis, dims.values()).any():
         raise ValidationError("induced step left the subspace; morphism invalid")

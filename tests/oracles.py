@@ -834,26 +834,26 @@ def oracle_split_pointwise(v, f):
     import numpy as np
 
     from obspers.decompose import Split
-    from obspers.stepmodule import Morphism, _freeze
+    from obspers.stepmodule import Morphism
 
     F = v.field
     n = max(v.total_dim, 1)
     fn = {g: oracle_matpow(F, f.comps[g], n) for g in v.grid.points()}
-    kernel = {g: _freeze(F.kernel_basis(c)) for g, c in fn.items()}
+    kernel = {g: F.kernel_basis(c) for g, c in fn.items()}
     ka = sum(k.shape[1] for k in kernel.values())
     if ka == 0 or ka == v.total_dim:
         return None
     image, proj_a, proj_b = {}, {}, {}
     for g, c in fn.items():
-        image[g] = _freeze(F.column_space_basis(c))
+        image[g] = F.column_space_basis(c)
         inv = F.solve(np.concatenate([kernel[g], image[g]], axis=1), F.identity(v.dims[g]))
         if inv is None:
             return None
         k = kernel[g].shape[1]
-        proj_a[g], proj_b[g] = _freeze(inv[:k]), _freeze(inv[k:])
+        proj_a[g], proj_b[g] = inv[:k], inv[k:]
     a, b = oracle_submodule(v, kernel, proj_a), oracle_submodule(v, image, proj_b)
-    return Split(a, b, Morphism._trusted(a, v, kernel), Morphism._trusted(b, v, image),
-                 Morphism._trusted(v, a, proj_a), Morphism._trusted(v, b, proj_b))
+    return Split(a, b, Morphism(a, v, kernel), Morphism(b, v, image),
+                 Morphism(v, a, proj_a), Morphism(v, b, proj_b))
 
 
 def oracle_invertible_pointwise(v, w, basis, coeffs):
@@ -955,7 +955,7 @@ def oracle_compose(m2, m1):
     if m1.target != m2.source:
         raise ValidationError("composition endpoints do not match")
     p = m1.field.p
-    return Morphism._trusted(m1.source, m2.target, {
+    return Morphism(m1.source, m2.target, {
         g: m2.comps[g] @ m1.comps[g] % p for g in _points(m1.grid.shape)})
 
 
@@ -964,7 +964,7 @@ def oracle_add_morphisms(m1, m2):
     from obspers.stepmodule import Morphism
 
     p = m1.field.p
-    return Morphism._trusted(m1.source, m1.target, {
+    return Morphism(m1.source, m1.target, {
         g: (m1.comps[g] + m2.comps[g]) % p for g in _points(m1.grid.shape)})
 
 
@@ -1003,7 +1003,7 @@ def oracle_persistent_rank(v, eps):
 
 def oracle_anchored_morphism(x, y, eps, grid, comp):
     from obspers.calculus import restrict_extend, shift
-    from obspers.stepmodule import Morphism, _frac, _freeze
+    from obspers.stepmodule import Morphism, _frac
 
     eps = _frac(eps)
     source = restrict_extend(x, grid)
@@ -1015,8 +1015,8 @@ def oracle_anchored_morphism(x, y, eps, grid, comp):
         m = None if a is None or b is None else comp(q, a, b)
         if m is None:
             m = x.field.zeros(target.dims[q], source.dims[q])
-        comps[q] = _freeze(m)
-    return Morphism._trusted(source, target, comps)
+        comps[q] = m
+    return Morphism(source, target, comps)
 
 
 def oracle_smooth_f(v, res):

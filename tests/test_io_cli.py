@@ -184,6 +184,23 @@ def test_cli_validate_morphism_with_an_undersized_source_step(tmp_path):
     assert err == "error: step at (0,) axis 0 has shape (1, 1), expected (2, 2)\n"
 
 
+def test_cli_validate_names_a_missing_step_of_an_endpoint(tmp_path):
+    # a morphism, and an interleaving, whose source module lacks its first
+    # step: validate words the error, with no traceback
+    v = direct_sum(*(library.constant_module(F2, Grid(((0, 1),))),) * 2)
+    doc = serialize.morphism_to_json(identity_morphism(v))
+    del doc["source"]["steps"][0]
+    u = library.constant_module(F2, Grid(((0, 1, 2), (0, 1, 2))))
+    pair = discretize(u, 1)
+    wit = serialize.interleaving_to_json(verify(u, pair.module, 1, pair.f, pair.g))
+    del wit["f"]["source"]["steps"][0]
+    for name, bad, at in (("m.json", doc, "(0,)"), ("w.json", wit, "(0, 0)")):
+        path = tmp_path / name
+        serialize.write_json(path, bad)
+        code, out, err = run_cli(["validate", path])
+        assert (code, out, err) == (1, "", f"error: missing step at {at} axis 0\n")
+
+
 def test_cli_validate_rejects_entries_that_are_not_integers(tmp_path):
     doc = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1),))))
     doc["steps"][0]["matrix"] = [[0.5]]

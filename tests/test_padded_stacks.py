@@ -10,7 +10,10 @@ more on a module whose dimensions span two size classes.
 Objects built from stacks (_from_stack) over F_2, F_3 and F_5: their steps
 or comps are views built on first read, validate_morphism reads their
 stacks alone and agrees with a dict-built copy, and the stacked
-factor_morphism matches the per-point oracle."""
+factor_morphism matches the per-point oracle.  Every morphism the library's
+builders return holds its stack and no comps until they are read, and the
+identity checks of a decomposition compare stacks without building a comps
+view."""
 
 import functools
 from fractions import Fraction
@@ -18,18 +21,20 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import obspers.stepmodule as stepmodule
 from obspers import library
-from obspers.calculus import eta, persistent_rank
-from obspers.decompose import decompose
+from obspers.calculus import (discretize, eta, persistent_rank, restrict_morphism,
+                              shift_morphism, smooth)
+from obspers.decompose import decompose, iso_test
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
+from obspers.metric import decide
 from obspers.stepmodule import (Grid, Morphism, StepModule, _groups, _submodule,
                                 add_morphisms, compose, direct_sum, factor_morphism, hom_basis,
-                                hom_rows, identity_morphism, linear_combination,
-                                validate_morphism)
+                                hom_rows, identity_morphism, linear_combination, union_grids,
+                                validate_morphism, zero_morphism)
 
 from conftest import assert_image_matches_oracle
 from oracles import (oracle_add_morphisms, oracle_compose, oracle_persistent_rank,
@@ -148,7 +153,9 @@ def test_shape_and_key_violations_match_the_oracle(seed, p):
     good = random_morphism(rng, v, v)
     g = pts[int(rng.integers(0, len(pts)))]
     wrong, missing, off = dict(good.comps), dict(good.comps), dict(good.comps)
-    wrong[g] = np.zeros((v.dims[g] + 1, v.dims[g]), dtype=np.int64)
+    # never empty: the public constructor reads an empty block as a zero
+    # block of the right shape
+    wrong[g] = np.ones((v.dims[g] + 1, v.dims[g] + 1), dtype=np.int64)
     del missing[g]
     off[(7,) * v.grid.n_axes] = [[1]]
     cases = [wrong, missing, off]
@@ -158,7 +165,7 @@ def test_shape_and_key_violations_match_the_oracle(seed, p):
         del both[pts[-1]]
         cases.append(both)
     for comps in cases:
-        m = Morphism._trusted(v, v, {k: np.asarray(c) for k, c in comps.items()})
+        m = Morphism(v, v, comps)
         assert validate_morphism(m) == oracle_validate_morphism(m)
         assert validate_morphism(m)
 
@@ -258,7 +265,8 @@ def stack_built(seed, p):
     a composite, a sum, a random submodule, an image with its inclusion, and
     the summands and witnesses of a decomposition; random modules over F_p
     on one random grid, then a module whose dimensions span two size
-    classes."""
+    classes.  Each object is listed once: decompose returns one identity as
+    both the inclusion and the projection of an indecomposable module."""
     rng, (u, v, w) = modules(seed, p, 3)
     f, f2, g = (random_morphism(rng, a, b) for a, b in ((u, v), (u, v), (v, w)))
     pts = v.grid.points()
@@ -273,7 +281,8 @@ def stack_built(seed, p):
         out += factor_morphism(eta(x, 1))
         dec = decompose(x)
         out += [s for s in dec.summands if s is not x] + dec.inclusions + dec.projections
-    return rng, [x for x in out if "_stack" in x.__dict__ and x is not v]
+    unique = {id(x): x for x in out if "_stack" in x.__dict__ and x is not v}
+    return rng, list(unique.values())
 
 
 def assert_lazy_view(x):
@@ -384,3 +393,50 @@ def test_stacked_image_of_a_morphism_that_is_not_natural(seed, p):
             want = m.field.column_space_basis(m.comps[q])
             assert image.dims[q] == want.shape[1] and inclusion.comps[q].shape == want.shape
             assert np.array_equal(inclusion.comps[q], want)
+
+
+# -- every morphism the library builds is a stack ------------------------------
+
+def library_built(seed, p):
+    """The morphisms that the library's builders return, none read yet:
+    identity_morphism, zero_morphism, eta, smooth, discretize,
+    restrict_morphism, shift_morphism, linear_combination, hom_basis, and
+    iso_test and decide at 0 between a random module and a twist of it."""
+    rng, (v, w) = modules(seed, p, 2)
+    twin = library.twist_module(v, rng)
+    e = eta(v, 1)
+    res, pair = smooth(v, 1), discretize(v, Fraction(1, 2))
+    rows = hom_rows(v, w)
+    cert = decide(v, twin, 0)
+    out = [identity_morphism(v), zero_morphism(v, w), e, res.f, res.g, pair.f, pair.g,
+           restrict_morphism(e, union_grids(e.grid, e.grid.translate(Fraction(1, 3)))),
+           shift_morphism(e, 1),
+           linear_combination(v, w, rows, rng.integers(0, p, size=len(rows))),
+           *hom_basis(v, w), iso_test(v, twin)[1], cert.f, cert.g]
+    return list({id(m): m for m in out}.values())
+
+
+@given(seeds, primes)
+def test_library_morphisms_hold_stacks_and_build_comps_on_first_read(seed, p):
+    built = library_built(seed, p)
+    assert all("_stack" in m.__dict__ and "comps" not in m.__dict__ for m in built)
+    for m in built:
+        assert_lazy_view(m)
+
+
+@settings(max_examples=25)
+@given(seeds, primes)
+def test_identity_checks_of_a_decomposition_build_no_comps_view(seed, p):
+    # the checks of the decompose benchmark job: proj o inc = id on each
+    # summand, and the inc o proj sum to id on the module
+    rng, (v,) = modules(seed, p, 1)
+    built, view = [], Morphism.comps.func
+    for x in (v, skewed_module(rng, p)):
+        dec = decompose(x)
+        with patch.object(Morphism.comps, "func", lambda m: built.append(m) or view(m)):
+            total = zero_morphism(x, x)
+            for s, inc, proj in zip(dec.summands, dec.inclusions, dec.projections):
+                assert compose(proj, inc) == identity_morphism(s)
+                total = add_morphisms(total, compose(inc, proj))
+            assert total == identity_morphism(x)
+    assert built == []

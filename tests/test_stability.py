@@ -1,7 +1,13 @@
 """Strict triviality, shift factorization, near-indecomposability, and the
 perturbation experiment."""
 
+import hashlib
+import io
+import runpy
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,8 @@ from oracles import oracle_eta_on
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 # -- strict triviality -----------------------------------------------------------
@@ -224,3 +232,16 @@ def test_experiment_rejects_bad_module():
     ragged = library.constant_module(F5, Grid(((0, 1, 3), (0, 1, 3))))
     with pytest.raises(ValidationError):
         perturbation_experiment(ragged, trials=2)  # irregular grid
+
+
+def test_genericity_script_digest(monkeypatch):
+    """scripts/run_genericity.py at its defaults: the sha256 of its output as
+    recorded, 30 trials with 23 accepted, the shift sampler among them."""
+    monkeypatch.setattr(sys, "argv", ["run_genericity.py"])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(SCRIPTS / "run_genericity.py"), run_name="__main__")
+    text = out.getvalue()
+    assert "shifted by eps/4" in text and "accepted 23/30" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "79cfd9fddce9c5402d1a4da0f0874d810b9935bf14c9fb615f1492e5f8dc40cc")

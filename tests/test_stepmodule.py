@@ -1,5 +1,6 @@
 """Grids, step modules, morphisms, Hom spaces and images of morphisms."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,45 @@ def test_equality_compares_shapes_of_equal_sized_matrices():
     m_wide = Morphism(one, two, {(0,): [[1, 1]]})
     assert m_tall != m_wide
     assert not oracle_morphisms_match(m_tall, m_wide) and not per_component_match(m_tall, m_wide)
+    # public morphisms with a missing, misshapen or off-grid component, and
+    # stack-built ones: == compares components key by key, before and after
+    # the well-formed ones build their stacks
+    v = library.constant_module(F2, grid)
+    e = np.eye(1, dtype=np.int64)
+    comps = [{(0,): e, (1,): e}, {(0,): e}, {(0,): e, (1,): [[1, 0]]},
+             {(0,): e, (1,): e, (5,): e}, {(0,): e, (1,): [[0]]}]
+    morphisms = ([Morphism(v, v, c) for c in comps + comps]
+                 + [identity_morphism(v), zero_morphism(v, v)])
+    for _ in range(2):
+        for a in morphisms:
+            for b in morphisms:
+                assert (a == b) == per_key_equal(a, b)
+        for m in morphisms:
+            try:
+                m._stack
+            except ValidationError:
+                pass
+
+
+def per_key_equal(m1, m2):
+    return (m1.source == m2.source and m1.target == m2.target
+            and m1.comps.keys() == m2.comps.keys()
+            and all(m.shape == m2.comps[g].shape and np.array_equal(m, m2.comps[g])
+                    for g, m in m1.comps.items()))
+
+
+def test_builders_name_a_missing_or_off_grid_component():
+    v = direct_sum(*(library.constant_module(F2, Grid(((0, 1),))),) * 2)
+    e = np.eye(2, dtype=np.int64)
+    for comps, message in (({(0,): e}, "missing component at (1,)"),
+                           ({(0,): e, (1,): e, (5,): e},
+                            "component at (5,) is not at a grid point")):
+        m = Morphism(v, v, comps)
+        assert validate_morphism(m) == [message]
+        for build in (lambda: compose(m, identity_morphism(v)),
+                      lambda: compose(identity_morphism(v), m), lambda: add_morphisms(m, m)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 def test_constructors_give_empty_input_the_shape_its_dims_fix():
