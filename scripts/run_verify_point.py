@@ -9,10 +9,11 @@ library.random_grid draws them), applies discretize and smooth at eps = 1,
 JSON line: the seconds the six constructions and their checks took, the
 seconds verify took of them, the number of generator grades of the module
 and of the six results (the points where verify compares the two sides of
-a triangle, which its cost follows), the module's total dimension, and a
-sha256 digest of the grids and dims of the six results in canonical JSON,
-which stays the same as long as the output does.  Exits 1 when a witness
-does not verify.
+a triangle, which its cost follows), the module's total dimension, and the
+sha256 of the canonical JSON (serialize.dumps) of the six results, grids,
+dims and steps, which stays the same as long as the output does.  Exits 1
+when a witness does not verify.  tests/test_calculus.py pins the digest at
+--ticks 6.
 
     python3 scripts/run_verify_point.py --ticks 8
 """
@@ -30,7 +31,7 @@ from obspers.calculus import discretize, smooth
 from obspers.fields import PrimeField
 from obspers.library import random_grid, random_module
 from obspers.metric import verify
-from obspers.serialize import module_to_json
+from obspers.serialize import dumps, module_to_json
 
 SEED = 0
 EPSILONS = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
@@ -58,8 +59,7 @@ def main():
                 failed.append(f"{name} at {eps}: {cert.violations[:1]}")
             results.append(res.module)
     seconds = time.perf_counter() - t0
-    docs = [module_to_json(m) for m in results]
-    data = json.dumps([{"grid": d["grid"], "dims": d["dims"]} for d in docs], sort_keys=True)
+    data = "".join(dumps(module_to_json(m)) for m in results)
     print(json.dumps({"ticks": args.ticks, "seconds": round(seconds, 3),
                       "verify_s": round(verify_s, 3),
                       "generators": sum(len(m._generators) for m in [v, *results]),

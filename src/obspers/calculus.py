@@ -50,13 +50,15 @@ def shift(v, eps):
     so the extension satisfies shift(v, eps)(s) = v(s + eps).
 
     eps may be negative (translation is a group action); the metric layer only
-    ever asks for eps >= 0.  V[0] is v itself.
+    ever asks for eps >= 0.  V[0] is v itself.  The copy shares v's dims,
+    stack and path maps, which are keyed by grid indices, as its own; a v
+    with a missing or misshapen step has no stack, and is a ValidationError.
     """
     eps = _frac(eps)
     if not eps:
         return v
-    out = StepModule._trusted(v.field, v.grid.translate(-eps), v.dims, v.steps)
-    out.__dict__["_valid_if"] = v  # see StepModule._violations
+    out = StepModule._from_stack(v.field, v.grid.translate(-eps), v.dims, v._stack)
+    out.__dict__.update(_paths=v._paths, _valid_if=v)  # see StepModule._violations
     return out
 
 

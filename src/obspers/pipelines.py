@@ -509,18 +509,20 @@ class _GradeHomology:
         return _freeze(sol[span.shape[1] - d:, :] % self.F.p)
 
     def module(self):
-        """The StepModule of H_k on the grid: dims from the representatives,
-        steps by expressing each point's representatives at its successor."""
+        """The StepModule of H_k on the grid, built as one stack: dims from
+        the representatives, steps by expressing each point's
+        representatives at its successor."""
         grid = self.grid
         dims = {g: self.reps(g).shape[1] for g in grid.points()}
-        steps = {}
-        for (g, axis), h in grid.edges.items():
+        width = max(dims.values())
+        stack = np.zeros((len(grid.edges), width, width), dtype=np.int64)
+        for block, ((g, _), h) in zip(stack, grid.edges.items()):
             comp = self.express(h, self.reps(g))
             if comp is None:
                 raise ValidationError(
                     "induced map solve failed; bifiltration is not monotone")
-            steps[(g, axis)] = comp
-        return StepModule._trusted(self.F, grid, dims, steps)
+            block[:dims[h], :dims[g]] = comp
+        return StepModule._from_stack(self.F, grid, dims, _freeze(stack))
 
 
 def _homology(b, k, grid, p):

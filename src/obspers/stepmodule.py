@@ -41,7 +41,7 @@ is cached on the morphism the same way.
 Endpoint checks in O(1).  restrict_extend records on its result the module
 it restricted, the result's source (any other module is its own source).
 Modules never change and restrict_extend is deterministic, so two modules on
-equal grids whose sources share their dims and steps objects are equal
+equal grids whose sources share their dims and stack objects are equal
 without a matrix compared, and calculus.modules_match needs no restriction
 when one module is already on the common refinement and its source has the
 other's data.  metric.verify's endpoint checks on the witnesses of
@@ -52,14 +52,13 @@ from StepModule.path_map, read-only and cached on the module: the shared
 identity when a == b, the stored step for a unit move, and one product with
 the cached map below for every longer move.  restrict_extend reads every step
 of the result off the anchors of its two ends, which differ on at most the
-step's axis: equal anchors give the shared identity, adjacent anchors reuse
-the stored unit step as is, and only longer moves read path_map.  Identity
-and zero blocks (_eye, _zero) are shared package-wide.  Internal results
-whose matrices are already reduced, int64 and read-only are built with the
-private StepModule._trusted and the _from_stack constructors, which skip
-the reduction and copy of the public constructors; arrays are therefore
-shared and must never be written to.  The public constructors keep
-validating, reducing and copying their input.
+step's axis: equal anchors write an identity, adjacent anchors copy the
+stored unit step, and only longer moves read path_map.  Identity and
+zero blocks (_eye, _zero) are shared package-wide.  Internal results whose
+matrices are already reduced, int64 and read-only are built with the private
+_from_stack constructors, which skip the reduction and copy of the public
+constructors; arrays are therefore shared and must never be written to.  The
+public constructors keep validating, reducing and copying their input.
 
 Hom through generators.  hom_basis never solves the dense naturality system,
 whose sum over points of dim v_g * dim w_g unknowns made it the largest cost
@@ -91,19 +90,20 @@ also hide a block smaller than its point's dimensions, which a per-point
 product rejects, so building a stack raises ValidationError on any block of
 the wrong shape.
 
-Stacks first.  Every morphism built in src, and every module of _submodule,
-comes from _from_stack and keeps only its read-only stack; only the public
-constructor keeps a comps dict.  A stack's steps or comps dict is a view,
-its per-point slices, built on first read and cached by a cached_property on
-the field's name (_stack_view); validate_morphism, Morphism._component and
-== between two morphisms that hold stacks never read it.  An object built
+Stacks first.  Every module and morphism that src builds outside the public
+constructors comes from _from_stack and keeps only its read-only stack; only
+objects of the public constructors (the library's input builders and the
+JSON readers use them) keep a steps or comps dict.  A stack's steps or comps
+dict is a view, its per-point slices, built on first read and cached by a
+cached_property on the field's name (_stack_view); validate_morphism,
+Morphism._component, == between two morphisms that hold stacks and ==
+between two modules that hold nothing else never read it.  An object built
 with a dict keeps it in its __dict__, which a non-data descriptor never
 shadows, so its reads stay plain attribute lookups (a __getattr__ hook
 would slow every read).  Stacks, views and path maps are cached, which is
 sound only because modules and morphisms never change: their arrays are
 read-only, and every caller that edits a steps or comps dict copies it into
-a new object first.  A view keeps its identity once built, so _same_data
-and shift treat it as a dict given to the constructor.
+a new object first.
 """
 
 import bisect
@@ -507,15 +507,6 @@ class StepModule:
         object.__setattr__(self, "steps", steps)
 
     @classmethod
-    def _trusted(cls, field, grid, dims, steps):
-        """Internal constructor for data already keyed by index tuples, with
-        every matrix reduced mod p, int64, two dimensional and read-only;
-        skips the reduction and copy of __post_init__."""
-        v = object.__new__(cls)
-        v.__dict__.update(field=field, grid=grid, dims=dims, steps=steps)
-        return v
-
-    @classmethod
     def _from_stack(cls, field, grid, dims, stack):
         """Internal constructor for dims keyed by the grid points in order and
         a read-only (E, D, D) stack of steps padded as _stack pads: the
@@ -571,7 +562,7 @@ class StepModule:
         its steps being the source's path maps between anchors and zero
         below the source's grid, so it is not checked again.  Nor is a
         module that records a module as its _valid_if:
-        - calculus.shift records its input, whose dims and steps it keeps on
+        - calculus.shift records its input, whose dims and stack it keeps on
           a grid of the same shape, so validate reads the same data;
         - _submodule records its ambient module.  Its callers guarantee that
           the ambient steps keep the spans (factor_morphism checks the
@@ -616,15 +607,19 @@ class StepModule:
         reads no steps.  O(1) when the two sources (_source) share their
         data (_same_data), as two shift copies by one eps do: each module is
         then its source or that source restricted to the common grid, and
-        restrict_extend is deterministic."""
+        restrict_extend is deterministic.  Two modules that hold only their
+        stacks compare them; any other pair compares steps, as a public
+        module's steps may hold a step off the grid, which its stack drops."""
         if self is other:
             return True
         if not isinstance(other, StepModule):
             return NotImplemented
         if self.field != other.field or self.grid != other.grid:
             return False
-        return _same_data(_source(self), _source(other)) or (
-            self.dims == other.dims and self.steps.keys() == other.steps.keys()
+        stacks = "steps" not in self.__dict__ and "steps" not in other.__dict__
+        return _same_data(_source(self), _source(other)) or self.dims == other.dims and (
+            np.array_equal(self._stack, other._stack) if stacks
+            else self.steps.keys() == other.steps.keys()
             and matrices_equal(self.steps, other.steps, self.steps))
 
     @cached_property
@@ -692,10 +687,11 @@ _stack_view(StepModule, "steps", _steps_view)
 
 
 def _same_data(a, b):
-    """True when a and b share their dims and steps objects, over one field on
-    equal grids: then they are one module, as modules never change."""
-    return (a.dims is b.dims and a.steps is b.steps and a.field == b.field
-            and a.grid == b.grid)
+    """True when a and b are one object, or share their dims and stack objects
+    over one field on equal grids: then they are one module, as modules never
+    change."""
+    return a is b or (a.dims is b.dims and a._stack is b._stack and a.field == b.field
+                      and a.grid == b.grid)
 
 
 def _source(v):
@@ -711,15 +707,23 @@ def zero_module(p, n_axes=1):
     return StepModule(PrimeField(p), grid, dims, {})
 
 
-def _module_violations(v):
-    """Every shape and commutativity violation of v, as validate reports
-    them, checked afresh."""
-    pts = v.grid.points()
-    for g in pts:
+def _dim_violations(v):
+    """The first missing or negative dimension of v at a grid point, as
+    validate words it, in a list; [] when there is none."""
+    for g in v.grid.points():
         if g not in v.dims:
             return [f"missing dimension at {g}"]
         if v.dims[g] < 0:
             return [f"negative dimension at {g}"]
+    return []
+
+
+def _module_violations(v):
+    """Every shape and commutativity violation of v, as validate reports
+    them, checked afresh."""
+    if out := _dim_violations(v):
+        return out
+    pts = v.grid.points()
     on_grid = set(pts)
     out = [f"dimension at {g} is not at a grid point" for g in v.dims if g not in on_grid]
     edges = v.grid.edges
@@ -774,9 +778,11 @@ def restrict_extend(v, grid):
     between anchors.  Idempotent, and the identity when grid refines v.grid;
     v itself when grid is v.grid, which is the same data.
     The anchors of a step's two ends differ only on the step's axis, by a
-    move read off that axis alone: a move of 0 gives a shared identity, a
-    move of 1 reuses v's unit step, and only longer moves read v.path_map.
-    The result records v as its source (see _source).
+    move read off that axis alone.  Each step's block is written into a
+    zeroed stack as wide as the result: a move of 0 writes an identity, a
+    move of 1 copies v's unit step, only longer moves read v.path_map, and a
+    step below v's grid stays zero.  The result records v as its source (see
+    _source).
     """
     if grid == v.grid:
         return v
@@ -785,45 +791,41 @@ def restrict_extend(v, grid):
                for q, a in zip(grid.points(), product(*per_axis))}
     moves = [[None if x is None else y - x for x, y in zip(axis, axis[1:])]
              for axis in per_axis]
-    steps = {}
     try:
         dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
-        for (q, axis), q2 in grid.edges.items():
+        d = max(dims.values())
+        stack = np.zeros((len(grid.edges), d, d), dtype=np.int64)
+        for i, ((q, axis), q2) in enumerate(grid.edges.items()):
             a, move = anchors[q], moves[axis][q[axis]]
-            if a is None:
-                m = _zero((dims[q2], 0))
-            elif move == 0:
-                m = _eye(dims[q])
-            elif move == 1:
-                m = v.steps[(a, axis)]
-            else:
-                m = v.path_map(a, anchors[q2])
-            steps[(q, axis)] = m
+            if a is not None:
+                stack[i, :dims[q2], :dims[q]] = (_eye(dims[q]) if move == 0 else v.steps[(a, axis)]
+                                                 if move == 1 else v.path_map(a, anchors[q2]))
     except KeyError:  # a missing dimension or step of v, which validate names
         check(_module_violations(v))
         raise
-    out = StepModule._trusted(v.field, grid, dims, steps)
+    out = StepModule._from_stack(v.field, grid, dims, _freeze(stack))
     out.__dict__["_restricted_from"] = v
     return out
 
 
 def direct_sum(a, b):
     """Biproduct on the common refinement of the two grids; dims add pointwise
-    and steps are block diagonal."""
+    and steps are block diagonal.  The stack holds each operand's stack, b's
+    nonzero entries moved down and right by a's dimensions at the ends of
+    their edge; reading the operands' stacks names a missing step."""
     if a.field != b.field:
         raise ValidationError(f"field mismatch: p={a.field.p} vs p={b.field.p}")
     grid = union_grids(a.grid, b.grid)
-    ra = restrict_extend(a, grid)
-    rb = restrict_extend(b, grid)
-    dims = {g: ra.dims[g] + rb.dims[g] for g in grid.points()}
-    steps = {}
-    for (g, axis), ma in ra.steps.items():
-        mb = rb.steps[(g, axis)]
-        block = a.field.zeros(ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1])
-        block[:ma.shape[0], :ma.shape[1]] = ma
-        block[ma.shape[0]:, ma.shape[1]:] = mb
-        steps[(g, axis)] = _freeze(block)
-    return StepModule._trusted(a.field, grid, dims, steps)
+    ra, rb = restrict_extend(a, grid), restrict_extend(b, grid)
+    sa, sb = ra._stack, rb._stack
+    da, src, dst = ra._point_dims, *_edge_ends(grid.shape)
+    dims = dict(zip(grid.points(), (da + rb._point_dims).tolist()))
+    d = max(dims.values())
+    stack = np.zeros((len(src), d, d), dtype=np.int64)
+    stack[:, :sa.shape[1], :sa.shape[2]] = sa[:, :d, :d]
+    e, r, c = np.nonzero(sb)
+    stack[e, da[dst[e]] + r, da[src[e]] + c] = sb[e, r, c]
+    return StepModule._from_stack(a.field, grid, dims, _freeze(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +879,10 @@ class Morphism:
         return tuple(_morphism_violations(self))
 
     def _comps_violations(self):
-        """Missing, misshapen and off-grid components, as validate_morphism words them."""
+        """Missing, misshapen and off-grid components, as validate_morphism
+        words them.  The endpoints are checked first: a missing or negative
+        dimension of either is a ValidationError."""
+        check(_dim_violations(self.source) + _dim_violations(self.target))
         out, pts = [], self.grid.points()
         for g in pts:
             if g not in self.comps:

@@ -977,8 +977,8 @@ def oracle_submodule(v, basis, coords):
     p = v.field.p
     steps = {(g, axis): coords[h] @ (v.steps[(g, axis)] @ basis[g] % p) % p
              for (g, axis), h in oracle_edges(v.grid.shape)}
-    return StepModule._trusted(v.field, v.grid, {g: basis[g].shape[1]
-                                                 for g in _points(v.grid.shape)}, steps)
+    return StepModule(v.field, v.grid, {g: basis[g].shape[1]
+                                        for g in _points(v.grid.shape)}, steps)
 
 
 def oracle_persistent_rank(v, eps):

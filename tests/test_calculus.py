@@ -1,6 +1,12 @@
 """Shift, smoothing, discretization, image pairs and ranks."""
 
+import io
+import json
+import runpy
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from obspers.stepmodule import (Grid, StepModule, restrict_extend, validate,
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 # -- refine / restrict_extend --------------------------------------------------
@@ -271,3 +278,19 @@ def test_persistent_rank_monotone_in_eps(rng):
     v = library.random_module(F2, rng)
     ranks = [persistent_rank(v, e) for e in (0, Fraction(1, 2), 1, 2, 4)]
     assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+
+# -- the verify point ----------------------------------------------------------------
+
+def test_verify_point_digest(monkeypatch):
+    """scripts/run_verify_point.py at 6 ticks: the sha256 of the canonical
+    JSON of its six discretize and smooth results, steps included."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    monkeypatch.setattr(sys, "argv", ["run_verify_point.py", "--ticks", "6"])
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "run_verify_point.py"), run_name="__main__")
+    got = json.loads(out.getvalue())
+    assert done.value.code == 0
+    assert (got["generators"], got["total_dim"], got["sha256"]) == (
+        18, 25, "931c33f3057f4b0be644fadbbe941ef4d7d45f8720789e1e5609f7cabcb0b119")

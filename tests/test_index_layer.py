@@ -194,14 +194,20 @@ def test_grids_with_different_axis_counts_are_rejected():
                 call()
 
 
-def test_refining_restriction_reuses_unit_steps():
+def test_refining_restriction_reuses_unit_steps(monkeypatch):
+    # on a refinement the anchors of a step's two ends are equal or adjacent,
+    # so every block is an identity or a copy of one of v's unit steps, and
+    # no path map is read
     v = library.random_module(PrimeField(2), np.random.default_rng(3))
     fine = union_grids(v.grid, v.grid.translate(Fraction(1, 7)))
-    r = restrict_extend(v, fine)
-    reused = {id(m) for m in v.steps.values()}
-    assert any(id(m) in reused for m in r.steps.values())
-    assert all(id(m) in reused or m.shape[0] == m.shape[1] or m.shape[1] == 0
-               for m in r.steps.values())
+
+    def refuse(self, a, b):
+        raise AssertionError(f"path_map({a}, {b}) read")
+
+    with monkeypatch.context() as m:
+        m.setattr(StepModule, "path_map", refuse)
+        r = restrict_extend(v, fine)
+    assert_same_module(r, oracle_restrict_extend(v, fine))
 
 
 # -- read-only sharing -------------------------------------------------------------

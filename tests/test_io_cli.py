@@ -201,6 +201,23 @@ def test_cli_validate_names_a_missing_step_of_an_endpoint(tmp_path):
         assert (code, out, err) == (1, "", f"error: missing step at {at} axis 0\n")
 
 
+def test_cli_validate_names_a_missing_dimension_of_an_endpoint(tmp_path):
+    # a morphism, and a 0-interleaving, one of whose endpoint modules lacks
+    # a dimension: the endpoints are checked before the components' shapes,
+    # so validate words the error, with no traceback
+    v = direct_sum(*(library.constant_module(F2, Grid(((0, 1),))),) * 2)
+    e = identity_morphism(v)
+    doc = serialize.morphism_to_json(e)
+    del doc["source"]["dims"]["1"]
+    wit = serialize.interleaving_to_json(verify(v, v, 0, e, e))
+    del wit["f"]["target"]["dims"]["1"]
+    for name, bad in (("m.json", doc), ("w.json", wit)):
+        path = tmp_path / name
+        serialize.write_json(path, bad)
+        code, out, err = run_cli(["validate", path])
+        assert (code, out, err) == (1, "", "error: missing dimension at (1,)\n")
+
+
 def test_cli_validate_rejects_entries_that_are_not_integers(tmp_path):
     doc = serialize.module_to_json(library.constant_module(F2, Grid(((0, 1),))))
     doc["steps"][0]["matrix"] = [[0.5]]

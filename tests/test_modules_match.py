@@ -6,11 +6,12 @@ independently."""
 
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from obspers import calculus, library
+from obspers import calculus, library, stepmodule
 from obspers.calculus import modules_match, shift
 from obspers.fields import PrimeField
 from obspers.metric import decide, verify
@@ -72,12 +73,30 @@ def test_shift_copies_match_the_oracle(seed, p, e1, e2, target):
     assert modules_match(s1, s1b) and s1 == s1b
 
 
+@given(seeds, primes, shifts, target_grids)
+def test_shift_copies_compare_equal_with_no_matrix_compared(seed, p, eps, target):
+    # two shift copies by one eps share v's dims and stack, and so do the
+    # sources of their restrictions to one grid: == compares no matrix and
+    # builds no steps view
+    v = module(seed, p)
+    r = restrict_extend(v, union_grids(v.grid, target))
+    pairs = [(shift(x, eps), shift(x, eps)) for x in (v, r)]
+    pairs += [(restrict_extend(a, target), restrict_extend(b, target)) for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("a matrix or a steps view was read")
+
+    with (patch.object(np, "array_equal", refuse), patch.object(StepModule.steps, "func", refuse),
+          patch.object(stepmodule, "matrices_equal", refuse)):
+        assert all(a == b and b == a for a, b in pairs)
+
+
 @given(seeds, primes, target_grids)
 def test_equal_data_built_independently_matches_the_oracle(seed, p, target):
     v = module(seed, p)
     u = union_grids(v.grid, target)
     t = twin(v)
-    other_field = StepModule._trusted(PrimeField(5), v.grid, v.dims, v.steps)
+    other_field = StepModule(PrimeField(5), v.grid, v.dims, v.steps)
     assert_matches_oracle([(t, v), (t, restrict_extend(v, u)),
                            (restrict_extend(t, u), restrict_extend(v, u)),
                            (restrict_extend(t, target), restrict_extend(v, target))])

@@ -10,10 +10,10 @@ more on a module whose dimensions span two size classes.
 Objects built from stacks (_from_stack) over F_2, F_3 and F_5: their steps
 or comps are views built on first read, validate_morphism reads their
 stacks alone and agrees with a dict-built copy, and the stacked
-factor_morphism matches the per-point oracle.  Every morphism the library's
-builders return holds its stack and no comps until they are read, and the
-identity checks of a decomposition compare stacks without building a comps
-view."""
+factor_morphism matches the per-point oracle.  Every module and morphism the
+library's builders return holds its stack and no steps or comps until they
+are read, and the identity checks of a decomposition compare stacks without
+building a comps view."""
 
 import functools
 from fractions import Fraction
@@ -25,16 +25,17 @@ from hypothesis import given, settings, strategies as st
 
 import obspers.stepmodule as stepmodule
 from obspers import library
-from obspers.calculus import (discretize, eta, persistent_rank, restrict_morphism,
+from obspers.calculus import (discretize, eta, persistent_rank, restrict_morphism, shift,
                               shift_morphism, smooth)
 from obspers.decompose import decompose, iso_test
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
 from obspers.metric import decide
+from obspers.pipelines import degree_rips, homology_module, metric_space
 from obspers.stepmodule import (Grid, Morphism, StepModule, _groups, _submodule,
                                 add_morphisms, compose, direct_sum, factor_morphism, hom_basis,
-                                hom_rows, identity_morphism, linear_combination, union_grids,
-                                validate_morphism, zero_morphism)
+                                hom_rows, identity_morphism, linear_combination,
+                                restrict_extend, union_grids, validate_morphism, zero_morphism)
 
 from conftest import assert_image_matches_oracle
 from oracles import (oracle_add_morphisms, oracle_compose, oracle_persistent_rank,
@@ -395,7 +396,7 @@ def test_stacked_image_of_a_morphism_that_is_not_natural(seed, p):
             assert np.array_equal(inclusion.comps[q], want)
 
 
-# -- every morphism the library builds is a stack ------------------------------
+# -- every module and morphism the library builds is a stack -------------------
 
 def library_built(seed, p):
     """The morphisms that the library's builders return, none read yet:
@@ -422,6 +423,31 @@ def test_library_morphisms_hold_stacks_and_build_comps_on_first_read(seed, p):
     assert all("_stack" in m.__dict__ and "comps" not in m.__dict__ for m in built)
     for m in built:
         assert_lazy_view(m)
+
+
+def library_built_modules(seed, p):
+    """The modules that the library's builders return, none read yet:
+    restrict_extend, shift (of a module and of a restriction), direct_sum,
+    H_0 and H_1 of the degree-Rips bifiltration of a 4-cycle, the summands
+    of a decomposition and the image of factor_morphism."""
+    rng, (v, w) = modules(seed, p, 2)
+    fine = union_grids(v.grid, v.grid.translate(Fraction(1, 3)))
+    cycle = [[min(abs(i - j), 4 - abs(i - j)) for j in range(4)] for i in range(4)]
+    rips = degree_rips(metric_space(list(range(4)), cycle), [0, 1, 2], [0, 1, 2])
+    h0, h1 = (homology_module(rips, k, Grid(((0, 1, 2), (-2, -1, 0))), p) for k in (0, 1))
+    assert h1.total_dim
+    out = [restrict_extend(v, fine), shift(v, 1), shift(restrict_extend(w, fine), 2),
+           direct_sum(v, w), h0, h1, factor_morphism(eta(v, 1))[0]]
+    out += [s for s in decompose(v).summands if s is not v]
+    return list({id(x): x for x in out}.values())
+
+
+@given(seeds, primes)
+def test_library_modules_hold_stacks_and_build_steps_on_first_read(seed, p):
+    built = library_built_modules(seed, p)
+    assert all("_stack" in v.__dict__ and "steps" not in v.__dict__ for v in built)
+    for v in built:
+        assert_lazy_view(v)
 
 
 @settings(max_examples=25)

@@ -191,6 +191,28 @@ def test_equality_compares_shapes_of_equal_sized_matrices():
                 pass
 
 
+def test_module_equality_sees_steps_and_dimensions_off_the_grid():
+    # a public module's stack drops a step or a dimension off the grid, so
+    # == compares such a module by its steps and dims, also once both stacks
+    # are built
+    grid = Grid(((0, 1),))
+    dims = {(0,): 1, (1,): 1}
+    v = StepModule(F2, grid, dims, {((0,), 0): [[1]]})
+    for bad in (StepModule(F2, grid, dims, {((0,), 0): [[1]], ((1,), 0): [[1]]}),
+                StepModule(F2, grid, {**dims, (2,): 1}, {((0,), 0): [[1]]})):
+        assert validate(bad)
+        for _ in range(2):
+            assert bad != v and v != bad
+            bad._stack, v._stack
+    # two modules that hold only their stacks compare the stacks
+    fine = Grid(((0, Fraction(1, 2), 1),))
+    swap, same, other = (restrict_extend(StepModule(F2, grid, {(0,): 2, (1,): 2}, {((0,), 0): m}),
+                                         fine)
+                         for m in ([[0, 1], [1, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]))
+    assert swap == same and swap != other
+    assert all("steps" not in x.__dict__ for x in (swap, same, other))
+
+
 def per_key_equal(m1, m2):
     return (m1.source == m2.source and m1.target == m2.target
             and m1.comps.keys() == m2.comps.keys()
@@ -210,6 +232,14 @@ def test_builders_name_a_missing_or_off_grid_component():
                       lambda: compose(identity_morphism(v), m), lambda: add_morphisms(m, m)):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 build()
+
+
+def test_direct_sum_names_a_missing_step_of_either_operand():
+    a = library.constant_module(F2, Grid(((0, 1),)))
+    b = StepModule(F2, a.grid, a.dims, {})
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValidationError, match=r"^missing step at \(0,\) axis 0$"):
+            direct_sum(x, y)
 
 
 def test_constructors_give_empty_input_the_shape_its_dims_fix():
