@@ -52,7 +52,7 @@ def shift(v, eps):
     eps may be negative (translation is a group action); the metric layer only
     ever asks for eps >= 0.  V[0] is v itself.  The copy shares v's dims,
     stack and path maps, which are keyed by grid indices, as its own; a v
-    with a missing or misshapen step has no stack, and is a ValidationError.
+    with bad shapes has no stack, and raises validate's message.
     """
     eps = _frac(eps)
     if not eps:
@@ -270,7 +270,7 @@ def image_pairs(v):
                 steps[((p, q), 0, axis)] = x
             q2 = edges.get((q, axis))
             if q2 is not None:
-                x = F.solve(bases[(p, q2)], F.matmul(v.steps[(q, axis)], b))
+                x = F.solve(bases[(p, q2)], F.matmul(v.path_map(q, q2), b))
                 steps[((p, q), 1, axis)] = x
     return PairGridModule(F, v.grid, dims, steps)
 

@@ -49,16 +49,17 @@ discretize, smooth, restriction_pair and decide are of this kind.
 
 One structure-map kernel.  Every map V_{a -> b} between grid indices comes
 from StepModule.path_map, read-only and cached on the module: the shared
-identity when a == b, the stored step for a unit move, and one product with
-the cached map below for every longer move.  restrict_extend reads every step
-of the result off the anchors of its two ends, which differ on at most the
-step's axis: equal anchors write an identity, adjacent anchors copy the
-stored unit step, and only longer moves read path_map.  Identity and
-zero blocks (_eye, _zero) are shared package-wide.  Internal results whose
-matrices are already reduced, int64 and read-only are built with the private
-_from_stack constructors, which skip the reduction and copy of the public
-constructors; arrays are therefore shared and must never be written to.  The
-public constructors keep validating, reducing and copying their input.
+identity when a == b, the unit step read off _stack for a unit move, and
+one product with the cached map below for every longer move.  restrict_extend
+reads every step of the result off the anchors of its two ends, which differ
+on at most the step's axis: equal anchors write an identity, adjacent anchors
+copy the unit step out of _stack, and only longer moves read path_map.
+Identity and zero blocks (_eye, _zero) are shared package-wide.  Internal
+results whose matrices are already reduced, int64 and read-only are built
+with the private _from_stack constructors, which skip the reduction and copy
+of the public constructors; arrays are therefore shared and must never be
+written to.  The public constructors keep validating, reducing and copying
+their input.
 
 Hom through generators.  hom_basis never solves the dense naturality system,
 whose sum over points of dim v_g * dim w_g unknowns made it the largest cost
@@ -71,12 +72,15 @@ details and the argument).  canonical_rows then gives the solutions exactly
 the form the dense system's kernel basis had, whatever generators were
 picked.
 
-Padded stacks.  Every per-edge and per-point product is one batched numpy
-product over a padded stack.  StepModule._stack holds the unit steps
-zero-padded to (D, D), D the module's largest dimension, stacked in
-grid.edges order; Morphism._stack holds the components padded to
-(D_target, D_source), stacked in grid.points() order; _edge_ends gives, per
-edge, the point numbers of its two ends, to index a morphism's stack.
+Padded stacks.  Every per-square, per-edge and per-point product is one
+batched numpy product over a padded stack.  One numbering per grid shape,
+_lattice(shape), cached and read-only, fixes every order: the point numbers
+(grid.points()), the edges (grid.edges) and their step numbers, the point
+numbers of each step's two ends, and each unit square with the numbers of
+its four steps.  StepModule._stack holds the unit steps zero-padded to (D,
+D), D the module's largest dimension, stacked by step number;
+Morphism._stack holds the components padded to (D_target, D_source),
+stacked by point number, so a step's ends index a morphism's stack.
 Padding is exact: the top-left block of a product of padded matrices is the
 product of the blocks, and every other entry stays zero, so a batched product
 of stacks is the stack of the per-point products.  The same argument lets a
@@ -86,29 +90,37 @@ the widest block there and at least _MIN_CLASS: the corner holds the whole
 block, and the rest of the result stays zero.  So a module with one wide
 point and many narrow ones pays the wide width only at the wide point;
 modules at most _MIN_CLASS wide take one class, one product.  Padding would
-also hide a block smaller than its point's dimensions, which a per-point
-product rejects, so building a stack raises ValidationError on any block of
-the wrong shape.
+also hide a block missing, smaller than its point's dimensions or off the
+grid, which a per-point product rejects, so building a stack first runs the
+shape scan (_shape_violations for a module, _comps_violations for a
+morphism) and raises validate's or validate_morphism's ValidationError on
+any violation.  A module or morphism holds a stack exactly when its data is
+well shaped; commutativity and naturality are then one batched test each.
 
 Stacks first.  Every module and morphism that src builds outside the public
 constructors comes from _from_stack and keeps only its read-only stack; only
 objects of the public constructors (the library's input builders and the
 JSON readers use them) keep a steps or comps dict.  A stack's steps or comps
 dict is a view, its per-point slices, built on first read and cached by a
-cached_property on the field's name (_stack_view); validate_morphism,
-Morphism._component, == between two morphisms that hold stacks and ==
-between two modules that hold nothing else never read it.  An object built
-with a dict keeps it in its __dict__, which a non-data descriptor never
-shadows, so its reads stay plain attribute lookups (a __getattr__ hook
-would slow every read).  Stacks, views and path maps are cached, which is
-sound only because modules and morphisms never change: their arrays are
-read-only, and every caller that edits a steps or comps dict copies it into
-a new object first.
+cached_property on the field's name (_stack_view).  Every reader inside src
+reads the stack instead: validate, validate_morphism, path_map,
+restrict_extend, hom_rows and Morphism._component.  == between two modules
+or two morphisms that hold their stacks compares the stacks; only a pair
+where one holds none compares the dicts.  So steps is read only by the
+public constructor, _stack and its shape scan, ==, serialization and the two
+builders that edit a steps dict (library.twist_module and
+stability._sample_step_twist).  An object built with a dict keeps it in its
+__dict__, which a non-data descriptor never shadows, so its reads stay plain
+attribute lookups (a __getattr__ hook would slow every read).  Stacks,
+views and path maps are cached, which is sound only because modules and
+morphisms never change: their arrays are read-only, and every caller that
+edits a steps or comps dict copies it into a new object first.
 """
 
 import bisect
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -226,13 +238,13 @@ class Grid:
     def n_axes(self):
         return len(self._scaled)
 
-    @property
+    @cached_property
     def shape(self):
         return tuple(len(keys) for _, keys in self._scaled)
 
     def points(self):
-        """All grid point index tuples in lexicographic order."""
-        return list(product(*map(range, self.shape)))
+        """All grid point index tuples in lexicographic order, as a new list."""
+        return list(_lattice(self.shape).number)
 
     def coords(self, idx):
         return tuple(self.axes[a][i] for a, i in enumerate(idx))
@@ -242,7 +254,7 @@ class Grid:
         """{(g, axis): successor of g along axis} for every unit step of the
         grid, points in lexicographic order and axes increasing.  It depends
         only on the shape, so grids of one shape share one read-only table."""
-        return _edges(self.shape)
+        return _lattice(self.shape).edges
 
     def anchor(self, s):
         """Index of sup{p in grid : p <= s}, or None when some axis of s lies
@@ -309,24 +321,33 @@ class Grid:
         return tuple(axis[-1] for axis in self.axes)
 
 
-@cache
-def _edges(shape):
-    out = {}
-    for g in product(*map(range, shape)):
-        for axis, n in enumerate(shape):
-            if g[axis] + 1 < n:
-                out[(g, axis)] = g[:axis] + (g[axis] + 1,) + g[axis + 1:]
-    return MappingProxyType(out)
+_Lattice = namedtuple("_Lattice", "number edges step ends squares")
 
 
 @cache
-def _edge_ends(shape):
-    """Per edge of _edges(shape), in its order, the point numbers (positions in
-    lexicographic order) of its start and of its end: two read-only arrays."""
-    number = {g: i for i, g in enumerate(product(*map(range, shape)))}
-    edges = _edges(shape)
-    return (_freeze(np.array([number[g] for g, _ in edges], dtype=np.intp)),
-            _freeze(np.array([number[h] for h in edges.values()], dtype=np.intp)))
+def _lattice(shape):
+    """The numbering that every grid of this shape shares, read-only:
+    - number: {point: its position in lexicographic order};
+    - edges: {(g, axis): successor of g along axis}, g in that order and then
+      axis increasing, the order of every stack of steps;
+    - step: {(g, axis): its position in edges};
+    - ends: per step, the numbers of its start and of its end, two arrays;
+    - squares: per unit square at g on axes i < j, in order of (g, i) and
+      then j, the numbers of its steps (g, i), (g + e_i, j), (g, j) and
+      (g + e_j, i), one row per square; the first and third name g, i and j.
+    The squares are kept as step numbers only: their index tuples would
+    take several times the memory, for every shape a run meets."""
+    number = {g: k for k, g in enumerate(product(*map(range, shape)))}
+    edges = {(g, axis): g[:axis] + (g[axis] + 1,) + g[axis + 1:]
+             for g in number for axis, n in enumerate(shape) if g[axis] + 1 < n}
+    step = {e: k for k, e in enumerate(edges)}
+    squares = np.array([(step[(g, i)], step[(h, j)], step[(g, j)], step[(edges[(g, j)], i)])
+                        for (g, i), h in edges.items() for j in range(i + 1, len(shape))
+                        if (g, j) in edges], dtype=np.intp).reshape(-1, 4)
+    ends = (np.array([number[g] for g, _ in edges], dtype=np.intp),
+            np.array([number[h] for h in edges.values()], dtype=np.intp))
+    return _Lattice(MappingProxyType(number), MappingProxyType(edges), MappingProxyType(step),
+                    tuple(map(_freeze, ends)), _freeze(squares))
 
 
 def same_axes(*grids):
@@ -431,15 +452,16 @@ def _groups(width, modules, dims=None, ends=None):
     of them, grouped by size class: one (c, index) pair per class c present,
     narrowest first, the index a slice over every position when all share
     one class.  A point's class is that of its widest block; with ends, the
-    (start, end) point numbers of each edge, the positions are edges, and an
-    edge's class is that of its wider end."""
+    point numbers of the corners of each edge or square (one array per
+    corner), the positions are edges or squares, and each takes the class
+    of its widest corner."""
     if width <= _MIN_CLASS:
         return [(_MIN_CLASS, slice(None))]
     classes = np.maximum.reduce([v._classes for v in modules])
     if dims is not None:
         classes = np.maximum(classes, [_class(d) for d in dims])
     if ends is not None:
-        classes = np.maximum(classes[ends[0]], classes[ends[1]])
+        classes = np.maximum.reduce([classes[e] for e in ends])
     bits = int(np.bitwise_or.reduce(classes))
     if not bits & (bits - 1):
         return [(bits, slice(None))]
@@ -452,7 +474,7 @@ def _edge_products(left, v, right, dims):
     read-only stack in grid.edges order: one batched product per size class
     of the edges, of v's blocks and of dims (per point, the other size of
     left's and right's blocks)."""
-    ends = src, dst = _edge_ends(v.grid.shape)
+    ends = src, dst = _lattice(v.grid.shape).ends
     steps, p = v._stack, v.field.p
     out = np.zeros((len(src), left.shape[1], right.shape[2]), dtype=np.int64)
     for c, i in _groups(max(steps.shape[1], left.shape[1]), [v], dims, ends):
@@ -518,16 +540,13 @@ class StepModule:
     @cached_property
     def _stack(self):
         """The unit steps zero-padded to (D, D), D the largest dimension,
-        stacked in grid.edges order: one read-only (E, D, D) array.  A missing
-        or misshapen step is a ValidationError, as padding would hide it."""
-        d, dims = _width(self), self.dims
-        try:
-            return _padded([_exact(self.steps[(g, axis)], (dims[h], dims[g]),
-                                   "step at {} axis {}", g, axis)
-                            for (g, axis), h in self.grid.edges.items()], d, d)
-        except KeyError:  # a missing dimension or step, which validate names
-            check(_module_violations(self))
-            raise
+        stacked in grid.edges order: one read-only (E, D, D) array.  Any
+        violation of the shape scan is a ValidationError, as padding would
+        hide it, so a module holds a stack exactly when its data is well
+        shaped."""
+        check(_shape_violations(self))
+        d = _width(self)
+        return _padded([self.steps[e] for e in self.grid.edges], d, d)
 
     @cached_property
     def _point_dims(self):
@@ -594,7 +613,7 @@ class StepModule:
         pts, n = self.grid.points(), self.grid.n_axes
         axes = np.array([axis for _, axis in self.grid.edges], dtype=np.intp)
         incoming = np.zeros((len(pts), d, n, d), dtype=np.int64)
-        incoming[_edge_ends(self.grid.shape)[1], :, axes] = self._stack
+        incoming[_lattice(self.grid.shape).ends[1], :, axes] = self._stack
         ranks = self.field.reduce_stack(incoming.reshape(len(pts), d, n * d))[1]
         return tuple(g for g, r in zip(pts, ranks.tolist()) if self.dims[g] > r)
 
@@ -607,16 +626,17 @@ class StepModule:
         reads no steps.  O(1) when the two sources (_source) share their
         data (_same_data), as two shift copies by one eps do: each module is
         then its source or that source restricted to the common grid, and
-        restrict_extend is deterministic.  Two modules that hold only their
-        stacks compare them; any other pair compares steps, as a public
-        module's steps may hold a step off the grid, which its stack drops."""
+        restrict_extend is deterministic.  Two modules that hold their stacks
+        compare them, as Morphism.__eq__ does: a module holds one exactly when
+        its data is well shaped, and then the stack and dims hold all of it.
+        Any other pair compares steps, which names a step off the grid too."""
         if self is other:
             return True
         if not isinstance(other, StepModule):
             return NotImplemented
         if self.field != other.field or self.grid != other.grid:
             return False
-        stacks = "steps" not in self.__dict__ and "steps" not in other.__dict__
+        stacks = "_stack" in self.__dict__ and "_stack" in other.__dict__
         return _same_data(_source(self), _source(other)) or self.dims == other.dims and (
             np.array_equal(self._stack, other._stack) if stacks
             else self.steps.keys() == other.steps.keys()
@@ -634,24 +654,28 @@ class StepModule:
         path_map(a, b - e_k) mod p, k the highest axis where a < b.  That is
         the product of unit steps axis by axis, lowest axis first (any path
         agrees when the module is valid), and each longer map costs one
-        product once the maps below it are cached.  a not below b is a
+        product once the maps below it are cached.  Each unit step is read
+        off _stack.  a not below b, or either of them off the grid, is a
         ValidationError."""
         a, b = tuple(a), tuple(b)
         paths = self._paths
         m = paths.get((a, b))
         if m is not None:
             return m
-        if any(x > y for x, y in zip(a, b)):
+        lattice, dims = _lattice(self.grid.shape), self.dims
+        if (a not in lattice.number or b not in lattice.number
+                or any(x > y for x, y in zip(a, b))):
             raise ValidationError(f"no path from {a} to {b}")
+        stack = self._stack
         walk = []  # the steps back from b to a, or to a map already cached
         while b != a and (a, b) not in paths:
             k = max(i for i, (x, y) in enumerate(zip(a, b)) if x < y)
             prev = b[:k] + (b[k] - 1,) + b[k + 1:]
             walk.append((prev, k, b))
             b = prev
-        m = paths[(a, b)] if b != a else _eye(self.dims[a])
+        m = paths[(a, b)] if b != a else _eye(dims[a])
         for prev, k, end in reversed(walk):
-            step = self.steps[(prev, k)]
+            step = stack[lattice.step[(prev, k)], :dims[end], :dims[prev]]
             m = paths[(a, end)] = step if prev == a else _freeze(step @ m % self.field.p)
         return m
 
@@ -718,15 +742,17 @@ def _dim_violations(v):
     return []
 
 
-def _module_violations(v):
-    """Every shape and commutativity violation of v, as validate reports
-    them, checked afresh."""
+def _shape_violations(v):
+    """Missing, negative and off-grid dimensions, then missing, misshapen and
+    off-grid steps, as validate words them.  Only a module that holds a
+    steps dict is scanned: a stack built by _from_stack gives every step a
+    view of exactly its shape, as _morphism_violations argues for comps."""
+    if "steps" not in v.__dict__:
+        return []
     if out := _dim_violations(v):
         return out
-    pts = v.grid.points()
-    on_grid = set(pts)
-    out = [f"dimension at {g} is not at a grid point" for g in v.dims if g not in on_grid]
-    edges = v.grid.edges
+    number, edges = _lattice(v.grid.shape).number, v.grid.edges
+    out = [f"dimension at {g} is not at a grid point" for g in v.dims if g not in number]
     for (g, axis), h in edges.items():
         if (g, axis) not in v.steps:
             out.append(f"missing step at {g} axis {axis}")
@@ -735,22 +761,28 @@ def _module_violations(v):
         want = (v.dims[h], v.dims[g])
         if m.shape != want:
             out.append(f"step at {g} axis {axis} has shape {m.shape}, expected {want}")
-    out += [f"step at {g} axis {axis} does not match any grid edge"
-            for g, axis in v.steps if (g, axis) not in edges]
-    if out:
+    return out + [f"step at {g} axis {axis} does not match any grid edge"
+                  for g, axis in v.steps if (g, axis) not in edges]
+
+
+def _module_violations(v):
+    """validate's violations, checked afresh: the shape scan, then one
+    batched test per size class over _stack that both paths of every unit
+    square agree, naming the first square that fails in the order of
+    _lattice's squares, by the edges of its first and third steps."""
+    if out := _shape_violations(v):
         return out
-    p = v.field.p
-    for (g, i), gi in edges.items():
-        for j in range(i + 1, v.grid.n_axes):
-            gj = edges.get((g, j))
-            if gj is None:
-                continue
-            via_i = v.steps[(gi, j)] @ v.steps[(g, i)] % p
-            via_j = v.steps[(gj, i)] @ v.steps[(g, j)] % p
-            if not np.array_equal(via_i, via_j):
-                out.append(f"square at {g} axes ({i},{j}) does not commute")
-                return out
-    return out
+    lattice, s, p = _lattice(v.grid.shape), v._stack, v.field.p
+    sq, (src, dst) = lattice.squares, lattice.ends
+    corners = src[sq[:, 0]], dst[sq[:, 0]], dst[sq[:, 2]], dst[sq[:, 1]]
+    bad = np.zeros(len(sq), dtype=bool)
+    for c, i in _groups(s.shape[1], [v], ends=corners):
+        a, b = s[sq[i, 1], :c, :c] @ s[sq[i, 0], :c, :c], s[sq[i, 3], :c, :c] @ s[sq[i, 2], :c, :c]
+        bad[i] = ((a - b) % p).any(axis=(1, 2))
+    if not bad.any():
+        return []
+    (g, i), (_, j) = (next(islice(lattice.edges, int(e), None)) for e in sq[bad.argmax(), [0, 2]])
+    return [f"square at {g} axes ({i},{j}) does not commute"]
 
 
 def validate(v):
@@ -780,29 +812,28 @@ def restrict_extend(v, grid):
     The anchors of a step's two ends differ only on the step's axis, by a
     move read off that axis alone.  Each step's block is written into a
     zeroed stack as wide as the result: a move of 0 writes an identity, a
-    move of 1 copies v's unit step, only longer moves read v.path_map, and a
-    step below v's grid stays zero.  The result records v as its source (see
-    _source).
+    move of 1 copies v's unit step out of v._stack, only longer moves read
+    v.path_map, and a step below v's grid stays zero.  v's stack is read
+    first, so a v with bad shapes raises validate's message.  The result
+    records v as its source (see _source).
     """
     if grid == v.grid:
         return v
+    vs, step = v._stack, _lattice(v.grid.shape).step
     per_axis = v.grid.anchor_indices(grid)
     anchors = {q: None if None in a else a
                for q, a in zip(grid.points(), product(*per_axis))}
     moves = [[None if x is None else y - x for x, y in zip(axis, axis[1:])]
              for axis in per_axis]
-    try:
-        dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
-        d = max(dims.values())
-        stack = np.zeros((len(grid.edges), d, d), dtype=np.int64)
-        for i, ((q, axis), q2) in enumerate(grid.edges.items()):
-            a, move = anchors[q], moves[axis][q[axis]]
-            if a is not None:
-                stack[i, :dims[q2], :dims[q]] = (_eye(dims[q]) if move == 0 else v.steps[(a, axis)]
-                                                 if move == 1 else v.path_map(a, anchors[q2]))
-    except KeyError:  # a missing dimension or step of v, which validate names
-        check(_module_violations(v))
-        raise
+    dims = {q: 0 if a is None else v.dims[a] for q, a in anchors.items()}
+    d = max(dims.values())
+    stack = np.zeros((len(grid.edges), d, d), dtype=np.int64)
+    for i, ((q, axis), q2) in enumerate(grid.edges.items()):
+        a, move = anchors[q], moves[axis][q[axis]]
+        if a is not None:
+            stack[i, :dims[q2], :dims[q]] = (
+                _eye(dims[q]) if move == 0 else vs[step[(a, axis)], :dims[q2], :dims[q]]
+                if move == 1 else v.path_map(a, anchors[q2]))
     out = StepModule._from_stack(v.field, grid, dims, _freeze(stack))
     out.__dict__["_restricted_from"] = v
     return out
@@ -812,14 +843,16 @@ def direct_sum(a, b):
     """Biproduct on the common refinement of the two grids; dims add pointwise
     and steps are block diagonal.  The stack holds each operand's stack, b's
     nonzero entries moved down and right by a's dimensions at the ends of
-    their edge; reading the operands' stacks names a missing step."""
+    their edge; reading the operands' stacks raises validate's message on
+    either one with bad shapes."""
     if a.field != b.field:
         raise ValidationError(f"field mismatch: p={a.field.p} vs p={b.field.p}")
     grid = union_grids(a.grid, b.grid)
     ra, rb = restrict_extend(a, grid), restrict_extend(b, grid)
     sa, sb = ra._stack, rb._stack
-    da, src, dst = ra._point_dims, *_edge_ends(grid.shape)
-    dims = dict(zip(grid.points(), (da + rb._point_dims).tolist()))
+    lattice, da = _lattice(grid.shape), ra._point_dims
+    src, dst = lattice.ends
+    dims = dict(zip(lattice.number, (da + rb._point_dims).tolist()))
     d = max(dims.values())
     stack = np.zeros((len(src), d, d), dtype=np.int64)
     stack[:, :sa.shape[1], :sa.shape[2]] = sa[:, :d, :d]
@@ -883,22 +916,19 @@ class Morphism:
         words them.  The endpoints are checked first: a missing or negative
         dimension of either is a ValidationError."""
         check(_dim_violations(self.source) + _dim_violations(self.target))
-        out, pts = [], self.grid.points()
-        for g in pts:
+        out, number = [], _lattice(self.grid.shape).number
+        for g in number:
             if g not in self.comps:
                 return out + [f"missing component at {g}"]
             want = (self.target.dims[g], self.source.dims[g])
             if self.comps[g].shape != want:
                 out.append(f"component at {g} has shape {self.comps[g].shape}, expected {want}")
-        on_grid = set(pts)
         return out + [f"component at {g} is not at a grid point" for g in self.comps
-                      if g not in on_grid]
+                      if g not in number]
 
     def _component(self, g):
         """The component at the grid index g, a view into the stack."""
-        i = 0
-        for k, n in zip(g, self.grid.shape):
-            i = i * n + k
+        i = _lattice(self.grid.shape).number[g]
         return self._stack[i, :self.target.dims[g], :self.source.dims[g]]
 
     @property
@@ -933,8 +963,10 @@ _stack_view(Morphism, "comps", _comps_view)
 
 def validate_morphism(m):
     """Shape and naturality check; returns a new list of violations.  The
-    check runs once per morphism (Morphism._violations); an endpoint step
-    of the wrong shape raises ValidationError on every call.  It does not
+    check runs once per morphism (Morphism._violations).  An endpoint
+    without a stack, one with a missing, negative or off-grid dimension or a
+    missing, misshapen or off-grid step, raises validate's ValidationError
+    on every call.  It does not
     check that the endpoints are modules (validate does): naturality is
     defined square by square whether or not the endpoints' squares commute."""
     return list(m._violations)
@@ -948,10 +980,10 @@ def _morphism_violations(m):
     never read is shape-checked by its stack alone: a stack of shape (P,
     D_target, D_source) gives every point a view of exactly its shape.  Any
     other stack falls back to the per-point scan, with its messages."""
-    padded = (len(m.grid.points()), _width(m.target), _width(m.source))
+    padded = (math.prod(m.grid.shape), _width(m.target), _width(m.source))
     if ("comps" in m.__dict__ or m._stack.shape != padded) and (out := m._comps_violations()):
         return out
-    ends = src, dst = _edge_ends(m.grid.shape)
+    ends = src, dst = _lattice(m.grid.shape).ends
     c, sv, sw, p = m._stack, m.source._stack, m.target._stack, m.field.p
     bad = np.zeros(len(src), dtype=bool)
     for k, i in _groups(max(c.shape[1:]), [m.source, m.target], ends=ends):
@@ -1138,7 +1170,8 @@ def hom_rows(v, w):
         raise ValidationError("hom_basis needs a common grid; refine first")
     if v.field != w.field:
         raise ValidationError("field mismatch")
-    F = v.field
+    F, step = v.field, _lattice(v.grid.shape).step
+    sv, sw = v._stack, w._stack
     pts = v.grid.points()
     width = sum(v.dims[g] * w.dims[g] for g in pts)
     start, size = [], []  # per generator: its first unknown and dim w(grade)
@@ -1172,8 +1205,9 @@ def hom_rows(v, w):
                     q_ids = [q_ids[k] for k in take]
             if q_ids:
                 ids += q_ids
-                ts.append(F.matmul(v.steps[(q, a)], q_t))
-                ps.append(F.matmul(w.steps[(q, a)], q_p))
+                e = step[(q, a)]
+                ts.append(F.matmul(sv[e, :dv, :v.dims[q]], q_t))
+                ps.append(F.matmul(sw[e, :dw, :w.dims[q]], q_p))
         if not ids and not dv:
             at[g] = nothing
             continue

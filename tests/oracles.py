@@ -10,11 +10,12 @@ its replacements: the point-by-point restriction, the per-element linear
 combination, the per-element decide kernel, the dense Hom solver, the full
 factorization with the per-piece decomposition, the restricting endpoint
 checks, the composite-building verify and the per-cell triangle check, the
-point-by-point Fitting split and isomorphism search, the per-edge and
-per-point naturality check, composition, sum, submodule and persistent
-rank, the per-point anchored morphisms with the witnesses built on them,
-grid homology on rational coordinates through Bifiltration.present_at, and
-the distance bracket that decides its top candidate first.
+point-by-point Fitting split and isomorphism search, the per-square
+commutativity check, the per-edge and per-point naturality check,
+composition, sum, submodule and persistent rank, the per-point anchored
+morphisms with the witnesses built on them, grid homology on rational
+coordinates through Bifiltration.present_at, and the distance bracket that
+decides its top candidate first.
 """
 
 from fractions import Fraction
@@ -914,12 +915,53 @@ def oracle_iso_test(v, w, seed=0, budget=1 << 16):
 
 
 # ---------------------------------------------------------------------------
-# The package's earlier per-edge and per-point kernels: the naturality check,
-# composition, sum and submodule steps one grid edge or one grid point at a
-# time, and the persistent rank one F.rank per point of the refined grid.
+# The package's earlier per-edge and per-point kernels: the commutativity
+# check one square at a time, the naturality check, composition, sum and
+# submodule steps one grid edge or one grid point at a time, and the
+# persistent rank one F.rank per point of the refined grid.
 # They walk their own edges and points (oracle_edges, _points) and never read
 # a padded stack; the batched kernels must return exactly what they return.
 # ---------------------------------------------------------------------------
+
+def oracle_validate(v):
+    """The first missing or negative dimension; else dimensions off the grid,
+    missing and misshapen steps and steps off the grid; else the first unit
+    square (g, i < j), in order of the edge (g, i) and then j, whose two
+    paths differ, both multiplied out of the steps dict."""
+    import numpy as np
+
+    pts = _points(v.grid.shape)
+    for g in pts:
+        if g not in v.dims:
+            return [f"missing dimension at {g}"]
+        if v.dims[g] < 0:
+            return [f"negative dimension at {g}"]
+    out = [f"dimension at {g} is not at a grid point" for g in v.dims if g not in pts]
+    edges = dict(oracle_edges(v.grid.shape))
+    for (g, axis), h in edges.items():
+        if (g, axis) not in v.steps:
+            out.append(f"missing step at {g} axis {axis}")
+            continue
+        want = (v.dims[h], v.dims[g])
+        if v.steps[(g, axis)].shape != want:
+            out.append(f"step at {g} axis {axis} has shape {v.steps[(g, axis)].shape}, "
+                       f"expected {want}")
+    out += [f"step at {g} axis {axis} does not match any grid edge"
+            for g, axis in v.steps if (g, axis) not in edges]
+    if out:
+        return out
+    p = v.field.p
+    for (g, i), gi in edges.items():
+        for j in range(i + 1, len(v.grid.shape)):
+            gj = edges.get((g, j))
+            if gj is None:
+                continue
+            via_i = v.steps[(gi, j)] @ v.steps[(g, i)] % p
+            via_j = v.steps[(gj, i)] @ v.steps[(g, j)] % p
+            if not np.array_equal(via_i, via_j):
+                return [f"square at {g} axes ({i},{j}) does not commute"]
+    return []
+
 
 def oracle_validate_morphism(m):
     """Missing components, wrong shapes and components off the grid, then

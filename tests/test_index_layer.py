@@ -4,6 +4,7 @@ shared matrices, strict rational coercion at every entry point, and integer
 index keys and axes everywhere."""
 
 import json
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -122,9 +123,13 @@ def test_path_map_matches_oracle_on_non_commuting_modules(seed, p):
 
 
 def test_path_map_shares_identities_and_steps():
+    # a unit move is the step, read as a view of the stack; an identity is
+    # the one shared _eye of its size
     v, w = module(4, 3), module(5, 3)
     for (g, axis), h in v.grid.edges.items():
-        assert v.path_map(g, h) is v.steps[(g, axis)]
+        unit = v.path_map(g, h)
+        assert np.array_equal(unit, v.steps[(g, axis)])
+        assert np.shares_memory(unit, v._stack) and not unit.flags.writeable
     for g, h in product(v.grid.points(), w.grid.points()):
         if v.dims[g] == w.dims[h]:
             assert v.path_map(g, g) is w.path_map(h, h)
@@ -134,6 +139,13 @@ def test_path_map_rejects_a_start_not_below_the_end():
     v = module(6, 2)
     with pytest.raises(ValidationError, match="no path"):
         v.path_map((1, 0), (0, 1))
+
+
+def test_path_map_rejects_indices_off_the_grid():
+    v = library.constant_module(PrimeField(2), Grid(((0, 1),)))
+    for a, b in (((5,), (5,)), ((0,), (7,)), ((0,), (1, 0)), ((0, 0), (1,))):
+        with pytest.raises(ValidationError, match=re.escape(f"no path from {a} to {b}")):
+            v.path_map(a, b)
 
 
 def test_image_pairs_rejects_a_non_commuting_module():

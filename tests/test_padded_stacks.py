@@ -1,5 +1,6 @@
 """The padded-stack kernels against the per-edge and per-point code they
-replaced (tests/oracles.py): validate_morphism's violations, compose,
+replaced (tests/oracles.py): validate's and validate_morphism's
+violations, compose,
 add_morphisms, _submodule and persistent_rank, on random modules over F_2 and
 F_3 with one to three axes, single-coordinate axes and points of dimension
 zero; and the cached stacks against freshly padded ones.  The random modules
@@ -12,8 +13,8 @@ or comps are views built on first read, validate_morphism reads their
 stacks alone and agrees with a dict-built copy, and the stacked
 factor_morphism matches the per-point oracle.  Every module and morphism the
 library's builders return holds its stack and no steps or comps until they
-are read, and the identity checks of a decomposition compare stacks without
-building a comps view."""
+are read, the identity checks of a decomposition compare stacks without
+building a comps view, and a certify benchmark job builds no steps view."""
 
 import functools
 from fractions import Fraction
@@ -25,21 +26,23 @@ from hypothesis import given, settings, strategies as st
 
 import obspers.stepmodule as stepmodule
 from obspers import library
+from obspers.stability import shift_factor_morphism
 from obspers.calculus import (discretize, eta, persistent_rank, restrict_morphism, shift,
                               shift_morphism, smooth)
 from obspers.decompose import decompose, iso_test
 from obspers.errors import ValidationError
 from obspers.fields import PrimeField
-from obspers.metric import decide
+from obspers.metric import decide, verify
 from obspers.pipelines import degree_rips, homology_module, metric_space
 from obspers.stepmodule import (Grid, Morphism, StepModule, _groups, _submodule,
                                 add_morphisms, compose, direct_sum, factor_morphism, hom_basis,
                                 hom_rows, identity_morphism, linear_combination,
-                                restrict_extend, union_grids, validate_morphism, zero_morphism)
+                                restrict_extend, union_grids, validate, validate_morphism,
+                                zero_morphism)
 
 from conftest import assert_image_matches_oracle
 from oracles import (oracle_add_morphisms, oracle_compose, oracle_persistent_rank,
-                     oracle_submodule, oracle_validate_morphism)
+                     oracle_submodule, oracle_validate, oracle_validate_morphism)
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 primes = st.sampled_from([2, 3])
@@ -169,6 +172,31 @@ def test_shape_and_key_violations_match_the_oracle(seed, p):
         m = Morphism(v, v, comps)
         assert validate_morphism(m) == oracle_validate_morphism(m)
         assert validate_morphism(m)
+
+
+def broken_steps(rng, v):
+    """v's steps with one nonempty step, if any, replaced by a random matrix
+    of its shape: the squares through it then mostly fail to commute."""
+    steps = dict(v.steps)
+    sized = [k for k, m in steps.items() if m.size]
+    if sized:
+        k = sized[int(rng.integers(0, len(sized)))]
+        steps[k] = rng.integers(0, v.field.p, size=steps[k].shape)
+    return steps
+
+
+@given(seeds, primes, narrowest)
+def test_module_violations_match_the_oracle(seed, p, narrow):
+    # well-formed and broken modules on one to three axes, and a skewed one
+    # with a point wider than the narrowest size class, valid and broken
+    rng, (v,) = modules(seed, p, 1)
+    skewed = skewed_module(rng, p)
+    cases = [v, skewed, restrict_extend(v, union_grids(v.grid, v.grid.translate(Fraction(1, 2))))]
+    cases += [StepModule(x.field, x.grid, x.dims, broken_steps(rng, x)) for x in (v, skewed)]
+    with classes_from(narrow):
+        for x in cases:
+            assert validate(x) == oracle_validate(x)
+    assert validate(cases[0]) == validate(cases[1]) == []
 
 
 def test_blocks_of_the_wrong_shape_are_not_padded():
@@ -465,4 +493,22 @@ def test_identity_checks_of_a_decomposition_build_no_comps_view(seed, p):
                 assert compose(proj, inc) == identity_morphism(s)
                 total = add_morphisms(total, compose(inc, proj))
             assert total == identity_morphism(x)
+    assert built == []
+
+
+@settings(max_examples=10)
+@given(seeds)
+def test_a_certify_job_builds_no_steps_view(seed):
+    # discretize, smooth, their verified witnesses and shift_factor_morphism
+    # on one input of the certify benchmark job read every step off a stack
+    rng = np.random.default_rng(seed)
+    v = library.random_module(PrimeField(2), rng, grid=library.random_grid(rng, lo=0, hi=2))
+    built, view = [], StepModule.steps.func
+    with patch.object(StepModule.steps, "func", lambda x: built.append(x) or view(x)):
+        for eps in (1, Fraction(1, 2), Fraction(1, 4)):
+            for res in (discretize(v, eps), smooth(v, eps)):
+                assert verify(v, res.module, eps, res.f, res.g).verified
+        gaps = v.grid.gaps()
+        fac = shift_factor_morphism(v, min(gaps), max(gaps))
+        assert fac.triangle_verified and validate_morphism(fac.m) == []
     assert built == []

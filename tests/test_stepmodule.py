@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from obspers.stepmodule import (Grid, Morphism, StepModule, add_morphisms, compo
                                 linear_combination, restrict_extend,
                                 union_grids, validate, validate_morphism,
                                 zero_module, zero_morphism)
-from obspers.calculus import eta, eta_on, restrict_morphism
+from obspers.calculus import eta, eta_on, restrict_morphism, shift
 from obspers.decompose import iso_test
 
 from conftest import assert_image_matches_oracle, assert_same_morphism, to_plain
@@ -106,6 +107,32 @@ def test_edges_match_a_point_by_point_walk(shape):
     assert list(grid.edges.items()) == oracle_edges(tuple(shape))
 
 
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 10 ** 6))
+def test_numbering_and_stacks_match_a_point_by_point_walk(shape, seed):
+    # the points, step numbers, step ends and squares of the shared
+    # numbering, and the order of module and morphism stacks
+    grid = Grid(tuple(tuple(range(n)) for n in shape))
+    walk, points = oracle_edges(tuple(shape)), list(product(*map(range, shape)))
+    assert grid.points() == points
+    lattice = stepmodule._lattice(grid.shape)
+    assert list(lattice.step.items()) == [(e, k) for k, (e, _) in enumerate(walk)]
+    assert ([(points[a], points[b]) for a, b in zip(*lattice.ends)]
+            == [(g, h) for (g, _), h in walk])
+    edges = dict(walk)
+    squares = [(g, i, j) for (g, i), _ in walk
+               for j in range(i + 1, len(shape)) if (g, j) in edges]
+    number = {e: k for k, (e, _) in enumerate(walk)}
+    assert lattice.squares.tolist() == [
+        [number[(g, i)], number[(edges[(g, i)], j)], number[(g, j)], number[(edges[(g, j)], i)]]
+        for g, i, j in squares]
+    v = library.random_module(F3, np.random.default_rng(seed), grid=grid)
+    for k, ((g, axis), h) in enumerate(walk):
+        assert np.array_equal(v._stack[k, :v.dims[h], :v.dims[g]], v.steps[(g, axis)])
+    m = identity_morphism(v)
+    for k, g in enumerate(points):
+        assert np.array_equal(m._stack[k, :v.dims[g], :v.dims[g]], np.eye(v.dims[g]))
+
+
 def test_grids_of_one_shape_share_one_read_only_table():
     a = Grid(((0, 1), (0, 1, 2)))
     b = Grid(((Fraction(1, 2), 3), (5, 6, 7)))
@@ -192,9 +219,9 @@ def test_equality_compares_shapes_of_equal_sized_matrices():
 
 
 def test_module_equality_sees_steps_and_dimensions_off_the_grid():
-    # a public module's stack drops a step or a dimension off the grid, so
-    # == compares such a module by its steps and dims, also once both stacks
-    # are built
+    # a module with a step or a dimension off the grid has no stack: reading
+    # it raises validate's message, so == compares such a module by its
+    # steps and dims, also once the other's stack is built
     grid = Grid(((0, 1),))
     dims = {(0,): 1, (1,): 1}
     v = StepModule(F2, grid, dims, {((0,), 0): [[1]]})
@@ -203,7 +230,9 @@ def test_module_equality_sees_steps_and_dimensions_off_the_grid():
         assert validate(bad)
         for _ in range(2):
             assert bad != v and v != bad
-            bad._stack, v._stack
+            with pytest.raises(ValidationError, match=re.escape(validate(bad)[0])):
+                bad._stack
+            v._stack
     # two modules that hold only their stacks compare the stacks
     fine = Grid(((0, Fraction(1, 2), 1),))
     swap, same, other = (restrict_extend(StepModule(F2, grid, {(0,): 2, (1,): 2}, {((0,), 0): m}),
@@ -211,6 +240,22 @@ def test_module_equality_sees_steps_and_dimensions_off_the_grid():
                          for m in ([[0, 1], [1, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]))
     assert swap == same and swap != other
     assert all("steps" not in x.__dict__ for x in (swap, same, other))
+
+
+def test_modules_built_from_a_module_with_bad_shapes_raise_its_violations():
+    # shift, direct_sum and restrict_extend read the stack first, which a
+    # module with a step or dimension off the grid, or a missing dimension,
+    # does not have
+    grid, finer = Grid(((0, 1),)), Grid(((0, Fraction(1, 2), 1),))
+    dims, c = {(0,): 1, (1,): 1}, library.constant_module(F2, grid)
+    for bad in (StepModule(F2, grid, dims, {((0,), 0): [[1]], ((1,), 0): [[1]]}),
+                StepModule(F2, grid, {**dims, (2,): 1}, {((0,), 0): [[1]]}),
+                StepModule(F2, Grid(((0,),)), {}, {})):
+        message = re.escape(validate(bad)[0])
+        for build in (lambda: shift(bad, 1), lambda: direct_sum(bad, c),
+                      lambda: restrict_extend(bad, finer)):
+            with pytest.raises(ValidationError, match=message):
+                build()
 
 
 def per_key_equal(m1, m2):
@@ -251,7 +296,11 @@ def test_constructors_give_empty_input_the_shape_its_dims_fix():
     assert w.steps[((0,), 0)].shape == (2, 0) and w.steps[((1,), 1)].shape == (0, 2)
     a = library.box_interval(F2, grid, (1,))
     m = Morphism(a, w, {(0,): [], (1,): [[1], [0]]})
-    assert m.comps[(0,)].shape == (0, 0) and validate_morphism(m) == []
+    assert m.comps[(0,)].shape == (0, 0)
+    # the step off the grid leaves w without a stack, so naturality into it
+    # is not defined, as with a misshapen step
+    with pytest.raises(ValidationError, match=r"step at \(1,\) axis 1 does not match"):
+        validate_morphism(m)
     assert Morphism(w, a, {(0,): [[]], (1,): [[1, 1]]}).comps[(0,)].shape == (0, 0)
 
 
